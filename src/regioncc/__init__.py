@@ -4,8 +4,8 @@ from .gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis, rank,
                   solve)
 from .scheme import (Component, CoverScheme, DiagramFormatError, Edge,
                      EmbeddingScheme, FaceStructure, InvalidDiagramError,
-                     Region, SurfaceInfo, components, faces, import_pd,
-                     orientation_double_cover, parse_diagram,
+                     Region, Shadow, SurfaceInfo, components, faces,
+                     import_pd, orientation_double_cover, parse_diagram,
                      serialize_diagram, surface_info, validate)
 from .homology import (HomologyContext, HomologyMatrix, class_of,
                        homology_context, homology_matrix)
@@ -22,8 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMatrix", "BitVector", "rank", "solve", "nullspace_basis",
     "in_rowspace",
-    "Edge", "EmbeddingScheme", "CoverScheme", "FaceStructure", "Region",
-    "SurfaceInfo", "Component", "DiagramFormatError", "InvalidDiagramError",
+    "Edge", "Shadow", "EmbeddingScheme", "CoverScheme", "FaceStructure",
+    "Region", "SurfaceInfo", "Component", "DiagramFormatError",
+    "InvalidDiagramError",
     "validate", "orientation_double_cover", "faces", "surface_info",
     "components", "import_pd", "parse_diagram", "serialize_diagram",
     "HomologyContext", "HomologyMatrix", "homology_context", "class_of",

@@ -14,12 +14,13 @@ This route never looks at the incidence matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .gf2 import BitMatrix, BitVector, in_rowspace, solve
-from .homology import class_of, homology_matrix
-from .scheme import Edge, EmbeddingScheme, components
+from .homology import class_of
+
+if TYPE_CHECKING:
+    from .scheme import EmbeddingScheme, Shadow
 
 __all__ = [
     "Bicoloring",
@@ -60,18 +61,18 @@ class Bicoloring:
         return tuple(out)
 
 
-@lru_cache(maxsize=2048)
-def _system_for_edges(edges: tuple[Edge, ...]) -> BitMatrix:
-    c = len(edges) // 2
-    lookup = [0] * (4 * c)
-    for j, e in enumerate(edges):
-        lookup[e.darts[0]] = j
-        lookup[e.darts[1]] = j
+def build_system(shadow: Shadow) -> BitMatrix:
+    """The bi-coloring system of a shadow; Shadow.bicolor_system caches it.
+
+    Row 2i + p is the equation of the strand through darts 4i + p and
+    4i + p + 2: the sum of the colors of its two edges.
+    """
+    edge_of = shadow.edge_of
     rows = []
-    for i in range(c):
+    for i in range(shadow.crossing_count):
         for p in (0, 1):
-            rows.append((1 << lookup[4 * i + p]) ^ (1 << lookup[4 * i + p + 2]))
-    return BitMatrix.from_bitrows(rows, 2 * c)
+            rows.append((1 << edge_of[4 * i + p]) ^ (1 << edge_of[4 * i + p + 2]))
+    return BitMatrix.from_bitrows(rows, len(shadow.edges))
 
 
 def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | None:
@@ -84,7 +85,7 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
     for i in chosen:
         if not 0 <= i < d.crossing_count:
             raise IndexError(f"crossing index {i} out of range")
-    system = _system_for_edges(d.edges)
+    system = d.shadow.bicolor_system
     rhs_bits = 0
     for i in chosen:
         rhs_bits |= 0b11 << (2 * i)
@@ -112,12 +113,12 @@ def admissible_by_bicoloring(
     base = bicoloring(d, crossings)
     if base is None:
         return False, None
-    hm = homology_matrix(d)
+    hm = d.shadow.homology_matrix
     coeffs = in_rowspace(hm.matrix, phi_class(d, base))
     if coeffs is None:
         return False, None
     mask = base.ones_mask()
-    comps = components(d)
+    comps = d.shadow.components
     for k in coeffs.support():
         for e in comps[k].edges:
             mask ^= 1 << e

@@ -3,14 +3,17 @@
 Questions with a yes/no answer always exit 0; negative verdicts are
 reported as "infeasible" lines rather than failures.  Exit code 2
 covers usage mistakes and malformed documents, 3 covers documents that
-parse but violate a diagram invariant.  Given equal inputs every
-command writes byte-identical output.
+parse but violate a diagram invariant, and 4 a failed internal
+invariant check (a bug, reported in one line).  A reader that closes
+stdout early, as `| head` does, ends the command quietly with exit 1.
+Given equal inputs every command writes byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bicolor import admissible_by_bicoloring, bicoloring, phi_class
@@ -264,7 +267,7 @@ def _cmd_import_pd(args) -> int:
     text = _read_text(args.file)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DiagramFormatError(f"invalid JSON: {err}") from None
     if isinstance(doc, list):
         code = doc
@@ -359,13 +362,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except DiagramFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except InvalidDiagramError as err:
         print(f"invalid diagram: {err}", file=sys.stderr)
         return 3
+    except RuntimeError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ masks (bit e = edge e), matching the gf2 row convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .gf2 import BitMatrix, BitVector, nullspace_basis, rref_masks, reduce_mask
-from .scheme import Edge, EmbeddingScheme, components, faces
+from .gf2 import (BitMatrix, BitVector, nullspace_basis, rank, reduce_mask,
+                  rref_masks)
+
+if TYPE_CHECKING:
+    from .scheme import EmbeddingScheme, Shadow
 
 __all__ = [
     "HomologyContext",
@@ -49,8 +51,9 @@ class HomologyContext:
         return len(self.quotient_rows)
 
 
-@lru_cache(maxsize=2048)
-def _context_for_edges(edges: tuple[Edge, ...]) -> HomologyContext:
+def build_context(shadow: Shadow) -> HomologyContext:
+    """The homology context of a shadow; Shadow.homology_context caches it."""
+    edges = shadow.edges
     c = len(edges) // 2
     m = len(edges)
     # Boundary of each edge, accumulated per crossing; a loop cancels.
@@ -60,7 +63,7 @@ def _context_for_edges(edges: tuple[Edge, ...]) -> HomologyContext:
             boundary[d >> 2] ^= 1 << j
     cycle_basis = nullspace_basis(BitMatrix.from_bitrows(boundary, m))
 
-    region_masks = [reg.parity_bits for reg in _faces_of(edges).regions]
+    region_masks = [reg.parity_bits for reg in shadow.faces.regions]
     face_pivots, face_rows = rref_masks(region_masks, m)
 
     reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycle_basis]
@@ -70,14 +73,8 @@ def _context_for_edges(edges: tuple[Edge, ...]) -> HomologyContext:
                            tuple(quotient_pivots), tuple(quotient_rows))
 
 
-def _faces_of(edges: tuple[Edge, ...]):
-    # Reuse the cached face structure without needing over flags.
-    from .scheme import _faces_for_edges
-    return _faces_for_edges(edges)
-
-
 def homology_context(d: EmbeddingScheme) -> HomologyContext:
-    return _context_for_edges(d.edges)
+    return d.shadow.homology_context
 
 
 def _as_mask(edge_set: Iterable[int] | int, edge_count: int) -> int:
@@ -136,12 +133,11 @@ class HomologyMatrix:
     rank: int
 
 
-@lru_cache(maxsize=2048)
-def _homology_matrix_for_edges(edges: tuple[Edge, ...]) -> HomologyMatrix:
-    from .gf2 import rank as gf2_rank
-    ctx = _context_for_edges(edges)
+def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
+    """The component-class matrix of a shadow; Shadow.homology_matrix caches it."""
+    ctx = shadow.homology_context
     rows = []
-    for comp in _components_of(edges):
+    for comp in shadow.components:
         mask = 0
         for e in comp.edges:
             mask ^= 1 << e
@@ -150,14 +146,9 @@ def _homology_matrix_for_edges(edges: tuple[Edge, ...]) -> HomologyMatrix:
             raise RuntimeError("component trace is not a cycle")
         rows.append(bits)
     matrix = BitMatrix.from_bitrows(rows, ctx.h1_dim)
-    return HomologyMatrix(matrix, gf2_rank(matrix))
-
-
-def _components_of(edges: tuple[Edge, ...]):
-    from .scheme import _components_for_edges
-    return _components_for_edges(edges)
+    return HomologyMatrix(matrix, rank(matrix))
 
 
 def homology_matrix(d: EmbeddingScheme) -> HomologyMatrix:
     """Component-class matrix of the diagram (n rows, dim H_1 columns)."""
-    return _homology_matrix_for_edges(d.edges)
+    return d.shadow.homology_matrix

@@ -13,12 +13,12 @@ count, component count, and the homology rank of the components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .gf2 import BitMatrix, BitVector, in_rowspace, nullspace_basis, rank
-from .homology import homology_matrix
-from .scheme import Edge, EmbeddingScheme, components, faces
+
+if TYPE_CHECKING:
+    from .scheme import EmbeddingScheme, Shadow
 
 __all__ = [
     "incidence_matrix",
@@ -33,10 +33,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=2048)
-def _incidence_for_edges(edges: tuple[Edge, ...]) -> BitMatrix:
-    from .scheme import _faces_for_edges
-    structure = _faces_for_edges(edges)
+def build_incidence(shadow: Shadow) -> BitMatrix:
+    """The incidence matrix of a shadow; Shadow.incidence caches it."""
+    structure = shadow.faces
     rows = []
     for region in structure.regions:
         bits = 0
@@ -48,7 +47,7 @@ def _incidence_for_edges(edges: tuple[Edge, ...]) -> BitMatrix:
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
     """Region-by-crossing matrix of corner parities over GF(2)."""
-    return _incidence_for_edges(d.edges)
+    return d.shadow.incidence
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,12 @@ class RankReport:
 
 
 def verify_rank_formula(d: EmbeddingScheme) -> RankReport:
+    shadow = d.shadow
     return RankReport(
-        incidence_rank=rank(incidence_matrix(d)),
-        region_count=faces(d).region_count,
-        component_count=len(components(d)),
-        homology_rank=homology_matrix(d).rank,
+        incidence_rank=rank(shadow.incidence),
+        region_count=shadow.faces.region_count,
+        component_count=len(shadow.components),
+        homology_rank=shadow.homology_matrix.rank,
     )
 
 
@@ -152,7 +152,7 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
     color classes are ineffective region sets; that is rechecked here
     before returning.
     """
-    structure = faces(d)
+    structure = d.shadow.faces
     r = structure.region_count
     adjacency: list[list[int]] = [[] for _ in range(r)]
     for e in range(d.edge_count):

@@ -20,14 +20,21 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
+
+from .bicolor import build_system
+from .gf2 import BitMatrix
+from .homology import (HomologyContext, HomologyMatrix, build_context,
+                       build_homology_matrix)
+from .rcc import build_incidence
 
 __all__ = [
     "DiagramFormatError",
     "InvalidDiagramError",
     "Edge",
+    "Shadow",
     "EmbeddingScheme",
     "CoverScheme",
     "Region",
@@ -65,14 +72,25 @@ class Edge:
     sign: int
 
 
-def _structural_violations(overs: Sequence[int], edges: Sequence[Edge]) -> list[str]:
-    problems = []
+def _over_violations(overs: Sequence[int]) -> list[str]:
+    return [f"crossing {i}: over flag must be 0 or 1"
+            for i, o in enumerate(overs) if o not in (0, 1)]
+
+
+def _structural_violations(overs: Sequence[int],
+                           edges: Sequence[Edge]) -> tuple[list[str], bool]:
+    """Every violation of the diagram data, and whether its surface is orientable.
+
+    The connectivity search carries a sheet bit per crossing, flipped
+    along -1 edges, so it walks the orientation double cover.  The cover
+    is connected, and the surface nonorientable, exactly when some cycle
+    has an odd number of -1 edges: then an edge contradicts the sheets of
+    its ends.
+    """
     c = len(overs)
     if c == 0:
-        return ["diagram must have at least one crossing"]
-    for i, o in enumerate(overs):
-        if o not in (0, 1):
-            problems.append(f"crossing {i}: over flag must be 0 or 1")
+        return ["diagram must have at least one crossing"], True
+    problems = _over_violations(overs)
     n_darts = 4 * c
     seen: dict[int, int] = {}
     for j, e in enumerate(edges):
@@ -81,7 +99,7 @@ def _structural_violations(overs: Sequence[int], edges: Sequence[Edge]) -> list[
             problems.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
             problems.append(f"edge {j}: self-paired dart {a}")
-        for d in dict.fromkeys((a, b)):
+        for d in ((a,) if a == b else (a, b)):
             if not 0 <= d < n_darts:
                 problems.append(f"edge {j}: dart {d} out of range")
             elif d in seen:
@@ -91,114 +109,31 @@ def _structural_violations(overs: Sequence[int], edges: Sequence[Edge]) -> list[
     if len(edges) != 2 * c:
         problems.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
     if problems:
-        return problems
-    # Connectivity of the underlying 4-valent graph.
+        return problems, True
+    # adj[u] holds 2 * v + twist for each edge end at crossing u.
     adj: list[list[int]] = [[] for _ in range(c)]
     for e in edges:
-        u, v = e.darts[0] // 4, e.darts[1] // 4
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = {0}
+        a, b = e.darts
+        twist = e.sign < 0
+        adj[a >> 2].append((b >> 2 << 1) | twist)
+        adj[b >> 2].append((a >> 2 << 1) | twist)
+    sheet = [-1] * c
+    sheet[0] = 0
     stack = [0]
+    orientable = True
     while stack:
         v = stack.pop()
-        for w in adj[v]:
-            if w not in reached:
-                reached.add(w)
+        for link in adj[v]:
+            w = link >> 1
+            s = sheet[v] ^ (link & 1)
+            if sheet[w] < 0:
+                sheet[w] = s
                 stack.append(w)
-    if len(reached) != c:
+            elif sheet[w] != s:
+                orientable = False
+    if -1 in sheet:
         problems.append("diagram is disconnected")
-    return problems
-
-
-@dataclass(frozen=True)
-class EmbeddingScheme:
-    """A connected link diagram on a closed surface.
-
-    ``overs[i]`` is the over flag of crossing i; ``edges`` pair up all
-    4 * len(overs) darts.  Construction validates the structure and
-    raises InvalidDiagramError on any violation.
-    """
-
-    overs: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        problems = _structural_violations(self.overs, self.edges)
-        if problems:
-            raise InvalidDiagramError(problems)
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.overs)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def dart_count(self) -> int:
-        return 4 * len(self.overs)
-
-    @cached_property
-    def _dart_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        theta = [0] * self.dart_count
-        edge_of = [0] * self.dart_count
-        for j, e in enumerate(self.edges):
-            a, b = e.darts
-            theta[a] = b
-            theta[b] = a
-            edge_of[a] = j
-            edge_of[b] = j
-        return tuple(theta), tuple(edge_of)
-
-    def theta(self, d: int) -> int:
-        """The other dart of d's edge."""
-        return self._dart_tables[0][d]
-
-    def edge_of(self, d: int) -> int:
-        """Index of the edge containing dart d."""
-        return self._dart_tables[1][d]
-
-    def sigma(self, d: int) -> int:
-        """Next dart counterclockwise around d's crossing."""
-        return (d & ~3) | ((d + 1) & 3)
-
-    def through(self, d: int) -> int:
-        """The opposite dart of the strand passing through d's crossing."""
-        return (d & ~3) | ((d + 2) & 3)
-
-    def crossing_of(self, d: int) -> int:
-        return d >> 2
-
-    def pair_of(self, d: int) -> int:
-        """Through-pair index of dart d at its crossing: 0 for {0,2}, 1 for {1,3}."""
-        return d & 1
-
-    def with_overs(self, overs: Iterable[int]) -> "EmbeddingScheme":
-        return replace(self, overs=tuple(overs))
-
-
-def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
-    """Check raw diagram data and build a scheme.
-
-    ``crossings`` holds (rotation, over) pairs and ``edges`` holds
-    ((dart, dart), sign) pairs.  Rotations must list the canonical dart
-    names 4i..4i+3 in order; everything else is a violation.  Raises
-    InvalidDiagramError carrying the full list of problems.
-    """
-    problems = []
-    overs = []
-    for i, (rotation, over) in enumerate(crossings):
-        expected = [4 * i + k for k in range(4)]
-        if list(rotation) != expected:
-            problems.append(f"crossing {i}: rotation must be {expected}")
-        overs.append(over)
-    edge_objs = tuple(Edge((int(a), int(b)), int(s)) for (a, b), s in edges)
-    problems.extend(_structural_violations(tuple(overs), edge_objs))
-    if problems:
-        raise InvalidDiagramError(problems)
-    return EmbeddingScheme(tuple(int(o) for o in overs), edge_objs)
+    return problems, orientable
 
 
 @dataclass(frozen=True)
@@ -231,51 +166,6 @@ class CoverScheme:
     def vertex_of(self, x: int) -> int:
         """Cover vertex of cover dart x, encoded as 2 * crossing + sheet."""
         return ((x >> 3) << 1) | (x & 1)
-
-
-@lru_cache(maxsize=2048)
-def _cover_for_edges(edges: tuple[Edge, ...]) -> CoverScheme:
-    c = len(edges) // 2
-    n = 8 * c
-    sigma = [0] * n
-    for d in range(4 * c):
-        base = d & ~3
-        sigma[2 * d] = 2 * (base | ((d + 1) & 3))
-        sigma[2 * d + 1] = 2 * (base | ((d - 1) & 3)) + 1
-    theta = [0] * n
-    cover_edges = []
-    for e in edges:
-        a, b = e.darts
-        if e.sign > 0:
-            lifts = ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1))
-        else:
-            lifts = ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))
-        for x, y in lifts:
-            theta[x] = y
-            theta[y] = x
-            cover_edges.append((x, y))
-    # Connectivity over cover vertices.
-    adj: list[list[int]] = [[] for _ in range(2 * c)]
-    for x, y in cover_edges:
-        u = ((x >> 3) << 1) | (x & 1)
-        v = ((y >> 3) << 1) | (y & 1)
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return CoverScheme(c, tuple(sigma), tuple(theta), tuple(cover_edges),
-                       len(reached) == 2 * c)
-
-
-def orientation_double_cover(d: EmbeddingScheme) -> CoverScheme:
-    """Orientation double cover of the diagram's surface."""
-    return _cover_for_edges(d.edges)
 
 
 @dataclass(frozen=True)
@@ -328,103 +218,6 @@ class FaceStructure:
         raise RuntimeError(f"edge {e}: sides do not pair up ({joint})")
 
 
-@lru_cache(maxsize=2048)
-def _faces_for_edges(edges: tuple[Edge, ...]) -> FaceStructure:
-    cover = _cover_for_edges(edges)
-    c = cover.base_crossings
-    n = cover.dart_count
-    nxt = [cover.sigma[cover.theta[x]] for x in range(n)]
-    face_of = [-1] * n
-    face_darts: list[tuple[int, ...]] = []
-    for start in range(n):
-        if face_of[start] >= 0:
-            continue
-        fid = len(face_darts)
-        orbit = []
-        x = start
-        while face_of[x] < 0:
-            face_of[x] = fid
-            orbit.append(x)
-            x = nxt[x]
-        if x != start:
-            raise RuntimeError("face walk did not close at its starting dart")
-        face_darts.append(tuple(orbit))
-    # Pair each cover face with its mirror; the answer must not depend on
-    # the representative dart.
-    partner = []
-    for fid, orbit in enumerate(face_darts):
-        images = {face_of[cover.theta[cover.deck(x)]] for x in orbit}
-        if len(images) != 1:
-            raise RuntimeError(f"face pairing is not well defined for face {fid}")
-        mate = images.pop()
-        if mate == fid:
-            raise RuntimeError(f"face {fid} is paired with itself")
-        partner.append(mate)
-    for fid, mate in enumerate(partner):
-        if partner[mate] != fid:
-            raise RuntimeError("face pairing is not an involution")
-
-    edge_total = len(edges)
-    regions = []
-    face_region = [-1] * len(face_darts)
-    for fid in range(len(face_darts)):
-        if face_region[fid] >= 0:
-            continue
-        rid = len(regions)
-        face_region[fid] = rid
-        face_region[partner[fid]] = rid
-        corners = [0] * c
-        parity = 0
-        for x in face_darts[fid]:
-            base = x >> 1
-            corners[base >> 2] += 1
-            parity ^= 1 << _edge_index(edges, base)
-        regions.append(Region(tuple(corners), parity))
-    plus_face = tuple(face_of[2 * d] for d in range(4 * c))
-    return FaceStructure(c, edge_total, tuple(regions), tuple(face_darts),
-                         tuple(face_region), tuple(partner), plus_face)
-
-
-@lru_cache(maxsize=2048)
-def _edge_lookup(edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    table = [0] * (2 * len(edges))
-    for j, e in enumerate(edges):
-        table[e.darts[0]] = j
-        table[e.darts[1]] = j
-    return tuple(table)
-
-
-def _edge_index(edges: tuple[Edge, ...], dart: int) -> int:
-    return _edge_lookup(edges)[dart]
-
-
-def faces(d: EmbeddingScheme) -> FaceStructure:
-    """Regions of the diagram's complement, with corners and edge parities."""
-    return _faces_for_edges(d.edges)
-
-
-@dataclass(frozen=True)
-class SurfaceInfo:
-    euler_characteristic: int
-    orientable: bool
-    genus: int
-    h1_dim: int
-
-
-def surface_info(d: EmbeddingScheme) -> SurfaceInfo:
-    """Euler characteristic, orientability, genus and dim H_1 over GF(2)."""
-    r = faces(d).region_count
-    chi = r - d.crossing_count
-    orientable = not orientation_double_cover(d).connected
-    if orientable:
-        if chi % 2:
-            raise RuntimeError("orientable surface with odd Euler characteristic")
-        genus = (2 - chi) // 2
-    else:
-        genus = 2 - chi
-    return SurfaceInfo(chi, orientable, genus, 2 - chi)
-
-
 @dataclass(frozen=True)
 class Component:
     """A link component: the edges it traverses and its crossing passages.
@@ -437,40 +230,309 @@ class Component:
     passages: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=2048)
-def _components_for_edges(edges: tuple[Edge, ...]) -> tuple[Component, ...]:
-    c = len(edges) // 2
-    lookup = _edge_lookup(edges)
-    theta = [0] * (4 * c)
-    for e in edges:
-        a, b = e.darts
-        theta[a] = b
-        theta[b] = a
-    through = lambda d: (d & ~3) | ((d + 2) & 3)
-    visited = [False] * (4 * c)
-    out = []
-    for start in range(4 * c):
-        if visited[start]:
-            continue
-        walk = []
-        passages = []
-        d = start
-        while not visited[d]:
-            visited[d] = True
-            visited[through(d)] = True
-            passages.append((d >> 2, d & 1))
-            walk.append(lookup[through(d)])
-            d = theta[through(d)]
-        if d != start:
-            raise RuntimeError("component walk did not close at its starting dart")
-        out.append(Component(tuple(walk), tuple(passages)))
-    out.sort(key=lambda comp: min(comp.edges))
-    return tuple(out)
+@dataclass(frozen=True)
+class Shadow:
+    """A diagram with its over flags forgotten: its edges and their signs.
+
+    Only EmbeddingScheme and validate build shadows, right after checking
+    the edges; ``orientable`` comes from that check.  Diagrams that differ
+    only in over flags share one shadow.  Every derived table is a cached
+    property: built on first use, shared by those diagrams, and freed
+    with the shadow.
+    """
+
+    edges: tuple[Edge, ...]
+    orientable: bool = field(compare=False, repr=False)
+
+    @property
+    def crossing_count(self) -> int:
+        return len(self.edges) // 2
+
+    @cached_property
+    def theta(self) -> tuple[int, ...]:
+        """theta[d] is the other dart of d's edge."""
+        table = [0] * (2 * len(self.edges))
+        for e in self.edges:
+            a, b = e.darts
+            table[a] = b
+            table[b] = a
+        return tuple(table)
+
+    @cached_property
+    def edge_of(self) -> tuple[int, ...]:
+        """edge_of[d] is the index of the edge containing dart d."""
+        table = [0] * (2 * len(self.edges))
+        for j, e in enumerate(self.edges):
+            a, b = e.darts
+            table[a] = j
+            table[b] = j
+        return tuple(table)
+
+    @cached_property
+    def cover(self) -> CoverScheme:
+        c = self.crossing_count
+        n = 8 * c
+        sigma = [0] * n
+        for d in range(4 * c):
+            base = d & ~3
+            sigma[2 * d] = 2 * (base | ((d + 1) & 3))
+            sigma[2 * d + 1] = 2 * (base | ((d - 1) & 3)) + 1
+        theta = [0] * n
+        cover_edges = []
+        for e in self.edges:
+            a, b = e.darts
+            if e.sign > 0:
+                lifts = ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1))
+            else:
+                lifts = ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))
+            for x, y in lifts:
+                theta[x] = y
+                theta[y] = x
+                cover_edges.append((x, y))
+        return CoverScheme(c, tuple(sigma), tuple(theta), tuple(cover_edges),
+                           not self.orientable)
+
+    @cached_property
+    def faces(self) -> FaceStructure:
+        cover = self.cover
+        edge_of = self.edge_of
+        c = cover.base_crossings
+        n = cover.dart_count
+        nxt = [cover.sigma[cover.theta[x]] for x in range(n)]
+        face_of = [-1] * n
+        face_darts: list[tuple[int, ...]] = []
+        for start in range(n):
+            if face_of[start] >= 0:
+                continue
+            fid = len(face_darts)
+            orbit = []
+            x = start
+            while face_of[x] < 0:
+                face_of[x] = fid
+                orbit.append(x)
+                x = nxt[x]
+            if x != start:
+                raise RuntimeError("face walk did not close at its starting dart")
+            face_darts.append(tuple(orbit))
+        # Pair each cover face with its mirror; the answer must not depend on
+        # the representative dart.
+        partner = []
+        for fid, orbit in enumerate(face_darts):
+            images = {face_of[cover.theta[cover.deck(x)]] for x in orbit}
+            if len(images) != 1:
+                raise RuntimeError(f"face pairing is not well defined for face {fid}")
+            mate = images.pop()
+            if mate == fid:
+                raise RuntimeError(f"face {fid} is paired with itself")
+            partner.append(mate)
+        for fid, mate in enumerate(partner):
+            if partner[mate] != fid:
+                raise RuntimeError("face pairing is not an involution")
+
+        regions = []
+        face_region = [-1] * len(face_darts)
+        for fid in range(len(face_darts)):
+            if face_region[fid] >= 0:
+                continue
+            rid = len(regions)
+            face_region[fid] = rid
+            face_region[partner[fid]] = rid
+            corners = [0] * c
+            parity = 0
+            for x in face_darts[fid]:
+                base = x >> 1
+                corners[base >> 2] += 1
+                parity ^= 1 << edge_of[base]
+            regions.append(Region(tuple(corners), parity))
+        plus_face = tuple(face_of[2 * d] for d in range(4 * c))
+        return FaceStructure(c, len(self.edges), tuple(regions), tuple(face_darts),
+                             tuple(face_region), tuple(partner), plus_face)
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """Link components, ordered by their least edge index."""
+        theta, edge_of = self.theta, self.edge_of
+        visited = [False] * len(theta)
+        out = []
+        for start in range(len(theta)):
+            if visited[start]:
+                continue
+            walk = []
+            passages = []
+            d = start
+            while not visited[d]:
+                across = (d & ~3) | ((d + 2) & 3)
+                visited[d] = True
+                visited[across] = True
+                passages.append((d >> 2, d & 1))
+                walk.append(edge_of[across])
+                d = theta[across]
+            if d != start:
+                raise RuntimeError("component walk did not close at its starting dart")
+            out.append(Component(tuple(walk), tuple(passages)))
+        out.sort(key=lambda comp: min(comp.edges))
+        return tuple(out)
+
+    @cached_property
+    def homology_context(self) -> HomologyContext:
+        return build_context(self)
+
+    @cached_property
+    def homology_matrix(self) -> HomologyMatrix:
+        return build_homology_matrix(self)
+
+    @cached_property
+    def incidence(self) -> BitMatrix:
+        return build_incidence(self)
+
+    @cached_property
+    def bicolor_system(self) -> BitMatrix:
+        return build_system(self)
+
+
+@dataclass(frozen=True, init=False)
+class EmbeddingScheme:
+    """A connected link diagram on a closed surface: a shadow and over flags.
+
+    ``EmbeddingScheme(overs, edges)``: ``overs[i]`` is the over flag of
+    crossing i and ``edges`` pair up all 4 * len(overs) darts.
+    Construction validates the structure once and raises
+    InvalidDiagramError on any violation.
+    """
+
+    overs: tuple[int, ...]
+    shadow: Shadow
+
+    def __init__(self, overs: Iterable[int], edges: Iterable[Edge]) -> None:
+        overs, edges = tuple(overs), tuple(edges)
+        problems, orientable = _structural_violations(overs, edges)
+        if problems:
+            raise InvalidDiagramError(problems)
+        object.__setattr__(self, "overs", overs)
+        object.__setattr__(self, "shadow", Shadow(edges, orientable))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return self.shadow.edges
+
+    @property
+    def crossing_count(self) -> int:
+        return len(self.overs)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.shadow.edges)
+
+    @property
+    def dart_count(self) -> int:
+        return 4 * len(self.overs)
+
+    def theta(self, d: int) -> int:
+        """The other dart of d's edge."""
+        return self.shadow.theta[d]
+
+    def edge_of(self, d: int) -> int:
+        """Index of the edge containing dart d."""
+        return self.shadow.edge_of[d]
+
+    def sigma(self, d: int) -> int:
+        """Next dart counterclockwise around d's crossing."""
+        return (d & ~3) | ((d + 1) & 3)
+
+    def through(self, d: int) -> int:
+        """The opposite dart of the strand passing through d's crossing."""
+        return (d & ~3) | ((d + 2) & 3)
+
+    def crossing_of(self, d: int) -> int:
+        return d >> 2
+
+    def pair_of(self, d: int) -> int:
+        """Through-pair index of dart d at its crossing: 0 for {0,2}, 1 for {1,3}."""
+        return d & 1
+
+    def with_overs(self, overs: Iterable[int]) -> "EmbeddingScheme":
+        """The same shadow under other over flags; only the flags are checked."""
+        overs = tuple(overs)
+        problems = _over_violations(overs)
+        c = self.crossing_count
+        if len(overs) != c:
+            problems.append(f"expected {c} over flags, got {len(overs)}")
+        if problems:
+            raise InvalidDiagramError(problems)
+        return _on_shadow(overs, self.shadow)
+
+
+def _on_shadow(overs: tuple[int, ...], shadow: Shadow) -> EmbeddingScheme:
+    """A diagram on an already checked shadow, built without validation."""
+    d = object.__new__(EmbeddingScheme)
+    object.__setattr__(d, "overs", overs)
+    object.__setattr__(d, "shadow", shadow)
+    return d
+
+
+def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
+    """Check raw diagram data and build a scheme.
+
+    ``crossings`` holds (rotation, over) pairs and ``edges`` holds
+    ((dart, dart), sign) pairs.  Rotations must list the canonical dart
+    names 4i..4i+3 in order; everything else is a violation.  Raises
+    InvalidDiagramError carrying the full list of problems.
+    """
+    problems = []
+    overs = []
+    for i, (rotation, over) in enumerate(crossings):
+        expected = [4 * i + k for k in range(4)]
+        if list(rotation) != expected:
+            problems.append(f"crossing {i}: rotation must be {expected}")
+        overs.append(over)
+    edge_objs = tuple(Edge((int(a), int(b)), int(s)) for (a, b), s in edges)
+    found, orientable = _structural_violations(tuple(overs), edge_objs)
+    problems.extend(found)
+    if problems:
+        raise InvalidDiagramError(problems)
+    return _on_shadow(tuple(int(o) for o in overs), Shadow(edge_objs, orientable))
+
+
+def orientation_double_cover(d: EmbeddingScheme) -> CoverScheme:
+    """Orientation double cover of the diagram's surface."""
+    return d.shadow.cover
+
+
+def faces(d: EmbeddingScheme) -> FaceStructure:
+    """Regions of the diagram's complement, with corners and edge parities."""
+    return d.shadow.faces
+
+
+@dataclass(frozen=True)
+class SurfaceInfo:
+    euler_characteristic: int
+    orientable: bool
+    genus: int
+    h1_dim: int
+
+
+def surface_info(d: EmbeddingScheme) -> SurfaceInfo:
+    """Euler characteristic, orientability, genus and dim H_1 over GF(2)."""
+    r = d.shadow.faces.region_count
+    chi = r - d.crossing_count
+    orientable = d.shadow.orientable
+    if orientable:
+        if chi % 2:
+            raise RuntimeError("orientable surface with odd Euler characteristic")
+        genus = (2 - chi) // 2
+    else:
+        genus = 2 - chi
+    return SurfaceInfo(chi, orientable, genus, 2 - chi)
 
 
 def components(d: EmbeddingScheme) -> tuple[Component, ...]:
     """Link components, ordered by their least edge index."""
-    return _components_for_edges(d.edges)
+    return d.shadow.components
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: bool is an int subclass, but true and false are not ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
@@ -478,18 +540,28 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
 
     Crossing i binds darts 4i..4i+3 to the four labels in listed order;
     equal labels are joined into sign +1 edges.  The first listed strand
-    goes under, so every over flag is 1.  Each label must occur exactly
-    twice.
+    goes under, so every over flag is 1.  Labels are all integers or all
+    strings, and each must occur exactly twice.
     """
+    if not isinstance(code, (list, tuple)):
+        raise DiagramFormatError("pd must be a list of 4-label crossings")
     if len(code) == 0:
         raise DiagramFormatError("pd code must list at least one crossing")
+    for i, labels in enumerate(code):
+        if not isinstance(labels, (list, tuple)) or len(labels) != 4:
+            raise DiagramFormatError(f"pd crossing {i} must list exactly 4 labels")
+    # Exact types: true == 1 and 1.0 == 1 would merge two labels.
+    kinds = {type(label) for labels in code for label in labels}
+    if kinds - {int, str}:
+        bad = next(label for labels in code for label in labels
+                   if type(label) not in (int, str))
+        raise DiagramFormatError(f"pd label {bad!r} must be an integer or a string")
+    if len(kinds) > 1:
+        raise DiagramFormatError("pd labels must be all integers or all strings")
     first_seen: dict[object, int] = {}
     pairs: dict[object, tuple[int, int]] = {}
     order: list[object] = []
-    for i, tup in enumerate(code):
-        labels = list(tup)
-        if len(labels) != 4:
-            raise DiagramFormatError(f"pd crossing {i} must list exactly 4 labels")
+    for i, labels in enumerate(code):
         for k, label in enumerate(labels):
             dart = 4 * i + k
             if label in pairs:
@@ -522,13 +594,11 @@ def parse_diagram(text: str) -> EmbeddingScheme:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DiagramFormatError(f"invalid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise DiagramFormatError("top-level document must be an object")
     if set(doc) == {"pd"}:
-        if not isinstance(doc["pd"], list):
-            raise DiagramFormatError("pd must be a list of 4-label crossings")
         return import_pd(doc["pd"])
     _require_keys(doc, {"crossings", "edges"}, "diagram document")
     if not isinstance(doc["crossings"], list) or not isinstance(doc["edges"], list):
@@ -539,9 +609,9 @@ def parse_diagram(text: str) -> EmbeddingScheme:
             raise DiagramFormatError(f"crossing {i} must be an object")
         _require_keys(entry, {"rotation", "over"}, f"crossing {i}")
         rot = entry["rotation"]
-        if not isinstance(rot, list) or len(rot) != 4 or not all(isinstance(v, int) for v in rot):
+        if not isinstance(rot, list) or len(rot) != 4 or not all(map(_is_int, rot)):
             raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
-        if not isinstance(entry["over"], int) or isinstance(entry["over"], bool):
+        if not _is_int(entry["over"]):
             raise DiagramFormatError(f"crossing {i}: over must be an integer")
         raw_crossings.append((rot, entry["over"]))
     raw_edges = []
@@ -551,9 +621,9 @@ def parse_diagram(text: str) -> EmbeddingScheme:
         _require_keys(entry, {"darts", "sign"}, f"edge {j}")
         darts = entry["darts"]
         if (not isinstance(darts, list) or len(darts) != 2
-                or not all(isinstance(v, int) for v in darts)):
+                or not all(map(_is_int, darts))):
             raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
-        if not isinstance(entry["sign"], int) or isinstance(entry["sign"], bool):
+        if not _is_int(entry["sign"]):
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
         raw_edges.append(((darts[0], darts[1]), entry["sign"]))
     return validate(raw_crossings, raw_edges)

@@ -23,7 +23,6 @@ from regioncc import (admissible, admissible_by_bicoloring, checkerboard,
                       orientation_double_cover, poke_sites, random_diagram,
                       rcc_equivalent, reidemeister_two, surface_info,
                       verify_rank_formula, R2Spec)
-from regioncc.bicolor import _system_for_edges
 from regioncc.gf2 import nullspace_basis, rank
 
 
@@ -230,7 +229,7 @@ def test_criterion_10_structural_invariants(big_suite):
         for bits in incidence_matrix(d).row_bits:
             acc ^= bits
         ok = ok and acc == 0
-        homogeneous = nullspace_basis(_system_for_edges(d.edges))
+        homogeneous = nullspace_basis(d.shadow.bicolor_system)
         ok = ok and len(homogeneous) == len(components(d))
     verdict("criterion 10: cover face counts, face pairing, zero row sums, "
             "and 2^n bi-coloring solution spaces hold across the suite", ok)

@@ -7,7 +7,6 @@ import pytest
 from conftest import random_suite
 from regioncc import (Bicoloring, admissible, admissible_by_bicoloring,
                       bicoloring, components, phi_class)
-from regioncc.bicolor import _system_for_edges
 from regioncc.gf2 import BitMatrix, BitVector, in_rowspace, nullspace_basis
 
 
@@ -43,7 +42,7 @@ class TestBicoloring:
 
     def test_homogeneous_space_is_component_span(self):
         for d in random_suite(50, 1, 8, (0.0, 0.5, 1.0), seed=53):
-            system = _system_for_edges(d.edges)
+            system = d.shadow.bicolor_system
             basis = nullspace_basis(system)
             comps = components(d)
             assert len(basis) == len(comps)

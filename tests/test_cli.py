@@ -238,6 +238,44 @@ class TestExitCodes:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("doc", [
+        '{"pd": [[[1],2,1,2]]}',
+        '{"pd": [[true,1,2,2]]}',
+        '{"pd": [[1,"1",2,2]]}',
+        '{"pd": [[1.0,1,2,2]]}',
+        '{"pd": ["abcd"]}',
+        '{"pd": 5}',
+        '{"crossings": [{"rotation": [false, true, 2, 3], "over": 0}],'
+        ' "edges": [{"darts": [0, 1], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
+        '{"crossings": [{"rotation": [0, 1, 2, 3], "over": 0}],'
+        ' "edges": [{"darts": [false, true], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
+        "[" * 100000,
+    ], ids=["unhashable-label", "bool-label", "mixed-labels", "float-label",
+            "string-crossing", "number-pd", "bool-rotation", "bool-darts",
+            "deep-nesting"])
+    def test_malformed_document(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(doc))
+        code, out, err = run(capsys, "info", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_internal_invariant_failure(self, capsys, monkeypatch, trefoil_file):
+        monkeypatch.setattr("regioncc.cli.admissible_by_bicoloring",
+                            lambda d, crossings: (False, None))
+        code, _, err = run(capsys, "admissible", trefoil_file, "-c", "0,2")
+        assert code == 4
+        assert err == "internal error: matrix and bi-coloring methods disagree\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        cmd = [sys.executable, "-m", "regioncc.cli", "random", "-n", "300"]
+        child = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait() == 1
+        assert err == b""
+
 
 class TestStdinAndScript:
     def test_stdin_dash(self, capsys, monkeypatch):

@@ -1,17 +1,22 @@
 """Diagram structure: validation, cover, faces, components, formats."""
 
+import gc
 import json
 import random
+import time
+import weakref
 
 import pytest
 
 from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, base_region_count,
                       invariant_profile, monodromy_orientable, random_suite,
                       relabeled)
+import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
-                      InvalidDiagramError, components, faces, import_pd,
-                      orientation_double_cover, parse_diagram,
-                      serialize_diagram, surface_info, validate)
+                      InvalidDiagramError, apply_rcc, components, faces,
+                      import_pd, orientation_double_cover, parse_diagram,
+                      random_diagram, serialize_diagram, surface_info,
+                      switch_crossing, validate, verify_rank_formula)
 
 
 class TestValidation:
@@ -277,3 +282,63 @@ class TestDocuments:
         doc["crossings"][0]["rotation"] = [0, 2, 1, 3]
         with pytest.raises(InvalidDiagramError, match="rotation"):
             parse_diagram(json.dumps(doc))
+
+
+def cyclic_pd(n: int) -> list[tuple[int, int, int, int]]:
+    """Crossing i is (i, n+i+1, i+1, n+i), labels mod 2n in 1..2n: a torus diagram."""
+    label = lambda k: (k - 1) % (2 * n) + 1
+    return [(label(i), label(n + i + 1), label(i + 1), label(n + i))
+            for i in range(1, n + 1)]
+
+
+class TestShadow:
+    def test_over_flag_changes_share_the_shadow(self, trefoil):
+        tables = faces(trefoil)
+        for other in (apply_rcc(trefoil, [0, 2]), switch_crossing(trefoil, 1),
+                      trefoil.with_overs((0, 0, 0))):
+            assert other.shadow is trefoil.shadow
+            assert faces(other) is tables
+        assert apply_rcc(trefoil, []) == trefoil
+
+    def test_with_overs_checks_the_flags(self, trefoil):
+        with pytest.raises(InvalidDiagramError, match="over flag"):
+            trefoil.with_overs((0, 2, 0))
+        with pytest.raises(InvalidDiagramError, match="over flags"):
+            trefoil.with_overs((0, 0))
+
+    def test_equality_ignores_the_shadow_object(self, trefoil):
+        twin = import_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+        assert twin.shadow is not trefoil.shadow
+        assert twin == trefoil and hash(twin) == hash(trefoil)
+        assert twin != trefoil.with_overs((0, 1, 1))
+
+    def test_tables_are_freed_with_the_diagram(self):
+        d = random_diagram(40, 0.5, seed=2)
+        assert verify_rank_formula(d).holds
+        ref = weakref.ref(d.shadow)
+        del d
+        gc.collect()
+        assert ref() is None
+
+    def test_documents_are_validated_once(self, monkeypatch, curl):
+        calls = []
+        check = regioncc.scheme._structural_violations
+        monkeypatch.setattr(regioncc.scheme, "_structural_violations",
+                            lambda *args: calls.append(1) or check(*args))
+        assert parse_diagram(serialize_diagram(curl)) == curl
+        assert len(calls) == 1
+
+    def test_large_cyclic_pd_face_trace(self):
+        n = 2000
+        start = time.perf_counter()
+        d = import_pd(cyclic_pd(n))
+        fs = faces(d)
+        elapsed = time.perf_counter() - start
+        acc = 0
+        for reg in fs.regions:
+            acc ^= reg.parity_bits
+        assert fs.region_count == n
+        assert acc == 0
+        assert surface_info(d).euler_characteristic == 0
+        # A face trace quadratic in the darts takes seconds here.
+        assert elapsed < 3.0
