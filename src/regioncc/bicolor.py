@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .gf2 import BitMatrix, BitVector, in_rowspace, solve
+from .gf2 import BitVector, in_rowspace
 from .homology import class_of
 
 if TYPE_CHECKING:
-    from .scheme import EmbeddingScheme, Shadow
+    from .scheme import EmbeddingScheme
 
 __all__ = [
     "Bicoloring",
@@ -61,38 +61,34 @@ class Bicoloring:
         return tuple(out)
 
 
-def build_system(shadow: Shadow) -> BitMatrix:
-    """The bi-coloring system of a shadow; Shadow.bicolor_system caches it.
-
-    Row 2i + p is the equation of the strand through darts 4i + p and
-    4i + p + 2: the sum of the colors of its two edges.
-    """
-    edge_of = shadow.edge_of
-    rows = []
-    for i in range(shadow.crossing_count):
-        for p in (0, 1):
-            rows.append((1 << edge_of[4 * i + p]) ^ (1 << edge_of[4 * i + p + 2]))
-    return BitMatrix.from_bitrows(rows, len(shadow.edges))
-
-
 def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | None:
     """A bi-coloring for the given crossing set, or None if none exists.
 
-    A crossing whose strand enters and leaves along the same edge can
-    never change color, so requesting it makes the system unsolvable.
+    Each component is walked once from its largest edge, colored 0, and
+    the color flips at every passage through a chosen crossing; the
+    walk must close with an even number of flips.  A strand that
+    enters and leaves a chosen crossing along one edge closes after one
+    flip, so that set has no bi-coloring.  The equations, one per
+    passage, form one cycle per component, whose largest edge is its
+    only free unknown, so this is the pivot solution of the system.
     """
     chosen = set(crossings)
     for i in chosen:
         if not 0 <= i < d.crossing_count:
             raise IndexError(f"crossing index {i} out of range")
-    system = d.shadow.bicolor_system
-    rhs_bits = 0
-    for i in chosen:
-        rhs_bits |= 0b11 << (2 * i)
-    x = solve(system, BitVector(system.rows, rhs_bits))
-    if x is None:
-        return None
-    return Bicoloring(tuple((x.bits >> e) & 1 for e in range(d.edge_count)))
+    colors = [0] * d.edge_count
+    for comp in d.shadow.components:
+        # Passage j joins edges[j - 1] to edges[j].
+        edges, passages = comp.edges, comp.passages
+        k = len(edges)
+        start = edges.index(max(edges))
+        color = 0
+        for j in range(start + 1, start + k + 1):
+            color ^= passages[j % k][0] in chosen
+            colors[edges[j % k]] = color
+        if color:
+            return None
+    return Bicoloring(tuple(colors))
 
 
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:

@@ -17,7 +17,6 @@ import os
 import sys
 
 from .bicolor import admissible_by_bicoloring, bicoloring, phi_class
-from .gf2 import rank
 from .homology import homology_matrix
 from .moves import R2Spec, random_diagram, reidemeister_two, switch_crossing
 from .rcc import (admissible, apply_rcc, count_classes, incidence_matrix,
@@ -76,6 +75,7 @@ def _matrix_lists(m) -> list[list[int]]:
 def _cmd_info(args) -> int:
     d = _load(args.file)
     surface = surface_info(d)
+    report = verify_rank_formula(d)
     data = {
         "crossings": d.crossing_count,
         "edges": d.edge_count,
@@ -85,8 +85,8 @@ def _cmd_info(args) -> int:
         "orientable": surface.orientable,
         "genus": surface.genus,
         "h1_dim": surface.h1_dim,
-        "incidence_rank": rank(incidence_matrix(d)),
-        "homology_rank": homology_matrix(d).rank,
+        "incidence_rank": report.incidence_rank,
+        "homology_rank": report.homology_rank,
         "class_exponent": count_classes(d),
     }
     lines = [f"{key.replace('_', ' ')}: {value}" for key, value in data.items()]
@@ -122,7 +122,7 @@ def _cmd_verify(args) -> int:
 def _cmd_matrix(args) -> int:
     d = _load(args.file)
     m = incidence_matrix(d)
-    data = {"rows": _matrix_lists(m), "rank": rank(m)}
+    data = {"rows": _matrix_lists(m), "rank": d.shadow.incidence_factor.rank}
     lines = [str(m.row(i)) for i in range(m.rows)] + [f"rank: {data['rank']}"]
     _emit(args, data, lines)
     return 0

@@ -17,6 +17,7 @@ __all__ = [
     "rank",
     "solve",
     "nullspace_basis",
+    "rref_nullspace",
     "in_rowspace",
     "rref_masks",
     "reduce_mask",
@@ -216,16 +217,26 @@ def solve(a: BitMatrix, b: BitVector) -> BitVector | None:
 def nullspace_basis(a: BitMatrix) -> list[BitVector]:
     """Deterministic basis of {x : a x = 0}, one vector per free column."""
     pivots, reduced = rref_masks(a.row_bits, a.cols)
+    return rref_nullspace(pivots, reduced, a.cols)
+
+
+def rref_nullspace(pivots: Sequence[int], rows: Sequence[int],
+                   cols: int) -> list[BitVector]:
+    """The nullspace basis read off an RREF of a matrix with ``cols`` columns.
+
+    One vector per free column below ``cols``; bits of ``rows`` at or
+    above ``cols`` are ignored.
+    """
     pivot_set = set(pivots)
     basis = []
-    for free in range(a.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
         bits = 1 << free
-        for p, row in zip(pivots, reduced):
+        for p, row in zip(pivots, rows):
             if (row >> free) & 1:
                 bits |= 1 << p
-        basis.append(BitVector(a.cols, bits))
+        basis.append(BitVector(cols, bits))
     return basis
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .gf2 import (BitMatrix, BitVector, nullspace_basis, rank, reduce_mask,
-                  rref_masks)
+from .gf2 import BitMatrix, BitVector, rank, reduce_mask, rref_masks
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
@@ -51,6 +50,34 @@ class HomologyContext:
         return len(self.quotient_rows)
 
 
+def _tree_cycles(shadow: Shadow) -> list[int]:
+    """A basis of the cycle space: the fundamental cycles of a spanning tree.
+
+    path[v] is the edge mask of the tree path from crossing 0 to v; each
+    edge outside the tree closes the cycle path[u] ^ path[v] ^ edge.
+    """
+    theta, edge_of = shadow.theta, shadow.edge_of
+    path = [-1] * shadow.crossing_count
+    path[0] = 0
+    in_tree = bytearray(len(shadow.edges))
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for x in range(4 * u, 4 * u + 4):
+            v = theta[x] >> 2
+            if path[v] < 0:
+                j = edge_of[x]
+                path[v] = path[u] | (1 << j)
+                in_tree[j] = 1
+                stack.append(v)
+    cycles = []
+    for j, e in enumerate(shadow.edges):
+        if not in_tree[j]:
+            a, b = e.darts
+            cycles.append(path[a >> 2] ^ path[b >> 2] ^ (1 << j))
+    return cycles
+
+
 def build_context(shadow: Shadow) -> HomologyContext:
     """The homology context of a shadow; Shadow.homology_context caches it."""
     edges = shadow.edges
@@ -61,13 +88,14 @@ def build_context(shadow: Shadow) -> HomologyContext:
     for j, e in enumerate(edges):
         for d in e.darts:
             boundary[d >> 2] ^= 1 << j
-    cycle_basis = nullspace_basis(BitMatrix.from_bitrows(boundary, m))
+    cycles = _tree_cycles(shadow)
 
     region_masks = [reg.parity_bits for reg in shadow.faces.regions]
     face_pivots, face_rows = rref_masks(region_masks, m)
 
-    reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycle_basis]
-    quotient_pivots, quotient_rows = rref_masks(reduced, m)
+    # The quotient RREF depends only on the span of the reduced cycles.
+    reduced = [reduce_mask(z, face_pivots, face_rows) for z in cycles]
+    quotient_pivots, quotient_rows = rref_masks([z for z in reduced if z], m)
     return HomologyContext(m, tuple(boundary),
                            tuple(face_pivots), tuple(face_rows),
                            tuple(quotient_pivots), tuple(quotient_rows))

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .gf2 import BitMatrix, BitVector, in_rowspace, nullspace_basis, rank
+from .gf2 import BitMatrix, BitVector, rref_masks, rref_nullspace
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
 
 __all__ = [
+    "IncidenceFactor",
     "incidence_matrix",
     "RankReport",
     "verify_rank_formula",
@@ -33,16 +34,68 @@ __all__ = [
 ]
 
 
+def _region_darts(shadow: Shadow) -> list[tuple[int, ...]]:
+    """The cover darts of each region's first cover face, one per corner.
+
+    Cover dart x sits at crossing x >> 3, so XOR-ing over these darts
+    gives the region's corner parities in time linear in its corners.
+    """
+    structure = shadow.faces
+    darts: list[tuple[int, ...] | None] = [None] * structure.region_count
+    for fid, rid in enumerate(structure.face_region):
+        if darts[rid] is None:
+            darts[rid] = structure.face_darts[fid]
+    return darts
+
+
 def build_incidence(shadow: Shadow) -> BitMatrix:
     """The incidence matrix of a shadow; Shadow.incidence caches it."""
-    structure = shadow.faces
     rows = []
-    for region in structure.regions:
+    for darts in _region_darts(shadow):
         bits = 0
-        for v, count in enumerate(region.corner_counts):
-            bits |= (count & 1) << v
+        for x in darts:
+            bits ^= 1 << (x >> 3)
         rows.append(bits)
-    return BitMatrix.from_bitrows(rows, structure.crossing_count)
+    return BitMatrix.from_bitrows(rows, shadow.crossing_count)
+
+
+@dataclass(frozen=True)
+class IncidenceFactor:
+    """The reduced row echelon form of the transposed incidence matrix.
+
+    Row k of the RREF of Mᵀ has its pivot at region ``pivots[k]``;
+    ``rows[k]`` holds its region bits and ``transforms[k]`` the crossings
+    whose rows of Mᵀ were added up to make it.  Elimination looks only
+    at region bits, so eliminating [Mᵀ | b] would leave the bit
+    parity(transforms[k] & b) beside row k: the pivot solution of
+    Mᵀ x = b, and so every admissibility query, needs no new elimination.
+    """
+
+    region_count: int
+    pivots: tuple[int, ...]
+    rows: tuple[int, ...]
+    transforms: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def build_factor(shadow: Shadow) -> IncidenceFactor:
+    """One elimination of Mᵀ; Shadow.incidence_factor caches it.
+
+    Crossing row i carries an identity bit at position r + i, beyond
+    the r region columns, which tracks the row operations.
+    """
+    r = shadow.faces.region_count
+    columns = [1 << (r + i) for i in range(shadow.crossing_count)]
+    for rid, darts in enumerate(_region_darts(shadow)):
+        for x in darts:
+            columns[x >> 3] ^= 1 << rid
+    pivots, reduced = rref_masks(columns, r)
+    low = (1 << r) - 1
+    return IncidenceFactor(r, pivots, tuple(row & low for row in reduced),
+                           tuple(row >> r for row in reduced))
 
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
@@ -75,7 +128,7 @@ class RankReport:
 def verify_rank_formula(d: EmbeddingScheme) -> RankReport:
     shadow = d.shadow
     return RankReport(
-        incidence_rank=rank(shadow.incidence),
+        incidence_rank=shadow.incidence_factor.rank,
         region_count=shadow.faces.region_count,
         component_count=len(shadow.components),
         homology_rank=shadow.homology_matrix.rank,
@@ -90,7 +143,7 @@ def count_classes(d: EmbeddingScheme) -> int:
     The count is reported as an exponent so it never overflows a reader
     or a log line for large diagrams.
     """
-    return d.crossing_count - rank(incidence_matrix(d))
+    return d.crossing_count - d.shadow.incidence_factor.rank
 
 
 def _crossing_set(d: EmbeddingScheme, crossings: Iterable[int]) -> set[int]:
@@ -105,19 +158,26 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     """Region set switching exactly the given crossings, or None.
 
     The returned tuple is a sorted certificate: switching those regions
-    flips precisely the requested crossings.
+    flips precisely the requested crossings.  It is the pivot solution
+    read off the shadow's factorisation, and is checked by switching.
     """
-    chosen = _crossing_set(d, crossings)
-    target = BitVector.from_support(sorted(chosen), d.crossing_count)
-    coeffs = in_rowspace(incidence_matrix(d), target)
-    if coeffs is None:
-        return None
-    return coeffs.support()
+    target = 0
+    for i in _crossing_set(d, crossings):
+        target |= 1 << i
+    factor = d.shadow.incidence_factor
+    cert = tuple(p for p, t in zip(factor.pivots, factor.transforms)
+                 if (t & target).bit_count() & 1)
+    rows = d.shadow.incidence.row_bits
+    effect = 0
+    for rid in cert:
+        effect ^= rows[rid]
+    return cert if effect == target else None
 
 
-def ineffective_basis(d: EmbeddingScheme) -> tuple[BitVector, ...]:
+def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
     """Basis of the region sets whose combined switching does nothing."""
-    return nullspace_basis(incidence_matrix(d).transpose())
+    factor = d.shadow.incidence_factor
+    return rref_nullspace(factor.pivots, factor.rows, factor.region_count)
 
 
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:

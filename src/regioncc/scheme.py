@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bicolor import build_system
 from .gf2 import BitMatrix
 from .homology import (HomologyContext, HomologyMatrix, build_context,
                        build_homology_matrix)
-from .rcc import build_incidence
+from .rcc import IncidenceFactor, build_factor, build_incidence
 
 __all__ = [
     "DiagramFormatError",
@@ -386,8 +385,8 @@ class Shadow:
         return build_incidence(self)
 
     @cached_property
-    def bicolor_system(self) -> BitMatrix:
-        return build_system(self)
+    def incidence_factor(self) -> IncidenceFactor:
+        return build_factor(self)
 
 
 @dataclass(frozen=True, init=False)

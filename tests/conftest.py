@@ -14,8 +14,10 @@ import pytest
 from regioncc import (Edge, EmbeddingScheme, components, faces,
                       incidence_matrix, import_pd, random_diagram,
                       surface_info, verify_rank_formula)
-from regioncc.gf2 import BitMatrix
+from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
+                          reduce_mask, rref_masks, solve)
 from regioncc.gf2 import rank as gf2_rank
+from regioncc.homology import HomologyContext
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,13 @@ SMALL_KNOT_PDS = {
 }
 
 
+def cyclic_pd(n: int) -> list[tuple[int, int, int, int]]:
+    """Crossing i is (i, n+i+1, i+1, n+i), labels mod 2n in 1..2n: a torus diagram."""
+    label = lambda k: (k - 1) % (2 * n) + 1
+    return [(label(i), label(n + i + 1), label(i + 1), label(n + i))
+            for i in range(1, n + 1)]
+
+
 def planar_knot_pds() -> list[list[tuple[int, int, int, int]]]:
     codes = []
     for n in range(3, 23, 2):
@@ -266,3 +275,58 @@ def random_suite(count: int, cmin: int, cmax: int, probs, seed: int):
         p = rng.choice(list(probs))
         out.append(random_diagram(c, p, seed=rng.randrange(1 << 30)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense oracles: the GF(2) eliminations the package's graph walks and
+# shared factorisation replace.
+
+def bicolor_system(d: EmbeddingScheme) -> BitMatrix:
+    """The bi-coloring system: 2c equations over the 2c edge colors.
+
+    Row 2i + p is the equation of the strand through darts 4i + p and
+    4i + p + 2: the sum of the colors of its two edges.
+    """
+    rows = []
+    for i in range(d.crossing_count):
+        for p in (0, 1):
+            rows.append((1 << d.edge_of(4 * i + p)) ^ (1 << d.edge_of(4 * i + p + 2)))
+    return BitMatrix.from_bitrows(rows, d.edge_count)
+
+
+def dense_bicoloring(d: EmbeddingScheme, crossings) -> tuple[int, ...] | None:
+    """Edge colors of the pivot solution of the bi-coloring system, or None."""
+    system = bicolor_system(d)
+    rhs = 0
+    for i in set(crossings):
+        rhs |= 0b11 << (2 * i)
+    x = solve(system, BitVector(system.rows, rhs))
+    return None if x is None else x.to_bits()
+
+
+def dense_admissible(d: EmbeddingScheme, crossings) -> tuple[int, ...] | None:
+    """Pivot solution of transpose(M) x = target, as a region tuple, or None."""
+    target = BitVector.from_support(sorted(set(crossings)), d.crossing_count)
+    coeffs = in_rowspace(incidence_matrix(d), target)
+    return None if coeffs is None else coeffs.support()
+
+
+def dense_ineffective(d: EmbeddingScheme) -> list[BitVector]:
+    return nullspace_basis(incidence_matrix(d).transpose())
+
+
+def dense_context(d: EmbeddingScheme) -> HomologyContext:
+    """Homology context with the cycle space taken as the boundary nullspace."""
+    m = d.edge_count
+    boundary = [0] * d.crossing_count
+    for j, e in enumerate(d.edges):
+        for x in e.darts:
+            boundary[x >> 2] ^= 1 << j
+    cycles = nullspace_basis(BitMatrix.from_bitrows(boundary, m))
+    face_pivots, face_rows = rref_masks(
+        [reg.parity_bits for reg in faces(d).regions], m)
+    reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycles]
+    quotient_pivots, quotient_rows = rref_masks(reduced, m)
+    return HomologyContext(m, tuple(boundary), tuple(face_pivots),
+                           tuple(face_rows), tuple(quotient_pivots),
+                           tuple(quotient_rows))

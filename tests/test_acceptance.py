@@ -16,7 +16,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, KLEIN_2COMP_CLASSES,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS,
                       TORUS_3COMP_SHAPE, as_matrix, base_region_count,
-                      monodromy_orientable, planar_knot_pds, random_suite)
+                      bicolor_system, monodromy_orientable, planar_knot_pds,
+                      random_suite)
 from regioncc import (admissible, admissible_by_bicoloring, checkerboard,
                       components, count_classes, faces, import_pd,
                       incidence_matrix, ineffective_basis,
@@ -229,7 +230,7 @@ def test_criterion_10_structural_invariants(big_suite):
         for bits in incidence_matrix(d).row_bits:
             acc ^= bits
         ok = ok and acc == 0
-        homogeneous = nullspace_basis(d.shadow.bicolor_system)
+        homogeneous = nullspace_basis(bicolor_system(d))
         ok = ok and len(homogeneous) == len(components(d))
     verdict("criterion 10: cover face counts, face pairing, zero row sums, "
             "and 2^n bi-coloring solution spaces hold across the suite", ok)

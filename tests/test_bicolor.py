@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_suite
+from conftest import bicolor_system, random_suite
 from regioncc import (Bicoloring, admissible, admissible_by_bicoloring,
                       bicoloring, components, phi_class)
 from regioncc.gf2 import BitMatrix, BitVector, in_rowspace, nullspace_basis
@@ -42,7 +42,7 @@ class TestBicoloring:
 
     def test_homogeneous_space_is_component_span(self):
         for d in random_suite(50, 1, 8, (0.0, 0.5, 1.0), seed=53):
-            system = d.shadow.bicolor_system
+            system = bicolor_system(d)
             basis = nullspace_basis(system)
             comps = components(d)
             assert len(basis) == len(comps)

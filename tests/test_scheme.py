@@ -9,8 +9,8 @@ import weakref
 import pytest
 
 from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, base_region_count,
-                      invariant_profile, monodromy_orientable, random_suite,
-                      relabeled)
+                      cyclic_pd, invariant_profile, monodromy_orientable,
+                      random_suite, relabeled)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -282,13 +282,6 @@ class TestDocuments:
         doc["crossings"][0]["rotation"] = [0, 2, 1, 3]
         with pytest.raises(InvalidDiagramError, match="rotation"):
             parse_diagram(json.dumps(doc))
-
-
-def cyclic_pd(n: int) -> list[tuple[int, int, int, int]]:
-    """Crossing i is (i, n+i+1, i+1, n+i), labels mod 2n in 1..2n: a torus diagram."""
-    label = lambda k: (k - 1) % (2 * n) + 1
-    return [(label(i), label(n + i + 1), label(i + 1), label(n + i))
-            for i in range(1, n + 1)]
 
 
 class TestShadow:
