@@ -2,8 +2,11 @@
 
 Rows are bit-packed into Python integers (bit j = column j), so row
 addition is XOR and elimination works on whole rows at once.  All
-operations are pure: inputs are never mutated, and pivoting is
-deterministic (lowest usable row, columns scanned left to right).
+operations are pure: inputs are never mutated.  The reduced row
+echelon form of a matrix is unique, so its pivots and its reduced rows
+do not depend on the order in which elimination takes the rows; only
+bits carried beyond the eliminated columns (tracked row operations)
+can depend on it.
 """
 
 from __future__ import annotations
@@ -153,28 +156,42 @@ def rref_masks(masks: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[
     """Reduced row echelon form of integer row masks.
 
     Returns (pivot_columns, nonzero_reduced_rows); row i of the result has
-    its pivot at pivot_columns[i] and zeros in every other pivot column.
+    its pivot at pivot_columns[i] and zeros in every other pivot column
+    below ``cols``.  Bits at or above ``cols`` are never pivots; they are
+    carried along, so they record the row operations that made each row.
+
+    Each row is keyed by its lowest set bit below ``cols``: an incoming
+    row is reduced by the row holding its low bit until that bit is new
+    or nothing below ``cols`` is left, and back-substitution in
+    descending pivot order then clears the bits above each pivot.  The
+    work follows the nonzeros, not the column count.
     """
-    work = list(masks)
-    pivots = []
-    top = 0
-    for col in range(cols):
-        sel = None
-        for k in range(top, len(work)):
-            if (work[k] >> col) & 1:
-                sel = k
+    low = (1 << cols) - 1
+    basis: dict[int, int] = {}
+    for row in masks:
+        key = row & low
+        while key:
+            p = (key & -key).bit_length() - 1
+            other = basis.get(p)
+            if other is None:
+                basis[p] = row
                 break
-        if sel is None:
-            continue
-        work[top], work[sel] = work[sel], work[top]
-        for k in range(len(work)):
-            if k != top and (work[k] >> col) & 1:
-                work[k] ^= work[top]
-        pivots.append(col)
-        top += 1
-        if top == len(work):
-            break
-    return tuple(pivots), tuple(work[:top])
+            row ^= other
+            key = row & low
+    pivots = sorted(basis)
+    pivot_mask = 0
+    for p in reversed(pivots):
+        row = basis[p]
+        # Rows above p are already reduced, so each XOR clears one pivot bit
+        # and sets none of the others.
+        hits = row & pivot_mask
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit.bit_length() - 1]
+            hits ^= bit
+        basis[p] = row
+        pivot_mask |= 1 << p
+    return tuple(pivots), tuple(basis[p] for p in pivots)
 
 
 def reduce_mask(mask: int, pivots: Sequence[int], rows: Sequence[int]) -> int:

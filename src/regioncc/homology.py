@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .gf2 import BitMatrix, BitVector, rank, reduce_mask, rref_masks
+from .gf2 import BitMatrix, BitVector, rank
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
@@ -29,76 +29,123 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomologyContext:
-    """Reduction data for computing homology classes of edge cycles.
+    """Class masks that read the homology class of an edge cycle.
 
-    ``face_pivots``/``face_rows`` reduce modulo region boundaries, and
-    ``quotient_pivots``/``quotient_rows`` are an echelon basis of the
-    quotient; its length is the dimension of H_1.  ``boundary[i]``
-    marks the edges with an odd number of ends at crossing i, which is
-    what the cycle check tests against.
+    H_1 has one basis element per edge in ``quotient_pivots``: the pivots
+    of the reduced row echelon form of the cycle space modulo region
+    boundaries, with edges as columns.  Bit k of the class of a cycle z
+    is the parity of z & ``class_masks[k]``, which is bit
+    quotient_pivots[k] of z reduced by the RREF of the region boundary
+    masks.  ``boundary[i]`` marks the edges with an odd number of ends
+    at crossing i, which is what the cycle check tests against.
     """
 
     edge_count: int
     boundary: tuple[int, ...]
-    face_pivots: tuple[int, ...]
-    face_rows: tuple[int, ...]
     quotient_pivots: tuple[int, ...]
-    quotient_rows: tuple[int, ...]
+    class_masks: tuple[int, ...]
 
     @property
     def h1_dim(self) -> int:
-        return len(self.quotient_rows)
+        return len(self.quotient_pivots)
 
 
-def _tree_cycles(shadow: Shadow) -> list[int]:
-    """A basis of the cycle space: the fundamental cycles of a spanning tree.
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
-    path[v] is the edge mask of the tree path from crossing 0 to v; each
-    edge outside the tree closes the cycle path[u] ^ path[v] ^ edge.
-    """
-    theta, edge_of = shadow.theta, shadow.edge_of
-    path = [-1] * shadow.crossing_count
-    path[0] = 0
-    in_tree = bytearray(len(shadow.edges))
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for x in range(4 * u, 4 * u + 4):
-            v = theta[x] >> 2
-            if path[v] < 0:
-                j = edge_of[x]
-                path[v] = path[u] | (1 << j)
-                in_tree[j] = 1
-                stack.append(v)
-    cycles = []
-    for j, e in enumerate(shadow.edges):
-        if not in_tree[j]:
-            a, b = e.darts
-            cycles.append(path[a >> 2] ^ path[b >> 2] ^ (1 << j))
-    return cycles
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the classes of a and b; False when they were one class already."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a == b:
+        return False
+    parent[a] = b
+    return True
 
 
 def build_context(shadow: Shadow) -> HomologyContext:
-    """The homology context of a shadow; Shadow.homology_context caches it."""
+    """The homology context of a shadow; Shadow.homology_context caches it.
+
+    A tree-cotree decomposition (Eppstein, SODA 2003) with greedy edge
+    orders (Erickson and Whittlesey, SODA 2005) picks the pivots of the
+    unique RREFs without eliminating:
+
+    - F, Kruskal over regions in ascending edge order, is the min-index
+      basis of the dual graph's graphic matroid, which the region masks
+      represent: the pivots of their RREF.  The RREF row with pivot f is
+      the fundamental cut of f in F.
+    - Kruskal over crossings on the other edges in descending order
+      keeps a max-index spanning tree of G minus F.  The edges it
+      rejects, L, form the min-index basis of its dual, the cycle
+      matroid contracted by F: the pivots of the quotient RREF.
+    - For l in L, the mask of l and the F-path between its two regions
+      meets exactly the fundamental cuts containing l, so its parity
+      against a cycle is bit l of the cycle reduced by the face RREF.
+    """
     edges = shadow.edges
-    c = len(edges) // 2
+    c = shadow.crossing_count
     m = len(edges)
+    regions = shadow.faces.regions
+    r = len(regions)
     # Boundary of each edge, accumulated per crossing; a loop cancels.
     boundary = [0] * c
     for j, e in enumerate(edges):
         for d in e.darts:
             boundary[d >> 2] ^= 1 << j
-    cycles = _tree_cycles(shadow)
 
-    region_masks = [reg.parity_bits for reg in shadow.faces.regions]
-    face_pivots, face_rows = rref_masks(region_masks, m)
+    # The two sides of each edge; an edge with one region on both sides
+    # is in no region mask, a loop of the dual graph.
+    sides: list[list[int]] = [[] for _ in range(m)]
+    for rid, reg in enumerate(regions):
+        bits = reg.parity_bits
+        while bits:
+            low = bits & -bits
+            sides[low.bit_length() - 1].append(rid)
+            bits ^= low
 
-    # The quotient RREF depends only on the span of the reduced cycles.
-    reduced = [reduce_mask(z, face_pivots, face_rows) for z in cycles]
-    quotient_pivots, quotient_rows = rref_masks([z for z in reduced if z], m)
-    return HomologyContext(m, tuple(boundary),
-                           tuple(face_pivots), tuple(face_rows),
-                           tuple(quotient_pivots), tuple(quotient_rows))
+    parent = list(range(r))
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    in_f = bytearray(m)
+    for j, ends in enumerate(sides):
+        if ends and _union(parent, *ends):
+            a, b = ends
+            tree[a].append((b, j))
+            tree[b].append((a, j))
+            in_f[j] = 1
+
+    parent = list(range(c))
+    cotree = []
+    for j in range(m - 1, -1, -1):
+        if not in_f[j]:
+            a, b = edges[j].darts
+            if not _union(parent, a >> 2, b >> 2):
+                cotree.append(j)
+    cotree.reverse()
+    if len(cotree) != 2 - (r - c):
+        raise RuntimeError(f"tree-cotree leaves {len(cotree)} edges, "
+                           f"expected 2 - chi = {2 - (r - c)}")
+
+    # path[v] is the edge mask of the F-path from region 0 to region v.
+    path = [-1] * r
+    path[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, j in tree[u]:
+            if path[v] < 0:
+                path[v] = path[u] | (1 << j)
+                stack.append(v)
+    class_masks = []
+    for j in cotree:
+        mask = 1 << j
+        if sides[j]:
+            a, b = sides[j]
+            mask ^= path[a] ^ path[b]
+        class_masks.append(mask)
+    return HomologyContext(m, tuple(boundary), tuple(cotree), tuple(class_masks))
 
 
 def homology_context(d: EmbeddingScheme) -> HomologyContext:
@@ -119,15 +166,18 @@ def _as_mask(edge_set: Iterable[int] | int, edge_count: int) -> int:
     return mask
 
 
-def _quotient_bits(ctx: HomologyContext, mask: int) -> tuple[int, int]:
-    """Reduce an edge mask; return (class bits, unreducible remainder)."""
-    reduced = reduce_mask(mask, ctx.face_pivots, ctx.face_rows)
+def _odd_crossings(ctx: HomologyContext, mask: int) -> list[int]:
+    """The crossings where the edge set has an odd number of ends."""
+    return [i for i, b in enumerate(ctx.boundary) if (mask & b).bit_count() & 1]
+
+
+def _class_bits(ctx: HomologyContext, mask: int) -> int:
+    """Class bits of a cycle mask: one parity per class mask."""
     bits = 0
-    for k, (p, row) in enumerate(zip(ctx.quotient_pivots, ctx.quotient_rows)):
-        if (reduced >> p) & 1:
-            reduced ^= row
+    for k, phi in enumerate(ctx.class_masks):
+        if (mask & phi).bit_count() & 1:
             bits |= 1 << k
-    return bits, reduced
+    return bits
 
 
 def class_of(source: EmbeddingScheme | HomologyContext,
@@ -144,13 +194,11 @@ def class_of(source: EmbeddingScheme | HomologyContext,
     else:
         ctx = homology_context(source)
     mask = _as_mask(edge_set, ctx.edge_count)
-    bits, remainder = _quotient_bits(ctx, mask)
-    if remainder:
-        odd = [i for i, b in enumerate(ctx.boundary)
-               if (mask & b).bit_count() & 1]
+    odd = _odd_crossings(ctx, mask)
+    if odd:
         raise ValueError("edge set is not a cycle: odd incidence at "
                          f"crossing {', '.join(map(str, odd))}")
-    return BitVector(ctx.h1_dim, bits)
+    return BitVector(ctx.h1_dim, _class_bits(ctx, mask))
 
 
 @dataclass(frozen=True)
@@ -169,10 +217,9 @@ def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
         mask = 0
         for e in comp.edges:
             mask ^= 1 << e
-        bits, remainder = _quotient_bits(ctx, mask)
-        if remainder:
+        if _odd_crossings(ctx, mask):
             raise RuntimeError("component trace is not a cycle")
-        rows.append(bits)
+        rows.append(_class_bits(ctx, mask))
     matrix = BitMatrix.from_bitrows(rows, ctx.h1_dim)
     return HomologyMatrix(matrix, rank(matrix))
 

@@ -69,6 +69,14 @@ class IncidenceFactor:
     at region bits, so eliminating [Mᵀ | b] would leave the bit
     parity(transforms[k] & b) beside row k: the pivot solution of
     Mᵀ x = b, and so every admissibility query, needs no new elimination.
+
+    The pivots and region bits are the unique RREF, but the transforms
+    depend on which row operations elimination happened to take.  That
+    does not reach the answers: when b = Mᵀ y is admissible, every valid
+    transform T, one with T Mᵀ = R for the rows R, gives
+    T b = T Mᵀ y = R y, the same bits, so the certificate is the one
+    pivot solution.  For any other b the candidate fails the switching
+    check in ``admissible``, whatever it is.
     """
 
     region_count: int

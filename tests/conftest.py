@@ -15,9 +15,8 @@ from regioncc import (Edge, EmbeddingScheme, components, faces,
                       incidence_matrix, import_pd, random_diagram,
                       surface_info, verify_rank_formula)
 from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
-                          reduce_mask, rref_masks, solve)
+                          reduce_mask, rref_nullspace, solve)
 from regioncc.gf2 import rank as gf2_rank
-from regioncc.homology import HomologyContext
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +276,27 @@ def random_suite(count: int, cmin: int, cmax: int, probs, seed: int):
     return out
 
 
+def even_target(d: EmbeddingScheme, rng: random.Random) -> list[int]:
+    """A crossing set every component passes an even number of times.
+
+    Crossings are grouped by the components of their two passages, and
+    an even number is taken from each group.
+    """
+    owner = {}
+    for k, comp in enumerate(components(d)):
+        for crossing, pair in comp.passages:
+            owner[crossing, pair] = k
+    groups: dict[frozenset, list[int]] = {}
+    for i in range(d.crossing_count):
+        key = frozenset((owner[i, 0], owner[i, 1]))
+        groups.setdefault(key, []).append(i)
+    chosen = []
+    for members in groups.values():
+        picked = [i for i in members if rng.random() < 0.5]
+        chosen += picked[:len(picked) & ~1]
+    return sorted(chosen)
+
+
 # ---------------------------------------------------------------------------
 # Dense oracles: the GF(2) eliminations the package's graph walks and
 # shared factorisation replace.
@@ -315,18 +335,63 @@ def dense_ineffective(d: EmbeddingScheme) -> list[BitVector]:
     return nullspace_basis(incidence_matrix(d).transpose())
 
 
-def dense_context(d: EmbeddingScheme) -> HomologyContext:
-    """Homology context with the cycle space taken as the boundary nullspace."""
+def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """RREF by scanning columns left to right, taking the lowest usable row.
+
+    Returns (pivot_columns, nonzero_reduced_rows) like gf2.rref_masks;
+    bits at or above ``cols`` ride along with their rows.
+    """
+    work = list(masks)
+    pivots = []
+    top = 0
+    for col in range(cols):
+        sel = None
+        for k in range(top, len(work)):
+            if (work[k] >> col) & 1:
+                sel = k
+                break
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        for k in range(len(work)):
+            if k != top and (work[k] >> col) & 1:
+                work[k] ^= work[top]
+        pivots.append(col)
+        top += 1
+        if top == len(work):
+            break
+    return tuple(pivots), tuple(work[:top])
+
+
+def dense_context(d: EmbeddingScheme):
+    """Quotient pivots and a class function, by eliminating the cycle space.
+
+    The cycle space is the nullspace of the crossing-by-edge boundary
+    matrix.  Cycles are reduced by the RREF of the region boundary
+    masks, and the RREF of what is left is the quotient basis.  The
+    class function returns the class bits of a cycle mask and raises
+    ValueError on a mask that is not a cycle.
+    """
     m = d.edge_count
     boundary = [0] * d.crossing_count
     for j, e in enumerate(d.edges):
         for x in e.darts:
             boundary[x >> 2] ^= 1 << j
-    cycles = nullspace_basis(BitMatrix.from_bitrows(boundary, m))
-    face_pivots, face_rows = rref_masks(
+    cycles = rref_nullspace(*dense_rref(boundary, m), m)
+    face_pivots, face_rows = dense_rref(
         [reg.parity_bits for reg in faces(d).regions], m)
     reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycles]
-    quotient_pivots, quotient_rows = rref_masks(reduced, m)
-    return HomologyContext(m, tuple(boundary), tuple(face_pivots),
-                           tuple(face_rows), tuple(quotient_pivots),
-                           tuple(quotient_rows))
+    quotient_pivots, quotient_rows = dense_rref(reduced, m)
+
+    def class_bits(mask: int) -> int:
+        rest = reduce_mask(mask, face_pivots, face_rows)
+        bits = 0
+        for k, (p, row) in enumerate(zip(quotient_pivots, quotient_rows)):
+            if (rest >> p) & 1:
+                rest ^= row
+                bits |= 1 << k
+        if rest:
+            raise ValueError("edge set is not a cycle")
+        return bits
+
+    return quotient_pivots, class_bits

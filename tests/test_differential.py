@@ -1,11 +1,12 @@
 """Graph walks and the shared factorisation against dense eliminations.
 
-The strand-walk bi-coloring, the spanning-tree cycle basis and the
+The strand-walk bi-coloring, the tree-cotree homology context and the
 per-shadow factorisation of the incidence matrix each claim to return
 the same unique object as a dense GF(2) elimination: the pivot
-solution, the RREF quotient basis, the nullspace basis.  The dense
-routes live in conftest and are compared here on random diagrams of
-every sign mix, on the torus family and on the one-crossing fixtures.
+solution, the RREF quotient basis and its class bits, the nullspace
+basis.  The dense routes live in conftest and are compared here on
+random diagrams of every sign mix, on the torus family and on the
+one-crossing fixtures.
 """
 
 import random
@@ -14,12 +15,12 @@ import time
 import pytest
 
 from conftest import (cyclic_pd, dense_admissible, dense_bicoloring,
-                      dense_context, dense_ineffective, make_curl,
-                      make_rp2curl, make_torus11, random_suite)
-from regioncc import (admissible, bicoloring, components, count_classes,
-                      homology_context, import_pd, incidence_matrix,
-                      ineffective_basis, random_diagram, rcc_equivalent,
-                      verify_rank_formula)
+                      dense_context, dense_ineffective, even_target,
+                      make_curl, make_rp2curl, make_torus11, random_suite)
+from regioncc import (admissible, bicoloring, class_of, components,
+                      count_classes, faces, homology_context, import_pd,
+                      incidence_matrix, ineffective_basis, random_diagram,
+                      rcc_equivalent, verify_rank_formula)
 from regioncc.gf2 import rank
 
 
@@ -86,31 +87,59 @@ def test_factorisation_matches_dense_eliminations(index):
     assert rcc_equivalent(d, moved) == dense_admissible(d, diff)
 
 
+def tree_cycles(d) -> list[int]:
+    """The fundamental cycles of a spanning tree grown from crossing 0.
+
+    path[v] is the edge mask of the tree path from crossing 0 to v; each
+    edge outside the tree closes the cycle path[u] ^ path[v] ^ edge.
+    """
+    path = [-1] * d.crossing_count
+    path[0] = 0
+    in_tree = set()
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for x in range(4 * u, 4 * u + 4):
+            v = d.theta(x) >> 2
+            if path[v] < 0:
+                path[v] = path[u] | (1 << d.edge_of(x))
+                in_tree.add(d.edge_of(x))
+                stack.append(v)
+    return [path[e.darts[0] >> 2] ^ path[e.darts[1] >> 2] ^ (1 << j)
+            for j, e in enumerate(d.edges) if j not in in_tree]
+
+
 @pytest.mark.parametrize("index", range(len(SUITE)))
 def test_tree_cycle_context_matches_nullspace_context(index):
     d = SUITE[index]
-    assert homology_context(d) == dense_context(d)
-
-
-def even_target(d, rng):
-    """A crossing set every component passes an even number of times.
-
-    Crossings are grouped by the components of their two passages, and
-    an even number is taken from each group.
-    """
-    owner = {}
-    for k, comp in enumerate(components(d)):
-        for crossing, pair in comp.passages:
-            owner[crossing, pair] = k
-    groups = {}
-    for i in range(d.crossing_count):
-        key = frozenset((owner[i, 0], owner[i, 1]))
-        groups.setdefault(key, []).append(i)
-    chosen = []
-    for members in groups.values():
-        picked = [i for i in members if rng.random() < 0.5]
-        chosen += picked[:len(picked) & ~1]
-    return sorted(chosen)
+    ctx = homology_context(d)
+    pivots, dense_class = dense_context(d)
+    assert ctx.quotient_pivots == pivots
+    rng = random.Random(200 + index)
+    cycles = tree_cycles(d)
+    masks = list(cycles)
+    for comp in components(d):
+        mask = 0
+        for e in comp.edges:
+            mask ^= 1 << e
+        masks.append(mask)
+    masks += [reg.parity_bits for reg in faces(d).regions]
+    for _ in range(20):
+        mask = 0
+        for z in cycles:
+            if rng.random() < 0.5:
+                mask ^= z
+        masks.append(mask)
+    for mask in masks:
+        assert class_of(ctx, mask).bits == dense_class(mask)
+    # A lone edge between two crossings has odd ends at both.
+    for j, e in enumerate(d.edges):
+        if e.darts[0] >> 2 != e.darts[1] >> 2:
+            with pytest.raises(ValueError, match="not a cycle"):
+                dense_class(1 << j)
+            with pytest.raises(ValueError, match="not a cycle: odd incidence at crossing"):
+                class_of(ctx, 1 << j)
+            break
 
 
 @pytest.mark.parametrize("family", ["torus", "genus"])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from conftest import (KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       KLEIN_2COMP_RANKS, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS, as_matrix,
-                      brute_rank, row_span)
+                      brute_rank, dense_rref, row_span)
 from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
-                          rank, solve)
+                          rank, rref_masks, solve)
 
 
 @st.composite
@@ -19,6 +19,20 @@ def bit_matrices(draw, max_rows=8, max_cols=8):
     masks = draw(st.lists(st.integers(0, (1 << cols) - 1),
                           min_size=rows, max_size=rows))
     return BitMatrix.from_bitrows(masks, cols)
+
+
+@st.composite
+def row_masks(draw, max_rows=8, max_cols=8, max_extra=4):
+    """Rows of any count, zero rows and repeated rows among them, whose
+    bits may reach up to ``max_extra`` places past ``cols``."""
+    cols = draw(st.integers(0, max_cols))
+    extra = draw(st.integers(0, max_extra))
+    rows = draw(st.lists(st.integers(0, (1 << (cols + extra)) - 1),
+                         max_size=max_rows))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [0] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), cols
 
 
 class TestBitVector:
@@ -153,3 +167,19 @@ def test_in_rowspace_absence(m, bits):
     v = BitVector(m.cols, bits & ((1 << m.cols) - 1))
     verdict = in_rowspace(m, v) is not None
     assert verdict == (v.bits in row_span(m.row_bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_masks())
+def test_rref_masks_matches_column_scan(case):
+    masks, cols = case
+    pivots, rows = rref_masks(masks, cols)
+    dense_pivots, dense_rows = dense_rref(masks, cols)
+    low = (1 << cols) - 1
+    assert pivots == dense_pivots
+    assert [row & low for row in rows] == [row & low for row in dense_rows]
+    if all(m >> cols == 0 for m in masks):
+        assert rows == dense_rows
+    # Bits past cols record row operations: every row is a sum of inputs.
+    span = row_span(masks)
+    assert all(row in span for row in rows)
