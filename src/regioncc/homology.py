@@ -29,21 +29,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomologyContext:
-    """Class masks that read the homology class of an edge cycle.
+    """Per-edge tables that read the homology class of an edge cycle.
 
     H_1 has one basis element per edge in ``quotient_pivots``: the pivots
     of the reduced row echelon form of the cycle space modulo region
-    boundaries, with edges as columns.  Bit k of the class of a cycle z
-    is the parity of z & ``class_masks[k]``, which is bit
+    boundaries, with edges as columns.  The class of a cycle z is the
+    XOR of ``edge_classes[e]`` over its edges; its bit k is bit
     quotient_pivots[k] of z reduced by the RREF of the region boundary
-    masks.  ``boundary[i]`` marks the edges with an odd number of ends
-    at crossing i, which is what the cycle check tests against.
+    masks.  ``edge_ends[e]`` holds the end crossings of edge e, which
+    the cycle check counts.
     """
 
     edge_count: int
-    boundary: tuple[int, ...]
+    edge_ends: tuple[tuple[int, int], ...]
     quotient_pivots: tuple[int, ...]
-    class_masks: tuple[int, ...]
+    edge_classes: tuple[int, ...]
 
     @property
     def h1_dim(self) -> int:
@@ -81,37 +81,27 @@ def build_context(shadow: Shadow) -> HomologyContext:
       keeps a max-index spanning tree of G minus F.  The edges it
       rejects, L, form the min-index basis of its dual, the cycle
       matroid contracted by F: the pivots of the quotient RREF.
-    - For l in L, the mask of l and the F-path between its two regions
-      meets exactly the fundamental cuts containing l, so its parity
-      against a cycle is bit l of the cycle reduced by the face RREF.
+    - For l_k in L, the edge l_k and the F-path between its two regions
+      meet exactly the fundamental cuts containing l_k, so a cycle's
+      parity against them is bit l_k of the cycle reduced by the face
+      RREF.  So l_k gets class bit k, and an edge of F gets bit k when
+      exactly one of l_k's regions lies below it in F.
     """
     edges = shadow.edges
     c = shadow.crossing_count
     m = len(edges)
-    regions = shadow.faces.regions
-    r = len(regions)
-    # Boundary of each edge, accumulated per crossing; a loop cancels.
-    boundary = [0] * c
-    for j, e in enumerate(edges):
-        for d in e.darts:
-            boundary[d >> 2] ^= 1 << j
+    structure = shadow.faces
+    sides = structure.edge_sides
+    r = structure.region_count
+    ends = tuple((e.darts[0] >> 2, e.darts[1] >> 2) for e in edges)
 
-    # The two sides of each edge; an edge with one region on both sides
-    # is in no region mask, a loop of the dual graph.
-    sides: list[list[int]] = [[] for _ in range(m)]
-    for rid, reg in enumerate(regions):
-        bits = reg.parity_bits
-        while bits:
-            low = bits & -bits
-            sides[low.bit_length() - 1].append(rid)
-            bits ^= low
-
+    # An edge with one region on both sides is a loop of the dual graph
+    # and never joins F.
     parent = list(range(r))
     tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
     in_f = bytearray(m)
-    for j, ends in enumerate(sides):
-        if ends and _union(parent, *ends):
-            a, b = ends
+    for j, (a, b) in enumerate(sides):
+        if _union(parent, a, b):
             tree[a].append((b, j))
             tree[b].append((a, j))
             in_f[j] = 1
@@ -119,64 +109,71 @@ def build_context(shadow: Shadow) -> HomologyContext:
     parent = list(range(c))
     cotree = []
     for j in range(m - 1, -1, -1):
-        if not in_f[j]:
-            a, b = edges[j].darts
-            if not _union(parent, a >> 2, b >> 2):
-                cotree.append(j)
+        if not in_f[j] and not _union(parent, *ends[j]):
+            cotree.append(j)
     cotree.reverse()
     if len(cotree) != 2 - (r - c):
         raise RuntimeError(f"tree-cotree leaves {len(cotree)} edges, "
                            f"expected 2 - chi = {2 - (r - c)}")
 
-    # path[v] is the edge mask of the F-path from region 0 to region v.
-    path = [-1] * r
-    path[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
+    classes = [0] * m
+    below = [0] * r
+    for k, j in enumerate(cotree):
+        classes[j] = 1 << k
+        a, b = sides[j]
+        below[a] ^= 1 << k
+        below[b] ^= 1 << k
+    # (region, parent, edge to parent) in breadth-first order from region
+    # 0.  Read backwards, every region comes before its parent, so
+    # below[v] has gathered v's whole subtree when v's edge is reached.
+    seen = bytearray(r)
+    seen[0] = 1
+    order = [(0, 0, -1)]
+    for u, _, _ in order:
         for v, j in tree[u]:
-            if path[v] < 0:
-                path[v] = path[u] | (1 << j)
-                stack.append(v)
-    class_masks = []
-    for j in cotree:
-        mask = 1 << j
-        if sides[j]:
-            a, b = sides[j]
-            mask ^= path[a] ^ path[b]
-        class_masks.append(mask)
-    return HomologyContext(m, tuple(boundary), tuple(cotree), tuple(class_masks))
+            if not seen[v]:
+                seen[v] = 1
+                order.append((v, u, j))
+    for v, u, j in reversed(order[1:]):
+        classes[j] = below[v]
+        below[u] ^= below[v]
+    return HomologyContext(m, ends, tuple(cotree), tuple(classes))
 
 
 def homology_context(d: EmbeddingScheme) -> HomologyContext:
     return d.shadow.homology_context
 
 
-def _as_mask(edge_set: Iterable[int] | int, edge_count: int) -> int:
+def _as_edges(edge_set: Iterable[int] | int, edge_count: int) -> list[int]:
+    """The edges of a mask, or the checked edge indices of an iterable."""
     if isinstance(edge_set, int):
-        mask = edge_set
-    else:
-        mask = 0
-        for e in edge_set:
-            if not 0 <= e < edge_count:
-                raise IndexError(f"edge index {e} out of range")
-            mask ^= 1 << e
-    if mask >> edge_count:
-        raise IndexError("edge mask wider than the edge count")
-    return mask
+        if edge_set >> edge_count:
+            raise IndexError("edge mask wider than the edge count")
+        return [e for e, bit in enumerate(reversed(bin(edge_set)[2:])) if bit == "1"]
+    edges = list(edge_set)
+    for e in edges:
+        if not 0 <= e < edge_count:
+            raise IndexError(f"edge index {e} out of range")
+    return edges
 
 
-def _odd_crossings(ctx: HomologyContext, mask: int) -> list[int]:
-    """The crossings where the edge set has an odd number of ends."""
-    return [i for i, b in enumerate(ctx.boundary) if (mask & b).bit_count() & 1]
+def _odd_crossings(ctx: HomologyContext, edges: Iterable[int]) -> list[int]:
+    """The crossings where the edges have an odd number of ends, sorted."""
+    odd: set[int] = set()
+    for e in edges:
+        for v in ctx.edge_ends[e]:
+            if v in odd:
+                odd.remove(v)
+            else:
+                odd.add(v)
+    return sorted(odd)
 
 
-def _class_bits(ctx: HomologyContext, mask: int) -> int:
-    """Class bits of a cycle mask: one parity per class mask."""
+def _class_bits(ctx: HomologyContext, edges: Iterable[int]) -> int:
+    """Class bits of a cycle: the XOR of its edges' classes."""
     bits = 0
-    for k, phi in enumerate(ctx.class_masks):
-        if (mask & phi).bit_count() & 1:
-            bits |= 1 << k
+    for e in edges:
+        bits ^= ctx.edge_classes[e]
     return bits
 
 
@@ -193,12 +190,12 @@ def class_of(source: EmbeddingScheme | HomologyContext,
         ctx = source
     else:
         ctx = homology_context(source)
-    mask = _as_mask(edge_set, ctx.edge_count)
-    odd = _odd_crossings(ctx, mask)
+    edges = _as_edges(edge_set, ctx.edge_count)
+    odd = _odd_crossings(ctx, edges)
     if odd:
         raise ValueError("edge set is not a cycle: odd incidence at "
                          f"crossing {', '.join(map(str, odd))}")
-    return BitVector(ctx.h1_dim, _class_bits(ctx, mask))
+    return BitVector(ctx.h1_dim, _class_bits(ctx, edges))
 
 
 @dataclass(frozen=True)
@@ -214,12 +211,9 @@ def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
     ctx = shadow.homology_context
     rows = []
     for comp in shadow.components:
-        mask = 0
-        for e in comp.edges:
-            mask ^= 1 << e
-        if _odd_crossings(ctx, mask):
+        if _odd_crossings(ctx, comp.edges):
             raise RuntimeError("component trace is not a cycle")
-        rows.append(_class_bits(ctx, mask))
+        rows.append(_class_bits(ctx, comp.edges))
     matrix = BitMatrix.from_bitrows(rows, ctx.h1_dim)
     return HomologyMatrix(matrix, rank(matrix))
 

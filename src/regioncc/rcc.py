@@ -34,27 +34,13 @@ __all__ = [
 ]
 
 
-def _region_darts(shadow: Shadow) -> list[tuple[int, ...]]:
-    """The cover darts of each region's first cover face, one per corner.
-
-    Cover dart x sits at crossing x >> 3, so XOR-ing over these darts
-    gives the region's corner parities in time linear in its corners.
-    """
-    structure = shadow.faces
-    darts: list[tuple[int, ...] | None] = [None] * structure.region_count
-    for fid, rid in enumerate(structure.face_region):
-        if darts[rid] is None:
-            darts[rid] = structure.face_darts[fid]
-    return darts
-
-
 def build_incidence(shadow: Shadow) -> BitMatrix:
     """The incidence matrix of a shadow; Shadow.incidence caches it."""
     rows = []
-    for darts in _region_darts(shadow):
+    for region in shadow.faces.regions:
         bits = 0
-        for x in darts:
-            bits ^= 1 << (x >> 3)
+        for v in region.corners:
+            bits ^= 1 << v
         rows.append(bits)
     return BitMatrix.from_bitrows(rows, shadow.crossing_count)
 
@@ -95,11 +81,12 @@ def build_factor(shadow: Shadow) -> IncidenceFactor:
     Crossing row i carries an identity bit at position r + i, beyond
     the r region columns, which tracks the row operations.
     """
-    r = shadow.faces.region_count
+    regions = shadow.faces.regions
+    r = len(regions)
     columns = [1 << (r + i) for i in range(shadow.crossing_count)]
-    for rid, darts in enumerate(_region_darts(shadow)):
-        for x in darts:
-            columns[x >> 3] ^= 1 << rid
+    for rid, region in enumerate(regions):
+        for v in region.corners:
+            columns[v] ^= 1 << rid
     pivots, reduced = rref_masks(columns, r)
     low = (1 << r) - 1
     return IncidenceFactor(r, pivots, tuple(row & low for row in reduced),
@@ -223,8 +210,7 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
     structure = d.shadow.faces
     r = structure.region_count
     adjacency: list[list[int]] = [[] for _ in range(r)]
-    for e in range(d.edge_count):
-        u, v = structure.sides_of_edge(d, e)
+    for u, v in structure.edge_sides:
         if u == v:
             return None
         adjacency[u].append(v)

@@ -169,16 +169,32 @@ class CoverScheme:
 
 @dataclass(frozen=True)
 class Region:
-    """One region of the surface complement.
+    """One region of the surface complement, as the walk of its first cover face.
 
-    ``corner_counts[v]`` is how many corners of the region sit at
-    crossing v (the counts at a crossing sum to 4 over all regions), and
-    bit e of ``parity_bits`` is the mod-2 number of times the region's
-    boundary runs along edge e.
+    The walk's k-th corner sits at crossing ``corners[k]`` and the walk
+    then runs along edge ``edges[k]``; ``crossing_count`` is the
+    diagram's, for the dense views below.
     """
 
-    corner_counts: tuple[int, ...]
-    parity_bits: int
+    corners: tuple[int, ...]
+    edges: tuple[int, ...]
+    crossing_count: int
+
+    @property
+    def corner_counts(self) -> tuple[int, ...]:
+        """How many corners sit at each crossing; they sum to 4 over all regions."""
+        counts = [0] * self.crossing_count
+        for v in self.corners:
+            counts[v] += 1
+        return tuple(counts)
+
+    @property
+    def parity_bits(self) -> int:
+        """Bit e is the mod-2 number of times the walk runs along edge e."""
+        bits = 0
+        for e in self.edges:
+            bits ^= 1 << e
+        return bits
 
 
 @dataclass(frozen=True)
@@ -186,7 +202,9 @@ class FaceStructure:
     """Cover faces, their pairing, and the resulting base regions.
 
     Regions are ordered by the least cover dart they touch, which sorts
-    by base dart first and untwisted sheet first.
+    by base dart first and untwisted sheet first.  ``edge_sides[e]``
+    holds the two regions flanking edge e, sorted (equal when the edge
+    has one region on both sides).
     """
 
     crossing_count: int
@@ -196,6 +214,7 @@ class FaceStructure:
     face_region: tuple[int, ...]
     face_partner: tuple[int, ...]
     plus_face: tuple[int, ...]
+    edge_sides: tuple[tuple[int, int], ...]
 
     @property
     def region_count(self) -> int:
@@ -204,17 +223,6 @@ class FaceStructure:
     def region_of_side(self, dart: int) -> int:
         """Region bordering the side of dart's edge named by the dart."""
         return self.face_region[self.plus_face[dart]]
-
-    def sides_of_edge(self, scheme: EmbeddingScheme, e: int) -> tuple[int, int]:
-        """The two regions flanking edge e (equal when self-adjacent)."""
-        a, b = scheme.edges[e].darts
-        hits = sorted(self.face_region[self.plus_face[d]] for d in (a, b))
-        twins = sorted(self.face_region[self.face_partner[self.plus_face[d]]]
-                       for d in (a, b))
-        joint = sorted(hits + twins)
-        if joint[0] == joint[1] and joint[2] == joint[3]:
-            return joint[0], joint[2]
-        raise RuntimeError(f"edge {e}: sides do not pair up ({joint})")
 
 
 @dataclass(frozen=True)
@@ -330,22 +338,24 @@ class Shadow:
 
         regions = []
         face_region = [-1] * len(face_darts)
-        for fid in range(len(face_darts)):
+        for fid, orbit in enumerate(face_darts):
             if face_region[fid] >= 0:
                 continue
-            rid = len(regions)
-            face_region[fid] = rid
-            face_region[partner[fid]] = rid
-            corners = [0] * c
-            parity = 0
-            for x in face_darts[fid]:
-                base = x >> 1
-                corners[base >> 2] += 1
-                parity ^= 1 << edge_of[base]
-            regions.append(Region(tuple(corners), parity))
+            face_region[fid] = face_region[partner[fid]] = len(regions)
+            regions.append(Region(tuple(x >> 3 for x in orbit),
+                                  tuple(edge_of[x >> 1] for x in orbit), c))
+        # An edge's sides are the faces of one cover edge's two darts.  The
+        # plus faces of its two base darts would not do: on a -1 edge they
+        # name the same side.
+        edge_sides = []
+        for e in self.edges:
+            x = 2 * e.darts[0]
+            u, v = face_region[face_of[x]], face_region[face_of[cover.theta[x]]]
+            edge_sides.append((u, v) if u <= v else (v, u))
         plus_face = tuple(face_of[2 * d] for d in range(4 * c))
         return FaceStructure(c, len(self.edges), tuple(regions), tuple(face_darts),
-                             tuple(face_region), tuple(partner), plus_face)
+                             tuple(face_region), tuple(partner), plus_face,
+                             tuple(edge_sides))
 
     @cached_property
     def components(self) -> tuple[Component, ...]:

@@ -363,6 +363,28 @@ def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(pivots), tuple(work[:top])
 
 
+def dense_edge_sides(d: EmbeddingScheme) -> list[tuple[int, int]]:
+    """The two regions flanking each edge, read off the regions' parity bits.
+
+    An edge in two region masks lies between those two regions.  An edge
+    in no mask has one region on both sides, the one whose walk runs
+    along it twice.
+    """
+    regions = faces(d).regions
+    sides: list[list[int]] = [[] for _ in range(d.edge_count)]
+    for rid, reg in enumerate(regions):
+        bits = reg.parity_bits
+        for e in range(d.edge_count):
+            if (bits >> e) & 1:
+                sides[e].append(rid)
+    for e, found in enumerate(sides):
+        if not found:
+            found += [rid for rid, reg in enumerate(regions)
+                      if reg.edges.count(e) == 2] * 2
+        assert len(found) == 2, f"edge {e} has sides {found}"
+    return [(u, v) for u, v in sides]
+
+
 def dense_context(d: EmbeddingScheme):
     """Quotient pivots and a class function, by eliminating the cycle space.
 

@@ -9,12 +9,13 @@ from conftest import (CHAIN3_PD, FIXTURE_MAKERS, FIXTURE_PROFILES, HOPF_PD,
                       KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_SHAPE, as_matrix,
-                      brute_admissible, brute_rank, random_suite, row_span)
-from regioncc import (R2Spec, admissible, apply_rcc, checkerboard, components,
-                      count_classes, faces, import_pd, incidence_matrix,
-                      ineffective_basis, poke_sites, rcc_equivalent,
-                      reidemeister_two, surface_info, switch_crossing,
-                      verify_rank_formula)
+                      brute_admissible, brute_rank, dense_edge_sides,
+                      random_suite, row_span)
+from regioncc import (Edge, EmbeddingScheme, R2Spec, admissible, apply_rcc,
+                      checkerboard, components, count_classes, faces,
+                      import_pd, incidence_matrix, ineffective_basis,
+                      poke_sites, rcc_equivalent, reidemeister_two,
+                      surface_info, switch_crossing, verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector, rank
 
 
@@ -324,20 +325,63 @@ class TestCheckerboard:
     def test_curl_colorable(self, curl):
         colors = checkerboard(curl)
         assert colors is not None
-        fs = faces(curl)
-        for e in range(curl.edge_count):
-            u, v = fs.sides_of_edge(curl, e)
+        for u, v in faces(curl).edge_sides:
             assert colors[u] != colors[v]
 
     def test_colorings_separate_edge_sides(self):
         found = 0
-        for d in random_suite(60, 1, 8, (0.0, 0.5), seed=43):
+        for d in random_suite(60, 1, 8, (0.0, 0.5, 1.0), seed=43):
             colors = checkerboard(d)
             if colors is None:
                 continue
             found += 1
-            fs = faces(d)
-            for e in range(d.edge_count):
-                u, v = fs.sides_of_edge(d, e)
+            for u, v in dense_edge_sides(d):
                 assert colors[u] != colors[v]
         assert found > 0
+
+
+def regauged(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
+    """The same diagram with the local orientation at crossing i reversed.
+
+    Darts 4i+1 and 4i+3 swap places, which keeps both through-pairs and
+    the over flag, and every edge with exactly one end at i changes sign.
+    """
+    swap = {4 * i + 1: 4 * i + 3, 4 * i + 3: 4 * i + 1}
+    edges = []
+    for e in d.edges:
+        a, b = e.darts
+        flip = (a >> 2 == i) != (b >> 2 == i)
+        edges.append(Edge((swap.get(a, a), swap.get(b, b)),
+                          -e.sign if flip else e.sign))
+    return EmbeddingScheme(d.overs, edges)
+
+
+REGAUGE_SUITE = random_suite(400, 1, 8, (0.0, 0.5, 1.0), seed=47)
+
+
+class TestRegauge:
+    """Reversing one crossing's local orientation changes no answer."""
+
+    def profile(self, d, target):
+        report = verify_rank_formula(d)
+        return (checkerboard(d) is None, surface_info(d), report.incidence_rank,
+                report.homology_rank, count_classes(d),
+                admissible(d, target) is None)
+
+    def test_answers_survive_regauging(self):
+        rng = random.Random(48)
+        colorable = 0
+        for d in REGAUGE_SUITE:
+            c = d.crossing_count
+            target = [i for i in range(c) if rng.random() < 0.5]
+            before = self.profile(d, target)
+            assert self.profile(regauged(d, rng.randrange(c)), target) == before
+            colorable += not before[0]
+        assert colorable > 0
+
+    def test_edge_sides_match_parity_oracle(self):
+        checked = 0
+        for d in REGAUGE_SUITE:
+            assert list(faces(d).edge_sides) == dense_edge_sides(d)
+            checked += d.edge_count
+        assert checked > 3000

@@ -1,23 +1,32 @@
-"""The acceptance properties on diagrams of 2000 crossings.
+"""The acceptance properties on diagrams of thousands of crossings.
 
 One diagram of each family: the cyclic PD torus code (many regions,
 h1 = 2) and a random pairing with neg_prob 0.5 (few regions, h1 near
-2000).  Each property is checked end to end from a cold shadow, within
-a time bound far above what the graph walks and the one factorisation
-need.
+the crossing count).  Each property is checked end to end from a cold
+shadow, within a time bound far above what the graph walks and the one
+factorisation need.  At 8000 crossings the face trace and the homology
+tables must stay linear in size.
 """
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import cyclic_pd, even_target
-from regioncc import (admissible, admissible_by_bicoloring, apply_rcc,
-                      homology_context, import_pd, incidence_matrix,
-                      random_diagram, verify_rank_formula)
+from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
+                      count_classes, faces, homology_context, import_pd,
+                      incidence_matrix, random_diagram, reidemeister_two,
+                      verify_rank_formula)
 
 N = 2000
+
+
+def make(family: str, n: int):
+    if family == "torus":
+        return import_pd(cyclic_pd(n))
+    return random_diagram(n, 0.5, seed=5)
 
 
 def switched(d, cert) -> list[int]:
@@ -28,10 +37,7 @@ def switched(d, cert) -> list[int]:
 @pytest.mark.parametrize("family", ["torus", "genus"])
 def test_acceptance_properties_at_2000_crossings(family):
     start = time.perf_counter()
-    if family == "torus":
-        d = import_pd(cyclic_pd(N))
-    else:
-        d = random_diagram(N, 0.5, seed=5)
+    d = make(family, N)
     report = verify_rank_formula(d)
     assert report.holds
     if family == "torus":
@@ -58,3 +64,42 @@ def test_acceptance_properties_at_2000_crossings(family):
         verdicts.append(by_colors)
     assert verdicts[2]
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("family", ["torus", "genus"])
+def test_poke_invariance_at_2000_crossings(family):
+    d = make(family, N)
+    exponent = count_classes(d)
+    fs = faces(d)
+    rng = random.Random(11)
+    # A dart, then the darts bordering one of its face's two lifts: the
+    # sites reidemeister_two accepts, found in O(darts).
+    options = []
+    while not options:
+        da = rng.randrange(d.dart_count)
+        f = fs.plus_face[da]
+        sides = (f, fs.face_partner[f])
+        options = [db for db in range(d.dart_count)
+                   if fs.plus_face[db] in sides and d.edge_of(db) != d.edge_of(da)]
+    poked = reidemeister_two(d, R2Spec(da, rng.choice(options)))
+    assert faces(poked).region_count == fs.region_count + 2
+    assert verify_rank_formula(poked).holds
+    assert count_classes(poked) == exponent
+
+
+@pytest.mark.parametrize("family", ["torus", "genus"])
+def test_tables_linear_at_8000_crossings(family):
+    d = make(family, 8000)
+    shadow = d.shadow
+    shadow.cover
+    tracemalloc.start()
+    try:
+        shadow.faces
+        shadow.homology_context
+        shadow.homology_matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A length-c tuple or a c-bit mask per region would take 500 MB here.
+    assert peak <= 64 * 2**20
+    assert verify_rank_formula(d).holds

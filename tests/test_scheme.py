@@ -130,8 +130,7 @@ class TestFaces:
     def test_sides(self, rp2curl):
         fs = faces(rp2curl)
         assert [fs.region_of_side(d) for d in range(4)] == [0, 0, 0, 1]
-        assert fs.sides_of_edge(rp2curl, 0) == (0, 0)
-        assert fs.sides_of_edge(rp2curl, 1) == (0, 1)
+        assert fs.edge_sides == ((0, 0), (0, 1))
 
     def test_cover_face_counts_double_regions(self):
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=5):
