@@ -149,6 +149,17 @@ def _crossing_set(d: EmbeddingScheme, crossings: Iterable[int]) -> set[int]:
     return chosen
 
 
+def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
+    """Crossing bits switched by the regions: the XOR of their incidence rows."""
+    rows = d.shadow.incidence.row_bits
+    effect = 0
+    for rid in regions:
+        if not 0 <= rid < len(rows):
+            raise IndexError(f"region index {rid} out of range")
+        effect ^= rows[rid]
+    return effect
+
+
 def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] | None:
     """Region set switching exactly the given crossings, or None.
 
@@ -162,11 +173,7 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     factor = d.shadow.incidence_factor
     cert = tuple(p for p, t in zip(factor.pivots, factor.transforms)
                  if (t & target).bit_count() & 1)
-    rows = d.shadow.incidence.row_bits
-    effect = 0
-    for rid in cert:
-        effect ^= rows[rid]
-    return cert if effect == target else None
+    return cert if _switched(d, cert) == target else None
 
 
 def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
@@ -177,12 +184,7 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
-    m = incidence_matrix(d)
-    effect = 0
-    for rid in set(regions):
-        if not 0 <= rid < m.rows:
-            raise IndexError(f"region index {rid} out of range")
-        effect ^= m.row_bits[rid]
+    effect = _switched(d, set(regions))
     overs = tuple(o ^ ((effect >> i) & 1) for i, o in enumerate(d.overs))
     return d.with_overs(overs)
 
@@ -229,12 +231,7 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
                     queue.append(v)
                 elif colors[v] == colors[u]:
                     return None
-    m = incidence_matrix(d)
     for color in (0, 1):
-        effect = 0
-        for rid, c in enumerate(colors):
-            if c == color:
-                effect ^= m.row_bits[rid]
-        if effect:
+        if _switched(d, [rid for rid, c in enumerate(colors) if c == color]):
             raise RuntimeError("checkerboard color class is not ineffective")
     return tuple(colors)

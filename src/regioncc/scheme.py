@@ -71,68 +71,71 @@ class Edge:
     sign: int
 
 
+# Ids, signs and flags must be exactly int: True == 1 and 1.0 == 1, but
+# they would serialize as true and 1.0.
 def _over_violations(overs: Sequence[int]) -> list[str]:
+    if {*map(type, overs)} <= {int} and {*overs} <= {0, 1}:
+        return []
     return [f"crossing {i}: over flag must be 0 or 1"
-            for i, o in enumerate(overs) if o not in (0, 1)]
+            for i, o in enumerate(overs) if o not in (0, 1) or type(o) is not int]
 
 
-def _structural_violations(overs: Sequence[int],
-                           edges: Sequence[Edge]) -> tuple[list[str], bool]:
-    """Every violation of the diagram data, and whether its surface is orientable.
+def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
+                           problems: list[str]) -> Shadow:
+    """The checked shadow of a diagram; InvalidDiagramError lists every violation.
 
-    The connectivity search carries a sheet bit per crossing, flipped
-    along -1 edges, so it walks the orientation double cover.  The cover
-    is connected, and the surface nonorientable, exactly when some cycle
-    has an odd number of -1 edges: then an edge contradicts the sheets of
-    its ends.
+    ``problems`` holds the caller's own findings; they come first.  The
+    pass over the edges fills the dart tables.  The connectivity search
+    over them carries a sheet bit per crossing, flipped along -1 edges,
+    so it walks the orientation double cover.  The cover is connected,
+    and the surface nonorientable, exactly when some cycle has an odd
+    number of -1 edges: then an edge contradicts the sheets of its ends.
     """
     c = len(overs)
     if c == 0:
-        return ["diagram must have at least one crossing"], True
-    problems = _over_violations(overs)
+        raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
+    found = _over_violations(overs)
     n_darts = 4 * c
-    seen: dict[int, int] = {}
+    theta = [-1] * n_darts
+    edge_of = [-1] * n_darts
     for j, e in enumerate(edges):
         a, b = e.darts
-        if e.sign not in (1, -1):
-            problems.append(f"edge {j}: sign must be +1 or -1")
+        if e.sign not in (1, -1) or type(e.sign) is not int:
+            found.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
-            problems.append(f"edge {j}: self-paired dart {a}")
-        for d in ((a,) if a == b else (a, b)):
-            if not 0 <= d < n_darts:
-                problems.append(f"edge {j}: dart {d} out of range")
-            elif d in seen:
-                problems.append(f"dart {d} appears in edges {seen[d]} and {j}")
+            found.append(f"edge {j}: self-paired dart {a}")
+        for d, other in (((a, b),) if a == b else ((a, b), (b, a))):
+            if type(d) is not int:
+                found.append(f"edge {j}: dart {d!r} must be an integer")
+            elif not 0 <= d < n_darts:
+                found.append(f"edge {j}: dart {d} out of range")
+            elif edge_of[d] >= 0:
+                found.append(f"dart {d} appears in edges {edge_of[d]} and {j}")
             else:
-                seen[d] = j
+                edge_of[d] = j
+                theta[d] = other
     if len(edges) != 2 * c:
-        problems.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
-    if problems:
-        return problems, True
-    # adj[u] holds 2 * v + twist for each edge end at crossing u.
-    adj: list[list[int]] = [[] for _ in range(c)]
-    for e in edges:
-        a, b = e.darts
-        twist = e.sign < 0
-        adj[a >> 2].append((b >> 2 << 1) | twist)
-        adj[b >> 2].append((a >> 2 << 1) | twist)
-    sheet = [-1] * c
-    sheet[0] = 0
-    stack = [0]
+        found.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
     orientable = True
-    while stack:
-        v = stack.pop()
-        for link in adj[v]:
-            w = link >> 1
-            s = sheet[v] ^ (link & 1)
-            if sheet[w] < 0:
-                sheet[w] = s
-                stack.append(w)
-            elif sheet[w] != s:
-                orientable = False
-    if -1 in sheet:
-        problems.append("diagram is disconnected")
-    return problems, orientable
+    if not found:
+        sheet = [-1] * c
+        sheet[0] = 0
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for d in range(4 * v, 4 * v + 4):
+                w = theta[d] >> 2
+                s = sheet[v] ^ (edges[edge_of[d]].sign < 0)
+                if sheet[w] < 0:
+                    sheet[w] = s
+                    stack.append(w)
+                elif sheet[w] != s:
+                    orientable = False
+        if -1 in sheet:
+            found.append("diagram is disconnected")
+    if problems or found:
+        raise InvalidDiagramError(problems + found)
+    return Shadow(edges, orientable, tuple(theta), tuple(edge_of))
 
 
 @dataclass(frozen=True)
@@ -241,39 +244,23 @@ class Component:
 class Shadow:
     """A diagram with its over flags forgotten: its edges and their signs.
 
-    Only EmbeddingScheme and validate build shadows, right after checking
-    the edges; ``orientable`` comes from that check.  Diagrams that differ
-    only in over flags share one shadow.  Every derived table is a cached
-    property: built on first use, shared by those diagrams, and freed
-    with the shadow.
+    Only validation (``_structural_violations``) builds shadows, so every
+    shadow is checked: its darts and signs are exactly int (not bool or
+    float) and in range.  The same pass gives ``orientable`` and the dart
+    tables: ``theta[d]`` is the other dart of d's edge and ``edge_of[d]``
+    that edge's index.  Diagrams that differ only in over flags share
+    one shadow.  Every other derived table is a cached property: built
+    on first use, shared by those diagrams, and freed with the shadow.
     """
 
     edges: tuple[Edge, ...]
     orientable: bool = field(compare=False, repr=False)
+    theta: tuple[int, ...] = field(compare=False, repr=False)
+    edge_of: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def crossing_count(self) -> int:
         return len(self.edges) // 2
-
-    @cached_property
-    def theta(self) -> tuple[int, ...]:
-        """theta[d] is the other dart of d's edge."""
-        table = [0] * (2 * len(self.edges))
-        for e in self.edges:
-            a, b = e.darts
-            table[a] = b
-            table[b] = a
-        return tuple(table)
-
-    @cached_property
-    def edge_of(self) -> tuple[int, ...]:
-        """edge_of[d] is the index of the edge containing dart d."""
-        table = [0] * (2 * len(self.edges))
-        for j, e in enumerate(self.edges):
-            a, b = e.darts
-            table[a] = j
-            table[b] = j
-        return tuple(table)
 
     @cached_property
     def cover(self) -> CoverScheme:
@@ -413,12 +400,10 @@ class EmbeddingScheme:
     shadow: Shadow
 
     def __init__(self, overs: Iterable[int], edges: Iterable[Edge]) -> None:
-        overs, edges = tuple(overs), tuple(edges)
-        problems, orientable = _structural_violations(overs, edges)
-        if problems:
-            raise InvalidDiagramError(problems)
+        overs = tuple(overs)
+        shadow = _structural_violations(overs, tuple(edges), [])
         object.__setattr__(self, "overs", overs)
-        object.__setattr__(self, "shadow", Shadow(edges, orientable))
+        object.__setattr__(self, "shadow", shadow)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -491,15 +476,12 @@ def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
     overs = []
     for i, (rotation, over) in enumerate(crossings):
         expected = [4 * i + k for k in range(4)]
-        if list(rotation) != expected:
+        if list(rotation) != expected or not all(type(x) is int for x in rotation):
             problems.append(f"crossing {i}: rotation must be {expected}")
         overs.append(over)
-    edge_objs = tuple(Edge((int(a), int(b)), int(s)) for (a, b), s in edges)
-    found, orientable = _structural_violations(tuple(overs), edge_objs)
-    problems.extend(found)
-    if problems:
-        raise InvalidDiagramError(problems)
-    return _on_shadow(tuple(int(o) for o in overs), Shadow(edge_objs, orientable))
+    overs = tuple(overs)
+    edge_objs = tuple(Edge((a, b), s) for (a, b), s in edges)
+    return _on_shadow(overs, _structural_violations(overs, edge_objs, problems))
 
 
 def orientation_double_cover(d: EmbeddingScheme) -> CoverScheme:
@@ -537,11 +519,6 @@ def surface_info(d: EmbeddingScheme) -> SurfaceInfo:
 def components(d: EmbeddingScheme) -> tuple[Component, ...]:
     """Link components, ordered by their least edge index."""
     return d.shadow.components
-
-
-def _is_int(value: object) -> bool:
-    """A JSON integer: bool is an int subclass, but true and false are not ids."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
@@ -618,9 +595,10 @@ def parse_diagram(text: str) -> EmbeddingScheme:
             raise DiagramFormatError(f"crossing {i} must be an object")
         _require_keys(entry, {"rotation", "over"}, f"crossing {i}")
         rot = entry["rotation"]
-        if not isinstance(rot, list) or len(rot) != 4 or not all(map(_is_int, rot)):
+        if (not isinstance(rot, list) or len(rot) != 4
+                or not all(type(x) is int for x in rot)):
             raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
-        if not _is_int(entry["over"]):
+        if type(entry["over"]) is not int:
             raise DiagramFormatError(f"crossing {i}: over must be an integer")
         raw_crossings.append((rot, entry["over"]))
     raw_edges = []
@@ -630,9 +608,9 @@ def parse_diagram(text: str) -> EmbeddingScheme:
         _require_keys(entry, {"darts", "sign"}, f"edge {j}")
         darts = entry["darts"]
         if (not isinstance(darts, list) or len(darts) != 2
-                or not all(map(_is_int, darts))):
+                or not all(type(x) is int for x in darts)):
             raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
-        if not _is_int(entry["sign"]):
+        if type(entry["sign"]) is not int:
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
         raw_edges.append(((darts[0], darts[1]), entry["sign"]))
     return validate(raw_crossings, raw_edges)

@@ -124,6 +124,69 @@ def as_matrix(rows) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Frozen violation lists, recorded before validation was merged into one
+# pass.  Each entry is (raw crossings, raw edges, violations) for
+# ``validate``; the CLI must print the same list, joined by "; ".
+
+VALIDATE_VIOLATIONS = {
+    "many-faults": (
+        [([0, 2, 1, 3], 2), ([4, 5, 6, 7], 0)],
+        [((0, 1), 1), ((1, 9), 0), ((3, 3), 1), ((4, 5), 1), ((6, 7), -1)],
+        ["crossing 0: rotation must be [0, 1, 2, 3]",
+         "crossing 0: over flag must be 0 or 1",
+         "edge 1: sign must be +1 or -1",
+         "dart 1 appears in edges 0 and 1",
+         "edge 1: dart 9 out of range",
+         "edge 2: self-paired dart 3",
+         "expected 4 edges for 2 crossings, got 5"]),
+    "rotation-and-disconnected": (
+        [([0, 2, 1, 3], 0), ([4, 5, 6, 7], 0)],
+        [((0, 1), 1), ((2, 3), 1), ((4, 5), 1), ((6, 7), -1)],
+        ["crossing 0: rotation must be [0, 1, 2, 3]",
+         "diagram is disconnected"]),
+    "disconnected": (
+        [([0, 1, 2, 3], 0), ([4, 5, 6, 7], 1)],
+        [((0, 1), 1), ((2, 3), 1), ((4, 5), 1), ((6, 7), -1)],
+        ["diagram is disconnected"]),
+    "zero-crossings": ([], [], ["diagram must have at least one crossing"]),
+    "zero-crossings-with-edges": (
+        [], [((0, 1), 1)], ["diagram must have at least one crossing"]),
+}
+
+# The same for EmbeddingScheme: (overs, edges as (darts, sign), violations).
+SCHEME_VIOLATIONS = {
+    "many-faults": (
+        (0, 3, -1),
+        [((0, 1), 1), ((2, 2), 5), ((1, 5), 1), ((6, 17), 1)],
+        ["crossing 1: over flag must be 0 or 1",
+         "crossing 2: over flag must be 0 or 1",
+         "edge 1: sign must be +1 or -1",
+         "edge 1: self-paired dart 2",
+         "dart 1 appears in edges 0 and 2",
+         "edge 3: dart 17 out of range",
+         "expected 6 edges for 3 crossings, got 4"]),
+    "over-and-sign": (
+        (0, 3),
+        [((0, 1), 1), ((2, 3), 5), ((4, 5), 1), ((6, 7), 1)],
+        ["crossing 1: over flag must be 0 or 1",
+         "edge 1: sign must be +1 or -1"]),
+    "disconnected": (
+        (0, 0),
+        [((0, 1), 1), ((2, 3), 1), ((4, 5), 1), ((6, 7), 1)],
+        ["diagram is disconnected"]),
+    "zero-crossings": ((), [], ["diagram must have at least one crossing"]),
+    "zero-crossings-with-edges": (
+        (), [((0, 1), 1)], ["diagram must have at least one crossing"]),
+}
+
+
+def violation_document(crossings, edges) -> dict:
+    """The diagram document holding ``validate``'s raw data."""
+    return {"crossings": [{"rotation": rot, "over": over} for rot, over in crossings],
+            "edges": [{"darts": list(darts), "sign": sign} for darts, sign in edges]}
+
+
+# ---------------------------------------------------------------------------
 # Planar knot codes: the twisted two-strand family plus a handful of
 # small knots from standard tables.
 
@@ -238,6 +301,25 @@ def base_region_count(d: EmbeddingScheme) -> int:
             seen.add(x)
             x = nxt(x)
     return count
+
+
+def brute_poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
+    """Every dart pair on distinct edges whose sides share a region.
+
+    Compares every dart with every dart, reading the two cover faces of
+    dart_a's region from ``plus_face`` and ``face_partner``.
+    """
+    structure = faces(d)
+    out = []
+    for da in range(d.dart_count):
+        f = structure.plus_face[da]
+        mate = structure.face_partner[f]
+        for db in range(d.dart_count):
+            if d.edge_of(da) == d.edge_of(db):
+                continue
+            if structure.plus_face[db] in (f, mate):
+                out.append((da, db))
+    return tuple(out)
 
 
 def invariant_profile(d: EmbeddingScheme):

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from conftest import TREFOIL_PD, make_curl, make_rp2curl, make_torus11
+from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, make_curl, make_rp2curl,
+                      make_torus11, violation_document)
 from regioncc import import_pd, parse_diagram, serialize_diagram
 from regioncc.cli import main
 
@@ -219,6 +220,16 @@ class TestExitCodes:
         assert code == 3
         assert "invalid diagram:" in err
 
+    @pytest.mark.parametrize("name", sorted(VALIDATE_VIOLATIONS))
+    def test_invalid_diagram_message_exact(self, capsys, tmp_path, name):
+        crossings, edges, expected = VALIDATE_VIOLATIONS[name]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(violation_document(crossings, edges)))
+        code, out, err = run(capsys, "info", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err == "invalid diagram: " + "; ".join(expected) + "\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "info", str(tmp_path / "absent.json"))
         assert code == 2
@@ -250,9 +261,18 @@ class TestExitCodes:
         '{"crossings": [{"rotation": [0, 1, 2, 3], "over": 0}],'
         ' "edges": [{"darts": [false, true], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
         "[" * 100000,
+        '{"crossings": [{"rotation": [0.0, 1, 2, 3], "over": 0}],'
+        ' "edges": [{"darts": [0, 1], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
+        '{"crossings": [{"rotation": [0, 1, 2, 3], "over": 1.0}],'
+        ' "edges": [{"darts": [0, 1], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
+        '{"crossings": [{"rotation": [0, 1, 2, 3], "over": 0}],'
+        ' "edges": [{"darts": [0.9, 1], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
+        '{"crossings": [{"rotation": [0, 1, 2, 3], "over": 0}],'
+        ' "edges": [{"darts": [0, 1], "sign": 1.0}, {"darts": [2, 3], "sign": true}]}',
     ], ids=["unhashable-label", "bool-label", "mixed-labels", "float-label",
             "string-crossing", "number-pd", "bool-rotation", "bool-darts",
-            "deep-nesting"])
+            "deep-nesting", "float-rotation", "float-over", "float-darts",
+            "float-sign"])
     def test_malformed_document(self, capsys, monkeypatch, doc):
         monkeypatch.setattr("sys.stdin", __import__("io").StringIO(doc))
         code, out, err = run(capsys, "info", "-")

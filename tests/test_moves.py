@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import invariant_profile, random_suite
+from conftest import brute_poke_sites, invariant_profile, random_suite
 from regioncc import (R2Spec, Edge, EmbeddingScheme, components, faces,
                       incidence_matrix, poke_sites, random_diagram,
                       rcc_equivalent, reidemeister_two, surface_info,
@@ -72,6 +72,11 @@ class TestPoke:
         assert top_a.overs[-2:] == (0, 0)
         assert top_b.overs[-2:] == (1, 1)
         assert top_a.edges == top_b.edges
+
+    @pytest.mark.parametrize("neg_prob", [0.0, 0.5, 1.0])
+    def test_poke_sites_match_the_double_loop(self, neg_prob):
+        for d in random_suite(40, 1, 12, (neg_prob,), seed=65):
+            assert poke_sites(d) == brute_poke_sites(d)
 
     def test_bigon_appears(self):
         rng = random.Random(61)

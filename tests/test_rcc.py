@@ -260,6 +260,11 @@ class TestApply:
         with pytest.raises(IndexError):
             apply_rcc(curl, [9])
 
+    def test_negative_region_index(self, curl):
+        # Python indexing would wrap -1 to the last region.
+        with pytest.raises(IndexError, match="region index -1"):
+            apply_rcc(curl, [-1])
+
     def test_certificates_take_effect(self):
         rng = random.Random(39)
         for d in random_suite(50, 1, 8, (0.0, 0.5), seed=40):

@@ -17,8 +17,8 @@ import pytest
 from conftest import cyclic_pd, even_target
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
-                      incidence_matrix, random_diagram, reidemeister_two,
-                      verify_rank_formula)
+                      incidence_matrix, poke_sites, random_diagram,
+                      reidemeister_two, verify_rank_formula)
 
 N = 2000
 
@@ -85,6 +85,29 @@ def test_poke_invariance_at_2000_crossings(family):
     assert faces(poked).region_count == fs.region_count + 2
     assert verify_rank_formula(poked).holds
     assert count_classes(poked) == exponent
+
+
+def test_poke_sites_at_2000_crossings():
+    # Torus only: its regions are small, so the site list is linear in
+    # the darts.  On the genus family a few regions hold every dart and
+    # the list itself is quadratic.
+    d = make("torus", N)
+    faces(d)
+    start = time.perf_counter()
+    sites = poke_sites(d)
+    elapsed = time.perf_counter() - start
+    # Every dart pairs with the other darts of its region, less its edge mate.
+    fs = faces(d)
+    sizes = [0] * fs.region_count
+    for x in range(d.dart_count):
+        sizes[fs.region_of_side(x)] += 1
+    assert len(sites) == sum(
+        sizes[fs.region_of_side(da)] - 1
+        - (fs.region_of_side(d.theta(da)) == fs.region_of_side(da))
+        for da in range(d.dart_count))
+    assert all(a < b for a, b in zip(sites, sites[1:]))
+    # Comparing every dart with every dart takes tens of seconds here.
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("family", ["torus", "genus"])

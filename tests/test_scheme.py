@@ -8,9 +8,10 @@ import weakref
 
 import pytest
 
-from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, base_region_count,
-                      cyclic_pd, invariant_profile, monodromy_orientable,
-                      random_suite, relabeled)
+from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, SCHEME_VIOLATIONS,
+                      VALIDATE_VIOLATIONS, base_region_count, cyclic_pd,
+                      invariant_profile, monodromy_orientable, random_suite,
+                      relabeled)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -71,6 +72,51 @@ class TestValidation:
             assert len(err.violations) >= 2
         else:
             pytest.fail("expected a validation error")
+
+    def test_validate_rejects_non_integer_values(self):
+        # int() used to turn dart 0.9 into 0 and accept the diagram.
+        with pytest.raises(InvalidDiagramError) as info:
+            validate([([0, 1, 2, 3], 1.0)], [((0.9, 1), 1), ((2, 3), True)])
+        assert info.value.violations == ["crossing 0: over flag must be 0 or 1",
+                                         "edge 0: dart 0.9 must be an integer",
+                                         "edge 1: sign must be +1 or -1"]
+
+    def test_validate_rejects_non_integer_rotation(self):
+        with pytest.raises(InvalidDiagramError) as info:
+            validate([([0.0, True, 2, 3], 1)], [((0, 1), 1), ((2, 3), 1)])
+        assert info.value.violations == ["crossing 0: rotation must be [0, 1, 2, 3]"]
+
+    def test_float_sign_is_rejected(self):
+        # A stored 1.0 would serialize to a document parse_diagram rejects.
+        with pytest.raises(InvalidDiagramError) as info:
+            EmbeddingScheme((0,), (Edge((0, 1), 1.0), Edge((2, 3), 1)))
+        assert info.value.violations == ["edge 0: sign must be +1 or -1"]
+
+    def test_bool_over_flag_is_rejected(self, curl):
+        with pytest.raises(InvalidDiagramError) as info:
+            EmbeddingScheme((True,), curl.edges)
+        assert info.value.violations == ["crossing 0: over flag must be 0 or 1"]
+        with pytest.raises(InvalidDiagramError, match="over flag"):
+            curl.with_overs((False,))
+
+    def test_float_dart_is_a_violation(self):
+        with pytest.raises(InvalidDiagramError) as info:
+            EmbeddingScheme((0,), (Edge((0.5, 1), 1), Edge((2, 3), 1)))
+        assert info.value.violations == ["edge 0: dart 0.5 must be an integer"]
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_VIOLATIONS))
+    def test_validate_violations_exact(self, name):
+        crossings, edges, expected = VALIDATE_VIOLATIONS[name]
+        with pytest.raises(InvalidDiagramError) as info:
+            validate(crossings, edges)
+        assert info.value.violations == expected
+
+    @pytest.mark.parametrize("name", sorted(SCHEME_VIOLATIONS))
+    def test_scheme_violations_exact(self, name):
+        overs, edges, expected = SCHEME_VIOLATIONS[name]
+        with pytest.raises(InvalidDiagramError) as info:
+            EmbeddingScheme(overs, [Edge(darts, sign) for darts, sign in edges])
+        assert info.value.violations == expected
 
 
 class TestDartAlgebra:
