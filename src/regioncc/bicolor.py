@@ -13,11 +13,11 @@ This route never looks at the incidence matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .gf2 import BitVector, in_rowspace
 from .homology import class_of
+from .rcc import _crossing_set
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Bicoloring:
+class Bicoloring(NamedTuple):
     """One color (0 or 1) per edge of the diagram."""
 
     colors: tuple[int, ...]
@@ -72,10 +71,7 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
     passage, form one cycle per component, whose largest edge is its
     only free unknown, so this is the pivot solution of the system.
     """
-    chosen = set(crossings)
-    for i in chosen:
-        if not 0 <= i < d.crossing_count:
-            raise IndexError(f"crossing index {i} out of range")
+    chosen = _crossing_set(d, crossings)
     colors = [0] * d.edge_count
     for comp in d.shadow.components:
         # Passage j joins edges[j - 1] to edges[j].

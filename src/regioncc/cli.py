@@ -22,20 +22,22 @@ from .moves import R2Spec, random_diagram, reidemeister_two, switch_crossing
 from .rcc import (admissible, apply_rcc, count_classes, incidence_matrix,
                   ineffective_basis, rcc_equivalent, verify_rank_formula)
 from .scheme import (DiagramFormatError, EmbeddingScheme, InvalidDiagramError,
-                     components, faces, import_pd, parse_diagram,
+                     _decode_json, components, faces, import_pd, parse_diagram,
                      serialize_diagram, surface_info)
 
 __all__ = ["main"]
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as err:
         raise DiagramFormatError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise DiagramFormatError(f"cannot read {path}: not UTF-8 ({err.reason})") from None
 
 
 def _load(path: str) -> EmbeddingScheme:
@@ -61,8 +63,12 @@ def _emit(args: argparse.Namespace, data: dict, lines: list[str]) -> None:
 def _write_diagram(args: argparse.Namespace, d: EmbeddingScheme) -> int:
     text = serialize_diagram(d)
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as err:
+            raise DiagramFormatError(
+                f"cannot write {args.output}: {err.strerror}") from None
     else:
         print(text)
     return 0
@@ -264,11 +270,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_import_pd(args) -> int:
-    text = _read_text(args.file)
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise DiagramFormatError(f"invalid JSON: {err}") from None
+    doc = _decode_json(_read_text(args.file))
     if isinstance(doc, list):
         code = doc
     elif isinstance(doc, dict) and set(doc) == {"pd"}:

@@ -10,8 +10,7 @@ masks (bit e = edge e), matching the gf2 row convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .gf2 import BitMatrix, BitVector, rank
 
@@ -27,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomologyContext:
+class HomologyContext(NamedTuple):
     """Per-edge tables that read the homology class of an edge cycle.
 
     H_1 has one basis element per edge in ``quotient_pivots``: the pivots
@@ -93,7 +91,7 @@ def build_context(shadow: Shadow) -> HomologyContext:
     structure = shadow.faces
     sides = structure.edge_sides
     r = structure.region_count
-    ends = tuple((e.darts[0] >> 2, e.darts[1] >> 2) for e in edges)
+    ends = tuple((a >> 2, b >> 2) for (a, b), _ in edges)
 
     # An edge with one region on both sides is a loop of the dual graph
     # and never joins F.
@@ -159,9 +157,10 @@ def _as_edges(edge_set: Iterable[int] | int, edge_count: int) -> list[int]:
 
 def _odd_crossings(ctx: HomologyContext, edges: Iterable[int]) -> list[int]:
     """The crossings where the edges have an odd number of ends, sorted."""
+    edge_ends = ctx.edge_ends
     odd: set[int] = set()
     for e in edges:
-        for v in ctx.edge_ends[e]:
+        for v in edge_ends[e]:
             if v in odd:
                 odd.remove(v)
             else:
@@ -171,9 +170,10 @@ def _odd_crossings(ctx: HomologyContext, edges: Iterable[int]) -> list[int]:
 
 def _class_bits(ctx: HomologyContext, edges: Iterable[int]) -> int:
     """Class bits of a cycle: the XOR of its edges' classes."""
+    edge_classes = ctx.edge_classes
     bits = 0
     for e in edges:
-        bits ^= ctx.edge_classes[e]
+        bits ^= edge_classes[e]
     return bits
 
 
@@ -198,8 +198,7 @@ def class_of(source: EmbeddingScheme | HomologyContext,
     return BitVector(ctx.h1_dim, _class_bits(ctx, edges))
 
 
-@dataclass(frozen=True)
-class HomologyMatrix:
+class HomologyMatrix(NamedTuple):
     """Rows are the homology classes of the link components."""
 
     matrix: BitMatrix

@@ -12,7 +12,7 @@ and orientability) fixed while adding two regions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, faces
 
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class R2Spec:
+class R2Spec(NamedTuple):
     """Poke request: dart_a's strand crosses dart_b's strand.
 
     The finger leaves dart_a's edge on the side named by dart_a and

@@ -12,8 +12,7 @@ count, component count, and the homology rank of the components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .gf2 import BitMatrix, BitVector, rref_masks, rref_nullspace
 
@@ -45,8 +44,7 @@ def build_incidence(shadow: Shadow) -> BitMatrix:
     return BitMatrix.from_bitrows(rows, shadow.crossing_count)
 
 
-@dataclass(frozen=True)
-class IncidenceFactor:
+class IncidenceFactor(NamedTuple):
     """The reduced row echelon form of the transposed incidence matrix.
 
     Row k of the RREF of Mᵀ has its pivot at region ``pivots[k]``;
@@ -98,8 +96,7 @@ def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
     return d.shadow.incidence
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Measured incidence rank against its predicted value.
 
     The prediction is regions - components - 1 + homology rank.

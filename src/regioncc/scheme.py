@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitMatrix
 from .homology import (HomologyContext, HomologyMatrix, build_context,
@@ -63,8 +63,7 @@ class InvalidDiagramError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An edge of the diagram: a pair of distinct darts and a sign."""
 
     darts: tuple[int, int]
@@ -98,9 +97,8 @@ def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
     n_darts = 4 * c
     theta = [-1] * n_darts
     edge_of = [-1] * n_darts
-    for j, e in enumerate(edges):
-        a, b = e.darts
-        if e.sign not in (1, -1) or type(e.sign) is not int:
+    for j, ((a, b), sign) in enumerate(edges):
+        if sign not in (1, -1) or type(sign) is not int:
             found.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
             found.append(f"edge {j}: self-paired dart {a}")
@@ -118,6 +116,7 @@ def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
         found.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
     orientable = True
     if not found:
+        flips = [sign < 0 for _, sign in edges]
         sheet = [-1] * c
         sheet[0] = 0
         stack = [0]
@@ -125,7 +124,7 @@ def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
             v = stack.pop()
             for d in range(4 * v, 4 * v + 4):
                 w = theta[d] >> 2
-                s = sheet[v] ^ (edges[edge_of[d]].sign < 0)
+                s = sheet[v] ^ flips[edge_of[d]]
                 if sheet[w] < 0:
                     sheet[w] = s
                     stack.append(w)
@@ -138,8 +137,7 @@ def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
     return Shadow(edges, orientable, tuple(theta), tuple(edge_of))
 
 
-@dataclass(frozen=True)
-class CoverScheme:
+class CoverScheme(NamedTuple):
     """Orientation double cover of a diagram's embedded graph.
 
     Cover darts are 2 * d + sheet.  ``sigma`` rotates around cover
@@ -165,13 +163,8 @@ class CoverScheme:
     def deck(self, x: int) -> int:
         return x ^ 1
 
-    def vertex_of(self, x: int) -> int:
-        """Cover vertex of cover dart x, encoded as 2 * crossing + sheet."""
-        return ((x >> 3) << 1) | (x & 1)
 
-
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One region of the surface complement, as the walk of its first cover face.
 
     The walk's k-th corner sits at crossing ``corners[k]`` and the walk
@@ -200,8 +193,7 @@ class Region:
         return bits
 
 
-@dataclass(frozen=True)
-class FaceStructure:
+class FaceStructure(NamedTuple):
     """Cover faces, their pairing, and the resulting base regions.
 
     Regions are ordered by the least cover dart they touch, which sorts
@@ -210,8 +202,6 @@ class FaceStructure:
     has one region on both sides).
     """
 
-    crossing_count: int
-    edge_count: int
     regions: tuple[Region, ...]
     face_darts: tuple[tuple[int, ...], ...]
     face_region: tuple[int, ...]
@@ -228,8 +218,7 @@ class FaceStructure:
         return self.face_region[self.plus_face[dart]]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A link component: the edges it traverses and its crossing passages.
 
     ``passages`` lists (crossing, through_pair) in traversal order; each
@@ -273,9 +262,8 @@ class Shadow:
             sigma[2 * d + 1] = 2 * (base | ((d - 1) & 3)) + 1
         theta = [0] * n
         cover_edges = []
-        for e in self.edges:
-            a, b = e.darts
-            if e.sign > 0:
+        for (a, b), sign in self.edges:
+            if sign > 0:
                 lifts = ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1))
             else:
                 lifts = ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))
@@ -289,10 +277,10 @@ class Shadow:
     @cached_property
     def faces(self) -> FaceStructure:
         cover = self.cover
-        edge_of = self.edge_of
+        sigma, theta, edge_of = cover.sigma, cover.theta, self.edge_of
         c = cover.base_crossings
         n = cover.dart_count
-        nxt = [cover.sigma[cover.theta[x]] for x in range(n)]
+        nxt = [sigma[theta[x]] for x in range(n)]
         face_of = [-1] * n
         face_darts: list[tuple[int, ...]] = []
         for start in range(n):
@@ -312,7 +300,7 @@ class Shadow:
         # the representative dart.
         partner = []
         for fid, orbit in enumerate(face_darts):
-            images = {face_of[cover.theta[cover.deck(x)]] for x in orbit}
+            images = {face_of[theta[x ^ 1]] for x in orbit}
             if len(images) != 1:
                 raise RuntimeError(f"face pairing is not well defined for face {fid}")
             mate = images.pop()
@@ -335,14 +323,13 @@ class Shadow:
         # plus faces of its two base darts would not do: on a -1 edge they
         # name the same side.
         edge_sides = []
-        for e in self.edges:
-            x = 2 * e.darts[0]
-            u, v = face_region[face_of[x]], face_region[face_of[cover.theta[x]]]
+        for (a, _), _ in self.edges:
+            x = 2 * a
+            u, v = face_region[face_of[x]], face_region[face_of[theta[x]]]
             edge_sides.append((u, v) if u <= v else (v, u))
         plus_face = tuple(face_of[2 * d] for d in range(4 * c))
-        return FaceStructure(c, len(self.edges), tuple(regions), tuple(face_darts),
-                             tuple(face_region), tuple(partner), plus_face,
-                             tuple(edge_sides))
+        return FaceStructure(tuple(regions), tuple(face_darts), tuple(face_region),
+                             tuple(partner), plus_face, tuple(edge_sides))
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
@@ -494,8 +481,7 @@ def faces(d: EmbeddingScheme) -> FaceStructure:
     return d.shadow.faces
 
 
-@dataclass(frozen=True)
-class SurfaceInfo:
+class SurfaceInfo(NamedTuple):
     euler_characteristic: int
     orientable: bool
     genus: int
@@ -570,6 +556,14 @@ def _require_keys(obj: dict, keys: set[str], what: str) -> None:
             f"{what} must have exactly the keys {sorted(keys)}, got {sorted(obj)}")
 
 
+def _decode_json(text: str):
+    """The JSON value of a document; DiagramFormatError if it is not JSON."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise DiagramFormatError(f"invalid JSON: {err}") from None
+
+
 def parse_diagram(text: str) -> EmbeddingScheme:
     """Parse a diagram document (strict; unknown keys are rejected).
 
@@ -578,10 +572,7 @@ def parse_diagram(text: str) -> EmbeddingScheme:
        "edges": [{"darts": [a, b], "sign": 1|-1}, ...]}
     or {"pd": [[a, b, c, d], ...]}.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise DiagramFormatError(f"invalid JSON: {err}") from None
+    doc = _decode_json(text)
     if not isinstance(doc, dict):
         raise DiagramFormatError("top-level document must be an object")
     if set(doc) == {"pd"}:

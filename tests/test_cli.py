@@ -1,5 +1,6 @@
 """Command line behavior: wording, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -233,6 +234,39 @@ class TestExitCodes:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "info", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_output_parent_missing(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "x.json"
+        code, out, err = run(capsys, "random", "-n", "2", "--seed", "1",
+                             "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_output_is_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "random", "-n", "2", "--seed", "1",
+                             "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["info", "import-pd"])
+    def test_file_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {bad}: not UTF-8 (invalid start byte)\n"
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8",
+                                 errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "info", "-")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot read -: not UTF-8 (invalid start byte)\n"
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

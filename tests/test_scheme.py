@@ -218,6 +218,13 @@ class TestSurface:
         assert surface_info(torus11).genus == 1
         assert surface_info(rp2curl).genus == 1
 
+    def test_records_are_tuples(self, trefoil):
+        chi, orientable, genus, h1_dim = surface_info(trefoil)
+        assert (chi, orientable, genus, h1_dim) == (2, True, 0, 0)
+        assert surface_info(trefoil) == (2, True, 0, 0)
+        darts, sign = trefoil.edges[0]
+        assert trefoil.edges[0] == (darts, sign) == Edge(darts, sign)
+
 
 class TestComponents:
     def test_curl_single_component(self, curl):
