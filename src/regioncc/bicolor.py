@@ -35,28 +35,20 @@ class Bicoloring(NamedTuple):
 
     colors: tuple[int, ...]
 
-    def ones_mask(self) -> int:
-        bits = 0
-        for e, color in enumerate(self.colors):
-            bits |= (color & 1) << e
-        return bits
-
     def switched(self, d: EmbeddingScheme) -> tuple[int, ...]:
         """Crossings whose through strands change color, sorted.
 
         For a valid bi-coloring both strands of a crossing agree on
         whether they change; RuntimeError flags a mismatch.
         """
+        colors, edge_of = self.colors, d.shadow.edge_of
         out = []
         for i in range(d.crossing_count):
-            verdicts = set()
-            for p in (0, 1):
-                e1 = d.edge_of(4 * i + p)
-                e2 = d.edge_of(4 * i + p + 2)
-                verdicts.add(self.colors[e1] ^ self.colors[e2])
-            if len(verdicts) != 1:
+            flip = colors[edge_of[4 * i]] ^ colors[edge_of[4 * i + 2]]
+            if flip != colors[edge_of[4 * i + 1]] ^ colors[edge_of[4 * i + 3]]:
                 raise RuntimeError(f"strands disagree at crossing {i}")
-            out.extend([i] if verdicts.pop() else [])
+            if flip:
+                out.append(i)
         return tuple(out)
 
 
@@ -91,7 +83,7 @@ def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
     """Homology class of the 1-colored edge set."""
     if len(coloring.colors) != d.edge_count:
         raise ValueError("coloring length does not match the edge count")
-    return class_of(d, coloring.ones_mask())
+    return class_of(d, [e for e, color in enumerate(coloring.colors) if color & 1])
 
 
 def admissible_by_bicoloring(
@@ -109,12 +101,12 @@ def admissible_by_bicoloring(
     coeffs = in_rowspace(hm.matrix, phi_class(d, base))
     if coeffs is None:
         return False, None
-    mask = base.ones_mask()
+    colors = list(base.colors)
     comps = d.shadow.components
     for k in coeffs.support():
         for e in comps[k].edges:
-            mask ^= 1 << e
-    witness = Bicoloring(tuple((mask >> e) & 1 for e in range(d.edge_count)))
+            colors[e] ^= 1
+    witness = Bicoloring(tuple(colors))
     if phi_class(d, witness).bits:
         raise RuntimeError("component flips did not cancel the class")
     return True, witness

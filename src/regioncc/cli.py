@@ -181,16 +181,16 @@ def _cmd_ineffective(args) -> int:
 def _cmd_bicolor(args) -> int:
     d = _load(args.file)
     try:
-        base = bicoloring(d, args.crossings)
-        ok, witness = admissible_by_bicoloring(d, args.crossings)
+        ok, shown = admissible_by_bicoloring(d, args.crossings)
     except IndexError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if base is None:
+    if not ok:
+        shown = bicoloring(d, args.crossings)  # nonzero class, or None
+    if shown is None:
         data = {"admissible": False, "colors": None, "phi_class": None}
         lines = ["infeasible: no bi-coloring for those crossings"]
     else:
-        shown = witness if ok else base
         cls = phi_class(d, shown)
         data = {
             "admissible": ok,

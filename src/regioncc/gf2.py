@@ -20,10 +20,7 @@ __all__ = [
     "rank",
     "solve",
     "nullspace_basis",
-    "rref_nullspace",
     "in_rowspace",
-    "rref_masks",
-    "reduce_mask",
 ]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from .rcc import _crossing_set
 from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, faces
 
 __all__ = [
@@ -123,8 +124,7 @@ def poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
 
 def switch_crossing(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
     """Swap which strand is on top at crossing i."""
-    if not 0 <= i < d.crossing_count:
-        raise IndexError(f"crossing index {i} out of range")
+    _crossing_set(d, [i])
     overs = list(d.overs)
     overs[i] ^= 1
     return d.with_overs(overs)

@@ -20,7 +20,6 @@ if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
 
 __all__ = [
-    "IncidenceFactor",
     "incidence_matrix",
     "RankReport",
     "verify_rank_formula",
@@ -139,7 +138,12 @@ def count_classes(d: EmbeddingScheme) -> int:
 
 
 def _crossing_set(d: EmbeddingScheme, crossings: Iterable[int]) -> set[int]:
-    chosen = set(crossings)
+    """The crossings as a set of indices, each exactly an int and in range."""
+    chosen = set()
+    for i in crossings:
+        if type(i) is not int:
+            raise TypeError(f"crossing index {i!r} is not an int")
+        chosen.add(i)
     for i in chosen:
         if not 0 <= i < d.crossing_count:
             raise IndexError(f"crossing index {i} out of range")
@@ -151,6 +155,8 @@ def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
     rows = d.shadow.incidence.row_bits
     effect = 0
     for rid in regions:
+        if type(rid) is not int:
+            raise TypeError(f"region index {rid!r} is not an int")
         if not 0 <= rid < len(rows):
             raise IndexError(f"region index {rid} out of range")
         effect ^= rows[rid]

@@ -79,16 +79,17 @@ def _over_violations(overs: Sequence[int]) -> list[str]:
             for i, o in enumerate(overs) if o not in (0, 1) or type(o) is not int]
 
 
-def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
+def _structural_violations(overs: tuple[int, ...], edges: Sequence,
                            problems: list[str]) -> Shadow:
     """The checked shadow of a diagram; InvalidDiagramError lists every violation.
 
     ``problems`` holds the caller's own findings; they come first.  The
-    pass over the edges fills the dart tables.  The connectivity search
-    over them carries a sheet bit per crossing, flipped along -1 edges,
-    so it walks the orientation double cover.  The cover is connected,
-    and the surface nonorientable, exactly when some cycle has an odd
-    number of -1 edges: then an edge contradicts the sheets of its ends.
+    pass over the ((dart, dart), sign) pairs makes each an Edge and fills
+    the dart tables.  The connectivity search over them carries a sheet
+    bit per crossing, flipped along -1 edges, so it walks the orientation
+    double cover.  The cover is connected, and the surface nonorientable,
+    exactly when some cycle has an odd number of -1 edges: then an edge
+    contradicts the sheets of its ends.
     """
     c = len(overs)
     if c == 0:
@@ -97,7 +98,14 @@ def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
     n_darts = 4 * c
     theta = [-1] * n_darts
     edge_of = [-1] * n_darts
-    for j, ((a, b), sign) in enumerate(edges):
+    checked = []
+    for j, edge in enumerate(edges):
+        try:
+            (a, b), sign = edge
+        except (TypeError, ValueError):
+            found.append(f"edge {j}: must be ((dart, dart), sign)")
+            continue
+        checked.append(Edge((a, b), sign))
         if sign not in (1, -1) or type(sign) is not int:
             found.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
@@ -134,7 +142,7 @@ def _structural_violations(overs: tuple[int, ...], edges: tuple[Edge, ...],
             found.append("diagram is disconnected")
     if problems or found:
         raise InvalidDiagramError(problems + found)
-    return Shadow(edges, orientable, tuple(theta), tuple(edge_of))
+    return Shadow(tuple(checked), orientable, tuple(theta), tuple(edge_of))
 
 
 class CoverScheme(NamedTuple):
@@ -461,14 +469,19 @@ def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
     """
     problems = []
     overs = []
-    for i, (rotation, over) in enumerate(crossings):
+    for i, crossing in enumerate(crossings):
         expected = [4 * i + k for k in range(4)]
-        if list(rotation) != expected or not all(type(x) is int for x in rotation):
+        over = None
+        try:
+            rotation, over = crossing
+            fits = list(rotation) == expected and all(type(x) is int for x in rotation)
+        except (TypeError, ValueError):
+            fits = False
+        if not fits:
             problems.append(f"crossing {i}: rotation must be {expected}")
         overs.append(over)
     overs = tuple(overs)
-    edge_objs = tuple(Edge((a, b), s) for (a, b), s in edges)
-    return _on_shadow(overs, _structural_violations(overs, edge_objs, problems))
+    return _on_shadow(overs, _structural_violations(overs, tuple(edges), problems))
 
 
 def orientation_double_cover(d: EmbeddingScheme) -> CoverScheme:

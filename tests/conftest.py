@@ -179,6 +179,52 @@ SCHEME_VIOLATIONS = {
         (), [((0, 1), 1)], ["diagram must have at least one crossing"]),
 }
 
+# Entries that do not unpack as (rotation, over) or ((dart, dart), sign)
+# are violations too, named by their crossing or edge.  The CLI never
+# passes them on, because parse_diagram checks shapes first.
+MALFORMED_VALIDATE_VIOLATIONS = {
+    "three-darts": (
+        [([0, 1, 2, 3], 0)], [((0, 1, 2), 1), ((2, 3), 1)],
+        ["edge 0: must be ((dart, dart), sign)"]),
+    "none-edge": (
+        [([0, 1, 2, 3], 0)], [None, ((2, 3), 1)],
+        ["edge 0: must be ((dart, dart), sign)"]),
+    "none-rotation": (
+        [(None, 1)], [((0, 1), 1), ((2, 3), 1)],
+        ["crossing 0: rotation must be [0, 1, 2, 3]"]),
+    "bare-crossing": (
+        [5], [((0, 1), 1), ((2, 3), 1)],
+        ["crossing 0: rotation must be [0, 1, 2, 3]",
+         "crossing 0: over flag must be 0 or 1"]),
+    "beside-others": (
+        [(None, 2), ([4, 5, 6, 7], 0)],
+        [((0, 1, 2), 1), ((3, 3), 5), 7, ((4, 5), 1), ((6, 7), 1)],
+        ["crossing 0: rotation must be [0, 1, 2, 3]",
+         "crossing 0: over flag must be 0 or 1",
+         "edge 0: must be ((dart, dart), sign)",
+         "edge 1: sign must be +1 or -1",
+         "edge 1: self-paired dart 3",
+         "edge 2: must be ((dart, dart), sign)",
+         "expected 4 edges for 2 crossings, got 5"]),
+}
+
+MALFORMED_SCHEME_VIOLATIONS = {
+    "three-darts": (
+        (0,), [((0, 1, 2), 1), ((2, 3), 1)],
+        ["edge 0: must be ((dart, dart), sign)"]),
+    "int-darts": (
+        (0,), [(5, 1), ((2, 3), 1)],
+        ["edge 0: must be ((dart, dart), sign)"]),
+    "beside-others": (
+        (0, 2), [((0, 1), 1), ((1, 2, 3), 1), (5, -1), ((1, 9), 0)],
+        ["crossing 1: over flag must be 0 or 1",
+         "edge 1: must be ((dart, dart), sign)",
+         "edge 2: must be ((dart, dart), sign)",
+         "edge 3: sign must be +1 or -1",
+         "dart 1 appears in edges 0 and 3",
+         "edge 3: dart 9 out of range"]),
+}
+
 
 def violation_document(crossings, edges) -> dict:
     """The diagram document holding ``validate``'s raw data."""

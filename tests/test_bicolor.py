@@ -31,6 +31,16 @@ class TestBicoloring:
         with pytest.raises(IndexError):
             bicoloring(curl, [2])
 
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_index_must_be_an_int(self, trefoil, index):
+        with pytest.raises(TypeError, match=f"crossing index {index!r}"):
+            bicoloring(trefoil, [index])
+
+    def test_strands_must_agree(self, trefoil):
+        # Edge 0 alone changes color only along the strand it lies on.
+        with pytest.raises(RuntimeError, match="strands disagree at crossing 0"):
+            Bicoloring((1, 0, 0, 0, 0, 0)).switched(trefoil)
+
     def test_solutions_satisfy_their_set(self):
         rng = random.Random(51)
         for d in random_suite(50, 1, 8, (0.0, 0.5), seed=52):
@@ -83,6 +93,9 @@ class TestPhiClass:
         assert phi_class(rp2curl, Bicoloring((1, 0))).bits == 1
         assert phi_class(rp2curl, Bicoloring((0, 1))).bits == 0
 
+    def test_odd_colors_are_the_one_colored_edges(self, rp2curl):
+        assert phi_class(rp2curl, Bicoloring((3, 2))).bits == 1
+
     def test_length_check(self, curl):
         with pytest.raises(ValueError, match="length"):
             phi_class(curl, Bicoloring((1, 0, 0)))
@@ -103,6 +116,11 @@ class TestAdmissibleByBicoloring:
 
     def test_torus11_negative(self, torus11):
         assert admissible_by_bicoloring(torus11, [0]) == (False, None)
+
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_index_must_be_an_int(self, trefoil, index):
+        with pytest.raises(TypeError, match=f"crossing index {index!r}"):
+            admissible_by_bicoloring(trefoil, [index])
 
     def test_agrees_with_matrix_route(self):
         rng = random.Random(54)

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, make_curl, make_rp2curl,
                       make_torus11, violation_document)
-from regioncc import import_pd, parse_diagram, serialize_diagram
+from regioncc import (bicoloring, import_pd, parse_diagram, random_diagram,
+                      serialize_diagram)
 from regioncc.cli import main
 
 
@@ -111,6 +112,25 @@ class TestQueries:
         assert data["admissible"] is True
         assert data["phi_class"] == [0]
         assert data["colors"] == [0, 1]
+
+    def test_bicolor_walks_the_base_only_when_infeasible(self, capsys, monkeypatch,
+                                                          tmp_path, trefoil_file):
+        calls = []
+
+        def counted(d, crossings):
+            calls.append(crossings)
+            return bicoloring(d, crossings)
+
+        monkeypatch.setattr("regioncc.cli.bicoloring", counted)
+        code, out, _ = run(capsys, "bicolor", trefoil_file, "-c", "1")
+        assert (code, out.splitlines()[0], len(calls)) == (0, "admissible", 0)
+        nonzero = tmp_path / "nonzero.json"
+        nonzero.write_text(serialize_diagram(random_diagram(2, 0.5, seed=0)))
+        code, out, _ = run(capsys, "bicolor", str(nonzero), "-c", "0")
+        assert code == 0
+        assert out == ("infeasible: every bi-coloring has nonzero class\n"
+                       "colors: 1000\nclass: 100\n")
+        assert len(calls) == 1
 
     def test_equivalent_wording(self, capsys, tmp_path, torus_file):
         switched = tmp_path / "switched.json"
@@ -323,10 +343,10 @@ class TestExitCodes:
 
     def test_closed_stdout_exits_quietly(self):
         cmd = [sys.executable, "-m", "regioncc.cli", "random", "-n", "300"]
-        child = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE)
-        child.stdout.close()
-        err = child.stderr.read()
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            child.stdout.close()
+            err = child.stderr.read()
         assert child.wait() == 1
         assert err == b""
 

@@ -6,9 +6,11 @@ stdout.  The inputs are the hand-built fixtures, small planar links,
 seeded ``random_diagram`` documents with neg_prob 0, 0.5 and 1, and
 cyclic torus-family codes; the crossing targets include sets that are
 admissible, sets with no bi-coloring, and sets whose bi-colorings all
-have nonzero class.  Every answer the CLI prints is a unique object
-(a rank, an RREF basis, a pivot solution), so any faster algorithm
-must reproduce these bytes.
+have nonzero class.  After the queries come the commands that write a
+diagram (``apply``, ``switch``, ``move-r2``, ``random``, ``import-pd``)
+on small documents, which pin the bytes of ``serialize_diagram``.
+Every answer the CLI prints is a unique object (a rank, an RREF basis,
+a pivot solution), so any faster algorithm must reproduce these bytes.
 
 Regenerate the file only when an output change is intended:
 
@@ -31,6 +33,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 QUERIES = ("info", "verify", "matrix", "homology", "ineffective")
 TARGETED = ("admissible", "bicolor")
+WRITERS = ("apply", "switch", "move-r2", "random", "import-pd")
 
 
 def _load_golden() -> dict:
@@ -67,6 +70,8 @@ def test_golden_covers_every_query():
     seen = {(case["argv"][0], "--json" in case["argv"]) for case in cases}
     for command in QUERIES + TARGETED + ("equivalent",):
         assert (command, False) in seen and (command, True) in seen
+    for command in WRITERS:
+        assert (command, False) in seen
 
 
 def test_cli_stdout_matches_golden(golden):
@@ -137,6 +142,34 @@ def _targets(d, rng: random.Random) -> list[list[int]]:
     return unique
 
 
+def _writer_argvs(diagrams, docs: dict[str, str]) -> list[list[str]]:
+    """Diagram-writing commands on small documents.  Their arguments come
+    from an RNG of their own, so the query cases recorded before them do
+    not change; the pd codes for import-pd are added to ``docs``."""
+    from conftest import CHAIN3_PD, HOPF_PD, TREFOIL_PD
+    from regioncc import poke_sites
+    rng = random.Random(20261019)
+    argvs = []
+    for name in ("curl", "torus11", "rp2curl", "trefoil", "hopf", "chain3"):
+        d = diagrams[name]
+        regions = [i for i in range(d.shadow.faces.region_count)
+                   if rng.random() < 0.5]
+        argvs.append(["apply", "@" + name, "-r", ",".join(map(str, regions))])
+        argvs.append(["switch", "@" + name, "-i", str(rng.randrange(d.crossing_count))])
+        a, b = rng.choice(poke_sites(d))
+        argvs.append(["move-r2", "@" + name, "-d", f"{a},{b}",
+                      "--over", rng.choice("ab")])
+    for p in ("0", "0.5", "1"):
+        for _ in range(2):
+            argvs.append(["random", "-n", "6", "--neg-prob", p,
+                          "--seed", str(rng.randrange(1 << 30))])
+    for name, code in (("trefoil", TREFOIL_PD), ("hopf", HOPF_PD),
+                       ("chain3", CHAIN3_PD)):
+        docs[f"{name}_pd"] = json.dumps(code, separators=(",", ":"))
+        argvs.append(["import-pd", f"@{name}_pd"])
+    return argvs
+
+
 def record() -> None:
     from regioncc import serialize_diagram
     diagrams, partners, rng = _record_docs()
@@ -158,6 +191,7 @@ def record() -> None:
                                   "-c", ",".join(map(str, target))])
             for other in (moved, switched, "trefoil" if name != "trefoil" else "curl"):
                 argvs.append(["equivalent", *flag, "@" + name, "@" + other])
+    argvs += _writer_argvs(diagrams, docs)
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_docs(docs, Path(tmp))
         cases = []

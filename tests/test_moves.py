@@ -23,6 +23,11 @@ class TestSwitch:
         with pytest.raises(IndexError):
             switch_crossing(curl, 1)
 
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_index_must_be_an_int(self, trefoil, index):
+        with pytest.raises(TypeError, match=f"crossing index {index!r}"):
+            switch_crossing(trefoil, index)
+
 
 class TestPoke:
     def test_curl_bigon_side(self, curl):

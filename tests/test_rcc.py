@@ -111,6 +111,11 @@ class TestAdmissible:
         with pytest.raises(IndexError):
             admissible(curl, [4])
 
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_index_must_be_an_int(self, trefoil, index):
+        with pytest.raises(TypeError, match=f"crossing index {index!r}"):
+            admissible(trefoil, [index])
+
     def test_certificates_verify(self):
         rng = random.Random(34)
         for d in random_suite(60, 1, 9, (0.0, 0.5, 1.0), seed=35):
@@ -259,6 +264,11 @@ class TestApply:
     def test_out_of_range(self, curl):
         with pytest.raises(IndexError):
             apply_rcc(curl, [9])
+
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_index_must_be_an_int(self, trefoil, index):
+        with pytest.raises(TypeError, match=f"region index {index!r}"):
+            apply_rcc(trefoil, [index])
 
     def test_negative_region_index(self, curl):
         # Python indexing would wrap -1 to the last region.

@@ -8,8 +8,10 @@ import weakref
 
 import pytest
 
-from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, SCHEME_VIOLATIONS,
-                      VALIDATE_VIOLATIONS, base_region_count, cyclic_pd,
+from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
+                      MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
+                      SCHEME_VIOLATIONS, VALIDATE_VIOLATIONS,
+                      base_region_count, cyclic_pd,
                       invariant_profile, monodromy_orientable, random_suite,
                       relabeled)
 import regioncc.scheme
@@ -114,6 +116,20 @@ class TestValidation:
     @pytest.mark.parametrize("name", sorted(SCHEME_VIOLATIONS))
     def test_scheme_violations_exact(self, name):
         overs, edges, expected = SCHEME_VIOLATIONS[name]
+        with pytest.raises(InvalidDiagramError) as info:
+            EmbeddingScheme(overs, [Edge(darts, sign) for darts, sign in edges])
+        assert info.value.violations == expected
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_VALIDATE_VIOLATIONS))
+    def test_malformed_validate_entries_exact(self, name):
+        crossings, edges, expected = MALFORMED_VALIDATE_VIOLATIONS[name]
+        with pytest.raises(InvalidDiagramError) as info:
+            validate(crossings, edges)
+        assert info.value.violations == expected
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCHEME_VIOLATIONS))
+    def test_malformed_scheme_edges_exact(self, name):
+        overs, edges, expected = MALFORMED_SCHEME_VIOLATIONS[name]
         with pytest.raises(InvalidDiagramError) as info:
             EmbeddingScheme(overs, [Edge(darts, sign) for darts, sign in edges])
         assert info.value.violations == expected
