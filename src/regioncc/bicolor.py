@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .gf2 import BitVector, in_rowspace
 from .homology import class_of
-from .rcc import _crossing_set
+from .rcc import _index_set
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme
@@ -63,7 +63,7 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
     passage, form one cycle per component, whose largest edge is its
     only free unknown, so this is the pivot solution of the system.
     """
-    chosen = _crossing_set(d, crossings)
+    chosen = _index_set(crossings, d.crossing_count, "crossing")
     colors = [0] * d.edge_count
     for comp in d.shadow.components:
         # Passage j joins edges[j - 1] to edges[j].

@@ -191,11 +191,13 @@ def _cmd_bicolor(args) -> int:
         data = {"admissible": False, "colors": None, "phi_class": None}
         lines = ["infeasible: no bi-coloring for those crossings"]
     else:
-        cls = phi_class(d, shown)
+        # The witness's class is zero by construction, and already checked.
+        bits = 0 if ok else phi_class(d, shown).bits
         data = {
             "admissible": ok,
             "colors": list(shown.colors),
-            "phi_class": [(cls.bits >> k) & 1 for k in range(cls.length)],
+            "phi_class": [(bits >> k) & 1
+                          for k in range(d.shadow.homology_context.h1_dim)],
         }
         verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"
         lines = [

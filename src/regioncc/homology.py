@@ -144,12 +144,17 @@ def homology_context(d: EmbeddingScheme) -> HomologyContext:
 
 def _as_edges(edge_set: Iterable[int] | int, edge_count: int) -> list[int]:
     """The edges of a mask, or the checked edge indices of an iterable."""
-    if isinstance(edge_set, int):
+    if type(edge_set) is int:
         if edge_set >> edge_count:
             raise IndexError("edge mask wider than the edge count")
         return [e for e, bit in enumerate(reversed(bin(edge_set)[2:])) if bit == "1"]
-    edges = list(edge_set)
+    try:
+        edges = list(edge_set)
+    except TypeError:
+        raise TypeError(f"edge set {edge_set!r} is not an int mask or an iterable") from None
     for e in edges:
+        if type(e) is not int:
+            raise TypeError(f"edge index {e!r} is not an int")
         if not 0 <= e < edge_count:
             raise IndexError(f"edge index {e} out of range")
     return edges
@@ -182,8 +187,8 @@ def class_of(source: EmbeddingScheme | HomologyContext,
     """Homology class of an edge cycle, in the context's quotient basis.
 
     ``source`` may be the scheme itself or a context obtained from
-    homology_context.  ``edge_set`` is a bit mask or an iterable of
-    edge indices (taken mod 2).  Raises ValueError naming the crossings
+    homology_context.  ``edge_set`` is an int bit mask or an iterable of
+    int edge indices (taken mod 2).  Raises ValueError naming the crossings
     with odd incidence if the set is not a cycle of the graph.
     """
     if isinstance(source, HomologyContext):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .rcc import _crossing_set
+from .rcc import _index_set
 from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, faces
 
 __all__ = [
@@ -44,12 +44,15 @@ def reidemeister_two(d: EmbeddingScheme, spec: R2Spec) -> EmbeddingScheme:
     """Perform the poke described by spec.
 
     Raises ValueError when the request names no valid site: darts on a
-    shared edge, or darts not bordering a common region.
+    shared edge, or darts not bordering a common region; TypeError when
+    a dart is not exactly an int.
     """
     if spec.over not in ("a", "b"):
         raise ValueError("over must be 'a' or 'b'")
     da, db = spec.dart_a, spec.dart_b
     for x in (da, db):
+        if type(x) is not int:
+            raise TypeError(f"dart {x!r} is not an int")
         if not 0 <= x < d.dart_count:
             raise ValueError(f"dart {x} out of range")
     ea, eb = d.edge_of(da), d.edge_of(db)
@@ -124,7 +127,7 @@ def poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
 
 def switch_crossing(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
     """Swap which strand is on top at crossing i."""
-    _crossing_set(d, [i])
+    _index_set([i], d.crossing_count, "crossing")
     overs = list(d.overs)
     overs[i] ^= 1
     return d.with_overs(overs)

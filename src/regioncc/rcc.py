@@ -137,28 +137,24 @@ def count_classes(d: EmbeddingScheme) -> int:
     return d.crossing_count - d.shadow.incidence_factor.rank
 
 
-def _crossing_set(d: EmbeddingScheme, crossings: Iterable[int]) -> set[int]:
-    """The crossings as a set of indices, each exactly an int and in range."""
+def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
+    """The indices as a set, each exactly an int and in range(count)."""
     chosen = set()
-    for i in crossings:
+    for i in indices:
         if type(i) is not int:
-            raise TypeError(f"crossing index {i!r} is not an int")
+            raise TypeError(f"{what} index {i!r} is not an int")
         chosen.add(i)
     for i in chosen:
-        if not 0 <= i < d.crossing_count:
-            raise IndexError(f"crossing index {i} out of range")
+        if not 0 <= i < count:
+            raise IndexError(f"{what} index {i} out of range")
     return chosen
 
 
 def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
-    """Crossing bits switched by the regions: the XOR of their incidence rows."""
+    """Crossing bits switched by checked region indices: the XOR of their rows."""
     rows = d.shadow.incidence.row_bits
     effect = 0
     for rid in regions:
-        if type(rid) is not int:
-            raise TypeError(f"region index {rid!r} is not an int")
-        if not 0 <= rid < len(rows):
-            raise IndexError(f"region index {rid} out of range")
         effect ^= rows[rid]
     return effect
 
@@ -171,7 +167,7 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     read off the shadow's factorisation, and is checked by switching.
     """
     target = 0
-    for i in _crossing_set(d, crossings):
+    for i in _index_set(crossings, d.crossing_count, "crossing"):
         target |= 1 << i
     factor = d.shadow.incidence_factor
     cert = tuple(p for p, t in zip(factor.pivots, factor.transforms)
@@ -187,7 +183,8 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
-    effect = _switched(d, set(regions))
+    chosen = _index_set(regions, d.shadow.faces.region_count, "region")
+    effect = _switched(d, chosen)
     overs = tuple(o ^ ((effect >> i) & 1) for i, o in enumerate(d.overs))
     return d.with_overs(overs)
 

@@ -150,14 +150,14 @@ class CoverScheme(NamedTuple):
 
     Cover darts are 2 * d + sheet.  ``sigma`` rotates around cover
     vertices (the rotation on sheet 1 runs backwards), ``theta`` is the
-    lifted edge involution, and the deck involution is x ^ 1.  The cover
-    is connected exactly when the base surface is nonorientable.
+    lifted edge involution, so the cover edges are its pairs, and the
+    deck involution is x ^ 1.  The cover is connected exactly when the
+    base surface is nonorientable.
     """
 
     base_crossings: int
     sigma: tuple[int, ...]
     theta: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     connected: bool
 
     @property
@@ -205,13 +205,15 @@ class FaceStructure(NamedTuple):
     """Cover faces, their pairing, and the resulting base regions.
 
     Regions are ordered by the least cover dart they touch, which sorts
-    by base dart first and untwisted sheet first.  ``edge_sides[e]``
-    holds the two regions flanking edge e, sorted (equal when the edge
-    has one region on both sides).
+    by base dart first and untwisted sheet first.  Region k's two lifts
+    are cover faces 2k and 2k + 1, so ``face_region[f] == f >> 1`` and
+    ``face_partner[f] == f ^ 1``; ``plus_face[d]`` is the cover face of
+    base dart d's sheet-0 lift.  ``edge_sides[e]`` holds the two regions
+    flanking edge e, sorted (equal when the edge has one region on both
+    sides).
     """
 
     regions: tuple[Region, ...]
-    face_darts: tuple[tuple[int, ...], ...]
     face_region: tuple[int, ...]
     face_partner: tuple[int, ...]
     plus_face: tuple[int, ...]
@@ -269,75 +271,57 @@ class Shadow:
             sigma[2 * d] = 2 * (base | ((d + 1) & 3))
             sigma[2 * d + 1] = 2 * (base | ((d - 1) & 3)) + 1
         theta = [0] * n
-        cover_edges = []
         for (a, b), sign in self.edges:
-            if sign > 0:
-                lifts = ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1))
-            else:
-                lifts = ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))
-            for x, y in lifts:
-                theta[x] = y
-                theta[y] = x
-                cover_edges.append((x, y))
-        return CoverScheme(c, tuple(sigma), tuple(theta), tuple(cover_edges),
-                           not self.orientable)
+            # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
+            x, y = 2 * a, 2 * b + (sign < 0)
+            theta[x], theta[y], theta[x + 1], theta[y ^ 1] = y, x, y ^ 1, x + 1
+        return CoverScheme(c, tuple(sigma), tuple(theta), not self.orientable)
 
     @cached_property
     def faces(self) -> FaceStructure:
         cover = self.cover
         sigma, theta, edge_of = cover.sigma, cover.theta, self.edge_of
         c = cover.base_crossings
-        n = cover.dart_count
-        nxt = [sigma[theta[x]] for x in range(n)]
-        face_of = [-1] * n
-        face_darts: list[tuple[int, ...]] = []
-        for start in range(n):
+        face_of = [-1] * cover.dart_count
+        regions = []
+        for start in range(cover.dart_count):
             if face_of[start] >= 0:
                 continue
-            fid = len(face_darts)
-            orbit = []
+            fid = 2 * len(regions)
+            walk = []
             x = start
             while face_of[x] < 0:
                 face_of[x] = fid
-                orbit.append(x)
-                x = nxt[x]
+                walk.append(x)
+                x = sigma[theta[x]]
             if x != start:
                 raise RuntimeError("face walk did not close at its starting dart")
-            face_darts.append(tuple(orbit))
-        # Pair each cover face with its mirror; the answer must not depend on
-        # the representative dart.
-        partner = []
-        for fid, orbit in enumerate(face_darts):
-            images = {face_of[theta[x ^ 1]] for x in orbit}
-            if len(images) != 1:
+            # The mirror x -> theta(x ^ 1) is the other lift run backwards:
+            # a fresh face as long as the walk, holding every mirror image.
+            mirror = y = theta[start ^ 1]
+            size = 0
+            while face_of[y] < 0:
+                face_of[y] = fid + 1
+                size += 1
+                y = sigma[theta[y]]
+            if face_of[y] == fid:
+                raise RuntimeError(f"face {fid} meets its own mirror")
+            if (y != mirror or size != len(walk)
+                    or any(face_of[theta[x ^ 1]] != fid + 1 for x in walk)):
                 raise RuntimeError(f"face pairing is not well defined for face {fid}")
-            mate = images.pop()
-            if mate == fid:
-                raise RuntimeError(f"face {fid} is paired with itself")
-            partner.append(mate)
-        for fid, mate in enumerate(partner):
-            if partner[mate] != fid:
-                raise RuntimeError("face pairing is not an involution")
-
-        regions = []
-        face_region = [-1] * len(face_darts)
-        for fid, orbit in enumerate(face_darts):
-            if face_region[fid] >= 0:
-                continue
-            face_region[fid] = face_region[partner[fid]] = len(regions)
-            regions.append(Region(tuple(x >> 3 for x in orbit),
-                                  tuple(edge_of[x >> 1] for x in orbit), c))
+            regions.append(Region(tuple(x >> 3 for x in walk),
+                                  tuple(edge_of[x >> 1] for x in walk), c))
         # An edge's sides are the faces of one cover edge's two darts.  The
         # plus faces of its two base darts would not do: on a -1 edge they
         # name the same side.
         edge_sides = []
         for (a, _), _ in self.edges:
-            x = 2 * a
-            u, v = face_region[face_of[x]], face_region[face_of[theta[x]]]
+            u, v = face_of[2 * a] >> 1, face_of[theta[2 * a]] >> 1
             edge_sides.append((u, v) if u <= v else (v, u))
-        plus_face = tuple(face_of[2 * d] for d in range(4 * c))
-        return FaceStructure(tuple(regions), tuple(face_darts), tuple(face_region),
-                             tuple(partner), plus_face, tuple(edge_sides))
+        fids = range(2 * len(regions))
+        return FaceStructure(tuple(regions), tuple(f >> 1 for f in fids),
+                             tuple(f ^ 1 for f in fids), tuple(face_of[::2]),
+                             tuple(edge_sides))
 
     @cached_property
     def components(self) -> tuple[Component, ...]:

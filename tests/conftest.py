@@ -12,8 +12,8 @@ import random
 import pytest
 
 from regioncc import (Edge, EmbeddingScheme, components, faces,
-                      incidence_matrix, import_pd, random_diagram,
-                      surface_info, verify_rank_formula)
+                      incidence_matrix, import_pd, orientation_double_cover,
+                      random_diagram, surface_info, verify_rank_formula)
 from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
                           reduce_mask, rref_nullspace, solve)
 from regioncc.gf2 import rank as gf2_rank
@@ -346,6 +346,22 @@ def base_region_count(d: EmbeddingScheme) -> int:
         while x not in seen:
             seen.add(x)
             x = nxt(x)
+    return count
+
+
+def cover_face_count(d: EmbeddingScheme) -> int:
+    """Number of orbits of x -> sigma(theta(x)) over the cover's darts."""
+    cover = orientation_double_cover(d)
+    seen = [False] * cover.dart_count
+    count = 0
+    for start in range(cover.dart_count):
+        if seen[start]:
+            continue
+        count += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = cover.sigma[cover.theta[x]]
     return count
 
 

@@ -16,8 +16,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, KLEIN_2COMP_CLASSES,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS,
                       TORUS_3COMP_SHAPE, as_matrix, base_region_count,
-                      bicolor_system, monodromy_orientable, planar_knot_pds,
-                      random_suite)
+                      bicolor_system, cover_face_count, monodromy_orientable,
+                      planar_knot_pds, random_suite)
 from regioncc import (admissible, admissible_by_bicoloring, checkerboard,
                       components, count_classes, faces, import_pd,
                       incidence_matrix, ineffective_basis,
@@ -219,7 +219,7 @@ def test_criterion_10_structural_invariants(big_suite):
     for d in big_suite:
         fs = faces(d)
         c, r = d.crossing_count, fs.region_count
-        cover_faces = len(fs.face_darts)
+        cover_faces = cover_face_count(d)
         ok = ok and cover_faces == 2 * r
         # cover Euler characteristic doubles the base one
         ok = ok and (2 * c - 4 * c + cover_faces

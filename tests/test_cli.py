@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, make_curl, make_rp2curl,
                       make_torus11, violation_document)
-from regioncc import (bicoloring, import_pd, parse_diagram, random_diagram,
-                      serialize_diagram)
+from regioncc import (bicoloring, import_pd, parse_diagram, phi_class,
+                      random_diagram, serialize_diagram)
 from regioncc.cli import main
 
 
@@ -116,14 +116,21 @@ class TestQueries:
     def test_bicolor_walks_the_base_only_when_infeasible(self, capsys, monkeypatch,
                                                           tmp_path, trefoil_file):
         calls = []
+        class_calls = []
 
         def counted(d, crossings):
             calls.append(crossings)
             return bicoloring(d, crossings)
 
+        def counted_class(d, coloring):
+            class_calls.append(coloring)
+            return phi_class(d, coloring)
+
         monkeypatch.setattr("regioncc.cli.bicoloring", counted)
+        monkeypatch.setattr("regioncc.cli.phi_class", counted_class)
         code, out, _ = run(capsys, "bicolor", trefoil_file, "-c", "1")
         assert (code, out.splitlines()[0], len(calls)) == (0, "admissible", 0)
+        assert len(class_calls) == 0
         nonzero = tmp_path / "nonzero.json"
         nonzero.write_text(serialize_diagram(random_diagram(2, 0.5, seed=0)))
         code, out, _ = run(capsys, "bicolor", str(nonzero), "-c", "0")
@@ -131,6 +138,7 @@ class TestQueries:
         assert out == ("infeasible: every bi-coloring has nonzero class\n"
                        "colors: 1000\nclass: 100\n")
         assert len(calls) == 1
+        assert len(class_calls) == 1
 
     def test_equivalent_wording(self, capsys, tmp_path, torus_file):
         switched = tmp_path / "switched.json"

@@ -39,6 +39,13 @@ class TestClassOf:
         with pytest.raises(IndexError):
             class_of(curl, [5])
 
+    @pytest.mark.parametrize("edge_set, named", [([1.5], "edge index 1.5"),
+                                                 ([True], "edge index True"),
+                                                 (True, "edge set True")])
+    def test_edges_must_be_ints(self, trefoil, edge_set, named):
+        with pytest.raises(TypeError, match=named):
+            class_of(trefoil, edge_set)
+
     def test_accepts_prebuilt_context(self, rp2curl):
         ctx = homology_context(rp2curl)
         assert class_of(ctx, [0]).bits == 1

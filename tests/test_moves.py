@@ -71,6 +71,11 @@ class TestPoke:
         with pytest.raises(ValueError, match="range"):
             reidemeister_two(curl, R2Spec(0, 11))
 
+    @pytest.mark.parametrize("dart", [False, 0.0])
+    def test_dart_must_be_an_int(self, trefoil, dart):
+        with pytest.raises(TypeError, match=f"dart {dart!r} is not an int"):
+            reidemeister_two(trefoil, R2Spec(dart, 4))
+
     def test_over_flag_placement(self, curl):
         top_a = reidemeister_two(curl, R2Spec(0, 2, "a"))
         top_b = reidemeister_two(curl, R2Spec(0, 2, "b"))

@@ -265,10 +265,12 @@ class TestApply:
         with pytest.raises(IndexError):
             apply_rcc(curl, [9])
 
-    @pytest.mark.parametrize("index", [1.5, True])
-    def test_index_must_be_an_int(self, trefoil, index):
-        with pytest.raises(TypeError, match=f"region index {index!r}"):
-            apply_rcc(trefoil, [index])
+    # [1, True]: True == 1, so a set built first would fold True into 1.
+    @pytest.mark.parametrize("regions", [[1.5], [True], [1, True]],
+                             ids=lambda regions: "-".join(map(repr, regions)))
+    def test_index_must_be_an_int(self, trefoil, regions):
+        with pytest.raises(TypeError, match=f"region index {regions[-1]!r}"):
+            apply_rcc(trefoil, regions)
 
     def test_negative_region_index(self, curl):
         # Python indexing would wrap -1 to the last region.

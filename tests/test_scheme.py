@@ -11,7 +11,7 @@ import pytest
 from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
                       SCHEME_VIOLATIONS, VALIDATE_VIOLATIONS,
-                      base_region_count, cyclic_pd,
+                      base_region_count, cover_face_count, cyclic_pd,
                       invariant_profile, monodromy_orientable, random_suite,
                       relabeled)
 import regioncc.scheme
@@ -155,7 +155,10 @@ class TestCover:
         cover = orientation_double_cover(rp2curl)
         assert cover.connected
         assert cover.vertex_count == 2
-        assert len(cover.edges) == 4
+        # theta is a fixed-point-free involution on 8 darts: 4 cover edges
+        assert len(cover.theta) == 8
+        assert all(cover.theta[x] != x and cover.theta[cover.theta[x]] == x
+                   for x in range(8))
 
     def test_deck_and_sigma_commute_right(self, rp2curl):
         cover = orientation_double_cover(rp2curl)
@@ -197,11 +200,41 @@ class TestFaces:
     def test_cover_face_counts_double_regions(self):
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=5):
             fs = faces(d)
-            assert len(fs.face_darts) == 2 * fs.region_count
+            assert cover_face_count(d) == 2 * fs.region_count
             # partner is a fixed-point-free involution
             for fid, mate in enumerate(fs.face_partner):
                 assert mate != fid
                 assert fs.face_partner[mate] == fid
+
+    def test_cover_faces_are_numbered_by_region(self):
+        for d in random_suite(60, 1, 8, (0.0, 0.5, 1.0), seed=8):
+            fs = faces(d)
+            assert len(fs.face_region) == 2 * fs.region_count
+            for f, (rid, mate) in enumerate(zip(fs.face_region, fs.face_partner)):
+                assert rid == f >> 1
+                assert mate == f ^ 1
+
+    @pytest.mark.parametrize("kind", ["sigma_not_a_permutation",
+                                      "sheet1_runs_forwards", "theta_breaks_deck"])
+    @pytest.mark.parametrize("name", ["curl", "rp2curl", "trefoil"])
+    def test_corrupted_cover_is_caught(self, name, kind):
+        d = FIXTURE_MAKERS[name]()
+        cover = d.shadow.cover
+        sigma, theta = list(cover.sigma), list(cover.theta)
+        if kind == "sigma_not_a_permutation":
+            sigma[0] = sigma[2]
+        elif kind == "sheet1_runs_forwards":
+            sigma[1::2] = [x + 1 for x in sigma[0::2]]
+        else:
+            # Rewire the sheet-0 lifts of two edges and leave sheet 1 alone.
+            x1, y1 = 0, theta[0]
+            x2 = next(x for x in range(0, len(theta), 2) if x not in (x1, y1))
+            y2 = theta[x2]
+            theta[x1], theta[y2], theta[x2], theta[y1] = y2, x1, y1, x2
+        d.shadow.__dict__["cover"] = cover._replace(sigma=tuple(sigma),
+                                                    theta=tuple(theta))
+        with pytest.raises(RuntimeError):
+            faces(d)
 
     def test_corner_and_parity_bookkeeping(self):
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=6):
