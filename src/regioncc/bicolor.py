@@ -7,15 +7,16 @@ form a cycle of the graph, so they carry a homology class.  A crossing
 set is switchable by regions precisely when some bi-coloring for it
 has class zero; since the homogeneous solutions are spanned by the
 component indicator vectors, that holds exactly when one particular
-solution's class lies in the row space of the component-class matrix.
-This route never looks at the incidence matrix.
+solution's class is a sum of component classes, which the row basis of
+the component-class matrix reads off.  This route never looks at the
+incidence matrix.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .gf2 import BitVector, in_rowspace
+from .gf2 import BitVector, set_bits
 from .homology import class_of
 from .rcc import _index_set
 
@@ -97,13 +98,12 @@ def admissible_by_bicoloring(
     base = bicoloring(d, crossings)
     if base is None:
         return False, None
-    hm = d.shadow.homology_matrix
-    coeffs = in_rowspace(hm.matrix, phi_class(d, base))
+    coeffs = d.shadow.homology_matrix.basis.expression(phi_class(d, base).bits)
     if coeffs is None:
         return False, None
     colors = list(base.colors)
     comps = d.shadow.components
-    for k in coeffs.support():
+    for k in set_bits(coeffs):
         for e in comps[k].edges:
             colors[e] ^= 1
     witness = Bicoloring(tuple(colors))

@@ -187,6 +187,8 @@ def _cmd_bicolor(args) -> int:
         return 2
     if not ok:
         shown = bicoloring(d, args.crossings)  # nonzero class, or None
+        if shown is not None and admissible(d, args.crossings) is not None:
+            raise RuntimeError("matrix and bi-coloring methods disagree")
     if shown is None:
         data = {"admissible": False, "colors": None, "phi_class": None}
         lines = ["infeasible: no bi-coloring for those crossings"]

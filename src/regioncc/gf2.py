@@ -12,7 +12,7 @@ can depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "BitVector",
@@ -22,6 +22,11 @@ __all__ = [
     "nullspace_basis",
     "in_rowspace",
 ]
+
+
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class BitVector:
         return BitVector(self.length, self.bits ^ other.bits)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        return tuple(set_bits(self.bits))
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -149,13 +154,14 @@ class BitMatrix:
         return "\n".join(str(self.row(i)) for i in range(self.rows))
 
 
-def rref_masks(masks: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def rref_masks(masks: Iterable[int], cols: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form of integer row masks.
 
-    Returns (pivot_columns, nonzero_reduced_rows); row i of the result has
-    its pivot at pivot_columns[i] and zeros in every other pivot column
-    below ``cols``.  Bits at or above ``cols`` are never pivots; they are
-    carried along, so they record the row operations that made each row.
+    Returns (pivot_columns, nonzero_reduced_rows, dependent_rows): row i
+    has its pivot at pivot_columns[i] and zeros in every other pivot
+    column below ``cols``, and the dependent input rows, in input order,
+    reduce to nothing there.  Bits at or above ``cols`` are never pivots;
+    they are carried along, so they record the row operations.
 
     Each row is keyed by its lowest set bit below ``cols``: an incoming
     row is reduced by the row holding its low bit until that bit is new
@@ -165,6 +171,7 @@ def rref_masks(masks: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[
     """
     low = (1 << cols) - 1
     basis: dict[int, int] = {}
+    dependent = []
     for row in masks:
         key = row & low
         while key:
@@ -175,6 +182,8 @@ def rref_masks(masks: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[
                 break
             row ^= other
             key = row & low
+        else:
+            dependent.append(row)
     pivots = sorted(basis)
     pivot_mask = 0
     for p in reversed(pivots):
@@ -188,21 +197,51 @@ def rref_masks(masks: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[
             hits ^= bit
         basis[p] = row
         pivot_mask |= 1 << p
-    return tuple(pivots), tuple(basis[p] for p in pivots)
+    return tuple(pivots), tuple(basis[p] for p in pivots), tuple(dependent)
 
 
-def reduce_mask(mask: int, pivots: Sequence[int], rows: Sequence[int]) -> int:
-    """Reduce a row mask against an RREF basis; the result has no pivot bits."""
-    for p, row in zip(pivots, rows):
-        if (mask >> p) & 1:
-            mask ^= row
-    return mask
+class RowBasis(NamedTuple):
+    """The RREF of a matrix's rows, row k tagged by bit ``width + k``.
+
+    ``rows`` maps each pivot to its reduced row.  A row joins the basis
+    only when independent of the rows before it, so every tag lies in
+    that greedy basis, the pivot columns of the RREF of transpose(m): a
+    target's one expression in it is the pivot solution of
+    transpose(m) x = target.  ``kernel`` holds the dependent rows' tags:
+    row f plus its expression, the nullspace vector for free column f.
+    """
+
+    width: int
+    rows: dict[int, int]
+    kernel: tuple[int, ...]
+
+    @classmethod
+    def of(cls, rows: Iterable[int], width: int) -> "RowBasis":
+        tagged = (row | 1 << (width + k) for k, row in enumerate(rows))
+        pivots, reduced, dependent = rref_masks(tagged, width)
+        return cls(width, dict(zip(pivots, reduced)),
+                   tuple(row >> width for row in dependent))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def expression(self, target: int) -> int | None:
+        """Tag bits of the rows summing to target, or None.
+
+        A reduced row has no pivot bit but its own, so only the target's
+        own bits pick rows; what is left below ``width`` is outside.
+        """
+        rows = self.rows
+        rest = target
+        for p in set_bits(target):
+            rest ^= rows.get(p, 0)
+        return None if rest & ((1 << self.width) - 1) else rest >> self.width
 
 
 def rank(m: BitMatrix) -> int:
     """Rank of a matrix over GF(2)."""
-    pivots, _ = rref_masks(m.row_bits, m.cols)
-    return len(pivots)
+    return len(rref_masks(m.row_bits, m.cols)[0])
 
 
 def solve(a: BitMatrix, b: BitVector) -> BitVector | None:
@@ -215,22 +254,19 @@ def solve(a: BitMatrix, b: BitVector) -> BitVector | None:
         raise ValueError(f"dimension mismatch: {a.rows} equations, rhs of length {b.length}")
     aug_bit = 1 << a.cols
     work = [a.row_bits[i] | (aug_bit if (b.bits >> i) & 1 else 0) for i in range(a.rows)]
-    pivots, reduced = rref_masks(work, a.cols)
+    pivots, reduced, dependent = rref_masks(work, a.cols)
+    if any(dependent):  # a row reduced to 0 = 1
+        return None
     x = 0
     for p, row in zip(pivots, reduced):
         if row & aug_bit:
             x |= 1 << p
-    # rref_masks keeps only pivot rows, so detect "0 = 1" rows by checking
-    # the candidate against the original system.
-    for i in range(a.rows):
-        if ((a.row_bits[i] & x).bit_count() & 1) != ((b.bits >> i) & 1):
-            return None
     return BitVector(a.cols, x)
 
 
 def nullspace_basis(a: BitMatrix) -> list[BitVector]:
     """Deterministic basis of {x : a x = 0}, one vector per free column."""
-    pivots, reduced = rref_masks(a.row_bits, a.cols)
+    pivots, reduced, _ = rref_masks(a.row_bits, a.cols)
     return rref_nullspace(pivots, reduced, a.cols)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .gf2 import BitMatrix, BitVector, rank
+from .gf2 import BitMatrix, BitVector, RowBasis, set_bits
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
@@ -147,7 +147,7 @@ def _as_edges(edge_set: Iterable[int] | int, edge_count: int) -> list[int]:
     if type(edge_set) is int:
         if edge_set >> edge_count:
             raise IndexError("edge mask wider than the edge count")
-        return [e for e, bit in enumerate(reversed(bin(edge_set)[2:])) if bit == "1"]
+        return set_bits(edge_set)
     try:
         edges = list(edge_set)
     except TypeError:
@@ -204,10 +204,14 @@ def class_of(source: EmbeddingScheme | HomologyContext,
 
 
 class HomologyMatrix(NamedTuple):
-    """Rows are the homology classes of the link components."""
+    """Rows are the homology classes of the link components, with their row basis."""
 
     matrix: BitMatrix
-    rank: int
+    basis: RowBasis
+
+    @property
+    def rank(self) -> int:
+        return self.basis.rank
 
 
 def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
@@ -218,8 +222,8 @@ def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
         if _odd_crossings(ctx, comp.edges):
             raise RuntimeError("component trace is not a cycle")
         rows.append(_class_bits(ctx, comp.edges))
-    matrix = BitMatrix.from_bitrows(rows, ctx.h1_dim)
-    return HomologyMatrix(matrix, rank(matrix))
+    return HomologyMatrix(BitMatrix.from_bitrows(rows, ctx.h1_dim),
+                          RowBasis.of(rows, ctx.h1_dim))
 
 
 def homology_matrix(d: EmbeddingScheme) -> HomologyMatrix:

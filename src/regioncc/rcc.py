@@ -3,21 +3,23 @@
 Switching a region switches each crossing once per corner the region
 has there, so over GF(2) only corner parities matter.  The incidence
 matrix has one row per region and one column per crossing; every
-question below is linear algebra on it: which crossing sets are
-reachable (admissibility), which region sets do nothing (ineffective
-sets), how many genuinely different effects exist (class counting),
-and whether its rank matches the value predicted from the region
-count, component count, and the homology rank of the components.
+question below is answered by its tagged row basis, cached on the
+shadow: which crossing sets are reachable (admissibility, the
+expression of a target in the rows), which region sets do nothing
+(ineffective sets, the dependent rows), how many genuinely different
+effects exist (class counting), and whether its rank matches the value
+predicted from the region count, component count, and the homology
+rank of the components.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .gf2 import BitMatrix, BitVector, rref_masks, rref_nullspace
+from .gf2 import BitMatrix, BitVector, set_bits
 
 if TYPE_CHECKING:
-    from .scheme import EmbeddingScheme, Shadow
+    from .scheme import EmbeddingScheme
 
 __all__ = [
     "incidence_matrix",
@@ -32,67 +34,10 @@ __all__ = [
 ]
 
 
-def build_incidence(shadow: Shadow) -> BitMatrix:
-    """The incidence matrix of a shadow; Shadow.incidence caches it."""
-    rows = []
-    for region in shadow.faces.regions:
-        bits = 0
-        for v in region.corners:
-            bits ^= 1 << v
-        rows.append(bits)
-    return BitMatrix.from_bitrows(rows, shadow.crossing_count)
-
-
-class IncidenceFactor(NamedTuple):
-    """The reduced row echelon form of the transposed incidence matrix.
-
-    Row k of the RREF of Mᵀ has its pivot at region ``pivots[k]``;
-    ``rows[k]`` holds its region bits and ``transforms[k]`` the crossings
-    whose rows of Mᵀ were added up to make it.  Elimination looks only
-    at region bits, so eliminating [Mᵀ | b] would leave the bit
-    parity(transforms[k] & b) beside row k: the pivot solution of
-    Mᵀ x = b, and so every admissibility query, needs no new elimination.
-
-    The pivots and region bits are the unique RREF, but the transforms
-    depend on which row operations elimination happened to take.  That
-    does not reach the answers: when b = Mᵀ y is admissible, every valid
-    transform T, one with T Mᵀ = R for the rows R, gives
-    T b = T Mᵀ y = R y, the same bits, so the certificate is the one
-    pivot solution.  For any other b the candidate fails the switching
-    check in ``admissible``, whatever it is.
-    """
-
-    region_count: int
-    pivots: tuple[int, ...]
-    rows: tuple[int, ...]
-    transforms: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def build_factor(shadow: Shadow) -> IncidenceFactor:
-    """One elimination of Mᵀ; Shadow.incidence_factor caches it.
-
-    Crossing row i carries an identity bit at position r + i, beyond
-    the r region columns, which tracks the row operations.
-    """
-    regions = shadow.faces.regions
-    r = len(regions)
-    columns = [1 << (r + i) for i in range(shadow.crossing_count)]
-    for rid, region in enumerate(regions):
-        for v in region.corners:
-            columns[v] ^= 1 << rid
-    pivots, reduced = rref_masks(columns, r)
-    low = (1 << r) - 1
-    return IncidenceFactor(r, pivots, tuple(row & low for row in reduced),
-                           tuple(row >> r for row in reduced))
-
-
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
-    """Region-by-crossing matrix of corner parities over GF(2)."""
-    return d.shadow.incidence
+    """Region-by-crossing matrix of corner parities over GF(2), built on each call."""
+    return BitMatrix.from_bitrows([reg.corner_bits for reg in d.shadow.faces.regions],
+                                  d.crossing_count)
 
 
 class RankReport(NamedTuple):
@@ -151,11 +96,11 @@ def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
 
 
 def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
-    """Crossing bits switched by checked region indices: the XOR of their rows."""
-    rows = d.shadow.incidence.row_bits
+    """Crossing bits switched by checked region indices: their corners' parities."""
+    all_regions = d.shadow.faces.regions
     effect = 0
     for rid in regions:
-        effect ^= rows[rid]
+        effect ^= all_regions[rid].corner_bits
     return effect
 
 
@@ -164,21 +109,25 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
 
     The returned tuple is a sorted certificate: switching those regions
     flips precisely the requested crossings.  It is the pivot solution
-    read off the shadow's factorisation, and is checked by switching.
+    read off the shadow's row basis; a certificate that fails the
+    switching check raises RuntimeError.
     """
     target = 0
     for i in _index_set(crossings, d.crossing_count, "crossing"):
         target |= 1 << i
-    factor = d.shadow.incidence_factor
-    cert = tuple(p for p, t in zip(factor.pivots, factor.transforms)
-                 if (t & target).bit_count() & 1)
-    return cert if _switched(d, cert) == target else None
+    regions = d.shadow.incidence_factor.expression(target)
+    if regions is None:
+        return None
+    cert = tuple(set_bits(regions))
+    if _switched(d, cert) != target:
+        raise RuntimeError("region certificate does not switch the target crossings")
+    return cert
 
 
 def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
-    """Basis of the region sets whose combined switching does nothing."""
-    factor = d.shadow.incidence_factor
-    return rref_nullspace(factor.pivots, factor.rows, factor.region_count)
+    """Basis of the region sets whose switching does nothing: the row basis's kernel."""
+    r = d.shadow.faces.region_count
+    return [BitVector(r, bits) for bits in d.shadow.incidence_factor.kernel]
 
 
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .gf2 import BitMatrix
+from .gf2 import RowBasis
 from .homology import (HomologyContext, HomologyMatrix, build_context,
                        build_homology_matrix)
-from .rcc import IncidenceFactor, build_factor, build_incidence
 
 __all__ = [
     "DiagramFormatError",
@@ -193,6 +192,14 @@ class Region(NamedTuple):
         return tuple(counts)
 
     @property
+    def corner_bits(self) -> int:
+        """Bit v is the mod-2 number of corners at crossing v: an incidence row."""
+        bits = 0
+        for v in self.corners:
+            bits ^= 1 << v
+        return bits
+
+    @property
     def parity_bits(self) -> int:
         """Bit e is the mod-2 number of times the walk runs along edge e."""
         bits = 0
@@ -282,9 +289,19 @@ class Shadow:
         cover = self.cover
         sigma, theta, edge_of = cover.sigma, cover.theta, self.edge_of
         c = cover.base_crossings
+        # The cover laws: sigma(sigma(x ^ 1) ^ 1) == x, so x -> sigma(x) ^ 1
+        # is an involution, theta(theta(x)) == x and theta(x ^ 1) ==
+        # theta(x) ^ 1.  So sigma and theta are permutations, every walk of
+        # x -> sigma(theta(x)) closes, and the mirror x -> theta(x ^ 1) maps
+        # each face onto one, run backwards.
+        darts = list(range(cover.dart_count))
+        flipped = [y ^ 1 for y in sigma]
+        if ([flipped[y] for y in flipped] != darts or [theta[y] for y in theta] != darts
+                or list(theta[1::2]) != [y ^ 1 for y in theta[::2]]):
+            raise RuntimeError("cover breaks the deck laws")
         face_of = [-1] * cover.dart_count
         regions = []
-        for start in range(cover.dart_count):
+        for start in darts:
             if face_of[start] >= 0:
                 continue
             fid = 2 * len(regions)
@@ -294,21 +311,13 @@ class Shadow:
                 face_of[x] = fid
                 walk.append(x)
                 x = sigma[theta[x]]
-            if x != start:
-                raise RuntimeError("face walk did not close at its starting dart")
-            # The mirror x -> theta(x ^ 1) is the other lift run backwards:
-            # a fresh face as long as the walk, holding every mirror image.
-            mirror = y = theta[start ^ 1]
-            size = 0
+            # The other lift is the mirror face: fresh, unless it is this one.
+            y = theta[start ^ 1]
             while face_of[y] < 0:
                 face_of[y] = fid + 1
-                size += 1
                 y = sigma[theta[y]]
             if face_of[y] == fid:
                 raise RuntimeError(f"face {fid} meets its own mirror")
-            if (y != mirror or size != len(walk)
-                    or any(face_of[theta[x ^ 1]] != fid + 1 for x in walk)):
-                raise RuntimeError(f"face pairing is not well defined for face {fid}")
             regions.append(Region(tuple(x >> 3 for x in walk),
                                   tuple(edge_of[x >> 1] for x in walk), c))
         # An edge's sides are the faces of one cover edge's two darts.  The
@@ -357,12 +366,10 @@ class Shadow:
         return build_homology_matrix(self)
 
     @cached_property
-    def incidence(self) -> BitMatrix:
-        return build_incidence(self)
-
-    @cached_property
-    def incidence_factor(self) -> IncidenceFactor:
-        return build_factor(self)
+    def incidence_factor(self) -> RowBasis:
+        """The row basis of the incidence matrix: one row per region."""
+        return RowBasis.of((reg.corner_bits for reg in self.faces.regions),
+                           self.crossing_count)
 
 
 @dataclass(frozen=True, init=False)

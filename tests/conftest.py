@@ -15,7 +15,7 @@ from regioncc import (Edge, EmbeddingScheme, components, faces,
                       incidence_matrix, import_pd, orientation_double_cover,
                       random_diagram, surface_info, verify_rank_formula)
 from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
-                          reduce_mask, rref_nullspace, solve)
+                          rref_nullspace, solve)
 from regioncc.gf2 import rank as gf2_rank
 
 
@@ -270,6 +270,28 @@ def cyclic_pd(n: int) -> list[tuple[int, int, int, int]]:
             for i in range(1, n + 1)]
 
 
+def braid_pd(strands: int, length: int, seed: int) -> list[tuple[int, int, int, int]]:
+    """A random closed braid: a planar diagram with regions = crossings + 2.
+
+    Letter i takes the labels a = pos[i] and b = pos[i + 1] to two fresh
+    labels and adds the crossing (b, new(i + 1), new(i), a); the final
+    labels are then renamed to the starting ones.  The closure is
+    connected when every letter occurs.
+    """
+    rng = random.Random(seed)
+    pos = list(range(1, strands + 1))
+    fresh = strands
+    code = []
+    for _ in range(length):
+        i = rng.randrange(strands - 1)
+        a, b = pos[i], pos[i + 1]
+        pos[i], pos[i + 1] = fresh + 1, fresh + 2
+        fresh += 2
+        code.append((b, pos[i + 1], pos[i], a))
+    rename = dict(zip(pos, range(1, strands + 1)))
+    return [tuple(rename.get(label, label) for label in x) for x in code]
+
+
 def planar_knot_pds() -> list[list[tuple[int, int, int, int]]]:
     codes = []
     for n in range(3, 23, 2):
@@ -505,6 +527,14 @@ def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if top == len(work):
             break
     return tuple(pivots), tuple(work[:top])
+
+
+def reduce_mask(mask: int, pivots, rows) -> int:
+    """Reduce a row mask against an RREF basis; the result has no pivot bits."""
+    for p, row in zip(pivots, rows):
+        if (mask >> p) & 1:
+            mask ^= row
+    return mask
 
 
 def dense_edge_sides(d: EmbeddingScheme) -> list[tuple[int, int]]:

@@ -7,11 +7,13 @@ import sys
 
 import pytest
 
-from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, make_curl, make_rp2curl,
-                      make_torus11, violation_document)
-from regioncc import (bicoloring, import_pd, parse_diagram, phi_class,
-                      random_diagram, serialize_diagram)
-from regioncc.cli import main
+from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd, make_curl,
+                      make_rp2curl, make_torus11, violation_document)
+from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
+                      import_pd, parse_diagram, phi_class, random_diagram,
+                      serialize_diagram)
+from regioncc.cli import _load, main
+from regioncc.gf2 import set_bits
 
 
 @pytest.fixture
@@ -357,6 +359,70 @@ class TestExitCodes:
             err = child.stderr.read()
         assert child.wait() == 1
         assert err == b""
+
+
+class TestCorruptedBases:
+    """A cached row basis that answers wrongly never reaches stdout.
+
+    On the 4-crossing torus, crossings {0, 1} are admissible and their
+    base bi-coloring has class 10, so both bases take part.  A wrong yes
+    flips a tag bit of the row at the target's least pivot; a wrong no
+    drops that row.  The bicolor command reads the incidence basis only
+    to check a no, so it is run against the homology basis only.
+    """
+
+    TARGET = [0, 1]
+
+    @staticmethod
+    def corrupt(d, route: str, kind: str) -> None:
+        if route == "incidence":
+            attr, basis = "incidence_factor", d.shadow.incidence_factor
+            target = sum(1 << i for i in TestCorruptedBases.TARGET)
+        else:
+            attr, basis = "homology_matrix", d.shadow.homology_matrix.basis
+            target = phi_class(d, bicoloring(d, TestCorruptedBases.TARGET)).bits
+        p = min(p for p in set_bits(target) if p in basis.rows)
+        rows = dict(basis.rows)
+        if kind == "wrong_yes":
+            tags = rows[p] >> basis.width
+            rows[p] ^= (tags & -tags) << basis.width
+        else:
+            del rows[p]
+        basis = basis._replace(rows=rows)
+        if route == "homology":
+            basis = d.shadow.homology_matrix._replace(basis=basis)
+        d.shadow.__dict__[attr] = basis
+
+    @pytest.fixture
+    def torus4_file(self, tmp_path):
+        path = tmp_path / "torus4.json"
+        path.write_text(serialize_diagram(import_pd(cyclic_pd(4))) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["wrong_yes", "wrong_no"])
+    @pytest.mark.parametrize("route", ["incidence", "homology"])
+    def test_commands_exit_4(self, capsys, monkeypatch, torus4_file, route, kind):
+        def corrupted_load(path):
+            d = _load(path)
+            self.corrupt(d, route, kind)
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        commands = ["admissible"] + (["bicolor"] if route == "homology" else [])
+        for command in commands:
+            code, out, err = run(capsys, command, torus4_file, "-c", "0,1")
+            assert (code, out) == (4, "")
+            assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("route", ["incidence", "homology"])
+    def test_library_raises_on_a_wrong_yes(self, route):
+        d = import_pd(cyclic_pd(4))
+        assert admissible(d, self.TARGET) is not None
+        assert admissible_by_bicoloring(d, self.TARGET)[0]
+        self.corrupt(d, route, "wrong_yes")
+        query = admissible if route == "incidence" else admissible_by_bicoloring
+        with pytest.raises(RuntimeError):
+            query(d, self.TARGET)
 
 
 class TestStdinAndScript:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import (cyclic_pd, dense_admissible, dense_bicoloring,
+from conftest import (braid_pd, cyclic_pd, dense_admissible, dense_bicoloring,
                       dense_context, dense_ineffective, even_target,
                       make_curl, make_rp2curl, make_torus11, random_suite)
 from regioncc import (admissible, bicoloring, class_of, components,
@@ -85,6 +85,27 @@ def test_factorisation_matches_dense_eliminations(index):
     moved = d.with_overs(o ^ rng.randrange(2) for o in d.overs)
     diff = [i for i, (a, b) in enumerate(zip(d.overs, moved.overs)) if a != b]
     assert rcc_equivalent(d, moved) == dense_admissible(d, diff)
+
+
+BRAIDS = [import_pd(braid_pd(8, n, seed)) for seed, n in enumerate((50, 100, 150, 200))]
+
+
+@pytest.mark.parametrize("index", range(len(BRAIDS)))
+def test_factorisation_matches_dense_eliminations_on_braids(index):
+    d = BRAIDS[index]
+    # Every crossing meets four distinct regions, which the random and
+    # torus families above do not guarantee.
+    meets = [set() for _ in range(d.crossing_count)]
+    for rid, region in enumerate(faces(d).regions):
+        for v in region.corners:
+            meets[v].add(rid)
+    assert all(len(m) == 4 for m in meets)
+    rng = random.Random(300 + index)
+    m = incidence_matrix(d)
+    assert d.shadow.incidence_factor.rank == rank(m)
+    for target in targets(d, rng):
+        assert admissible(d, target) == dense_admissible(d, target)
+    assert ineffective_basis(d) == dense_ineffective(d)
 
 
 def tree_cycles(d) -> list[int]:

@@ -8,8 +8,8 @@ from conftest import (KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       KLEIN_2COMP_RANKS, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS, as_matrix,
                       brute_rank, dense_rref, row_span)
-from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
-                          rank, rref_masks, solve)
+from regioncc.gf2 import (BitMatrix, BitVector, RowBasis, in_rowspace,
+                          nullspace_basis, rank, rref_masks, solve)
 
 
 @st.composite
@@ -33,6 +33,23 @@ def row_masks(draw, max_rows=8, max_cols=8, max_extra=4):
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     rows += [0] * draw(st.integers(0, 2))
     return draw(st.permutations(rows)), cols
+
+
+@st.composite
+def dependent_matrices(draw, max_rows=8, max_cols=8):
+    """Matrices with dependent rows: sums of earlier or later rows, zero
+    rows among them, inserted anywhere."""
+    cols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1,
+                         max_size=max_rows))
+    for _ in range(draw(st.integers(1, 3))):
+        picks = draw(st.integers(0, (1 << len(rows)) - 1))
+        combo = 0
+        for i, row in enumerate(rows):
+            if (picks >> i) & 1:
+                combo ^= row
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return BitMatrix.from_bitrows(rows, cols)
 
 
 class TestBitVector:
@@ -173,7 +190,7 @@ def test_in_rowspace_absence(m, bits):
 @given(row_masks())
 def test_rref_masks_matches_column_scan(case):
     masks, cols = case
-    pivots, rows = rref_masks(masks, cols)
+    pivots, rows, dependent = rref_masks(masks, cols)
     dense_pivots, dense_rows = dense_rref(masks, cols)
     low = (1 << cols) - 1
     assert pivots == dense_pivots
@@ -183,3 +200,34 @@ def test_rref_masks_matches_column_scan(case):
     # Bits past cols record row operations: every row is a sum of inputs.
     span = row_span(masks)
     assert all(row in span for row in rows)
+    # Every input row is a pivot row or reduces to nothing below cols.
+    assert len(dependent) == len(masks) - len(pivots)
+    assert all(row & low == 0 for row in dependent)
+    assert all(row in span for row in dependent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_matrices(), st.integers(0, (1 << 12) - 1))
+def test_row_basis_expression_is_the_dense_pivot_solution(m, picks):
+    basis = RowBasis.of(m.row_bits, m.cols)
+    image = 0
+    for i, row in enumerate(m.row_bits):
+        if (picks >> i) & 1:
+            image ^= row
+    for target in (image, picks & ((1 << m.cols) - 1)):
+        dense = in_rowspace(m, BitVector(m.cols, target))
+        assert basis.expression(target) == (None if dense is None else dense.bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_matrices())
+def test_row_basis_kernel_is_the_dense_nullspace(m):
+    basis = RowBasis.of(m.row_bits, m.cols)
+    assert [BitVector(m.rows, bits) for bits in basis.kernel] \
+        == nullspace_basis(m.transpose())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_matrices())
+def test_row_basis_rank_is_the_dense_rank(m):
+    assert RowBasis.of(m.row_bits, m.cols).rank == rank(m)

@@ -115,9 +115,10 @@ def _record_docs():
 def _targets(d, rng: random.Random) -> list[list[int]]:
     """An admissible set, a random set and, when one turns up, a set with
     bi-colorings that all have nonzero class."""
-    from regioncc import admissible, admissible_by_bicoloring, bicoloring
+    from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
+                          incidence_matrix)
     c = d.crossing_count
-    m = d.shadow.incidence
+    m = incidence_matrix(d)
     effect = 0
     for bits in m.row_bits:
         if rng.random() < 0.5:

@@ -126,3 +126,20 @@ def test_tables_linear_at_8000_crossings(family):
     # A length-c tuple or a c-bit mask per region would take 500 MB here.
     assert peak <= 64 * 2**20
     assert verify_rank_formula(d).holds
+
+
+@pytest.mark.parametrize("family, bound_mib", [("torus", 40), ("genus", 1)])
+def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
+    d = make(family, 8000)
+    shadow = d.shadow
+    shadow.faces
+    shadow.homology_matrix
+    tracemalloc.start()
+    try:
+        shadow.incidence_factor
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The tagged rows are c + r bits wide; a dense transform per pivot
+    # beside them would take more than the torus bound.
+    assert peak <= bound_mib * 2**20

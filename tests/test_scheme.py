@@ -12,8 +12,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
                       SCHEME_VIOLATIONS, VALIDATE_VIOLATIONS,
                       base_region_count, cover_face_count, cyclic_pd,
-                      invariant_profile, monodromy_orientable, random_suite,
-                      relabeled)
+                      invariant_profile, make_torus11, monodromy_orientable,
+                      random_suite, relabeled)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -235,6 +235,24 @@ class TestFaces:
                                                     theta=tuple(theta))
         with pytest.raises(RuntimeError):
             faces(d)
+
+    @pytest.mark.parametrize("kind", ["sheet1_runs_forwards", "theta_breaks_deck"])
+    def test_cover_breaking_the_deck_laws_is_caught(self, kind):
+        for d in [make_torus11()] + random_suite(60, 1, 8, (0.0, 0.5, 1.0), seed=1):
+            cover = d.shadow.cover
+            sigma, theta = list(cover.sigma), list(cover.theta)
+            if kind == "sheet1_runs_forwards":
+                sigma[1::2] = [x + 1 for x in sigma[0::2]]
+            else:
+                # Swap the sheet-0 lifts of two edges; sheet 1 keeps the old pairs.
+                x1, y1 = 0, theta[0]
+                x2 = next(x for x in range(0, len(theta), 2) if x not in (x1, y1))
+                y2 = theta[x2]
+                theta[x1], theta[y2], theta[x2], theta[y1] = y2, x1, y1, x2
+            d.shadow.__dict__["cover"] = cover._replace(sigma=tuple(sigma),
+                                                        theta=tuple(theta))
+            with pytest.raises(RuntimeError):
+                faces(d)
 
     def test_corner_and_parity_bookkeeping(self):
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=6):
