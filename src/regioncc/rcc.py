@@ -14,6 +14,8 @@ rank of the components.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .gf2 import BitMatrix, BitVector, set_bits
@@ -95,13 +97,31 @@ def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
     return chosen
 
 
-def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
-    """Crossing bits switched by checked region indices: their corners' parities."""
+def _flags(indices: Iterable[int], count: int) -> bytearray:
+    """Byte i is the parity of i's count among the indices (all in range(count)).
+
+    A byte per index, not a bit of a growing int: XOR-ing ``1 << i``
+    into an int copies all of it each time.
+    """
+    flags = bytearray(count)
+    for i in indices:
+        flags[i] ^= 1
+    return flags
+
+
+def _mask(indices: set[int], count: int) -> int:
+    """The int with bit i set for each index: packed bytes, made an int once."""
+    packed = bytearray((count + 7) >> 3)
+    for i in indices:
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> bytearray:
+    """Crossing flags switched by checked region indices: their corners' parities."""
     all_regions = d.shadow.faces.regions
-    effect = 0
-    for rid in regions:
-        effect ^= all_regions[rid].corner_bits
-    return effect
+    return _flags(chain.from_iterable(all_regions[rid].corners for rid in regions),
+                  d.crossing_count)
 
 
 def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] | None:
@@ -112,14 +132,13 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     read off the shadow's row basis; a certificate that fails the
     switching check raises RuntimeError.
     """
-    target = 0
-    for i in _index_set(crossings, d.crossing_count, "crossing"):
-        target |= 1 << i
-    regions = d.shadow.incidence_factor.expression(target)
+    c = d.crossing_count
+    chosen = _index_set(crossings, c, "crossing")
+    regions = d.shadow.incidence_factor.expression(_mask(chosen, c))
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
-    if _switched(d, cert) != target:
+    if _switched(d, cert) != _flags(chosen, c):
         raise RuntimeError("region certificate does not switch the target crossings")
     return cert
 
@@ -133,9 +152,7 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
-    effect = _switched(d, chosen)
-    overs = tuple(o ^ ((effect >> i) & 1) for i, o in enumerate(d.overs))
-    return d.with_overs(overs)
+    return d.with_overs(map(xor, d.overs, _switched(d, chosen)))
 
 
 def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] | None:
@@ -181,6 +198,6 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
                 elif colors[v] == colors[u]:
                     return None
     for color in (0, 1):
-        if _switched(d, [rid for rid, c in enumerate(colors) if c == color]):
+        if any(_switched(d, [rid for rid, c in enumerate(colors) if c == color])):
             raise RuntimeError("checkerboard color class is not ineffective")
     return tuple(colors)

@@ -104,7 +104,16 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
         except (TypeError, ValueError):
             found.append(f"edge {j}: must be ((dart, dart), sign)")
             continue
-        checked.append(Edge((a, b), sign))
+        # Edge.__new__ does just this, in one more Python call.
+        checked.append(tuple.__new__(Edge, ((a, b), sign)))
+        if (type(a) is int and type(b) is int and type(sign) is int
+                and (sign == 1 or sign == -1) and a != b
+                and 0 <= a < n_darts and 0 <= b < n_darts
+                and edge_of[a] < 0 and edge_of[b] < 0):
+            edge_of[a] = edge_of[b] = j
+            theta[a], theta[b] = b, a
+            continue
+        # Some check fails: name each fault of the edge, in order.
         if sign not in (1, -1) or type(sign) is not int:
             found.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
@@ -129,13 +138,15 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
         stack = [0]
         while stack:
             v = stack.pop()
+            sv = sheet[v]
             for d in range(4 * v, 4 * v + 4):
                 w = theta[d] >> 2
-                s = sheet[v] ^ flips[edge_of[d]]
-                if sheet[w] < 0:
+                s = sv ^ flips[edge_of[d]]
+                sw = sheet[w]
+                if sw < 0:
                     sheet[w] = s
                     stack.append(w)
-                elif sheet[w] != s:
+                elif sw != s:
                     orientable = False
         if -1 in sheet:
             found.append("diagram is disconnected")
@@ -450,6 +461,10 @@ def _on_shadow(overs: tuple[int, ...], shadow: Shadow) -> EmbeddingScheme:
     return d
 
 
+def _rotation_violation(i: int) -> str:
+    return f"crossing {i}: rotation must be {[4 * i + k for k in range(4)]}"
+
+
 def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
     """Check raw diagram data and build a scheme.
 
@@ -469,7 +484,7 @@ def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
         except (TypeError, ValueError):
             fits = False
         if not fits:
-            problems.append(f"crossing {i}: rotation must be {expected}")
+            problems.append(_rotation_violation(i))
         overs.append(over)
     overs = tuple(overs)
     return _on_shadow(overs, _structural_violations(overs, tuple(edges), problems))
@@ -554,17 +569,23 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
     return EmbeddingScheme((1,) * len(code), edges)
 
 
-def _require_keys(obj: dict, keys: set[str], what: str) -> None:
-    if set(obj) != keys:
-        raise DiagramFormatError(
-            f"{what} must have exactly the keys {sorted(keys)}, got {sorted(obj)}")
+_DOCUMENT_KEYS = {"crossings", "edges"}
+_CROSSING_KEYS = {"rotation", "over"}
+_EDGE_KEYS = {"darts", "sign"}
+
+
+def _key_error(obj: dict, keys: set[str], what: str) -> DiagramFormatError:
+    return DiagramFormatError(
+        f"{what} must have exactly the keys {sorted(keys)}, got {sorted(obj)}")
 
 
 def _decode_json(text: str):
     """The JSON value of a document; DiagramFormatError if it is not JSON."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers JSONDecodeError and an integer longer than
+        # the interpreter's int-string limit.
         raise DiagramFormatError(f"invalid JSON: {err}") from None
 
 
@@ -575,52 +596,77 @@ def parse_diagram(text: str) -> EmbeddingScheme:
       {"crossings": [{"rotation": [...], "over": 0|1}, ...],
        "edges": [{"darts": [a, b], "sign": 1|-1}, ...]}
     or {"pd": [[a, b, c, d], ...]}.
+    A wrong shape, key set or value type raises DiagramFormatError at
+    the first entry that has one.  Otherwise the rotations are checked
+    in the same pass and the rest by the structural check, and
+    InvalidDiagramError lists every violation, as ``validate`` would.
     """
     doc = _decode_json(text)
     if not isinstance(doc, dict):
         raise DiagramFormatError("top-level document must be an object")
-    if set(doc) == {"pd"}:
+    if doc.keys() == {"pd"}:
         return import_pd(doc["pd"])
-    _require_keys(doc, {"crossings", "edges"}, "diagram document")
-    if not isinstance(doc["crossings"], list) or not isinstance(doc["edges"], list):
+    if doc.keys() != _DOCUMENT_KEYS:
+        raise _key_error(doc, _DOCUMENT_KEYS, "diagram document")
+    crossings, edges = doc["crossings"], doc["edges"]
+    if not isinstance(crossings, list) or not isinstance(edges, list):
         raise DiagramFormatError("crossings and edges must be lists")
-    raw_crossings = []
-    for i, entry in enumerate(doc["crossings"]):
+    problems = []
+    overs = []
+    for i, entry in enumerate(crossings):
         if not isinstance(entry, dict):
             raise DiagramFormatError(f"crossing {i} must be an object")
-        _require_keys(entry, {"rotation", "over"}, f"crossing {i}")
+        if entry.keys() != _CROSSING_KEYS:
+            raise _key_error(entry, _CROSSING_KEYS, f"crossing {i}")
         rot = entry["rotation"]
-        if (not isinstance(rot, list) or len(rot) != 4
-                or not all(type(x) is int for x in rot)):
+        if not isinstance(rot, list) or len(rot) != 4:
             raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
-        if type(entry["over"]) is not int:
+        r0, r1, r2, r3 = rot
+        if not (type(r0) is int and type(r1) is int and type(r2) is int
+                and type(r3) is int):
+            raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
+        over = entry["over"]
+        if type(over) is not int:
             raise DiagramFormatError(f"crossing {i}: over must be an integer")
-        raw_crossings.append((rot, entry["over"]))
-    raw_edges = []
-    for j, entry in enumerate(doc["edges"]):
+        base = 4 * i
+        if r0 != base or r1 != base + 1 or r2 != base + 2 or r3 != base + 3:
+            problems.append(_rotation_violation(i))
+        overs.append(over)
+    pairs = []
+    for j, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise DiagramFormatError(f"edge {j} must be an object")
-        _require_keys(entry, {"darts", "sign"}, f"edge {j}")
+        if entry.keys() != _EDGE_KEYS:
+            raise _key_error(entry, _EDGE_KEYS, f"edge {j}")
         darts = entry["darts"]
-        if (not isinstance(darts, list) or len(darts) != 2
-                or not all(type(x) is int for x in darts)):
+        if not isinstance(darts, list) or len(darts) != 2:
             raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
-        if type(entry["sign"]) is not int:
+        a, b = darts
+        if type(a) is not int or type(b) is not int:
+            raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
+        sign = entry["sign"]
+        if type(sign) is not int:
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
-        raw_edges.append(((darts[0], darts[1]), entry["sign"]))
-    return validate(raw_crossings, raw_edges)
+        pairs.append(((a, b), sign))
+    overs = tuple(overs)
+    return _on_shadow(overs, _structural_violations(overs, pairs, problems))
+
+
+# The layout json.dumps(doc, indent=2) gives, written directly: with an
+# indent the standard library runs its pure-Python encoder.
+_CROSSING_TEXT = ('    {\n      "rotation": [\n        %d,\n        %d,\n        %d,\n'
+                  '        %d\n      ],\n      "over": %d\n    }')
+_EDGE_TEXT = '    {\n      "darts": [\n        %d,\n        %d\n      ],\n      "sign": %d\n    }'
 
 
 def serialize_diagram(d: EmbeddingScheme) -> str:
-    """Serialize a scheme; the output parses back to an equal scheme."""
-    doc = {
-        "crossings": [
-            {"rotation": [4 * i + k for k in range(4)], "over": d.overs[i]}
-            for i in range(d.crossing_count)
-        ],
-        "edges": [
-            {"darts": [e.darts[0], e.darts[1]], "sign": e.sign}
-            for e in d.edges
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """Serialize a scheme; the output parses back to an equal scheme.
+
+    The text is that of ``json.dumps(doc, indent=2)``, with ``doc`` the
+    crossings-and-edges document.
+    """
+    crossings = ",\n".join([_CROSSING_TEXT % (4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3, over)
+                            for i, over in enumerate(d.overs)])
+    edges = ",\n".join([_EDGE_TEXT % (a, b, sign) for (a, b), sign in d.edges])
+    return ('{\n  "crossings": [\n' + crossings + '\n  ],\n  "edges": [\n'
+            + edges + '\n  ]\n}')

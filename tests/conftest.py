@@ -7,16 +7,19 @@ Frozen values were derived by hand before the implementation existed.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from regioncc import (Edge, EmbeddingScheme, components, faces,
-                      incidence_matrix, import_pd, orientation_double_cover,
-                      random_diagram, surface_info, verify_rank_formula)
+from regioncc import (DiagramFormatError, Edge, EmbeddingScheme, components,
+                      faces, incidence_matrix, import_pd,
+                      orientation_double_cover, random_diagram, surface_info,
+                      validate, verify_rank_formula)
 from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
                           rref_nullspace, solve)
 from regioncc.gf2 import rank as gf2_rank
+from regioncc.scheme import _decode_json
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,109 @@ def violation_document(crossings, edges) -> dict:
     """The diagram document holding ``validate``'s raw data."""
     return {"crossings": [{"rotation": rot, "over": over} for rot, over in crossings],
             "edges": [{"darts": list(darts), "sign": sign} for darts, sign in edges]}
+
+
+# ---------------------------------------------------------------------------
+# Document oracles.  The reference parser checks each entry's keys and
+# types, then hands raw tuples to ``validate``, which checks the
+# rotations again; the reference writer is the standard library's
+# indented encoder.  ``parse_diagram`` and ``serialize_diagram`` must
+# match them exactly: result, exception class and message, and bytes.
+
+def _require_keys(obj: dict, keys: set[str], what: str) -> None:
+    if set(obj) != keys:
+        raise DiagramFormatError(
+            f"{what} must have exactly the keys {sorted(keys)}, got {sorted(obj)}")
+
+
+def reference_parse_diagram(text: str) -> EmbeddingScheme:
+    """Parse a diagram document (strict; unknown keys are rejected).
+
+    Two top-level shapes are accepted:
+      {"crossings": [{"rotation": [...], "over": 0|1}, ...],
+       "edges": [{"darts": [a, b], "sign": 1|-1}, ...]}
+    or {"pd": [[a, b, c, d], ...]}.
+    """
+    doc = _decode_json(text)
+    if not isinstance(doc, dict):
+        raise DiagramFormatError("top-level document must be an object")
+    if set(doc) == {"pd"}:
+        return import_pd(doc["pd"])
+    _require_keys(doc, {"crossings", "edges"}, "diagram document")
+    if not isinstance(doc["crossings"], list) or not isinstance(doc["edges"], list):
+        raise DiagramFormatError("crossings and edges must be lists")
+    raw_crossings = []
+    for i, entry in enumerate(doc["crossings"]):
+        if not isinstance(entry, dict):
+            raise DiagramFormatError(f"crossing {i} must be an object")
+        _require_keys(entry, {"rotation", "over"}, f"crossing {i}")
+        rot = entry["rotation"]
+        if (not isinstance(rot, list) or len(rot) != 4
+                or not all(type(x) is int for x in rot)):
+            raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
+        if type(entry["over"]) is not int:
+            raise DiagramFormatError(f"crossing {i}: over must be an integer")
+        raw_crossings.append((rot, entry["over"]))
+    raw_edges = []
+    for j, entry in enumerate(doc["edges"]):
+        if not isinstance(entry, dict):
+            raise DiagramFormatError(f"edge {j} must be an object")
+        _require_keys(entry, {"darts", "sign"}, f"edge {j}")
+        darts = entry["darts"]
+        if (not isinstance(darts, list) or len(darts) != 2
+                or not all(type(x) is int for x in darts)):
+            raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
+        if type(entry["sign"]) is not int:
+            raise DiagramFormatError(f"edge {j}: sign must be an integer")
+        raw_edges.append(((darts[0], darts[1]), entry["sign"]))
+    return validate(raw_crossings, raw_edges)
+
+
+def reference_serialize_diagram(d: EmbeddingScheme) -> str:
+    """Serialize a scheme; the output parses back to an equal scheme."""
+    doc = {
+        "crossings": [
+            {"rotation": [4 * i + k for k in range(4)], "over": d.overs[i]}
+            for i in range(d.crossing_count)
+        ],
+        "edges": [
+            {"darts": [e.darts[0], e.darts[1]], "sign": e.sign}
+            for e in d.edges
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def parse_outcome(parse, text: str):
+    """What a parser makes of a document: the checked diagram's fields, or
+    the exception's class and message."""
+    try:
+        d = parse(text)
+    except Exception as err:  # the class is part of the outcome
+        return type(err), str(err), getattr(err, "violations", None)
+    shadow = d.shadow
+    return (d.overs, tuple(map(type, d.edges)), d.edges, shadow.theta,
+            shadow.edge_of, shadow.orientable)
+
+
+def json_shaped(table) -> dict:
+    """The entries of a violation table that make a diagram document."""
+    docs = {}
+    for name, (crossings, edges, _) in table.items():
+        try:
+            docs[name] = violation_document(crossings, edges)
+        except (TypeError, ValueError):
+            continue
+    return docs
+
+
+def shift_switched(d: EmbeddingScheme, regions) -> int:
+    """Crossing bits switched by the regions, one shifted row per region."""
+    all_regions = d.shadow.faces.regions
+    effect = 0
+    for rid in regions:
+        effect ^= all_regions[rid].corner_bits
+    return effect
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,39 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: cannot read -: not UTF-8 (invalid start byte)\n"
 
+    LONG = "9" * 4301
+    # Per shape: the document, and the exit code and stderr of a parse
+    # with no int-string limit.
+    LONG_DOCUMENTS = {
+        "pd": ('{"pd": [[%s, 1, 2, 2]]}' % LONG,
+               2, f"error: pd labels occurring once: 1, {LONG}\n"),
+        "crossings": ('{"crossings": [{"rotation": [0, 1, 2, 3], "over": %s}],'
+                      ' "edges": [{"darts": [0, 1], "sign": 1},'
+                      ' {"darts": [2, 3], "sign": 1}]}' % LONG,
+                      3, "invalid diagram: crossing 0: over flag must be 0 or 1\n"),
+    }
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["default-limit", "no-limit"])
+    @pytest.mark.parametrize("command, shape", [("info", "pd"), ("import-pd", "pd"),
+                                                ("info", "crossings")])
+    def test_integer_beyond_the_digit_limit(self, capsys, monkeypatch, command, shape,
+                                            lift):
+        text, code, err = self.LONG_DOCUMENTS[shape]
+        # Interpreters before the int-string limit parse any length.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < len(self.LONG) and not lift:
+            with pytest.raises(ValueError) as info:
+                int(self.LONG)
+            code, err = 2, f"error: invalid JSON: {info.value}\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        if limit and lift:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert run(capsys, command, "-") == (code, "", err)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["admissible"])

@@ -1,10 +1,12 @@
-"""Mutated diagram documents through the command line.
+"""Mutated diagram documents through the command line and the parser.
 
 Every document must get an answer (exit 0), a one-line format error
 (exit 2) or a one-line invalid-diagram error (exit 3); no exception may
-escape ``cli.main``.  Documents start valid and take up to three
-mutations: a dropped or duplicated key, a swapped or out-of-range
-integer, a bool or a float in place of an integer, a truncated list.
+escape ``cli.main``.  ``parse_diagram`` must make of every document
+what the reference parser makes of it.  Documents start valid and take
+up to three mutations: a dropped or duplicated key, a swapped or
+out-of-range integer, a bool or a float in place of an integer, a
+truncated list, a non-object in place of an object.
 """
 
 import contextlib
@@ -15,8 +17,9 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TREFOIL_PD, make_curl, make_rp2curl, make_torus11
-from regioncc import import_pd, random_diagram, serialize_diagram
+from conftest import (TREFOIL_PD, make_curl, make_rp2curl, make_torus11,
+                      parse_outcome, reference_parse_diagram)
+from regioncc import import_pd, parse_diagram, random_diagram, serialize_diagram
 from regioncc.cli import main
 
 
@@ -72,8 +75,15 @@ def slots(node, out):
 
 def mutate(tree, data) -> None:
     kind = data.draw(st.sampled_from(
-        ["drop", "duplicate", "truncate", "swap", "range", "bool", "float"]))
+        ["drop", "duplicate", "truncate", "swap", "range", "bool", "float",
+         "nonobject"]))
     below = slots(tree, [])
+    if kind == "nonobject":
+        objects = [s for s in below if isinstance(get(s), Obj)]
+        if objects:
+            put(data.draw(st.sampled_from(objects)),
+                data.draw(st.sampled_from([None, 0, "x", [], [0, 1]])))
+        return
     if kind in ("drop", "duplicate", "truncate"):
         kinds = Obj if kind != "truncate" else list
         pool = [v for v in [tree] + [get(s) for s in below]
@@ -128,3 +138,13 @@ def test_mutated_documents_exit_cleanly(seed, rounds, argv, data):
     for _ in range(rounds):
         mutate(tree, data)
     assert run_main(argv, dump(tree)) in (0, 2, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SEEDS), st.integers(0, 3), st.data())
+def test_parse_matches_the_reference_parser(seed, rounds, data):
+    tree = to_tree(json.loads(seed))
+    for _ in range(rounds):
+        mutate(tree, data)
+    text = dump(tree)
+    assert parse_outcome(parse_diagram, text) == parse_outcome(reference_parse_diagram, text)

@@ -9,14 +9,16 @@ from conftest import (CHAIN3_PD, FIXTURE_MAKERS, FIXTURE_PROFILES, HOPF_PD,
                       KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_SHAPE, as_matrix,
-                      brute_admissible, brute_rank, dense_edge_sides,
-                      random_suite, row_span)
+                      brute_admissible, brute_rank, cyclic_pd,
+                      dense_edge_sides, random_suite, row_span,
+                      shift_switched)
 from regioncc import (Edge, EmbeddingScheme, R2Spec, admissible, apply_rcc,
                       checkerboard, components, count_classes, faces,
                       import_pd, incidence_matrix, ineffective_basis,
-                      poke_sites, rcc_equivalent, reidemeister_two,
-                      surface_info, switch_crossing, verify_rank_formula)
-from regioncc.gf2 import BitMatrix, BitVector, rank
+                      poke_sites, random_diagram, rcc_equivalent,
+                      reidemeister_two, surface_info, switch_crossing,
+                      verify_rank_formula)
+from regioncc.gf2 import BitMatrix, BitVector, rank, set_bits
 
 
 class TestIncidenceMatrix:
@@ -294,6 +296,34 @@ class TestApply:
             regions = [rid for rid in range(faces(d).region_count)
                        if rng.random() < 0.5]
             assert apply_rcc(apply_rcc(d, regions), regions) == d
+
+
+class TestLargeSets:
+    """Switch effects and targets on thousands of crossings, against
+    rows built by shifting one bit per corner."""
+
+    @pytest.mark.parametrize("make", [lambda: random_diagram(2400, 0.5, seed=1),
+                                      lambda: random_diagram(2000, 0.5, seed=2),
+                                      lambda: import_pd(cyclic_pd(2000))],
+                             ids=["genus2400", "genus2000", "torus2000"])
+    def test_effects_and_targets_match_the_shift_loop(self, make):
+        d = make()
+        rng = random.Random(d.crossing_count)
+        c, r = d.crossing_count, faces(d).region_count
+        for share in (0.5, 0.9):
+            regions = [rid for rid in range(r) if rng.random() < share]
+            effect = shift_switched(d, regions)
+            assert apply_rcc(d, regions).overs == tuple(
+                o ^ ((effect >> i) & 1) for i, o in enumerate(d.overs))
+            cert = admissible(d, set_bits(effect))
+            assert cert is not None and shift_switched(d, cert) == effect
+            target = [i for i in range(c) if rng.random() < share]
+            want = sum(1 << i for i in target)
+            cert = admissible(d, target)
+            if cert is None:
+                assert d.shadow.incidence_factor.expression(want) is None
+            else:
+                assert shift_switched(d, cert) == want
 
 
 class TestEquivalent:

@@ -12,8 +12,10 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
                       SCHEME_VIOLATIONS, VALIDATE_VIOLATIONS,
                       base_region_count, cover_face_count, cyclic_pd,
-                      invariant_profile, make_torus11, monodromy_orientable,
-                      random_suite, relabeled)
+                      invariant_profile, json_shaped, make_torus11,
+                      monodromy_orientable, parse_outcome, random_suite,
+                      reference_parse_diagram, reference_serialize_diagram,
+                      relabeled)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -42,6 +44,11 @@ class TestValidation:
     def test_duplicate_dart(self):
         with pytest.raises(InvalidDiagramError, match="appears in edges"):
             EmbeddingScheme((0,), (Edge((0, 1), 1), Edge((1, 3), 1)))
+
+    def test_duplicate_second_dart(self):
+        with pytest.raises(InvalidDiagramError) as info:
+            EmbeddingScheme((0,), (Edge((0, 1), 1), Edge((3, 1), 1)))
+        assert info.value.violations == ["dart 1 appears in edges 0 and 1"]
 
     def test_dart_out_of_range(self):
         with pytest.raises(InvalidDiagramError, match="out of range"):
@@ -363,6 +370,25 @@ class TestDocuments:
     def test_round_trip_random(self):
         for d in random_suite(20, 1, 6, (0.0, 0.5), seed=10):
             assert parse_diagram(serialize_diagram(d)) == d
+
+    def test_serialized_bytes_match_the_indented_encoder(self):
+        suite = (random_suite(30, 1, 1, (0.0, 0.5, 1.0), seed=11)
+                 + random_suite(30, 2, 40, (0.0, 0.5, 1.0), seed=12))
+        assert any(sign < 0 for d in suite for _, sign in d.edges)
+        for d in suite:
+            assert serialize_diagram(d) == reference_serialize_diagram(d)
+
+    VIOLATION_DOCUMENTS = {**json_shaped(VALIDATE_VIOLATIONS),
+                           **{f"malformed-{name}": doc for name, doc in
+                              json_shaped(MALFORMED_VALIDATE_VIOLATIONS).items()}}
+
+    @pytest.mark.parametrize("name", sorted(VIOLATION_DOCUMENTS))
+    def test_violation_documents_match_the_reference_parser(self, name):
+        text = json.dumps(self.VIOLATION_DOCUMENTS[name])
+        outcome = parse_outcome(parse_diagram, text)
+        assert outcome == parse_outcome(reference_parse_diagram, text)
+        if name in VALIDATE_VIOLATIONS:
+            assert outcome[2] == VALIDATE_VIOLATIONS[name][2]
 
     def test_pd_document(self):
         text = json.dumps({"pd": [[1, 1, 2, 2]]})
