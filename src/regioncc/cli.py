@@ -16,9 +16,8 @@ import json
 import os
 import sys
 
-from .bicolor import admissible_by_bicoloring, bicoloring, phi_class
-from .homology import homology_matrix
-from .moves import R2Spec, random_diagram, reidemeister_two, switch_crossing
+# bicolor and moves are imported by the handlers that use them, so the
+# other commands never compile them.
 from .rcc import (admissible, apply_rcc, count_classes, incidence_matrix,
                   ineffective_basis, rcc_equivalent, verify_rank_formula)
 from .scheme import (DiagramFormatError, EmbeddingScheme, InvalidDiagramError,
@@ -135,6 +134,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .homology import homology_matrix
+
     d = _load(args.file)
     hm = homology_matrix(d)
     data = {"rows": _matrix_lists(hm.matrix), "rank": hm.rank,
@@ -146,6 +147,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
+    from .bicolor import admissible_by_bicoloring
+
     d = _load(args.file)
     try:
         cert = admissible(d, args.crossings)
@@ -179,6 +182,8 @@ def _cmd_ineffective(args) -> int:
 
 
 def _cmd_bicolor(args) -> int:
+    from .bicolor import admissible_by_bicoloring, bicoloring, phi_class
+
     d = _load(args.file)
     try:
         ok, shown = admissible_by_bicoloring(d, args.crossings)
@@ -242,6 +247,8 @@ def _cmd_equivalent(args) -> int:
 
 
 def _cmd_move_r2(args) -> int:
+    from .moves import R2Spec, reidemeister_two
+
     d = _load(args.file)
     if len(args.darts) != 2:
         print("error: --darts needs exactly two values", file=sys.stderr)
@@ -255,6 +262,8 @@ def _cmd_move_r2(args) -> int:
 
 
 def _cmd_switch(args) -> int:
+    from .moves import switch_crossing
+
     d = _load(args.file)
     try:
         result = switch_crossing(d, args.crossing)
@@ -265,6 +274,8 @@ def _cmd_switch(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .moves import random_diagram
+
     try:
         d = random_diagram(args.crossings, args.neg_prob, args.seed)
     except ValueError as err:

@@ -11,7 +11,6 @@ can depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -29,18 +28,46 @@ def set_bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-@dataclass(frozen=True)
-class BitVector:
+class Frozen:
+    """Instances whose attributes, once set in ``__init__``, never change.
+
+    ``__init__`` sets them with ``object.__setattr__``; assigning or
+    deleting an attribute afterwards raises AttributeError.  Subclasses
+    compare tuples of fields: tuple comparison skips items that are the
+    same object, so comparing a value with a copy that shares its
+    tables is cheap.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BitVector(Frozen):
     """Vector over GF(2); coordinate j is bit j of ``bits``."""
 
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, length: int, bits: int = 0) -> None:
+        if length < 0:
             raise ValueError("vector length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.length:
+        if bits < 0 or bits >> length:
             raise ValueError("bits set outside declared length")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.length, self.bits) == (other.length, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.bits))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(length={self.length!r}, bits={self.bits!r})"
 
     @classmethod
     def from_bits(cls, values: Iterable[int]) -> "BitVector":
@@ -84,22 +111,33 @@ class BitVector:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(Frozen):
     """Matrix over GF(2) stored as one integer mask per row."""
 
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.row_bits) != self.rows:
+        if len(row_bits) != rows:
             raise ValueError("row count does not match row data")
-        for m in self.row_bits:
-            if m < 0 or m >> self.cols:
+        for m in row_bits:
+            if m < 0 or m >> cols:
                 raise ValueError("row bits set outside declared width")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "row_bits", row_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rows, self.cols, self.row_bits)
+                == (other.rows, other.cols, other.row_bits))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.row_bits))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r}, "
+                f"row_bits={self.row_bits!r})")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":

@@ -12,6 +12,7 @@ and orientability) fixed while adding two regions.
 from __future__ import annotations
 
 import random
+import sys
 from typing import NamedTuple
 
 from .rcc import _index_set
@@ -143,6 +144,9 @@ def random_diagram(crossings: int, neg_prob: float = 0.0,
     """
     if crossings < 1:
         raise ValueError("need at least one crossing")
+    # Dart ids index lists, so 4 * crossings must fit in a Py_ssize_t.
+    if crossings > sys.maxsize // 4:
+        raise ValueError(f"need at most {sys.maxsize // 4} crossings")
     if not 0.0 <= neg_prob <= 1.0:
         raise ValueError("neg_prob must lie in [0, 1]")
     rng = random.Random(seed)

@@ -20,11 +20,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .gf2 import RowBasis
+from .gf2 import Frozen, RowBasis
 from .homology import (HomologyContext, HomologyMatrix, build_context,
                        build_homology_matrix)
 
@@ -257,8 +256,7 @@ class Component(NamedTuple):
     passages: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Shadow:
+class Shadow(Frozen):
     """A diagram with its over flags forgotten: its edges and their signs.
 
     Only validation (``_structural_violations``) builds shadows, so every
@@ -268,12 +266,26 @@ class Shadow:
     that edge's index.  Diagrams that differ only in over flags share
     one shadow.  Every other derived table is a cached property: built
     on first use, shared by those diagrams, and freed with the shadow.
+    Shadows compare, hash and print by their edges alone.
     """
 
-    edges: tuple[Edge, ...]
-    orientable: bool = field(compare=False, repr=False)
-    theta: tuple[int, ...] = field(compare=False, repr=False)
-    edge_of: tuple[int, ...] = field(compare=False, repr=False)
+    def __init__(self, edges: tuple[Edge, ...], orientable: bool,
+                 theta: tuple[int, ...], edge_of: tuple[int, ...]) -> None:
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "edge_of", edge_of)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges,) == (other.edges,)
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(edges={self.edges!r})"
 
     @property
     def crossing_count(self) -> int:
@@ -383,8 +395,7 @@ class Shadow:
                            self.crossing_count)
 
 
-@dataclass(frozen=True, init=False)
-class EmbeddingScheme:
+class EmbeddingScheme(Frozen):
     """A connected link diagram on a closed surface: a shadow and over flags.
 
     ``EmbeddingScheme(overs, edges)``: ``overs[i]`` is the over flag of
@@ -393,14 +404,22 @@ class EmbeddingScheme:
     InvalidDiagramError on any violation.
     """
 
-    overs: tuple[int, ...]
-    shadow: Shadow
-
     def __init__(self, overs: Iterable[int], edges: Iterable[Edge]) -> None:
         overs = tuple(overs)
         shadow = _structural_violations(overs, tuple(edges), [])
         object.__setattr__(self, "overs", overs)
         object.__setattr__(self, "shadow", shadow)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.overs, self.shadow) == (other.overs, other.shadow)
+
+    def __hash__(self) -> int:
+        return hash((self.overs, self.shadow))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(overs={self.overs!r}, shadow={self.shadow!r})"
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -565,8 +584,9 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
     if first_seen:
         missing = ", ".join(repr(l) for l in sorted(first_seen, key=repr))
         raise DiagramFormatError(f"pd labels occurring once: {missing}")
-    edges = tuple(Edge(pairs[label], 1) for label in order)
-    return EmbeddingScheme((1,) * len(code), edges)
+    overs = (1,) * len(code)
+    return _on_shadow(overs, _structural_violations(
+        overs, [(pairs[label], 1) for label in order], []))
 
 
 _DOCUMENT_KEYS = {"crossings", "edges"}

@@ -12,7 +12,7 @@ from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd, make_curl,
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
                       import_pd, parse_diagram, phi_class, random_diagram,
                       serialize_diagram)
-from regioncc.cli import _load, main
+from regioncc.cli import _cmd_bicolor, _load, main
 from regioncc.gf2 import set_bits
 
 
@@ -119,17 +119,22 @@ class TestQueries:
                                                           tmp_path, trefoil_file):
         calls = []
         class_calls = []
+        # The handler looks both names up in regioncc.bicolor, where
+        # admissible_by_bicoloring calls them too: count the handler's own calls.
+        handler = _cmd_bicolor.__code__
 
         def counted(d, crossings):
-            calls.append(crossings)
+            if sys._getframe(1).f_code is handler:
+                calls.append(crossings)
             return bicoloring(d, crossings)
 
         def counted_class(d, coloring):
-            class_calls.append(coloring)
+            if sys._getframe(1).f_code is handler:
+                class_calls.append(coloring)
             return phi_class(d, coloring)
 
-        monkeypatch.setattr("regioncc.cli.bicoloring", counted)
-        monkeypatch.setattr("regioncc.cli.phi_class", counted_class)
+        monkeypatch.setattr("regioncc.bicolor.bicoloring", counted)
+        monkeypatch.setattr("regioncc.bicolor.phi_class", counted_class)
         code, out, _ = run(capsys, "bicolor", trefoil_file, "-c", "1")
         assert (code, out.splitlines()[0], len(calls)) == (0, "admissible", 0)
         assert len(class_calls) == 0
@@ -378,11 +383,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_internal_invariant_failure(self, capsys, monkeypatch, trefoil_file):
-        monkeypatch.setattr("regioncc.cli.admissible_by_bicoloring",
+        monkeypatch.setattr("regioncc.bicolor.admissible_by_bicoloring",
                             lambda d, crossings: (False, None))
         code, _, err = run(capsys, "admissible", trefoil_file, "-c", "0,2")
         assert code == 4
         assert err == "internal error: matrix and bi-coloring methods disagree\n"
+
+    def test_crossing_count_past_the_index_range(self):
+        # 4 * n dart ids would not fit in a list index; the check comes
+        # before anything is allocated.
+        cmd = [sys.executable, "-m", "regioncc.cli", "random", "-n",
+               "100000000000000000000"]
+        child = subprocess.run(cmd, capture_output=True, check=False)
+        err = child.stderr.decode()
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_closed_stdout_exits_quietly(self):
         cmd = [sys.executable, "-m", "regioncc.cli", "random", "-n", "300"]

@@ -165,6 +165,8 @@ class TestRandomDiagram:
             random_diagram(0)
         with pytest.raises(ValueError):
             random_diagram(3, neg_prob=1.5)
+        with pytest.raises(ValueError, match="at most"):
+            random_diagram(10 ** 20)
 
     def test_profiles_vary(self):
         profiles = {invariant_profile(random_diagram(5, 0.5, seed=s))

@@ -1,6 +1,14 @@
-"""The names the package exports."""
+"""The names the package exports, what importing it loads, and its value classes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import regioncc
+from regioncc import BitMatrix, BitVector, Edge, EmbeddingScheme, Shadow
 
 EXPORTS = [
     "Bicoloring", "BitMatrix", "BitVector", "Component", "CoverScheme",
@@ -17,6 +25,130 @@ EXPORTS = [
     "validate", "verify_rank_formula",
 ]
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+LIBRARY = ("gf2", "scheme", "homology", "rcc", "bicolor", "moves")
+
 
 def test_exports_are_frozen():
     assert sorted(regioncc.__all__) == EXPORTS
+
+
+def test_exports_are_the_modules_exports():
+    names = [name for module in LIBRARY
+             for name in getattr(regioncc, module).__all__] + ["__version__"]
+    assert regioncc.__all__ == names
+    for module in LIBRARY:
+        for name in getattr(regioncc, module).__all__:
+            assert getattr(regioncc, name) is getattr(getattr(regioncc, module), name)
+
+
+def fresh(code: str):
+    """The value a fresh interpreter (no site) prints, read back by eval."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run([sys.executable, "-S", "-c", code],
+                           capture_output=True, text=True, env=env, check=True)
+    return eval(child.stdout)
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running code."""
+    return set(fresh(code + "; import sys; print(sorted(sys.modules))"))
+
+
+def test_cli_import_loads_no_unused_module():
+    loaded = loaded_modules("import regioncc.cli")
+    assert "regioncc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "regioncc.moves",
+                         "regioncc.bicolor"}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = loaded_modules("import regioncc")
+    assert "regioncc" in loaded
+    assert not {name for name in loaded if name.startswith("regioncc.")}
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from regioncc import *", namespace)
+    assert set(regioncc.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_export_before_use():
+    missing = fresh("import regioncc; "
+                    "print(sorted(set(regioncc.__all__) - set(dir(regioncc))))")
+    assert missing == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        regioncc.nonesuch
+
+
+EDGES = (Edge((0, 1), 1), Edge((2, 3), 1))
+SHADOW_REPR = "Shadow(edges=(Edge(darts=(0, 1), sign=1), Edge(darts=(2, 3), sign=1)))"
+
+
+class TestValueClasses:
+    """Equality, hashing, repr and immutability, as the frozen dataclasses had them."""
+
+    @pytest.mark.parametrize("make, other, text", [
+        (lambda: BitVector(3, 5), lambda: BitVector(4, 5),
+         "BitVector(length=3, bits=5)"),
+        (lambda: BitMatrix(2, 3, (1, 6)), lambda: BitMatrix(2, 3, (1, 7)),
+         "BitMatrix(rows=2, cols=3, row_bits=(1, 6))"),
+        (lambda: Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1)),
+         lambda: Shadow(EDGES[::-1], True, (1, 0, 3, 2), (1, 1, 0, 0)),
+         SHADOW_REPR),
+        (lambda: EmbeddingScheme((1,), EDGES),
+         lambda: EmbeddingScheme((0,), EDGES),
+         f"EmbeddingScheme(overs=(1,), shadow={SHADOW_REPR})"),
+    ], ids=["BitVector", "BitMatrix", "Shadow", "EmbeddingScheme"])
+    def test_equality_hash_and_repr(self, make, other, text):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other() and not a == other()
+        assert len({a, b, other()}) == 2
+        assert repr(a) == text
+        assert a != text and a.__eq__(text) is NotImplemented
+
+    def test_bitvector_default_and_range(self):
+        assert BitVector(2) == BitVector(2, 0)
+        with pytest.raises(ValueError, match="outside declared length"):
+            BitVector(2, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            BitVector(-1)
+        with pytest.raises(ValueError, match="outside declared width"):
+            BitMatrix(1, 1, (2,))
+
+    def test_shadow_equality_ignores_the_derived_fields(self):
+        a = Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1))
+        b = Shadow(EDGES, False, (), ())
+        assert a == b and hash(a) == hash(b)
+        assert repr(b) == SHADOW_REPR
+
+    @pytest.mark.parametrize("obj, field", [
+        (BitVector(3, 5), "bits"),
+        (BitMatrix(2, 3, (1, 6)), "row_bits"),
+        (Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1)), "orientable"),
+        (EmbeddingScheme((1,), EDGES), "overs"),
+        (EmbeddingScheme((1,), EDGES), "shadow"),
+    ])
+    def test_fields_cannot_change(self, obj, field):
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, field) is before
+
+    def test_cached_table_survives_on_the_shadow(self):
+        d = EmbeddingScheme((1,), EDGES)
+        faces = d.shadow.faces
+        assert d.shadow.faces is faces
+        assert d.with_overs((0,)).shadow.faces is faces
+        assert "faces" in vars(d.shadow)
+        with pytest.raises(AttributeError):
+            d.shadow.faces = None
