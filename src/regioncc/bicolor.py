@@ -43,6 +43,8 @@ class Bicoloring(NamedTuple):
         whether they change; RuntimeError flags a mismatch.
         """
         colors, edge_of = self.colors, d.shadow.edge_of
+        if len(colors) != d.edge_count:
+            raise ValueError("coloring length does not match the edge count")
         out = []
         for i in range(d.crossing_count):
             flip = colors[edge_of[4 * i]] ^ colors[edge_of[4 * i + 2]]

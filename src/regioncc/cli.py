@@ -2,11 +2,14 @@
 
 Questions with a yes/no answer always exit 0; negative verdicts are
 reported as "infeasible" lines rather than failures.  Exit code 2
-covers usage mistakes and malformed documents, 3 covers documents that
-parse but violate a diagram invariant, and 4 a failed internal
-invariant check (a bug, reported in one line).  A reader that closes
-stdout early, as `| head` does, ends the command quietly with exit 1.
-Given equal inputs every command writes byte-identical output.
+covers usage mistakes, malformed documents and failed writes, 3 covers
+documents that parse but violate a diagram invariant, and 4 a failed
+internal invariant check (a bug, reported in one line).  A reader that
+closes stdout early, as `| head` does, ends the command quietly with
+exit 1.  Given equal inputs every command writes byte-identical output.
+
+Each command is one row of ``_COMMANDS``; its handler returns an answer
+and ``main`` alone writes it and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -16,10 +19,6 @@ import json
 import os
 import sys
 
-# bicolor and moves are imported by the handlers that use them, so the
-# other commands never compile them.
-from .rcc import (admissible, apply_rcc, count_classes, incidence_matrix,
-                  ineffective_basis, rcc_equivalent, verify_rank_formula)
 from .scheme import (DiagramFormatError, EmbeddingScheme, InvalidDiagramError,
                      _decode_json, components, faces, import_pd, parse_diagram,
                      serialize_diagram, surface_info)
@@ -51,33 +50,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
-def _emit(args: argparse.Namespace, data: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(data, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _write_diagram(args: argparse.Namespace, d: EmbeddingScheme) -> int:
-    text = serialize_diagram(d)
-    if args.output and args.output != "-":
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as err:
-            raise DiagramFormatError(
-                f"cannot write {args.output}: {err.strerror}") from None
-    else:
-        print(text)
-    return 0
-
-
 def _matrix_lists(m) -> list[list[int]]:
     return [[(bits >> j) & 1 for j in range(m.cols)] for bits in m.row_bits]
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args):
+    from .rcc import count_classes, verify_rank_formula
     d = _load(args.file)
     surface = surface_info(d)
     report = verify_rank_formula(d)
@@ -94,12 +72,11 @@ def _cmd_info(args) -> int:
         "homology_rank": report.homology_rank,
         "class_exponent": count_classes(d),
     }
-    lines = [f"{key.replace('_', ' ')}: {value}" for key, value in data.items()]
-    _emit(args, data, lines)
-    return 0
+    return data, [f"{key.replace('_', ' ')}: {value}" for key, value in data.items()]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    from .rcc import count_classes, verify_rank_formula
     d = _load(args.file)
     report = verify_rank_formula(d)
     data = {
@@ -111,7 +88,7 @@ def _cmd_verify(args) -> int:
         "equal": report.holds,
         "class_exponent": count_classes(d),
     }
-    lines = [
+    return data, [
         f"incidence rank: {report.incidence_rank}",
         f"regions: {report.region_count}",
         f"components: {report.component_count}",
@@ -120,42 +97,31 @@ def _cmd_verify(args) -> int:
         f"equal: {report.holds}",
         f"classes: 2^{data['class_exponent']}",
     ]
-    _emit(args, data, lines)
-    return 0
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args):
+    from .rcc import incidence_matrix
     d = _load(args.file)
     m = incidence_matrix(d)
     data = {"rows": _matrix_lists(m), "rank": d.shadow.incidence_factor.rank}
-    lines = [str(m.row(i)) for i in range(m.rows)] + [f"rank: {data['rank']}"]
-    _emit(args, data, lines)
-    return 0
+    return data, [str(m.row(i)) for i in range(m.rows)] + [f"rank: {data['rank']}"]
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args):
     from .homology import homology_matrix
-
-    d = _load(args.file)
-    hm = homology_matrix(d)
+    hm = homology_matrix(_load(args.file))
     data = {"rows": _matrix_lists(hm.matrix), "rank": hm.rank,
             "h1_dim": hm.matrix.cols}
     lines = [str(hm.matrix.row(i)) for i in range(hm.matrix.rows)]
-    lines += [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
-    _emit(args, data, lines)
-    return 0
+    return data, lines + [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
 
 
-def _cmd_admissible(args) -> int:
+def _cmd_admissible(args):
     from .bicolor import admissible_by_bicoloring
-
+    from .rcc import admissible
     d = _load(args.file)
-    try:
-        cert = admissible(d, args.crossings)
-        by_colors, _ = admissible_by_bicoloring(d, args.crossings)
-    except IndexError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    cert = admissible(d, args.crossings)
+    by_colors, _ = admissible_by_bicoloring(d, args.crossings)
     if (cert is not None) != by_colors:
         raise RuntimeError("matrix and bi-coloring methods disagree")
     if cert is None:
@@ -166,235 +132,205 @@ def _cmd_admissible(args) -> int:
         lines = ["admissible: regions " + (" ".join(map(str, cert)) or "(none)")]
     data["bicoloring_admissible"] = by_colors
     verdict = "admissible" if by_colors else "infeasible"
-    lines.append(f"bi-coloring cross-check: {verdict} (methods agree)")
-    _emit(args, data, lines)
-    return 0
+    return data, lines + [f"bi-coloring cross-check: {verdict} (methods agree)"]
 
 
-def _cmd_ineffective(args) -> int:
-    d = _load(args.file)
-    basis = ineffective_basis(d)
+def _cmd_ineffective(args):
+    from .rcc import ineffective_basis
+    basis = ineffective_basis(_load(args.file))
     data = {"basis": [list(v.support()) for v in basis]}
     lines = [f"basis size: {len(basis)}"]
-    lines += ["regions " + " ".join(map(str, v.support())) for v in basis]
-    _emit(args, data, lines)
-    return 0
+    return data, lines + ["regions " + " ".join(map(str, v.support())) for v in basis]
 
 
-def _cmd_bicolor(args) -> int:
+def _cmd_bicolor(args):
     from .bicolor import admissible_by_bicoloring, bicoloring, phi_class
-
+    from .rcc import admissible
     d = _load(args.file)
-    try:
-        ok, shown = admissible_by_bicoloring(d, args.crossings)
-    except IndexError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    ok, shown = admissible_by_bicoloring(d, args.crossings)
     if not ok:
         shown = bicoloring(d, args.crossings)  # nonzero class, or None
         if shown is not None and admissible(d, args.crossings) is not None:
             raise RuntimeError("matrix and bi-coloring methods disagree")
     if shown is None:
         data = {"admissible": False, "colors": None, "phi_class": None}
-        lines = ["infeasible: no bi-coloring for those crossings"]
-    else:
-        # The witness's class is zero by construction, and already checked.
-        bits = 0 if ok else phi_class(d, shown).bits
-        data = {
-            "admissible": ok,
-            "colors": list(shown.colors),
-            "phi_class": [(bits >> k) & 1
-                          for k in range(d.shadow.homology_context.h1_dim)],
-        }
-        verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"
-        lines = [
-            verdict,
-            "colors: " + "".join(map(str, shown.colors)),
-            "class: " + ("".join(str(b) for b in data["phi_class"]) or "(trivial)"),
-        ]
-    _emit(args, data, lines)
-    return 0
+        return data, ["infeasible: no bi-coloring for those crossings"]
+    # The witness's class is zero by construction, and already checked.
+    bits = 0 if ok else phi_class(d, shown).bits
+    data = {
+        "admissible": ok,
+        "colors": list(shown.colors),
+        "phi_class": [(bits >> k) & 1
+                      for k in range(d.shadow.homology_context.h1_dim)],
+    }
+    verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"
+    return data, [
+        verdict,
+        "colors: " + "".join(map(str, shown.colors)),
+        "class: " + ("".join(str(b) for b in data["phi_class"]) or "(trivial)"),
+    ]
 
 
-def _cmd_apply(args) -> int:
-    d = _load(args.file)
-    try:
-        result = apply_rcc(d, args.regions)
-    except IndexError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return _write_diagram(args, result)
+def _cmd_apply(args):
+    from .rcc import apply_rcc
+    return apply_rcc(_load(args.file), args.regions)
 
 
-def _cmd_equivalent(args) -> int:
+def _cmd_equivalent(args):
+    from .rcc import rcc_equivalent
     d1 = _load(args.file)
     d2 = _load(args.other)
     try:
         cert = rcc_equivalent(d1, d2)
     except ValueError:
-        data = {"equivalent": False, "same_shadow": False, "regions": None}
-        lines = ["infeasible: diagrams have different shadows"]
-        _emit(args, data, lines)
-        return 0
+        return ({"equivalent": False, "same_shadow": False, "regions": None},
+                ["infeasible: diagrams have different shadows"])
     if cert is None:
-        data = {"equivalent": False, "same_shadow": True, "regions": None}
-        lines = ["infeasible: diagrams lie in different classes"]
-    else:
-        data = {"equivalent": True, "same_shadow": True, "regions": list(cert)}
-        lines = ["equivalent: regions " + (" ".join(map(str, cert)) or "(none)")]
-    _emit(args, data, lines)
-    return 0
+        return ({"equivalent": False, "same_shadow": True, "regions": None},
+                ["infeasible: diagrams lie in different classes"])
+    return ({"equivalent": True, "same_shadow": True, "regions": list(cert)},
+            ["equivalent: regions " + (" ".join(map(str, cert)) or "(none)")])
 
 
-def _cmd_move_r2(args) -> int:
+def _cmd_move_r2(args):
     from .moves import R2Spec, reidemeister_two
-
     d = _load(args.file)
     if len(args.darts) != 2:
-        print("error: --darts needs exactly two values", file=sys.stderr)
-        return 2
-    try:
-        result = reidemeister_two(d, R2Spec(args.darts[0], args.darts[1], args.over))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return _write_diagram(args, result)
+        raise ValueError("--darts needs exactly two values")
+    return reidemeister_two(d, R2Spec(args.darts[0], args.darts[1], args.over))
 
 
-def _cmd_switch(args) -> int:
+def _cmd_switch(args):
     from .moves import switch_crossing
-
-    d = _load(args.file)
-    try:
-        result = switch_crossing(d, args.crossing)
-    except IndexError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return _write_diagram(args, result)
+    return switch_crossing(_load(args.file), args.crossing)
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args):
     from .moves import random_diagram
-
-    try:
-        d = random_diagram(args.crossings, args.neg_prob, args.seed)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return _write_diagram(args, d)
+    return random_diagram(args.crossings, args.neg_prob, args.seed)
 
 
-def _cmd_import_pd(args) -> int:
+def _cmd_import_pd(args):
     doc = _decode_json(_read_text(args.file))
     if isinstance(doc, list):
-        code = doc
-    elif isinstance(doc, dict) and set(doc) == {"pd"}:
-        code = doc["pd"]
-    else:
-        raise DiagramFormatError(
-            "pd document must be a list of crossings or {\"pd\": [...]}")
-    return _write_diagram(args, import_pd(code))
+        return import_pd(doc)
+    if isinstance(doc, dict) and set(doc) == {"pd"}:
+        return import_pd(doc["pd"])
+    raise DiagramFormatError(
+        "pd document must be a list of crossings or {\"pd\": [...]}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **spec):
+    return flags, spec
+
+
+_FILE = _arg("file")
+_JSON = _arg("--json", action="store_true",
+             help="emit a JSON object instead of text lines")
+_OUTPUT = _arg("-o", "--output", default=None,
+               help="write the resulting diagram here ('-' = stdout)")
+
+# name: (handler, help, arguments).  A query handler returns its answer
+# as JSON data and as text lines; a writer returns a diagram.
+_COMMANDS = {
+    "info": (_cmd_info, "surface and diagram summary",
+             [_JSON, _arg("file", help="diagram document ('-' = stdin)")]),
+    "verify": (_cmd_verify, "check the incidence rank prediction",
+               [_JSON, _FILE]),
+    "matrix": (_cmd_matrix, "print the incidence matrix", [_JSON, _FILE]),
+    "homology": (_cmd_homology, "print the component-class matrix",
+                 [_JSON, _FILE]),
+    "admissible": (_cmd_admissible,
+                   "can a region set switch exactly these crossings?",
+                   [_JSON, _FILE,
+                    _arg("-c", "--crossings", type=_int_list, default=[],
+                         help="crossing indices, e.g. '0,2,5'")]),
+    "ineffective": (_cmd_ineffective,
+                    "basis of region sets that switch nothing", [_JSON, _FILE]),
+    "bicolor": (_cmd_bicolor, "admissibility via edge bi-colorings",
+                [_JSON, _FILE,
+                 _arg("-c", "--crossings", type=_int_list, default=[])]),
+    "apply": (_cmd_apply, "switch the given regions",
+              [_OUTPUT, _FILE,
+               _arg("-r", "--regions", type=_int_list, required=True)]),
+    "equivalent": (_cmd_equivalent,
+                   "are two diagrams related by region switches?",
+                   [_JSON, _FILE, _arg("other")]),
+    "move-r2": (_cmd_move_r2, "poke one strand across another",
+                [_OUTPUT, _FILE,
+                 _arg("-d", "--darts", type=_int_list, required=True,
+                      help="the two darts naming the poked edge sides, e.g. '0,5'"),
+                 _arg("--over", choices=("a", "b"), default="a",
+                      help="which strand ends on top")]),
+    "switch": (_cmd_switch, "classical crossing switch",
+               [_OUTPUT, _FILE, _arg("-i", "--crossing", type=int, required=True)]),
+    "random": (_cmd_random, "generate a seeded random diagram",
+               [_OUTPUT, _arg("-n", "--crossings", type=int, required=True),
+                _arg("--neg-prob", type=float, default=0.0),
+                _arg("--seed", type=int, default=None)]),
+    "import-pd": (_cmd_import_pd,
+                  "convert a planar-diagram code to a diagram document",
+                  [_OUTPUT, _FILE]),
+}
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The full parser, or for a known command only its own subparser,
+    which parses the run and reports its errors; the top-level usage
+    line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="regioncc",
         description="Region crossing changes on link diagrams over closed surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, *, query=False, writes=False):
+    names = list(_COMMANDS)
+    if command in _COMMANDS:
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [command]
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        if query:
-            p.add_argument("--json", action="store_true",
-                           help="emit a JSON object instead of text lines")
-        if writes:
-            p.add_argument("-o", "--output", default=None,
-                           help="write the resulting diagram here ('-' = stdout)")
-        return p
-
-    p = add("info", _cmd_info, "surface and diagram summary", query=True)
-    p.add_argument("file", help="diagram document ('-' = stdin)")
-
-    p = add("verify", _cmd_verify, "check the incidence rank prediction",
-            query=True)
-    p.add_argument("file")
-
-    p = add("matrix", _cmd_matrix, "print the incidence matrix", query=True)
-    p.add_argument("file")
-
-    p = add("homology", _cmd_homology, "print the component-class matrix",
-            query=True)
-    p.add_argument("file")
-
-    p = add("admissible", _cmd_admissible,
-            "can a region set switch exactly these crossings?", query=True)
-    p.add_argument("file")
-    p.add_argument("-c", "--crossings", type=_int_list, default=[],
-                   help="crossing indices, e.g. '0,2,5'")
-
-    p = add("ineffective", _cmd_ineffective,
-            "basis of region sets that switch nothing", query=True)
-    p.add_argument("file")
-
-    p = add("bicolor", _cmd_bicolor,
-            "admissibility via edge bi-colorings", query=True)
-    p.add_argument("file")
-    p.add_argument("-c", "--crossings", type=_int_list, default=[])
-
-    p = add("apply", _cmd_apply, "switch the given regions", writes=True)
-    p.add_argument("file")
-    p.add_argument("-r", "--regions", type=_int_list, required=True)
-
-    p = add("equivalent", _cmd_equivalent,
-            "are two diagrams related by region switches?", query=True)
-    p.add_argument("file")
-    p.add_argument("other")
-
-    p = add("move-r2", _cmd_move_r2, "poke one strand across another",
-            writes=True)
-    p.add_argument("file")
-    p.add_argument("-d", "--darts", type=_int_list, required=True,
-                   help="the two darts naming the poked edge sides, e.g. '0,5'")
-    p.add_argument("--over", choices=("a", "b"), default="a",
-                   help="which strand ends on top")
-
-    p = add("switch", _cmd_switch, "classical crossing switch", writes=True)
-    p.add_argument("file")
-    p.add_argument("-i", "--crossing", type=int, required=True)
-
-    p = add("random", _cmd_random, "generate a seeded random diagram",
-            writes=True)
-    p.add_argument("-n", "--crossings", type=int, required=True)
-    p.add_argument("--neg-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add("import-pd", _cmd_import_pd,
-            "convert a planar-diagram code to a diagram document", writes=True)
-    p.add_argument("file")
-
+        for flags, spec in arguments:
+            p.add_argument(*flags, **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
-        code = args.handler(args)
+        answer = _COMMANDS[args.command][0](args)
+        if not isinstance(answer, EmbeddingScheme):
+            data, lines = answer
+            print(json.dumps(data, indent=2) if args.json else "\n".join(lines))
+        elif args.output and args.output != "-":
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(serialize_diagram(answer) + "\n")
+            except OSError as err:
+                raise DiagramFormatError(
+                    f"cannot write {args.output}: {err.strerror}") from None
+        else:
+            print(serialize_diagram(answer))
         sys.stdout.flush()
-        return code
-    except DiagramFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 0
     except InvalidDiagramError as err:
         print(f"invalid diagram: {err}", file=sys.stderr)
         return 3
+    except (IndexError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except RuntimeError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 4
-    except BrokenPipeError:
-        # Point stdout at /dev/null so the flush at exit cannot fail again.
+    except OSError as err:
+        # stdout failed: point it at /dev/null so the flush at exit
+        # cannot fail again.  A reader that closed early ends the run
+        # quietly; any other failure is reported.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(err, BrokenPipeError):
+            return 1
+        print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .gf2 import Frozen, RowBasis
-from .homology import (HomologyContext, HomologyMatrix, build_context,
-                       build_homology_matrix)
+
+if TYPE_CHECKING:
+    from .homology import HomologyContext, HomologyMatrix
 
 __all__ = [
     "DiagramFormatError",
@@ -382,10 +383,13 @@ class Shadow(Frozen):
 
     @cached_property
     def homology_context(self) -> HomologyContext:
+        # Imported here, so commands that never ask for homology skip it.
+        from .homology import build_context
         return build_context(self)
 
     @cached_property
     def homology_matrix(self) -> HomologyMatrix:
+        from .homology import build_homology_matrix
         return build_homology_matrix(self)
 
     @cached_property

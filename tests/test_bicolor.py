@@ -41,6 +41,14 @@ class TestBicoloring:
         with pytest.raises(RuntimeError, match="strands disagree at crossing 0"):
             Bicoloring((1, 0, 0, 0, 0, 0)).switched(trefoil)
 
+    @pytest.mark.parametrize("length", [5, 7, 20])
+    def test_coloring_length_must_match(self, trefoil, length):
+        coloring = Bicoloring((0,) * length)
+        for query in (coloring.switched, lambda d: phi_class(d, coloring)):
+            with pytest.raises(ValueError, match="coloring length does not "
+                               "match the edge count"):
+                query(trefoil)
+
     def test_solutions_satisfy_their_set(self):
         rng = random.Random(51)
         for d in random_suite(50, 1, 8, (0.0, 0.5), seed=52):

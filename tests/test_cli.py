@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd, make_curl,
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
                       import_pd, parse_diagram, phi_class, random_diagram,
                       serialize_diagram)
-from regioncc.cli import _cmd_bicolor, _load, main
+from regioncc.cli import _cmd_bicolor, _load, _parser, main
 from regioncc.gf2 import set_bits
 
 
@@ -341,6 +342,12 @@ class TestExitCodes:
             main(["admissible"])
         assert exc.value.code == 2
 
+    def test_a_command_builds_only_its_own_parser(self, capsys, trefoil_file):
+        with pytest.raises(SystemExit) as exc:
+            _parser("info").parse_args(["verify", trefoil_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
+
     def test_bad_int_list(self, capsys, trefoil_file):
         with pytest.raises(SystemExit) as exc:
             main(["admissible", trefoil_file, "-c", "zero"])
@@ -400,6 +407,17 @@ class TestExitCodes:
         assert child.stdout == b""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["random", "-n", "3"], ["info", "--json", "-"]])
+    def test_full_stdout_is_one_error_line(self, argv):
+        cmd = [sys.executable, "-m", "regioncc.cli", *argv]
+        doc = serialize_diagram(import_pd(TREFOIL_PD)).encode()
+        with open("/dev/full", "wb") as full:
+            child = subprocess.run(cmd, input=doc, stdout=full,
+                                   stderr=subprocess.PIPE, check=False)
+        assert child.returncode == 2
+        assert child.stderr == b"error: cannot write stdout: No space left on device\n"
 
     def test_closed_stdout_exits_quietly(self):
         cmd = [sys.executable, "-m", "regioncc.cli", "random", "-n", "300"]

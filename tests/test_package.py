@@ -1,5 +1,6 @@
 """The names the package exports, what importing it loads, and its value classes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import regioncc
-from regioncc import BitMatrix, BitVector, Edge, EmbeddingScheme, Shadow
+from conftest import TREFOIL_PD
+from regioncc import (BitMatrix, BitVector, Edge, EmbeddingScheme, Shadow,
+                      import_pd, serialize_diagram)
 
 EXPORTS = [
     "Bicoloring", "BitMatrix", "BitVector", "Component", "CoverScheme",
@@ -58,8 +61,39 @@ def loaded_modules(code: str) -> set[str]:
 def test_cli_import_loads_no_unused_module():
     loaded = loaded_modules("import regioncc.cli")
     assert "regioncc.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "regioncc.moves",
+    assert not loaded & {"dataclasses", "inspect", "regioncc.rcc",
+                         "regioncc.homology", "regioncc.moves",
                          "regioncc.bicolor"}
+
+
+def command_modules(argv: list[str]) -> set[str]:
+    """The regioncc submodules a fresh interpreter loads to run one command."""
+    return set(fresh("import contextlib, io, sys\n"
+                     "from regioncc.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    assert main({argv!r}) == 0\n"
+                     "print(sorted(name for name in sys.modules\n"
+                     "             if name.startswith('regioncc.')))"))
+
+
+@pytest.fixture(scope="module")
+def trefoil_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("docs")
+    (root / "trefoil.json").write_text(serialize_diagram(import_pd(TREFOIL_PD)))
+    (root / "trefoil_pd.json").write_text(json.dumps(TREFOIL_PD))
+    return str(root / "trefoil.json"), str(root / "trefoil_pd.json")
+
+
+def test_import_pd_loads_only_the_scheme(trefoil_files):
+    assert command_modules(["import-pd", trefoil_files[1]]) == {
+        "regioncc.cli", "regioncc.gf2", "regioncc.scheme"}
+
+
+@pytest.mark.parametrize("argv", [["apply", "-r", "0,2"], ["matrix"],
+                                  ["switch", "-i", "1"]])
+def test_command_without_homology_skips_it(trefoil_files, argv):
+    loaded = command_modules([argv[0], trefoil_files[0], *argv[1:]])
+    assert "regioncc.homology" not in loaded
 
 
 def test_package_import_loads_no_submodule():
