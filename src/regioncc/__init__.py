@@ -11,8 +11,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "gf2": ("BitVector", "BitMatrix", "rank", "solve", "nullspace_basis",
-            "in_rowspace"),
+    "gf2": ("BitVector", "BitMatrix"),
     "scheme": ("DiagramFormatError", "InvalidDiagramError", "Edge", "Shadow",
                "EmbeddingScheme", "CoverScheme", "Region", "FaceStructure",
                "SurfaceInfo", "Component", "validate",

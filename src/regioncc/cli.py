@@ -2,11 +2,12 @@
 
 Questions with a yes/no answer always exit 0; negative verdicts are
 reported as "infeasible" lines rather than failures.  Exit code 2
-covers usage mistakes, malformed documents and failed writes, 3 covers
-documents that parse but violate a diagram invariant, and 4 a failed
-internal invariant check (a bug, reported in one line).  A reader that
-closes stdout early, as `| head` does, ends the command quietly with
-exit 1.  Given equal inputs every command writes byte-identical output.
+covers usage mistakes, malformed documents, failed writes (help
+included) and running out of memory, 3 covers documents that parse but
+violate a diagram invariant, and 4 a failed internal invariant check
+(a bug, reported in one line).  A reader that closes stdout early, as
+`| head` does, ends the command quietly with exit 1.  Given equal
+inputs every command writes byte-identical output.
 
 Each command is one row of ``_COMMANDS``; its handler returns an answer
 and ``main`` alone writes it and maps errors to exit codes.
@@ -274,11 +275,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help lets a failed write reach ``main``.
+
+    argparse's own help writer drops an OSError, so ``-h`` into a full
+    stdout would exit 0 with nothing written.
+    """
+
+    def print_help(self, file=None) -> None:
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 def _parser(command: str | None) -> argparse.ArgumentParser:
     """The full parser, or for a known command only its own subparser,
     which parses the run and reports its errors; the top-level usage
     line lists every command either way."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regioncc",
         description="Region crossing changes on link diagrams over closed surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,8 +310,8 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
+        args = _parser(argv[0] if argv else None).parse_args(argv)
         answer = _COMMANDS[args.command][0](args)
         if not isinstance(answer, EmbeddingScheme):
             data, lines = answer
@@ -322,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except OSError as err:
         # stdout failed: point it at /dev/null so the flush at exit
         # cannot fail again.  A reader that closed early ends the run

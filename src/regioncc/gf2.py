@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-__all__ = [
-    "BitVector",
-    "BitMatrix",
-    "rank",
-    "solve",
-    "nullspace_basis",
-    "in_rowspace",
-]
+__all__ = ["BitVector", "BitMatrix"]
 
 
 def set_bits(mask: int) -> list[int]:
@@ -32,13 +25,15 @@ class Frozen:
     """Instances whose attributes, once set in ``__init__``, never change.
 
     ``__init__`` sets them with ``object.__setattr__``; assigning or
-    deleting an attribute afterwards raises AttributeError.  Subclasses
-    compare tuples of fields: tuple comparison skips items that are the
-    same object, so comparing a value with a copy that shares its
-    tables is cheap.
+    deleting an attribute afterwards raises AttributeError.  Instances
+    compare, hash and print by the attributes their class's ``_fields``
+    names, in that order.  They compare as tuples: tuple comparison
+    skips items that are the same object, so comparing a value with a
+    copy that shares its tables is cheap.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,9 +41,26 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
 
 class BitVector(Frozen):
     """Vector over GF(2); coordinate j is bit j of ``bits``."""
+
+    _fields = ("length", "bits")
 
     def __init__(self, length: int, bits: int = 0) -> None:
         if length < 0:
@@ -58,54 +70,8 @@ class BitVector(Frozen):
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "bits", bits)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.length, self.bits) == (other.length, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(length={self.length!r}, bits={self.bits!r})"
-
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for v in values:
-            if v & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
-    def from_support(cls, indices: Iterable[int], length: int) -> "BitVector":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise IndexError(f"index {i} out of range for length {length}")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"index {i} out of range for length {self.length}")
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
     def support(self) -> tuple[int, ...]:
         return tuple(set_bits(self.bits))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
 
     def __str__(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
@@ -113,6 +79,8 @@ class BitVector(Frozen):
 
 class BitMatrix(Frozen):
     """Matrix over GF(2) stored as one integer mask per row."""
+
+    _fields = ("rows", "cols", "row_bits")
 
     def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
         if rows < 0 or cols < 0:
@@ -126,70 +94,12 @@ class BitMatrix(Frozen):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_bits", row_bits)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.rows, self.cols, self.row_bits)
-                == (other.rows, other.cols, other.row_bits))
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_bits))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r}, "
-                f"row_bits={self.row_bits!r})")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        masks = []
-        width = None
-        for row in rows:
-            vec = BitVector.from_bits(row)
-            if width is None:
-                width = vec.length
-            elif vec.length != width:
-                raise ValueError("ragged rows")
-            masks.append(vec.bits)
-        if width is None:
-            width = 0
-        return cls(len(masks), width, tuple(masks))
-
     @classmethod
     def from_bitrows(cls, masks: Sequence[int], cols: int) -> "BitMatrix":
         return cls(len(masks), cols, tuple(masks))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_bits[i])
-
-    def transpose(self) -> "BitMatrix":
-        out = []
-        for j in range(self.cols):
-            mask = 0
-            for i in range(self.rows):
-                if (self.row_bits[i] >> j) & 1:
-                    mask |= 1 << i
-            out.append(mask)
-        return BitMatrix(self.cols, self.rows, tuple(out))
-
-    def mul_vector(self, v: BitVector) -> BitVector:
-        if v.length != self.cols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for i, m in enumerate(self.row_bits):
-            if (m & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BitVector(self.rows, bits)
-
-    def __str__(self) -> str:
-        return "\n".join(str(self.row(i)) for i in range(self.rows))
 
 
 def rref_masks(masks: Iterable[int], cols: int) -> tuple[tuple[int, ...], ...]:
@@ -276,64 +186,3 @@ class RowBasis(NamedTuple):
             rest ^= rows.get(p, 0)
         return None if rest & ((1 << self.width) - 1) else rest >> self.width
 
-
-def rank(m: BitMatrix) -> int:
-    """Rank of a matrix over GF(2)."""
-    return len(rref_masks(m.row_bits, m.cols)[0])
-
-
-def solve(a: BitMatrix, b: BitVector) -> BitVector | None:
-    """One solution x of a x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the returned solution is the pivot
-    solution and is deterministic.
-    """
-    if b.length != a.rows:
-        raise ValueError(f"dimension mismatch: {a.rows} equations, rhs of length {b.length}")
-    aug_bit = 1 << a.cols
-    work = [a.row_bits[i] | (aug_bit if (b.bits >> i) & 1 else 0) for i in range(a.rows)]
-    pivots, reduced, dependent = rref_masks(work, a.cols)
-    if any(dependent):  # a row reduced to 0 = 1
-        return None
-    x = 0
-    for p, row in zip(pivots, reduced):
-        if row & aug_bit:
-            x |= 1 << p
-    return BitVector(a.cols, x)
-
-
-def nullspace_basis(a: BitMatrix) -> list[BitVector]:
-    """Deterministic basis of {x : a x = 0}, one vector per free column."""
-    pivots, reduced, _ = rref_masks(a.row_bits, a.cols)
-    return rref_nullspace(pivots, reduced, a.cols)
-
-
-def rref_nullspace(pivots: Sequence[int], rows: Sequence[int],
-                   cols: int) -> list[BitVector]:
-    """The nullspace basis read off an RREF of a matrix with ``cols`` columns.
-
-    One vector per free column below ``cols``; bits of ``rows`` at or
-    above ``cols`` are ignored.
-    """
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for p, row in zip(pivots, rows):
-            if (row >> free) & 1:
-                bits |= 1 << p
-        basis.append(BitVector(cols, bits))
-    return basis
-
-
-def in_rowspace(m: BitMatrix, v: BitVector) -> BitVector | None:
-    """Coefficient vector over the rows of m expressing v, or None.
-
-    The coefficients c satisfy sum(c_i * row_i) = v; equivalently this
-    solves transpose(m) c = v.
-    """
-    if v.length != m.cols:
-        raise ValueError(f"dimension mismatch: {m.cols} columns, vector of length {v.length}")
-    return solve(m.transpose(), v)

@@ -6,8 +6,12 @@ Conventions used throughout the package:
   their cyclic order around the crossing.  Dart names are canonical, so
   a diagram is fully described by its edge pairing, edge signs, and one
   over flag per crossing.
+  So dart d sits at crossing d >> 2, and the next dart counterclockwise
+  is (d & ~3) | ((d + 1) & 3).
 - The two strands passing through a crossing occupy dart positions
-  {0, 2} and {1, 3}.  Over flag 0 means the {0, 2} strand is on top.
+  {0, 2} and {1, 3}: dart d's strand leaves through
+  (d & ~3) | ((d + 2) & 3), and d & 1 names its through-pair.  Over
+  flag 0 means the {0, 2} strand is on top.
 - An edge sign of -1 means the local orientations at its two endpoints
   disagree when transported along the edge.
 - Regions of the complement are read off the orientation double cover.
@@ -171,15 +175,8 @@ class CoverScheme(NamedTuple):
     connected: bool
 
     @property
-    def vertex_count(self) -> int:
-        return 2 * self.base_crossings
-
-    @property
     def dart_count(self) -> int:
         return 8 * self.base_crossings
-
-    def deck(self, x: int) -> int:
-        return x ^ 1
 
 
 class Region(NamedTuple):
@@ -270,23 +267,14 @@ class Shadow(Frozen):
     Shadows compare, hash and print by their edges alone.
     """
 
+    _fields = ("edges",)
+
     def __init__(self, edges: tuple[Edge, ...], orientable: bool,
                  theta: tuple[int, ...], edge_of: tuple[int, ...]) -> None:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "orientable", orientable)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "edge_of", edge_of)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edges,) == (other.edges,)
-
-    def __hash__(self) -> int:
-        return hash((self.edges,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(edges={self.edges!r})"
 
     @property
     def crossing_count(self) -> int:
@@ -408,22 +396,13 @@ class EmbeddingScheme(Frozen):
     InvalidDiagramError on any violation.
     """
 
+    _fields = ("overs", "shadow")
+
     def __init__(self, overs: Iterable[int], edges: Iterable[Edge]) -> None:
         overs = tuple(overs)
         shadow = _structural_violations(overs, tuple(edges), [])
         object.__setattr__(self, "overs", overs)
         object.__setattr__(self, "shadow", shadow)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.overs, self.shadow) == (other.overs, other.shadow)
-
-    def __hash__(self) -> int:
-        return hash((self.overs, self.shadow))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(overs={self.overs!r}, shadow={self.shadow!r})"
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -448,21 +427,6 @@ class EmbeddingScheme(Frozen):
     def edge_of(self, d: int) -> int:
         """Index of the edge containing dart d."""
         return self.shadow.edge_of[d]
-
-    def sigma(self, d: int) -> int:
-        """Next dart counterclockwise around d's crossing."""
-        return (d & ~3) | ((d + 1) & 3)
-
-    def through(self, d: int) -> int:
-        """The opposite dart of the strand passing through d's crossing."""
-        return (d & ~3) | ((d + 2) & 3)
-
-    def crossing_of(self, d: int) -> int:
-        return d >> 2
-
-    def pair_of(self, d: int) -> int:
-        """Through-pair index of dart d at its crossing: 0 for {0,2}, 1 for {1,3}."""
-        return d & 1
 
     def with_overs(self, overs: Iterable[int]) -> "EmbeddingScheme":
         """The same shadow under other over flags; only the flags are checked."""

@@ -16,9 +16,7 @@ from regioncc import (DiagramFormatError, Edge, EmbeddingScheme, components,
                       faces, incidence_matrix, import_pd,
                       orientation_double_cover, random_diagram, surface_info,
                       validate, verify_rank_formula)
-from regioncc.gf2 import (BitMatrix, BitVector, in_rowspace, nullspace_basis,
-                          rref_nullspace, solve)
-from regioncc.gf2 import rank as gf2_rank
+from regioncc.gf2 import BitMatrix, BitVector
 from regioncc.scheme import _decode_json
 
 
@@ -123,7 +121,12 @@ KLEIN_2COMP_SHAPE = (6, 2)
 
 
 def as_matrix(rows) -> BitMatrix:
-    return BitMatrix.from_rows(rows)
+    """A matrix from rows of 0/1 entries; entry j of a row is bit j."""
+    rows = [tuple(row) for row in rows]
+    cols = len(rows[0]) if rows else 0
+    assert all(len(row) == cols for row in rows), "ragged rows"
+    return BitMatrix.from_bitrows(
+        [sum(bit << j for j, bit in enumerate(row)) for row in rows], cols)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +573,8 @@ def even_target(d: EmbeddingScheme, rng: random.Random) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense oracles: the GF(2) eliminations the package's graph walks and
-# shared factorisation replace.
+# The dense reference: GF(2) elimination by scanning columns, sharing no
+# code with regioncc.gf2, and the dense oracles built on it.
 
 def bicolor_system(d: EmbeddingScheme) -> BitMatrix:
     """The bi-coloring system: 2c equations over the 2c edge colors.
@@ -592,19 +595,19 @@ def dense_bicoloring(d: EmbeddingScheme, crossings) -> tuple[int, ...] | None:
     rhs = 0
     for i in set(crossings):
         rhs |= 0b11 << (2 * i)
-    x = solve(system, BitVector(system.rows, rhs))
-    return None if x is None else x.to_bits()
+    x = dense_solve(system, BitVector(system.rows, rhs))
+    return None if x is None else tuple((x.bits >> e) & 1 for e in range(x.length))
 
 
 def dense_admissible(d: EmbeddingScheme, crossings) -> tuple[int, ...] | None:
     """Pivot solution of transpose(M) x = target, as a region tuple, or None."""
-    target = BitVector.from_support(sorted(set(crossings)), d.crossing_count)
-    coeffs = in_rowspace(incidence_matrix(d), target)
+    target = BitVector(d.crossing_count, sum(1 << i for i in set(crossings)))
+    coeffs = dense_in_rowspace(incidence_matrix(d), target)
     return None if coeffs is None else coeffs.support()
 
 
 def dense_ineffective(d: EmbeddingScheme) -> list[BitVector]:
-    return nullspace_basis(incidence_matrix(d).transpose())
+    return dense_nullspace(transpose(incidence_matrix(d)))
 
 
 def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -633,6 +636,72 @@ def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if top == len(work):
             break
     return tuple(pivots), tuple(work[:top])
+
+
+def ones(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def transpose(m: BitMatrix) -> BitMatrix:
+    out = [0] * m.cols
+    for i, row in enumerate(m.row_bits):
+        for j in ones(row):
+            out[j] |= 1 << i
+    return BitMatrix.from_bitrows(out, m.rows)
+
+
+def mul_vector(m: BitMatrix, v: BitVector) -> BitVector:
+    """The product m v."""
+    assert v.length == m.cols, "dimension mismatch"
+    bits = 0
+    for i, row in enumerate(m.row_bits):
+        bits |= ((row & v.bits).bit_count() & 1) << i
+    return BitVector(m.rows, bits)
+
+
+def dense_rank(m: BitMatrix) -> int:
+    return len(dense_rref(m.row_bits, m.cols)[0])
+
+
+def dense_solve(a: BitMatrix, b: BitVector) -> BitVector | None:
+    """The pivot solution of a x = b (free variables zero), or None.
+
+    b rides as column ``a.cols`` of the augmented rows; it is a pivot
+    exactly when some row reduces to 0 = 1.
+    """
+    assert b.length == a.rows, "dimension mismatch"
+    aug = a.cols
+    pivots, rows = dense_rref(
+        [row | ((b.bits >> i) & 1) << aug for i, row in enumerate(a.row_bits)],
+        aug + 1)
+    if aug in pivots:
+        return None
+    x = 0
+    for p, row in zip(pivots, rows):
+        x |= ((row >> aug) & 1) << p
+    return BitVector(a.cols, x)
+
+
+def dense_nullspace(a: BitMatrix) -> list[BitVector]:
+    """The basis of {x : a x = 0} with one vector per free column, ascending."""
+    pivots, rows = dense_rref(a.row_bits, a.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(a.cols):
+        if free in pivot_set:
+            continue
+        bits = 1 << free
+        for p, row in zip(pivots, rows):
+            bits |= ((row >> free) & 1) << p
+        basis.append(BitVector(a.cols, bits))
+    return basis
+
+
+def dense_in_rowspace(m: BitMatrix, v: BitVector) -> BitVector | None:
+    """Coefficients c over the rows of m with sum(c_i * row_i) = v, or None:
+    the pivot solution of transpose(m) c = v."""
+    return dense_solve(transpose(m), v)
 
 
 def reduce_mask(mask: int, pivots, rows) -> int:
@@ -679,7 +748,7 @@ def dense_context(d: EmbeddingScheme):
     for j, e in enumerate(d.edges):
         for x in e.darts:
             boundary[x >> 2] ^= 1 << j
-    cycles = rref_nullspace(*dense_rref(boundary, m), m)
+    cycles = dense_nullspace(BitMatrix.from_bitrows(boundary, m))
     face_pivots, face_rows = dense_rref(
         [reg.parity_bits for reg in faces(d).regions], m)
     reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycles]

@@ -16,15 +16,15 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES, KLEIN_2COMP_CLASSES,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS,
                       TORUS_3COMP_SHAPE, as_matrix, base_region_count,
-                      bicolor_system, cover_face_count, monodromy_orientable,
-                      planar_knot_pds, random_suite)
+                      bicolor_system, cover_face_count, dense_nullspace,
+                      dense_rank, monodromy_orientable, planar_knot_pds,
+                      random_suite)
 from regioncc import (admissible, admissible_by_bicoloring, checkerboard,
                       components, count_classes, faces, import_pd,
                       incidence_matrix, ineffective_basis,
                       orientation_double_cover, poke_sites, random_diagram,
                       rcc_equivalent, reidemeister_two, surface_info,
                       verify_rank_formula, R2Spec)
-from regioncc.gf2 import nullspace_basis, rank
 
 
 def verdict(tag: str, ok: bool) -> None:
@@ -50,10 +50,10 @@ def big_suite():
 
 
 def test_criterion_1_worked_example_ranks():
-    got = (rank(as_matrix(TORUS_3COMP_INCIDENCE)),
-           rank(as_matrix(TORUS_3COMP_CLASSES)),
-           rank(as_matrix(KLEIN_2COMP_INCIDENCE)),
-           rank(as_matrix(KLEIN_2COMP_CLASSES)))
+    got = (dense_rank(as_matrix(TORUS_3COMP_INCIDENCE)),
+           dense_rank(as_matrix(TORUS_3COMP_CLASSES)),
+           dense_rank(as_matrix(KLEIN_2COMP_INCIDENCE)),
+           dense_rank(as_matrix(KLEIN_2COMP_CLASSES)))
     want = TORUS_3COMP_RANKS + KLEIN_2COMP_RANKS
     verdict(f"criterion 1: worked-example matrix ranks {got} == {want}",
             got == want)
@@ -64,8 +64,8 @@ def test_criterion_2_worked_example_formula():
     for incidence, classes, (r, n) in (
             (TORUS_3COMP_INCIDENCE, TORUS_3COMP_CLASSES, TORUS_3COMP_SHAPE),
             (KLEIN_2COMP_INCIDENCE, KLEIN_2COMP_CLASSES, KLEIN_2COMP_SHAPE)):
-        predicted = r - n - 1 + rank(as_matrix(classes))
-        ok = ok and predicted == rank(as_matrix(incidence))
+        predicted = r - n - 1 + dense_rank(as_matrix(classes))
+        ok = ok and predicted == dense_rank(as_matrix(incidence))
     verdict("criterion 2: r - n - 1 + rank(N) reproduces both worked ranks",
             ok)
 
@@ -118,7 +118,7 @@ def test_criterion_5_planar_knots_full_rank():
         d = import_pd(code)
         s = surface_info(d)
         ok = ok and s.euler_characteristic == 2 and len(components(d)) == 1
-        ok = ok and rank(incidence_matrix(d)) == d.crossing_count
+        ok = ok and dense_rank(incidence_matrix(d)) == d.crossing_count
         ok = ok and count_classes(d) == 0
     verdict(f"criterion 5: {len(codes)} planar knot codes all have "
             "full-rank incidence matrices", ok)
@@ -197,7 +197,7 @@ def test_criterion_9_ineffective_sets(big_suite):
     for d in big_suite:
         m = incidence_matrix(d)
         basis = ineffective_basis(d)
-        ok = ok and len(basis) == m.rows - rank(m)
+        ok = ok and len(basis) == m.rows - dense_rank(m)
         colors = checkerboard(d)
         if colors is None:
             continue
@@ -230,7 +230,7 @@ def test_criterion_10_structural_invariants(big_suite):
         for bits in incidence_matrix(d).row_bits:
             acc ^= bits
         ok = ok and acc == 0
-        homogeneous = nullspace_basis(bicolor_system(d))
+        homogeneous = dense_nullspace(bicolor_system(d))
         ok = ok and len(homogeneous) == len(components(d))
     verdict("criterion 10: cover face counts, face pairing, zero row sums, "
             "and 2^n bi-coloring solution spaces hold across the suite", ok)

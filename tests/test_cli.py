@@ -9,12 +9,11 @@ import sys
 import pytest
 
 from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd, make_curl,
-                      make_rp2curl, make_torus11, violation_document)
+                      make_rp2curl, make_torus11, ones, violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
                       import_pd, parse_diagram, phi_class, random_diagram,
                       serialize_diagram)
 from regioncc.cli import _cmd_bicolor, _load, _parser, main
-from regioncc.gf2 import set_bits
 
 
 @pytest.fixture
@@ -419,6 +418,36 @@ class TestExitCodes:
         assert child.returncode == 2
         assert child.stderr == b"error: cannot write stdout: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [["-h"], ["info", "-h"]])
+    def test_help_to_full_stdout_is_one_error_line(self, argv, unbuffered):
+        # Unbuffered, the help write itself fails; buffered, its flush does.
+        cmd = [sys.executable, "-m", "regioncc.cli", *argv]
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "wb") as full:
+            child = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE,
+                                   env=env, check=False)
+        assert child.returncode == 2
+        assert child.stderr == b"error: cannot write stdout: No space left on device\n"
+
+    def test_out_of_memory_is_one_error_line(self):
+        resource = pytest.importorskip("resource")
+        # The child caps its own address space at 1 GB before it starts
+        # the command, so the dart list of 10**12 crossings cannot be
+        # allocated on any host.
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                "from regioncc.cli import main\n"
+                "sys.exit(main(['random', '-n', '1000000000000']))\n")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               check=False)
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr == b"error: out of memory\n"
+
     def test_closed_stdout_exits_quietly(self):
         cmd = [sys.executable, "-m", "regioncc.cli", "random", "-n", "300"]
         with subprocess.Popen(cmd, stdout=subprocess.PIPE,
@@ -449,7 +478,7 @@ class TestCorruptedBases:
         else:
             attr, basis = "homology_matrix", d.shadow.homology_matrix.basis
             target = phi_class(d, bicoloring(d, TestCorruptedBases.TARGET)).bits
-        p = min(p for p in set_bits(target) if p in basis.rows)
+        p = min(p for p in ones(target) if p in basis.rows)
         rows = dict(basis.rows)
         if kind == "wrong_yes":
             tags = rows[p] >> basis.width

@@ -15,13 +15,13 @@ import time
 import pytest
 
 from conftest import (braid_pd, cyclic_pd, dense_admissible, dense_bicoloring,
-                      dense_context, dense_ineffective, even_target,
-                      make_curl, make_rp2curl, make_torus11, random_suite)
+                      dense_context, dense_ineffective, dense_rank,
+                      even_target, make_curl, make_rp2curl, make_torus11,
+                      random_suite)
 from regioncc import (admissible, bicoloring, class_of, components,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, random_diagram,
                       rcc_equivalent, verify_rank_formula)
-from regioncc.gf2 import rank
 
 
 def suite():
@@ -76,9 +76,9 @@ def test_factorisation_matches_dense_eliminations(index):
     d = SUITE[index]
     rng = random.Random(100 + index)
     m = incidence_matrix(d)
-    assert d.shadow.incidence_factor.rank == rank(m)
-    assert verify_rank_formula(d).incidence_rank == rank(m)
-    assert count_classes(d) == d.crossing_count - rank(m)
+    assert d.shadow.incidence_factor.rank == dense_rank(m)
+    assert verify_rank_formula(d).incidence_rank == dense_rank(m)
+    assert count_classes(d) == d.crossing_count - dense_rank(m)
     for target in targets(d, rng):
         assert admissible(d, target) == dense_admissible(d, target)
     assert ineffective_basis(d) == dense_ineffective(d)
@@ -102,7 +102,7 @@ def test_factorisation_matches_dense_eliminations_on_braids(index):
     assert all(len(m) == 4 for m in meets)
     rng = random.Random(300 + index)
     m = incidence_matrix(d)
-    assert d.shadow.incidence_factor.rank == rank(m)
+    assert d.shadow.incidence_factor.rank == dense_rank(m)
     for target in targets(d, rng):
         assert admissible(d, target) == dense_admissible(d, target)
     assert ineffective_basis(d) == dense_ineffective(d)

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from conftest import random_suite, relabeled
+from conftest import dense_rank, random_suite, relabeled
 from regioncc import (class_of, components, faces, homology_context,
                       homology_matrix, surface_info)
-from regioncc.gf2 import rank
 
 
 class TestContext:
@@ -97,7 +96,7 @@ class TestHomologyMatrix:
                 for e in comp.edges:
                     mask ^= 1 << e
                 assert class_of(d, mask).bits == row
-            assert hm.rank == rank(hm.matrix)
+            assert hm.rank == dense_rank(hm.matrix)
 
     def test_rank_is_label_free(self):
         rng = random.Random(26)

@@ -9,7 +9,6 @@ from regioncc import (R2Spec, Edge, EmbeddingScheme, components, faces,
                       incidence_matrix, poke_sites, random_diagram,
                       rcc_equivalent, reidemeister_two, surface_info,
                       switch_crossing, verify_rank_formula)
-from regioncc.gf2 import rank
 
 
 class TestSwitch:

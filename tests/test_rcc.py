@@ -10,15 +10,15 @@ from conftest import (CHAIN3_PD, FIXTURE_MAKERS, FIXTURE_PROFILES, HOPF_PD,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_SHAPE, as_matrix,
                       brute_admissible, brute_rank, cyclic_pd,
-                      dense_edge_sides, random_suite, row_span,
-                      shift_switched)
+                      dense_edge_sides, dense_rank, ones, random_suite,
+                      row_span, shift_switched)
 from regioncc import (Edge, EmbeddingScheme, R2Spec, admissible, apply_rcc,
                       checkerboard, components, count_classes, faces,
                       import_pd, incidence_matrix, ineffective_basis,
                       poke_sites, random_diagram, rcc_equivalent,
                       reidemeister_two, surface_info, switch_crossing,
                       verify_rank_formula)
-from regioncc.gf2 import BitMatrix, BitVector, rank, set_bits
+from regioncc.gf2 import BitMatrix, BitVector
 
 
 class TestIncidenceMatrix:
@@ -54,11 +54,11 @@ class TestIncidenceMatrix:
 class TestRankFormula:
     def test_worked_example_arithmetic(self):
         r, n = TORUS_3COMP_SHAPE
-        assert rank(as_matrix(TORUS_3COMP_INCIDENCE)) \
-            == r - n - 1 + rank(as_matrix(TORUS_3COMP_CLASSES))
+        assert dense_rank(as_matrix(TORUS_3COMP_INCIDENCE)) \
+            == r - n - 1 + dense_rank(as_matrix(TORUS_3COMP_CLASSES))
         r, n = KLEIN_2COMP_SHAPE
-        assert rank(as_matrix(KLEIN_2COMP_INCIDENCE)) \
-            == r - n - 1 + rank(as_matrix(KLEIN_2COMP_CLASSES))
+        assert dense_rank(as_matrix(KLEIN_2COMP_INCIDENCE)) \
+            == r - n - 1 + dense_rank(as_matrix(KLEIN_2COMP_CLASSES))
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_PROFILES))
     def test_fixture_reports(self, name):
@@ -237,7 +237,7 @@ class TestIneffective:
         for d in random_suite(60, 1, 9, (0.0, 0.5, 1.0), seed=37):
             m = incidence_matrix(d)
             basis = ineffective_basis(d)
-            assert len(basis) == m.rows - rank(m)
+            assert len(basis) == m.rows - dense_rank(m)
             for v in basis:
                 effect = 0
                 for rid in v.support():
@@ -315,7 +315,7 @@ class TestLargeSets:
             effect = shift_switched(d, regions)
             assert apply_rcc(d, regions).overs == tuple(
                 o ^ ((effect >> i) & 1) for i, o in enumerate(d.overs))
-            cert = admissible(d, set_bits(effect))
+            cert = admissible(d, ones(effect))
             assert cert is not None and shift_switched(d, cert) == effect
             target = [i for i in range(c) if rng.random() < share]
             want = sum(1 << i for i in target)
