@@ -42,9 +42,7 @@ class Bicoloring(NamedTuple):
         For a valid bi-coloring both strands of a crossing agree on
         whether they change; RuntimeError flags a mismatch.
         """
-        colors, edge_of = self.colors, d.shadow.edge_of
-        if len(colors) != d.edge_count:
-            raise ValueError("coloring length does not match the edge count")
+        colors, edge_of = _checked_colors(d, self), d.shadow.edge_of
         out = []
         for i in range(d.crossing_count):
             flip = colors[edge_of[4 * i]] ^ colors[edge_of[4 * i + 2]]
@@ -53,6 +51,17 @@ class Bicoloring(NamedTuple):
             if flip:
                 out.append(i)
         return tuple(out)
+
+
+def _checked_colors(d: EmbeddingScheme, coloring: Bicoloring) -> tuple[int, ...]:
+    """The colors, one per edge of d and each exactly the int 0 or 1."""
+    colors = coloring.colors
+    if len(colors) != d.edge_count:
+        raise ValueError("coloring length does not match the edge count")
+    # Set tests run in C: True == 1 and 1.0 == 1, so types are tested too.
+    if not ({*map(type, colors)} <= {int} and {*colors} <= {0, 1}):
+        raise ValueError("coloring colors must be 0 or 1")
+    return colors
 
 
 def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | None:
@@ -84,9 +93,8 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
 
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
     """Homology class of the 1-colored edge set."""
-    if len(coloring.colors) != d.edge_count:
-        raise ValueError("coloring length does not match the edge count")
-    return class_of(d, [e for e, color in enumerate(coloring.colors) if color & 1])
+    colors = _checked_colors(d, coloring)
+    return class_of(d, [e for e, color in enumerate(colors) if color])
 
 
 def admissible_by_bicoloring(
@@ -100,7 +108,9 @@ def admissible_by_bicoloring(
     base = bicoloring(d, crossings)
     if base is None:
         return False, None
-    coeffs = d.shadow.homology_matrix.basis.expression(phi_class(d, base).bits)
+    # Colors built here are 0 or 1, so class_of reads them without phi_class's check.
+    ones = [e for e, color in enumerate(base.colors) if color]
+    coeffs = d.shadow.homology_matrix.basis.expression(class_of(d, ones).bits)
     if coeffs is None:
         return False, None
     colors = list(base.colors)
@@ -108,7 +118,6 @@ def admissible_by_bicoloring(
     for k in set_bits(coeffs):
         for e in comps[k].edges:
             colors[e] ^= 1
-    witness = Bicoloring(tuple(colors))
-    if phi_class(d, witness).bits:
+    if class_of(d, [e for e, color in enumerate(colors) if color]).bits:
         raise RuntimeError("component flips did not cancel the class")
-    return True, witness
+    return True, Bicoloring(tuple(colors))

@@ -150,9 +150,9 @@ def _cmd_bicolor(args):
     d = _load(args.file)
     ok, shown = admissible_by_bicoloring(d, args.crossings)
     if not ok:
-        shown = bicoloring(d, args.crossings)  # nonzero class, or None
-        if shown is not None and admissible(d, args.crossings) is not None:
+        if admissible(d, args.crossings) is not None:
             raise RuntimeError("matrix and bi-coloring methods disagree")
+        shown = bicoloring(d, args.crossings)  # nonzero class, or None
     if shown is None:
         data = {"admissible": False, "colors": None, "phi_class": None}
         return data, ["infeasible: no bi-coloring for those crossings"]

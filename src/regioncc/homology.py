@@ -4,15 +4,15 @@ The embedded 4-valent graph gives a chain complex over GF(2): edges
 span the 1-chains, crossings the 0-chains, and region boundaries the
 image of the 2-chains.  First homology is the cycle space of the graph
 modulo the span of the region boundary masks; its dimension equals
-2 minus the Euler characteristic.  Edge sets are passed around as bit
-masks (bit e = edge e), matching the gf2 row convention.
+2 minus the Euler characteristic.  Classes are bit masks (bit k =
+basis element k), matching the gf2 row convention.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .gf2 import BitMatrix, BitVector, RowBasis, set_bits
+from .gf2 import BitMatrix, BitVector, RowBasis
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
@@ -38,7 +38,6 @@ class HomologyContext(NamedTuple):
     the cycle check counts.
     """
 
-    edge_count: int
     edge_ends: tuple[tuple[int, int], ...]
     quotient_pivots: tuple[int, ...]
     edge_classes: tuple[int, ...]
@@ -135,72 +134,52 @@ def build_context(shadow: Shadow) -> HomologyContext:
     for v, u, j in reversed(order[1:]):
         classes[j] = below[v]
         below[u] ^= below[v]
-    return HomologyContext(m, ends, tuple(cotree), tuple(classes))
+    return HomologyContext(ends, tuple(cotree), tuple(classes))
 
 
 def homology_context(d: EmbeddingScheme) -> HomologyContext:
     return d.shadow.homology_context
 
 
-def _as_edges(edge_set: Iterable[int] | int, edge_count: int) -> list[int]:
-    """The edges of a mask, or the checked edge indices of an iterable."""
-    if type(edge_set) is int:
-        if edge_set >> edge_count:
-            raise IndexError("edge mask wider than the edge count")
-        return set_bits(edge_set)
+def _cycle_class(ctx: HomologyContext, edges: Iterable[int]) -> int:
+    """Class bits of an edge cycle, read in one pass over its edge indices.
+
+    Each index is checked, its class XORed in and its end crossings
+    toggled (a loop's two ends cancel); indices are taken mod 2.  ValueError names the crossings
+    with odd incidence if the edges do not form a cycle of the graph.
+    """
     try:
-        edges = list(edge_set)
+        edges = iter(edges)
     except TypeError:
-        raise TypeError(f"edge set {edge_set!r} is not an int mask or an iterable") from None
+        raise TypeError(f"edge set {edges!r} is not an iterable") from None
+    edge_ends, edge_classes = ctx.edge_ends, ctx.edge_classes
+    m = len(edge_ends)
+    bits = 0
+    odd: set[int] = set()
     for e in edges:
         if type(e) is not int:
             raise TypeError(f"edge index {e!r} is not an int")
-        if not 0 <= e < edge_count:
+        if not 0 <= e < m:
             raise IndexError(f"edge index {e} out of range")
-    return edges
-
-
-def _odd_crossings(ctx: HomologyContext, edges: Iterable[int]) -> list[int]:
-    """The crossings where the edges have an odd number of ends, sorted."""
-    edge_ends = ctx.edge_ends
-    odd: set[int] = set()
-    for e in edges:
-        for v in edge_ends[e]:
-            if v in odd:
-                odd.remove(v)
-            else:
-                odd.add(v)
-    return sorted(odd)
-
-
-def _class_bits(ctx: HomologyContext, edges: Iterable[int]) -> int:
-    """Class bits of a cycle: the XOR of its edges' classes."""
-    edge_classes = ctx.edge_classes
-    bits = 0
-    for e in edges:
         bits ^= edge_classes[e]
+        u, v = edge_ends[e]
+        if u != v:
+            odd ^= {u, v}
+    if odd:
+        raise ValueError("edge set is not a cycle: odd incidence at "
+                         f"crossing {', '.join(map(str, sorted(odd)))}")
     return bits
 
 
-def class_of(source: EmbeddingScheme | HomologyContext,
-             edge_set: Iterable[int] | int) -> BitVector:
+def class_of(d: EmbeddingScheme, edges: Iterable[int]) -> BitVector:
     """Homology class of an edge cycle, in the context's quotient basis.
 
-    ``source`` may be the scheme itself or a context obtained from
-    homology_context.  ``edge_set`` is an int bit mask or an iterable of
-    int edge indices (taken mod 2).  Raises ValueError naming the crossings
-    with odd incidence if the set is not a cycle of the graph.
+    ``edges`` is an iterable of int edge indices, taken mod 2.  Raises
+    ValueError naming the crossings with odd incidence if they do not
+    form a cycle of the graph.
     """
-    if isinstance(source, HomologyContext):
-        ctx = source
-    else:
-        ctx = homology_context(source)
-    edges = _as_edges(edge_set, ctx.edge_count)
-    odd = _odd_crossings(ctx, edges)
-    if odd:
-        raise ValueError("edge set is not a cycle: odd incidence at "
-                         f"crossing {', '.join(map(str, odd))}")
-    return BitVector(ctx.h1_dim, _class_bits(ctx, edges))
+    ctx = d.shadow.homology_context
+    return BitVector(ctx.h1_dim, _cycle_class(ctx, edges))
 
 
 class HomologyMatrix(NamedTuple):
@@ -217,11 +196,10 @@ class HomologyMatrix(NamedTuple):
 def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
     """The component-class matrix of a shadow; Shadow.homology_matrix caches it."""
     ctx = shadow.homology_context
-    rows = []
-    for comp in shadow.components:
-        if _odd_crossings(ctx, comp.edges):
-            raise RuntimeError("component trace is not a cycle")
-        rows.append(_class_bits(ctx, comp.edges))
+    try:
+        rows = [_cycle_class(ctx, comp.edges) for comp in shadow.components]
+    except ValueError:
+        raise RuntimeError("component trace is not a cycle") from None
     return HomologyMatrix(BitMatrix.from_bitrows(rows, ctx.h1_dim),
                           RowBasis.of(rows, ctx.h1_dim))
 

@@ -142,6 +142,8 @@ def random_diagram(crossings: int, neg_prob: float = 0.0,
     coin flips, both drawn after a connected shadow is found, so equal
     seeds give equal diagrams.
     """
+    if type(crossings) is not int:
+        raise TypeError(f"crossing count {crossings!r} is not an int")
     if crossings < 1:
         raise ValueError("need at least one crossing")
     # Dart ids index lists, so 4 * crossings must fit in a Py_ssize_t.

@@ -169,26 +169,18 @@ class CoverScheme(NamedTuple):
     base surface is nonorientable.
     """
 
-    base_crossings: int
     sigma: tuple[int, ...]
     theta: tuple[int, ...]
-    connected: bool
-
-    @property
-    def dart_count(self) -> int:
-        return 8 * self.base_crossings
 
 
 class Region(NamedTuple):
     """One region of the surface complement, as the walk of its first cover face.
 
-    The walk's k-th corner sits at crossing ``corners[k]`` and the walk
-    then runs along edge ``edges[k]``; ``crossing_count`` is the
-    diagram's, for the dense views below.
+    The walk's k-th corner sits at crossing ``corners[k]``;
+    ``crossing_count`` is the diagram's, for the dense views below.
     """
 
     corners: tuple[int, ...]
-    edges: tuple[int, ...]
     crossing_count: int
 
     @property
@@ -207,29 +199,20 @@ class Region(NamedTuple):
             bits ^= 1 << v
         return bits
 
-    @property
-    def parity_bits(self) -> int:
-        """Bit e is the mod-2 number of times the walk runs along edge e."""
-        bits = 0
-        for e in self.edges:
-            bits ^= 1 << e
-        return bits
-
 
 class FaceStructure(NamedTuple):
     """Cover faces, their pairing, and the resulting base regions.
 
     Regions are ordered by the least cover dart they touch, which sorts
     by base dart first and untwisted sheet first.  Region k's two lifts
-    are cover faces 2k and 2k + 1, so ``face_region[f] == f >> 1`` and
-    ``face_partner[f] == f ^ 1``; ``plus_face[d]`` is the cover face of
-    base dart d's sheet-0 lift.  ``edge_sides[e]`` holds the two regions
-    flanking edge e, sorted (equal when the edge has one region on both
-    sides).
+    are cover faces 2k and 2k + 1, so cover face f lies over region
+    f >> 1 and ``face_partner[f] == f ^ 1``; ``plus_face[d]`` is the
+    cover face of base dart d's sheet-0 lift.  ``edge_sides[e]`` holds
+    the two regions flanking edge e, sorted (equal when the edge has one
+    region on both sides).
     """
 
     regions: tuple[Region, ...]
-    face_region: tuple[int, ...]
     face_partner: tuple[int, ...]
     plus_face: tuple[int, ...]
     edge_sides: tuple[tuple[int, int], ...]
@@ -240,7 +223,7 @@ class FaceStructure(NamedTuple):
 
     def region_of_side(self, dart: int) -> int:
         """Region bordering the side of dart's edge named by the dart."""
-        return self.face_region[self.plus_face[dart]]
+        return self.plus_face[dart] >> 1
 
 
 class Component(NamedTuple):
@@ -294,34 +277,33 @@ class Shadow(Frozen):
             # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
             x, y = 2 * a, 2 * b + (sign < 0)
             theta[x], theta[y], theta[x + 1], theta[y ^ 1] = y, x, y ^ 1, x + 1
-        return CoverScheme(c, tuple(sigma), tuple(theta), not self.orientable)
+        return CoverScheme(tuple(sigma), tuple(theta))
 
     @cached_property
     def faces(self) -> FaceStructure:
-        cover = self.cover
-        sigma, theta, edge_of = cover.sigma, cover.theta, self.edge_of
-        c = cover.base_crossings
+        sigma, theta = self.cover
+        c = self.crossing_count
         # The cover laws: sigma(sigma(x ^ 1) ^ 1) == x, so x -> sigma(x) ^ 1
         # is an involution, theta(theta(x)) == x and theta(x ^ 1) ==
         # theta(x) ^ 1.  So sigma and theta are permutations, every walk of
         # x -> sigma(theta(x)) closes, and the mirror x -> theta(x ^ 1) maps
         # each face onto one, run backwards.
-        darts = list(range(cover.dart_count))
+        darts = list(range(len(sigma)))
         flipped = [y ^ 1 for y in sigma]
         if ([flipped[y] for y in flipped] != darts or [theta[y] for y in theta] != darts
                 or list(theta[1::2]) != [y ^ 1 for y in theta[::2]]):
             raise RuntimeError("cover breaks the deck laws")
-        face_of = [-1] * cover.dart_count
+        face_of = [-1] * len(sigma)
         regions = []
         for start in darts:
             if face_of[start] >= 0:
                 continue
             fid = 2 * len(regions)
-            walk = []
+            corners = []
             x = start
             while face_of[x] < 0:
                 face_of[x] = fid
-                walk.append(x)
+                corners.append(x >> 3)
                 x = sigma[theta[x]]
             # The other lift is the mirror face: fresh, unless it is this one.
             y = theta[start ^ 1]
@@ -330,8 +312,7 @@ class Shadow(Frozen):
                 y = sigma[theta[y]]
             if face_of[y] == fid:
                 raise RuntimeError(f"face {fid} meets its own mirror")
-            regions.append(Region(tuple(x >> 3 for x in walk),
-                                  tuple(edge_of[x >> 1] for x in walk), c))
+            regions.append(Region(tuple(corners), c))
         # An edge's sides are the faces of one cover edge's two darts.  The
         # plus faces of its two base darts would not do: on a -1 edge they
         # name the same side.
@@ -339,10 +320,9 @@ class Shadow(Frozen):
         for (a, _), _ in self.edges:
             u, v = face_of[2 * a] >> 1, face_of[theta[2 * a]] >> 1
             edge_sides.append((u, v) if u <= v else (v, u))
-        fids = range(2 * len(regions))
-        return FaceStructure(tuple(regions), tuple(f >> 1 for f in fids),
-                             tuple(f ^ 1 for f in fids), tuple(face_of[::2]),
-                             tuple(edge_sides))
+        return FaceStructure(tuple(regions),
+                             tuple(f ^ 1 for f in range(2 * len(regions))),
+                             tuple(face_of[::2]), tuple(edge_sides))
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
@@ -483,7 +463,7 @@ def orientation_double_cover(d: EmbeddingScheme) -> CoverScheme:
 
 
 def faces(d: EmbeddingScheme) -> FaceStructure:
-    """Regions of the diagram's complement, with corners and edge parities."""
+    """Regions of the diagram's complement, with their corners."""
     return d.shadow.faces
 
 

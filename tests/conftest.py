@@ -483,9 +483,9 @@ def base_region_count(d: EmbeddingScheme) -> int:
 def cover_face_count(d: EmbeddingScheme) -> int:
     """Number of orbits of x -> sigma(theta(x)) over the cover's darts."""
     cover = orientation_double_cover(d)
-    seen = [False] * cover.dart_count
+    seen = [False] * len(cover.sigma)
     count = 0
-    for start in range(cover.dart_count):
+    for start in range(len(cover.sigma)):
         if seen[start]:
             continue
         count += 1
@@ -494,6 +494,69 @@ def cover_face_count(d: EmbeddingScheme) -> int:
             seen[x] = True
             x = cover.sigma[cover.theta[x]]
     return count
+
+
+def region_walks(d: EmbeddingScheme) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each region's corners and edges, traced on a double cover built here.
+
+    A cover dart is a (dart, sheet) pair.  On sheet 0 the rotation at a
+    crossing runs through its darts in ascending order, on sheet 1 in
+    descending order, and a -1 edge joins its two ends across the sheets.
+    A cover face is an orbit of "cross the edge, then rotate", and the
+    two faces over one region are exchanged by "change sheet, then cross
+    the edge".  Regions are numbered by their least cover dart in
+    (dart, sheet) order and walked from it: the k-th corner is at the
+    crossing of the walk's k-th cover dart, and the walk then runs along
+    that dart's edge.  Reads only ``d.edges`` and ``d.crossing_count``.
+    """
+    across = {}
+    edge_index = {}
+    for j, ((a, b), sign) in enumerate(d.edges):
+        for sheet in (0, 1):
+            other = sheet ^ (sign < 0)
+            across[a, sheet] = (b, other)
+            across[b, other] = (a, sheet)
+        edge_index[a] = edge_index[b] = j
+
+    def step(x):
+        dart, sheet = across[x]
+        turn = -1 if sheet else 1
+        return dart - dart % 4 + (dart + turn) % 4, sheet
+
+    region_of: dict[tuple[int, int], int] = {}
+    walks = []
+    for start in ((dart, sheet) for dart in range(4 * d.crossing_count)
+                  for sheet in (0, 1)):
+        if start in region_of:
+            continue
+        rid = len(walks)
+        walk = []
+        x = start
+        while x not in region_of:
+            region_of[x] = rid
+            walk.append(x)
+            x = step(x)
+        assert x == start, "cover face walk did not close"
+        mirror = y = across[start[0], start[1] ^ 1]
+        assert y not in region_of, "cover face meets its own mirror"
+        while y not in region_of:
+            region_of[y] = rid
+            y = step(y)
+        assert y == mirror, "mirror face walk did not close"
+        walks.append((tuple(dart >> 2 for dart, _ in walk),
+                      tuple(edge_index[dart] for dart, _ in walk)))
+    return walks
+
+
+def region_parities(d: EmbeddingScheme) -> list[int]:
+    """Each region's boundary as an edge mask: bit e is the parity of its walk's visits."""
+    masks = []
+    for _, edges in region_walks(d):
+        bits = 0
+        for e in edges:
+            bits ^= 1 << e
+        masks.append(bits)
+    return masks
 
 
 def brute_poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
@@ -713,25 +776,19 @@ def reduce_mask(mask: int, pivots, rows) -> int:
 
 
 def dense_edge_sides(d: EmbeddingScheme) -> list[tuple[int, int]]:
-    """The two regions flanking each edge, read off the regions' parity bits.
+    """The two regions flanking each edge, read off the reference walks.
 
-    An edge in two region masks lies between those two regions.  An edge
-    in no mask has one region on both sides, the one whose walk runs
-    along it twice.
+    A region's walk runs once along each side of its boundary, so every
+    edge is walked twice: by the regions on its two sides, or twice by
+    the one region on both.
     """
-    regions = faces(d).regions
     sides: list[list[int]] = [[] for _ in range(d.edge_count)]
-    for rid, reg in enumerate(regions):
-        bits = reg.parity_bits
-        for e in range(d.edge_count):
-            if (bits >> e) & 1:
-                sides[e].append(rid)
+    for rid, (_, edges) in enumerate(region_walks(d)):
+        for e in edges:
+            sides[e].append(rid)
     for e, found in enumerate(sides):
-        if not found:
-            found += [rid for rid, reg in enumerate(regions)
-                      if reg.edges.count(e) == 2] * 2
         assert len(found) == 2, f"edge {e} has sides {found}"
-    return [(u, v) for u, v in sides]
+    return [tuple(sorted(found)) for found in sides]
 
 
 def dense_context(d: EmbeddingScheme):
@@ -749,8 +806,7 @@ def dense_context(d: EmbeddingScheme):
         for x in e.darts:
             boundary[x >> 2] ^= 1 << j
     cycles = dense_nullspace(BitMatrix.from_bitrows(boundary, m))
-    face_pivots, face_rows = dense_rref(
-        [reg.parity_bits for reg in faces(d).regions], m)
+    face_pivots, face_rows = dense_rref(region_parities(d), m)
     reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycles]
     quotient_pivots, quotient_rows = dense_rref(reduced, m)
 

@@ -42,6 +42,17 @@ class TestBicoloring:
         with pytest.raises(RuntimeError, match="strands disagree at crossing 0"):
             Bicoloring((1, 0, 0, 0, 0, 0)).switched(trefoil)
 
+    def test_colors_must_be_0_or_1(self, trefoil, rp2curl):
+        # Read bit by bit, (0, 2, 2, 0, 2, 0) switched crossing 0 on the
+        # trefoil while phi_class, reading parities, gave the zero class.
+        for d, colors in [(trefoil, (0, 2, 2, 0, 2, 0)), (trefoil, (2, 0, 0, 0, 0, 0)),
+                          (rp2curl, (3, 2)), (rp2curl, (-1, 0)), (rp2curl, (1, True)),
+                          (rp2curl, (1.0, 0)), (rp2curl, (None, 0))]:
+            coloring = Bicoloring(colors)
+            for query in (coloring.switched, lambda d: phi_class(d, coloring)):
+                with pytest.raises(ValueError, match="coloring colors must be 0 or 1"):
+                    query(d)
+
     @pytest.mark.parametrize("length", [5, 7, 20])
     def test_coloring_length_must_match(self, trefoil, length):
         coloring = Bicoloring((0,) * length)
@@ -101,9 +112,6 @@ class TestPhiClass:
     def test_crosscap_coloring(self, rp2curl):
         assert phi_class(rp2curl, Bicoloring((1, 0))).bits == 1
         assert phi_class(rp2curl, Bicoloring((0, 1))).bits == 0
-
-    def test_odd_colors_are_the_one_colored_edges(self, rp2curl):
-        assert phi_class(rp2curl, Bicoloring((3, 2))).bits == 1
 
     def test_length_check(self, curl):
         with pytest.raises(ValueError, match="length"):

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from conftest import (TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd, make_curl,
-                      make_rp2curl, make_torus11, ones, violation_document)
+from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd,
+                      make_curl, make_rp2curl, make_torus11, ones,
+                      violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
                       import_pd, parse_diagram, phi_class, random_diagram,
                       serialize_diagram)
@@ -146,6 +147,19 @@ class TestQueries:
                        "colors: 1000\nclass: 100\n")
         assert len(calls) == 1
         assert len(class_calls) == 1
+
+    def test_bicolor_checks_every_no_with_the_region_route(self, capsys, monkeypatch,
+                                                           tmp_path):
+        # Each Hopf component passes crossing 0 once: no bi-coloring for {0}.
+        hopf = import_pd(HOPF_PD)
+        assert bicoloring(hopf, [0]) is None
+        path = tmp_path / "hopf.json"
+        path.write_text(serialize_diagram(hopf))
+        monkeypatch.setattr("regioncc.rcc.admissible", lambda d, crossings: (0,))
+        for command in ("admissible", "bicolor"):
+            code, out, err = run(capsys, command, str(path), "-c", "0")
+            assert (code, out) == (4, "")
+            assert err == "internal error: matrix and bi-coloring methods disagree\n"
 
     def test_equivalent_wording(self, capsys, tmp_path, torus_file):
         switched = tmp_path / "switched.json"

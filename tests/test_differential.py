@@ -17,7 +17,7 @@ import pytest
 from conftest import (braid_pd, cyclic_pd, dense_admissible, dense_bicoloring,
                       dense_context, dense_ineffective, dense_rank,
                       even_target, make_curl, make_rp2curl, make_torus11,
-                      random_suite)
+                      ones, random_suite, region_parities)
 from regioncc import (admissible, bicoloring, class_of, components,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, random_diagram,
@@ -144,7 +144,7 @@ def test_tree_cycle_context_matches_nullspace_context(index):
         for e in comp.edges:
             mask ^= 1 << e
         masks.append(mask)
-    masks += [reg.parity_bits for reg in faces(d).regions]
+    masks += region_parities(d)
     for _ in range(20):
         mask = 0
         for z in cycles:
@@ -152,14 +152,14 @@ def test_tree_cycle_context_matches_nullspace_context(index):
                 mask ^= z
         masks.append(mask)
     for mask in masks:
-        assert class_of(ctx, mask).bits == dense_class(mask)
+        assert class_of(d, ones(mask)).bits == dense_class(mask)
     # A lone edge between two crossings has odd ends at both.
     for j, e in enumerate(d.edges):
         if e.darts[0] >> 2 != e.darts[1] >> 2:
             with pytest.raises(ValueError, match="not a cycle"):
                 dense_class(1 << j)
             with pytest.raises(ValueError, match="not a cycle: odd incidence at crossing"):
-                class_of(ctx, 1 << j)
+                class_of(d, [j])
             break
 
 

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import dense_rank, random_suite, relabeled
-from regioncc import (class_of, components, faces, homology_context,
-                      homology_matrix, surface_info)
+from conftest import dense_rank, random_suite, region_walks, relabeled
+from regioncc import (class_of, components, homology_context, homology_matrix,
+                      surface_info)
 
 
 class TestContext:
@@ -33,6 +33,9 @@ class TestClassOf:
     def test_non_cycle_rejected_naming_crossings(self, trefoil):
         with pytest.raises(ValueError, match="cycle.*crossing"):
             class_of(trefoil, [0])
+        # A bad index stops the one pass before the cycle check.
+        with pytest.raises(IndexError, match="edge index 6 out of range"):
+            class_of(trefoil, iter([0, 6]))
 
     def test_bad_edge_index(self, curl):
         with pytest.raises(IndexError):
@@ -40,35 +43,28 @@ class TestClassOf:
 
     @pytest.mark.parametrize("edge_set, named", [([1.5], "edge index 1.5"),
                                                  ([True], "edge index True"),
-                                                 (True, "edge set True")])
+                                                 (True, "edge set True"),
+                                                 (1, "edge set 1 is not an iterable")])
     def test_edges_must_be_ints(self, trefoil, edge_set, named):
         with pytest.raises(TypeError, match=named):
             class_of(trefoil, edge_set)
 
-    def test_accepts_prebuilt_context(self, rp2curl):
-        ctx = homology_context(rp2curl)
-        assert class_of(ctx, [0]).bits == 1
-        assert class_of(ctx, [1]).bits == 0
-
     def test_region_boundaries_bound(self):
         for d in random_suite(60, 1, 8, (0.0, 0.5), seed=22):
-            for reg in faces(d).regions:
-                assert class_of(d, reg.parity_bits).bits == 0
+            for _, edges in region_walks(d):
+                assert class_of(d, edges).bits == 0
 
     def test_linearity_on_component_sums(self):
         rng = random.Random(23)
         for d in random_suite(40, 2, 8, (0.0, 0.5), seed=24):
             comps = components(d)
             picks = [c for c in comps if rng.random() < 0.5]
-            mask = 0
             acc = 0
             for comp in picks:
-                one = 0
-                for e in comp.edges:
-                    one ^= 1 << e
-                mask ^= one
-                acc ^= class_of(d, one).bits
-            assert class_of(d, mask).bits == acc
+                acc ^= class_of(d, comp.edges).bits
+            # Indices are taken mod 2: a repeated edge cancels.
+            edges = [e for comp in picks for e in comp.edges]
+            assert class_of(d, edges + edges[:1] * 2).bits == acc
 
 
 class TestHomologyMatrix:
@@ -92,11 +88,14 @@ class TestHomologyMatrix:
         for d in random_suite(50, 1, 8, (0.0, 0.5, 1.0), seed=25):
             hm = homology_matrix(d)
             for row, comp in zip(hm.matrix.row_bits, components(d)):
-                mask = 0
-                for e in comp.edges:
-                    mask ^= 1 << e
-                assert class_of(d, mask).bits == row
+                assert class_of(d, comp.edges).bits == row
             assert hm.rank == dense_rank(hm.matrix)
+
+    def test_broken_component_trace_is_caught(self, trefoil):
+        comp = components(trefoil)[0]
+        trefoil.shadow.__dict__["components"] = (comp._replace(edges=comp.edges[1:]),)
+        with pytest.raises(RuntimeError, match="component trace is not a cycle"):
+            homology_matrix(trefoil)
 
     def test_rank_is_label_free(self):
         rng = random.Random(26)

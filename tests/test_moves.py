@@ -167,6 +167,12 @@ class TestRandomDiagram:
         with pytest.raises(ValueError, match="at most"):
             random_diagram(10 ** 20)
 
+    @pytest.mark.parametrize("count", [True, 2.0, "3", None])
+    def test_count_must_be_an_int(self, count):
+        # True == 1 and 2.0 == 2, but neither is a crossing count.
+        with pytest.raises(TypeError, match=f"crossing count {count!r} is not an int"):
+            random_diagram(count)
+
     def test_profiles_vary(self):
         profiles = {invariant_profile(random_diagram(5, 0.5, seed=s))
                     for s in range(30)}

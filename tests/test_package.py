@@ -10,7 +10,8 @@ import pytest
 
 import regioncc
 from conftest import TREFOIL_PD
-from regioncc import (BitMatrix, BitVector, Edge, EmbeddingScheme, Shadow,
+from regioncc import (BitMatrix, BitVector, CoverScheme, Edge, EmbeddingScheme,
+                      FaceStructure, HomologyContext, Region, Shadow,
                       import_pd, serialize_diagram)
 
 EXPORTS = [
@@ -176,6 +177,13 @@ class TestValueClasses:
         with pytest.raises(AttributeError):
             obj.extra = 1
         assert getattr(obj, field) is before
+
+    def test_derived_records_keep_only_what_is_read(self):
+        assert Region._fields == ("corners", "crossing_count")
+        assert CoverScheme._fields == ("sigma", "theta")
+        assert HomologyContext._fields == ("edge_ends", "quotient_pivots", "edge_classes")
+        assert FaceStructure._fields == ("regions", "face_partner", "plus_face",
+                                         "edge_sides")
 
     def test_cached_table_survives_on_the_shadow(self):
         d = EmbeddingScheme((1,), EDGES)

@@ -1,8 +1,9 @@
 """The acceptance properties on diagrams of thousands of crossings.
 
 One diagram of each family: the cyclic PD torus code (many regions,
-h1 = 2) and a random pairing with neg_prob 0.5 (few regions, h1 near
-the crossing count).  Each property is checked end to end from a cold
+h1 = 2), a random pairing with neg_prob 0.5 (few regions, h1 near the
+crossing count) and a closed random braid on 200 strands (planar, with
+r = c + 2 and many components).  Each property is checked end to end from a cold
 shadow, within a time bound far above what the graph walks and the one
 factorisation need.  At 8000 crossings the face trace and the homology
 tables must stay linear in size.
@@ -14,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import cyclic_pd, even_target
+from conftest import braid_pd, cyclic_pd, even_target
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, poke_sites, random_diagram,
@@ -26,6 +27,8 @@ N = 2000
 def make(family: str, n: int):
     if family == "torus":
         return import_pd(cyclic_pd(n))
+    if family == "braid":
+        return import_pd(braid_pd(200, n, 1))
     return random_diagram(n, 0.5, seed=5)
 
 
@@ -34,7 +37,7 @@ def switched(d, cert) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(d.overs, after.overs)) if a != b]
 
 
-@pytest.mark.parametrize("family", ["torus", "genus"])
+@pytest.mark.parametrize("family", ["torus", "genus", "braid"])
 def test_acceptance_properties_at_2000_crossings(family):
     start = time.perf_counter()
     d = make(family, N)
@@ -43,6 +46,9 @@ def test_acceptance_properties_at_2000_crossings(family):
     if family == "torus":
         assert report.incidence_rank == N - 1
         assert homology_context(d).h1_dim == 2
+    elif family == "braid":
+        assert report.region_count == N + 2
+        assert homology_context(d).h1_dim == 0
 
     rng = random.Random(7)
     even = even_target(d, rng)
@@ -66,7 +72,7 @@ def test_acceptance_properties_at_2000_crossings(family):
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize("family", ["torus", "genus"])
+@pytest.mark.parametrize("family", ["torus", "genus", "braid"])
 def test_poke_invariance_at_2000_crossings(family):
     d = make(family, N)
     exponent = count_classes(d)

@@ -11,11 +11,11 @@ import pytest
 from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
                       SCHEME_VIOLATIONS, VALIDATE_VIOLATIONS,
-                      base_region_count, cover_face_count, cyclic_pd,
+                      base_region_count, braid_pd, cover_face_count, cyclic_pd,
                       invariant_profile, json_shaped, make_torus11,
                       monodromy_orientable, parse_outcome, random_suite,
                       reference_parse_diagram, reference_serialize_diagram,
-                      relabeled)
+                      region_parities, region_walks, relabeled)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -148,14 +148,28 @@ class TestDartAlgebra:
         assert torus11.edge_of(3) == 1
 
 
+def cover_is_connected(d: EmbeddingScheme) -> bool:
+    """Whether the package's cover is connected, by a search along sigma and theta."""
+    sigma, theta = orientation_double_cover(d)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in (sigma[x], theta[x]):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(sigma)
+
+
 class TestCover:
     def test_positive_signs_disconnect(self, curl, torus11):
-        assert not orientation_double_cover(curl).connected
-        assert not orientation_double_cover(torus11).connected
+        assert not cover_is_connected(curl) and curl.shadow.orientable
+        assert not cover_is_connected(torus11) and torus11.shadow.orientable
 
     def test_crosscap_connects(self, rp2curl):
         cover = orientation_double_cover(rp2curl)
-        assert cover.connected
+        assert cover_is_connected(rp2curl) and not rp2curl.shadow.orientable
         # theta is a fixed-point-free involution on 8 darts: 4 cover edges
         assert len(cover.theta) == 8
         assert all(cover.theta[x] != x and cover.theta[cover.theta[x]] == x
@@ -163,15 +177,15 @@ class TestCover:
 
     def test_deck_and_sigma_commute_right(self, rp2curl):
         cover = orientation_double_cover(rp2curl)
-        for x in range(cover.dart_count):
+        for x in range(len(cover.sigma)):
             # the deck swap x ^ 1 conjugates the rotation to its inverse
             y = cover.sigma[cover.sigma[x ^ 1] ^ 1]
             assert y == x
 
     def test_orientability_matches_sign_monodromy(self):
         for d in random_suite(120, 1, 7, (0.0, 0.4, 1.0), seed=101):
-            assert (not orientation_double_cover(d).connected) \
-                == monodromy_orientable(d)
+            assert (not cover_is_connected(d)) == monodromy_orientable(d) \
+                == d.shadow.orientable
 
 
 class TestFaces:
@@ -179,19 +193,19 @@ class TestFaces:
         fs = faces(curl)
         assert fs.region_count == 3
         assert [reg.corner_counts for reg in fs.regions] == [(2,), (1,), (1,)]
-        assert [reg.parity_bits for reg in fs.regions] == [0b11, 0b01, 0b10]
+        assert region_parities(curl) == [0b11, 0b01, 0b10]
 
     def test_torus11_single_region(self, torus11):
         fs = faces(torus11)
         assert fs.region_count == 1
         assert fs.regions[0].corner_counts == (4,)
-        assert fs.regions[0].parity_bits == 0
+        assert region_parities(torus11) == [0]
 
     def test_rp2curl_regions(self, rp2curl):
         fs = faces(rp2curl)
         assert fs.region_count == 2
         assert sorted(reg.corner_counts[0] for reg in fs.regions) == [1, 3]
-        assert [reg.parity_bits for reg in fs.regions] == [0b10, 0b10]
+        assert region_parities(rp2curl) == [0b10, 0b10]
 
     def test_sides(self, rp2curl):
         fs = faces(rp2curl)
@@ -210,10 +224,30 @@ class TestFaces:
     def test_cover_faces_are_numbered_by_region(self):
         for d in random_suite(60, 1, 8, (0.0, 0.5, 1.0), seed=8):
             fs = faces(d)
-            assert len(fs.face_region) == 2 * fs.region_count
-            for f, (rid, mate) in enumerate(zip(fs.face_region, fs.face_partner)):
-                assert rid == f >> 1
-                assert mate == f ^ 1
+            assert fs.face_partner == tuple(f ^ 1 for f in range(2 * fs.region_count))
+            # The sheet-0 lifts of the darts at a crossing are one per
+            # corner there: dart x's lift lies in a face over the region
+            # at the corner just before x.
+            named = [[0] * d.crossing_count for _ in range(fs.region_count)]
+            for x in range(d.dart_count):
+                named[fs.region_of_side(x)][x >> 2] += 1
+            counts = [[corners.count(v) for v in range(d.crossing_count)]
+                      for corners, _ in region_walks(d)]
+            assert named == counts
+
+    def test_corners_match_reference_walks(self):
+        for d in random_suite(120, 1, 10, (0.0, 0.5, 1.0), seed=9):
+            assert [reg.corners for reg in faces(d).regions] \
+                == [corners for corners, _ in region_walks(d)]
+
+    @pytest.mark.parametrize("family", ["torus", "genus", "braid"])
+    def test_corners_match_reference_walks_on_families(self, family):
+        n = 300
+        d = {"torus": lambda: import_pd(cyclic_pd(n)),
+             "genus": lambda: random_diagram(n, 0.5, seed=3),
+             "braid": lambda: import_pd(braid_pd(30, n, 1))}[family]()
+        assert [reg.corners for reg in faces(d).regions] \
+            == [corners for corners, _ in region_walks(d)]
 
     @pytest.mark.parametrize("kind", ["sigma_not_a_permutation",
                                       "sheet1_runs_forwards", "theta_breaks_deck"])
@@ -261,8 +295,8 @@ class TestFaces:
             for v in range(d.crossing_count):
                 assert sum(reg.corner_counts[v] for reg in fs.regions) == 4
             acc = 0
-            for reg in fs.regions:
-                acc ^= reg.parity_bits
+            for bits in region_parities(d):
+                acc ^= bits
             assert acc == 0
 
     def test_positive_diagrams_match_base_trace(self):
@@ -466,11 +500,8 @@ class TestShadow:
         d = import_pd(cyclic_pd(n))
         fs = faces(d)
         elapsed = time.perf_counter() - start
-        acc = 0
-        for reg in fs.regions:
-            acc ^= reg.parity_bits
         assert fs.region_count == n
-        assert acc == 0
+        assert sum(len(reg.corners) for reg in fs.regions) == 4 * n
         assert surface_info(d).euler_characteristic == 0
         # A face trace quadratic in the darts takes seconds here.
         assert elapsed < 3.0
