@@ -4,6 +4,11 @@ The package namespace is lazy (PEP 562): ``import regioncc`` loads no
 submodule, and each exported name is imported from its module on first
 use, then kept here.  Each command line run then compiles only the
 modules it needs.
+
+``_EXPORTS`` is the one list of exported names, by module: each library
+module's ``__all__`` is its entry, read from here.  The package is
+always imported before its submodules, and ``__getattr__`` reads the
+list without importing any of them, so the list lives here.
 """
 
 from importlib import import_module

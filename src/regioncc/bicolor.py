@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import _EXPORTS
 from .gf2 import BitVector, set_bits
 from .homology import class_of
 from .rcc import _index_set
@@ -23,12 +24,7 @@ from .rcc import _index_set
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme
 
-__all__ = [
-    "Bicoloring",
-    "bicoloring",
-    "phi_class",
-    "admissible_by_bicoloring",
-]
+__all__ = _EXPORTS["bicolor"]
 
 
 class Bicoloring(NamedTuple):
@@ -40,14 +36,14 @@ class Bicoloring(NamedTuple):
         """Crossings whose through strands change color, sorted.
 
         For a valid bi-coloring both strands of a crossing agree on
-        whether they change; RuntimeError flags a mismatch.
+        whether they change; ValueError flags a mismatch.
         """
         colors, edge_of = _checked_colors(d, self), d.shadow.edge_of
         out = []
         for i in range(d.crossing_count):
             flip = colors[edge_of[4 * i]] ^ colors[edge_of[4 * i + 2]]
             if flip != colors[edge_of[4 * i + 1]] ^ colors[edge_of[4 * i + 3]]:
-                raise RuntimeError(f"strands disagree at crossing {i}")
+                raise ValueError(f"strands disagree at crossing {i}")
             if flip:
                 out.append(i)
         return tuple(out)

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 
+from .gf2 import BitVector
 from .scheme import (DiagramFormatError, EmbeddingScheme, InvalidDiagramError,
                      _decode_json, components, faces, import_pd, parse_diagram,
                      serialize_diagram, surface_info)
@@ -51,8 +52,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
-def _matrix_lists(m) -> list[list[int]]:
-    return [[(bits >> j) & 1 for j in range(m.cols)] for bits in m.row_bits]
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_list(text: str) -> list[int]:
+    """The 0/1 list of a vector's bit text, for JSON."""
+    return list(text.encode().translate(_BIT_VALUES))
+
+
+def _row_texts(m) -> list[str]:
+    """Each row of a BitMatrix as its bit text."""
+    return [str(BitVector(m.cols, bits)) for bits in m.row_bits]
 
 
 def _cmd_info(args):
@@ -103,17 +113,18 @@ def _cmd_verify(args):
 def _cmd_matrix(args):
     from .rcc import incidence_matrix
     d = _load(args.file)
-    m = incidence_matrix(d)
-    data = {"rows": _matrix_lists(m), "rank": d.shadow.incidence_factor.rank}
-    return data, [str(m.row(i)) for i in range(m.rows)] + [f"rank: {data['rank']}"]
+    lines = _row_texts(incidence_matrix(d))
+    data = {"rows": [_bit_list(text) for text in lines],
+            "rank": d.shadow.incidence_factor.rank}
+    return data, lines + [f"rank: {data['rank']}"]
 
 
 def _cmd_homology(args):
     from .homology import homology_matrix
     hm = homology_matrix(_load(args.file))
-    data = {"rows": _matrix_lists(hm.matrix), "rank": hm.rank,
+    lines = _row_texts(hm.matrix)
+    data = {"rows": [_bit_list(text) for text in lines], "rank": hm.rank,
             "h1_dim": hm.matrix.cols}
-    lines = [str(hm.matrix.row(i)) for i in range(hm.matrix.rows)]
     return data, lines + [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
 
 
@@ -138,10 +149,10 @@ def _cmd_admissible(args):
 
 def _cmd_ineffective(args):
     from .rcc import ineffective_basis
-    basis = ineffective_basis(_load(args.file))
-    data = {"basis": [list(v.support()) for v in basis]}
-    lines = [f"basis size: {len(basis)}"]
-    return data, lines + ["regions " + " ".join(map(str, v.support())) for v in basis]
+    supports = [v.support() for v in ineffective_basis(_load(args.file))]
+    lines = [f"basis size: {len(supports)}"]
+    lines += ["regions " + " ".join(map(str, regions)) for regions in supports]
+    return {"basis": [list(regions) for regions in supports]}, lines
 
 
 def _cmd_bicolor(args):
@@ -157,18 +168,14 @@ def _cmd_bicolor(args):
         data = {"admissible": False, "colors": None, "phi_class": None}
         return data, ["infeasible: no bi-coloring for those crossings"]
     # The witness's class is zero by construction, and already checked.
-    bits = 0 if ok else phi_class(d, shown).bits
-    data = {
-        "admissible": ok,
-        "colors": list(shown.colors),
-        "phi_class": [(bits >> k) & 1
-                      for k in range(d.shadow.homology_context.h1_dim)],
-    }
+    text = str(BitVector(d.shadow.homology_context.h1_dim) if ok
+               else phi_class(d, shown))
+    data = {"admissible": ok, "colors": list(shown.colors), "phi_class": _bit_list(text)}
     verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"
     return data, [
         verdict,
         "colors: " + "".join(map(str, shown.colors)),
-        "class: " + ("".join(str(b) for b in data["phi_class"]) or "(trivial)"),
+        "class: " + (text or "(trivial)"),
     ]
 
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-__all__ = ["BitVector", "BitMatrix"]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["gf2"]
 
 
 def set_bits(mask: int) -> list[int]:
@@ -74,7 +76,7 @@ class BitVector(Frozen):
         return tuple(set_bits(self.bits))
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+        return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
 
 
 class BitMatrix(Frozen):
@@ -98,55 +100,6 @@ class BitMatrix(Frozen):
     def from_bitrows(cls, masks: Sequence[int], cols: int) -> "BitMatrix":
         return cls(len(masks), cols, tuple(masks))
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
-
-def rref_masks(masks: Iterable[int], cols: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form of integer row masks.
-
-    Returns (pivot_columns, nonzero_reduced_rows, dependent_rows): row i
-    has its pivot at pivot_columns[i] and zeros in every other pivot
-    column below ``cols``, and the dependent input rows, in input order,
-    reduce to nothing there.  Bits at or above ``cols`` are never pivots;
-    they are carried along, so they record the row operations.
-
-    Each row is keyed by its lowest set bit below ``cols``: an incoming
-    row is reduced by the row holding its low bit until that bit is new
-    or nothing below ``cols`` is left, and back-substitution in
-    descending pivot order then clears the bits above each pivot.  The
-    work follows the nonzeros, not the column count.
-    """
-    low = (1 << cols) - 1
-    basis: dict[int, int] = {}
-    dependent = []
-    for row in masks:
-        key = row & low
-        while key:
-            p = (key & -key).bit_length() - 1
-            other = basis.get(p)
-            if other is None:
-                basis[p] = row
-                break
-            row ^= other
-            key = row & low
-        else:
-            dependent.append(row)
-    pivots = sorted(basis)
-    pivot_mask = 0
-    for p in reversed(pivots):
-        row = basis[p]
-        # Rows above p are already reduced, so each XOR clears one pivot bit
-        # and sets none of the others.
-        hits = row & pivot_mask
-        while hits:
-            bit = hits & -hits
-            row ^= basis[bit.bit_length() - 1]
-            hits ^= bit
-        basis[p] = row
-        pivot_mask |= 1 << p
-    return tuple(pivots), tuple(basis[p] for p in pivots), tuple(dependent)
-
 
 class RowBasis(NamedTuple):
     """The RREF of a matrix's rows, row k tagged by bit ``width + k``.
@@ -157,6 +110,12 @@ class RowBasis(NamedTuple):
     target's one expression in it is the pivot solution of
     transpose(m) x = target.  ``kernel`` holds the dependent rows' tags:
     row f plus its expression, the nullspace vector for free column f.
+
+    ``of`` keys each row by its lowest set bit below ``width``: an
+    incoming row is reduced by the row holding its low bit until that
+    bit is new or nothing below ``width`` is left, and back-substitution
+    in descending pivot order then clears the bits above each pivot.
+    The work follows the nonzeros, not the column count.
     """
 
     width: int
@@ -165,10 +124,35 @@ class RowBasis(NamedTuple):
 
     @classmethod
     def of(cls, rows: Iterable[int], width: int) -> "RowBasis":
-        tagged = (row | 1 << (width + k) for k, row in enumerate(rows))
-        pivots, reduced, dependent = rref_masks(tagged, width)
-        return cls(width, dict(zip(pivots, reduced)),
-                   tuple(row >> width for row in dependent))
+        low = (1 << width) - 1
+        basis: dict[int, int] = {}
+        kernel = []
+        for k, row in enumerate(rows):
+            row |= 1 << (width + k)
+            key = row & low
+            while key:
+                p = (key & -key).bit_length() - 1
+                other = basis.get(p)
+                if other is None:
+                    basis[p] = row
+                    break
+                row ^= other
+                key = row & low
+            else:
+                kernel.append(row >> width)
+        pivot_mask = 0
+        for p in sorted(basis, reverse=True):
+            row = basis[p]
+            # Rows above p are already reduced, so each XOR clears one pivot bit
+            # and sets none of the others.
+            hits = row & pivot_mask
+            while hits:
+                bit = hits & -hits
+                row ^= basis[bit.bit_length() - 1]
+                hits ^= bit
+            basis[p] = row
+            pivot_mask |= 1 << p
+        return cls(width, basis, tuple(kernel))
 
     @property
     def rank(self) -> int:

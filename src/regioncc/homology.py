@@ -12,18 +12,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme, Shadow
 
-__all__ = [
-    "HomologyContext",
-    "HomologyMatrix",
-    "homology_context",
-    "class_of",
-    "homology_matrix",
-]
+__all__ = _EXPORTS["homology"]
 
 
 class HomologyContext(NamedTuple):

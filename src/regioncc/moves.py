@@ -15,16 +15,11 @@ import random
 import sys
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .rcc import _index_set
 from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, faces
 
-__all__ = [
-    "R2Spec",
-    "reidemeister_two",
-    "poke_sites",
-    "switch_crossing",
-    "random_diagram",
-]
+__all__ = _EXPORTS["moves"]
 
 
 class R2Spec(NamedTuple):

@@ -18,22 +18,13 @@ from itertools import chain
 from operator import xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, set_bits
 
 if TYPE_CHECKING:
     from .scheme import EmbeddingScheme
 
-__all__ = [
-    "incidence_matrix",
-    "RankReport",
-    "verify_rank_formula",
-    "count_classes",
-    "admissible",
-    "ineffective_basis",
-    "apply_rcc",
-    "rcc_equivalent",
-    "checkerboard",
-]
+__all__ = _EXPORTS["rcc"]
 
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:

@@ -27,31 +27,13 @@ import json
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .gf2 import Frozen, RowBasis
 
 if TYPE_CHECKING:
     from .homology import HomologyContext, HomologyMatrix
 
-__all__ = [
-    "DiagramFormatError",
-    "InvalidDiagramError",
-    "Edge",
-    "Shadow",
-    "EmbeddingScheme",
-    "CoverScheme",
-    "Region",
-    "FaceStructure",
-    "SurfaceInfo",
-    "Component",
-    "validate",
-    "orientation_double_cover",
-    "faces",
-    "surface_info",
-    "components",
-    "import_pd",
-    "parse_diagram",
-    "serialize_diagram",
-]
+__all__ = _EXPORTS["scheme"]
 
 
 class DiagramFormatError(ValueError):

@@ -676,8 +676,9 @@ def dense_ineffective(d: EmbeddingScheme) -> list[BitVector]:
 def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """RREF by scanning columns left to right, taking the lowest usable row.
 
-    Returns (pivot_columns, nonzero_reduced_rows) like gf2.rref_masks;
-    bits at or above ``cols`` ride along with their rows.
+    Returns (pivot_columns, nonzero_reduced_rows), the reduced rows in
+    pivot order, as gf2.RowBasis.of finds them under its tags; bits at or
+    above ``cols`` ride along with their rows.
     """
     work = list(masks)
     pivots = []

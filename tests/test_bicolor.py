@@ -39,7 +39,7 @@ class TestBicoloring:
 
     def test_strands_must_agree(self, trefoil):
         # Edge 0 alone changes color only along the strand it lies on.
-        with pytest.raises(RuntimeError, match="strands disagree at crossing 0"):
+        with pytest.raises(ValueError, match="strands disagree at crossing 0"):
             Bicoloring((1, 0, 0, 0, 0, 0)).switched(trefoil)
 
     def test_colors_must_be_0_or_1(self, trefoil, rp2curl):

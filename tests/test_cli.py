@@ -3,16 +3,18 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd,
-                      make_curl, make_rp2curl, make_torus11, ones,
+                      even_target, make_curl, make_rp2curl, make_torus11, ones,
                       violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
-                      import_pd, parse_diagram, phi_class, random_diagram,
+                      homology_matrix, import_pd, incidence_matrix,
+                      parse_diagram, phi_class, random_diagram,
                       serialize_diagram)
 from regioncc.cli import _cmd_bicolor, _load, _parser, main
 
@@ -470,6 +472,59 @@ class TestExitCodes:
             err = child.stderr.read()
         assert child.wait() == 1
         assert err == b""
+
+
+def bit_rows(masks, width: int) -> list[list[int]]:
+    """Each mask's bits, column 0 first, read one shift at a time."""
+    return [[(mask >> j) & 1 for j in range(width)] for mask in masks]
+
+
+def texts(rows) -> list[str]:
+    return ["".join(map(str, row)) for row in rows]
+
+
+class TestBitRowsAtScale:
+    """Rows and classes far wider than the goldens' diagrams (at most 38
+    crossings) read back against a bit-by-bit rendering, so the high bits
+    and the zero padding are checked too."""
+
+    def test_incidence_rows_at_1000_crossings(self, capsys, tmp_path):
+        d = import_pd(cyclic_pd(1000))
+        path = tmp_path / "torus.json"
+        path.write_text(serialize_diagram(d))
+        m = incidence_matrix(d)
+        want = bit_rows(m.row_bits, m.cols)
+        code, out, _ = run(capsys, "matrix", str(path))
+        assert code == 0
+        assert out.splitlines() == texts(want) + ["rank: 999"]
+        code, out, _ = run(capsys, "matrix", "--json", str(path))
+        assert code == 0
+        assert json.loads(out)["rows"] == want
+
+    def test_component_rows_and_class_at_300_crossings(self, capsys, tmp_path):
+        d = random_diagram(300, 0.5, seed=4)
+        path = tmp_path / "genus.json"
+        path.write_text(serialize_diagram(d))
+        hm = homology_matrix(d)
+        h1 = hm.matrix.cols
+        assert h1 > 250
+        want = bit_rows(hm.matrix.row_bits, h1)
+        code, out, _ = run(capsys, "homology", str(path))
+        assert code == 0
+        assert out.splitlines()[:-2] == texts(want)
+        code, out, _ = run(capsys, "homology", "--json", str(path))
+        assert code == 0
+        assert json.loads(out)["rows"] == want
+        target = even_target(d, random.Random(3))
+        crossings = ",".join(map(str, target))
+        [phi] = bit_rows([phi_class(d, bicoloring(d, target)).bits], h1)
+        assert 1 in phi[h1 // 2:] and 0 in phi[h1 // 2:]
+        code, out, _ = run(capsys, "bicolor", "--json", str(path), "-c", crossings)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["admissible"], data["phi_class"]) == (False, phi)
+        code, out, _ = run(capsys, "bicolor", str(path), "-c", crossings)
+        assert out.splitlines()[2] == "class: " + texts([phi])[0]
 
 
 class TestCorruptedBases:

@@ -1,8 +1,8 @@
 """GF(2) elimination against brute-force enumeration.
 
-The package's one elimination, ``rref_masks`` and the ``RowBasis`` on
-it, is checked against the column-scan dense reference in conftest, and
-that reference is checked against enumerating row spans.
+The package's one elimination, ``RowBasis.of``, is checked against the
+column-scan dense reference in conftest, and that reference is checked
+against enumerating row spans.
 """
 
 import pytest
@@ -13,9 +13,9 @@ from conftest import (KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       KLEIN_2COMP_RANKS, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS, as_matrix,
                       brute_rank, dense_in_rowspace, dense_nullspace,
-                      dense_rank, dense_rref, dense_solve, mul_vector,
+                      dense_rank, dense_rref, dense_solve, mul_vector, ones,
                       row_span, transpose)
-from regioncc.gf2 import BitMatrix, BitVector, RowBasis, rref_masks
+from regioncc.gf2 import BitMatrix, BitVector, RowBasis
 
 
 @st.composite
@@ -28,13 +28,11 @@ def bit_matrices(draw, max_rows=8, max_cols=8):
 
 
 @st.composite
-def row_masks(draw, max_rows=8, max_cols=8, max_extra=4):
-    """Rows of any count, zero rows and repeated rows among them, whose
-    bits may reach up to ``max_extra`` places past ``cols``."""
+def row_masks(draw, max_rows=8, max_cols=8):
+    """Rows below ``cols`` of any count, zero rows and repeated rows
+    among them."""
     cols = draw(st.integers(0, max_cols))
-    extra = draw(st.integers(0, max_extra))
-    rows = draw(st.lists(st.integers(0, (1 << (cols + extra)) - 1),
-                         max_size=max_rows))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_rows))
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     rows += [0] * draw(st.integers(0, 2))
@@ -155,24 +153,33 @@ def test_in_rowspace_absence(m, bits):
     assert verdict == (v.bits in row_span(m.row_bits))
 
 
+def picked(rows, tag: int) -> int:
+    """The sum of the rows whose indices the tag's bits name."""
+    total = 0
+    for k in ones(tag):
+        total ^= rows[k]
+    return total
+
+
 @settings(max_examples=300, deadline=None)
 @given(row_masks())
-def test_rref_masks_matches_column_scan(case):
+def test_row_basis_matches_column_scan(case):
     masks, cols = case
-    pivots, rows, dependent = rref_masks(masks, cols)
+    basis = RowBasis.of(masks, cols)
     dense_pivots, dense_rows = dense_rref(masks, cols)
     low = (1 << cols) - 1
-    assert pivots == dense_pivots
-    assert [row & low for row in rows] == [row & low for row in dense_rows]
-    if all(m >> cols == 0 for m in masks):
-        assert rows == dense_rows
-    # Bits past cols record row operations: every row is a sum of inputs.
-    span = row_span(masks)
-    assert all(row in span for row in rows)
-    # Every input row is a pivot row or reduces to nothing below cols.
-    assert len(dependent) == len(masks) - len(pivots)
-    assert all(row & low == 0 for row in dependent)
-    assert all(row in span for row in dependent)
+    pivots = sorted(basis.rows)
+    assert tuple(pivots) == dense_pivots
+    assert tuple(basis.rows[p] & low for p in pivots) == dense_rows
+    # The tags record row operations: each reduced row is the sum of the
+    # input rows its tag names, and each kernel tag names rows summing to
+    # zero, its own dependent row the highest of them.
+    assert all(picked(masks, basis.rows[p] >> cols) == basis.rows[p] & low
+               for p in pivots)
+    assert len(basis.kernel) == len(masks) - len(pivots)
+    assert all(picked(masks, tag) == 0 for tag in basis.kernel)
+    highest = [tag.bit_length() for tag in basis.kernel]
+    assert 0 not in highest and highest == sorted(set(highest))
 
 
 @settings(max_examples=200, deadline=None)

@@ -108,6 +108,15 @@ def test_star_import_binds_every_export():
     assert set(regioncc.__all__) <= set(namespace)
 
 
+@pytest.mark.parametrize("module", LIBRARY)
+def test_module_star_import_binds_its_exports(module):
+    # A fresh interpreter imports the module first thing, as a user would.
+    bound = fresh("namespace = {}\n"
+                  f"exec('from regioncc.{module} import *', namespace)\n"
+                  "print(sorted(name for name in namespace if name[0] != '_'))")
+    assert bound == sorted(regioncc._EXPORTS[module])
+
+
 def test_dir_lists_every_export_before_use():
     missing = fresh("import regioncc; "
                     "print(sorted(set(regioncc.__all__) - set(dir(regioncc))))")
