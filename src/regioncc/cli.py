@@ -60,6 +60,11 @@ def _bit_list(text: str) -> list[int]:
     return list(text.encode().translate(_BIT_VALUES))
 
 
+def _bit_lists(texts: list[str], args) -> list[list[int]] | None:
+    """The texts' 0/1 lists when the answer is printed as JSON; text never reads them."""
+    return [_bit_list(text) for text in texts] if args.json else None
+
+
 def _row_texts(m) -> list[str]:
     """Each row of a BitMatrix as its bit text."""
     return [str(BitVector(m.cols, bits)) for bits in m.row_bits]
@@ -114,17 +119,16 @@ def _cmd_matrix(args):
     from .rcc import incidence_matrix
     d = _load(args.file)
     lines = _row_texts(incidence_matrix(d))
-    data = {"rows": [_bit_list(text) for text in lines],
-            "rank": d.shadow.incidence_factor.rank}
-    return data, lines + [f"rank: {data['rank']}"]
+    rank = d.shadow.incidence_factor.rank
+    data = {"rows": _bit_lists(lines, args), "rank": rank}
+    return data, lines + [f"rank: {rank}"]
 
 
 def _cmd_homology(args):
     from .homology import homology_matrix
     hm = homology_matrix(_load(args.file))
     lines = _row_texts(hm.matrix)
-    data = {"rows": [_bit_list(text) for text in lines], "rank": hm.rank,
-            "h1_dim": hm.matrix.cols}
+    data = {"rows": _bit_lists(lines, args), "rank": hm.rank, "h1_dim": hm.matrix.cols}
     return data, lines + [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
 
 
@@ -350,7 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         # stdout failed: point it at /dev/null so the flush at exit
         # cannot fail again.  A reader that closed early ends the run
         # quietly; any other failure is reported.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(err, BrokenPipeError):
             return 1
         print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)

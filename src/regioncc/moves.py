@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import _EXPORTS
 from .rcc import _index_set
-from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, faces
+from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, _on_shadow, faces
 
 __all__ = _EXPORTS["moves"]
 
@@ -46,55 +46,33 @@ def reidemeister_two(d: EmbeddingScheme, spec: R2Spec) -> EmbeddingScheme:
     if spec.over not in ("a", "b"):
         raise ValueError("over must be 'a' or 'b'")
     da, db = spec.dart_a, spec.dart_b
-    for x in (da, db):
-        if type(x) is not int:
-            raise TypeError(f"dart {x!r} is not an int")
-        if not 0 <= x < d.dart_count:
-            raise ValueError(f"dart {x} out of range")
+    for dart in (da, db):
+        if type(dart) is not int:
+            raise TypeError(f"dart {dart!r} is not an int")
+        if not 0 <= dart < d.dart_count:
+            raise ValueError(f"dart {dart} out of range")
     ea, eb = d.edge_of(da), d.edge_of(db)
     if ea == eb:
         raise ValueError("darts lie on the same edge")
     structure = faces(d)
-    f = structure.plus_face[da]
-    fb = structure.plus_face[db]
-    if fb == f:
-        delta_b = 1
-    elif fb == structure.face_partner[f]:
-        delta_b = -1
-    else:
+    f, fb = structure.plus_face[da], structure.plus_face[db]
+    if fb >> 1 != f >> 1:
         raise ValueError("darts do not border a common region")
 
-    sa = d.edges[ea].sign
-    sb = d.edges[eb].sign
-    # Orientation transported from dart_a's end of its edge.
-    phi = sa if da < d.theta(da) else 1
-    c = d.crossing_count
-    x0, y0 = 4 * c, 4 * c + 4
-    if phi > 0:
-        x_a1, x_bs, x_a2, x_bn = x0, x0 + 1, x0 + 2, x0 + 3
-        y_a1, y_bn, y_a2, y_bs = y0, y0 + 1, y0 + 2, y0 + 3
-    else:
-        x_a1, x_bn, x_a2, x_bs = x0, x0 + 1, x0 + 2, x0 + 3
-        y_a1, y_bs, y_a2, y_bn = y0, y0 + 1, y0 + 2, y0 + 3
-
+    ta, tb = d.theta(da), d.theta(db)
+    sa, sb = d.edges[ea].sign, d.edges[eb].sign
+    # Orientation transported from dart_a's end of its edge; the pierced
+    # strand keeps it when dart_b sees dart_a's cover face, else reverses it.
+    phi = sa if da < ta else 1
+    s = phi if fb == f else -phi
+    x, y = 4 * d.crossing_count, 4 * d.crossing_count + 4
+    near, far = (y + 2 - phi, x + 2 - phi) if fb == f else (x + 2 - phi, y + 2 - phi)
     kept = [e for j, e in enumerate(d.edges) if j not in (ea, eb)]
     grown = [
-        Edge((da, x_a1), phi),
-        Edge((x_a2, y_a1), 1),
-        Edge((y_a2, d.theta(da)), phi * sa),
+        Edge((da, x), phi), Edge((x + 2, y), 1), Edge((y + 2, ta), phi * sa),
+        Edge((db, near), s), Edge((x + 2 + phi, y + 2 + phi), 1),
+        Edge((far, tb), s * sb),
     ]
-    if delta_b > 0:
-        grown += [
-            Edge((db, y_bn), phi),
-            Edge((x_bn, y_bs), 1),
-            Edge((x_bs, d.theta(db)), phi * sb),
-        ]
-    else:
-        grown += [
-            Edge((db, x_bs), -phi),
-            Edge((x_bn, y_bs), 1),
-            Edge((y_bn, d.theta(db)), -phi * sb),
-        ]
     over_flag = 0 if spec.over == "a" else 1
     result = EmbeddingScheme(d.overs + (over_flag, over_flag),
                              tuple(kept) + tuple(grown))
@@ -122,11 +100,10 @@ def poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
 
 
 def switch_crossing(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
-    """Swap which strand is on top at crossing i."""
+    """Swap which strand is on top at crossing i, on the same shadow."""
     _index_set([i], d.crossing_count, "crossing")
-    overs = list(d.overs)
-    overs[i] ^= 1
-    return d.with_overs(overs)
+    overs = d.overs
+    return _on_shadow(overs[:i] + (overs[i] ^ 1,) + overs[i + 1:], d.shadow)
 
 
 def random_diagram(crossings: int, neg_prob: float = 0.0,

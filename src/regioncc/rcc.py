@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import xor
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, set_bits
-
-if TYPE_CHECKING:
-    from .scheme import EmbeddingScheme
+from .scheme import EmbeddingScheme, _on_shadow
 
 __all__ = _EXPORTS["rcc"]
 
@@ -143,7 +141,8 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
-    return d.with_overs(map(xor, d.overs, _switched(d, chosen)))
+    # A checked 0/1 flag XOR a 0/1 parity is a 0/1 flag: no second check.
+    return _on_shadow(tuple(map(xor, d.overs, _switched(d, chosen))), d.shadow)
 
 
 def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] | None:

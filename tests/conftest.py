@@ -578,6 +578,59 @@ def brute_poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def reference_poke(d: EmbeddingScheme, da: int, db: int, over: str) -> EmbeddingScheme:
+    """The poke at a listed site, its new darts named layout by layout.
+
+    The new crossings c and c + 1 have darts x0 = 4c .. x0 + 3 and
+    y0 = 4c + 4 .. y0 + 3.  The poking strand takes the a-darts; the
+    pierced strand's n-side and s-side darts swap with phi's sign, and
+    it enters through y or x as dart_b sees dart_a's cover face or its
+    mirror.  This is the reference for ``reidemeister_two``'s one rule;
+    it checks nothing beyond the shared region, so pass a listed site.
+    """
+    structure = faces(d)
+    f = structure.plus_face[da]
+    fb = structure.plus_face[db]
+    if fb == f:
+        delta_b = 1
+    elif fb == structure.face_partner[f]:
+        delta_b = -1
+    else:
+        raise ValueError("darts do not border a common region")
+    ea, eb = d.edge_of(da), d.edge_of(db)
+    sa = d.edges[ea].sign
+    sb = d.edges[eb].sign
+    phi = sa if da < d.theta(da) else 1
+    c = d.crossing_count
+    x0, y0 = 4 * c, 4 * c + 4
+    if phi > 0:
+        x_a1, x_bs, x_a2, x_bn = x0, x0 + 1, x0 + 2, x0 + 3
+        y_a1, y_bn, y_a2, y_bs = y0, y0 + 1, y0 + 2, y0 + 3
+    else:
+        x_a1, x_bn, x_a2, x_bs = x0, x0 + 1, x0 + 2, x0 + 3
+        y_a1, y_bs, y_a2, y_bn = y0, y0 + 1, y0 + 2, y0 + 3
+    kept = [e for j, e in enumerate(d.edges) if j not in (ea, eb)]
+    grown = [
+        Edge((da, x_a1), phi),
+        Edge((x_a2, y_a1), 1),
+        Edge((y_a2, d.theta(da)), phi * sa),
+    ]
+    if delta_b > 0:
+        grown += [
+            Edge((db, y_bn), phi),
+            Edge((x_bn, y_bs), 1),
+            Edge((x_bs, d.theta(db)), phi * sb),
+        ]
+    else:
+        grown += [
+            Edge((db, x_bs), -phi),
+            Edge((x_bn, y_bs), 1),
+            Edge((y_bn, d.theta(db)), -phi * sb),
+        ]
+    flag = 0 if over == "a" else 1
+    return EmbeddingScheme(d.overs + (flag, flag), tuple(kept) + tuple(grown))
+
+
 def invariant_profile(d: EmbeddingScheme):
     """Index-free summary used to test relabeling invariance."""
     s = surface_info(d)

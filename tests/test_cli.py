@@ -447,6 +447,18 @@ class TestExitCodes:
         assert child.returncode == 2
         assert child.stderr == b"error: cannot write stdout: No space left on device\n"
 
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                        reason="no /dev/full or /proc/self/fd")
+    def test_failed_writes_leave_no_descriptor_open(self, capsys, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with open("/dev/full", "w") as full:
+                monkeypatch.setattr(sys, "stdout", full)
+                assert main(["random", "-n", "3"]) == 2
+                monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err.count("cannot write stdout") == 5
+
     def test_out_of_memory_is_one_error_line(self):
         resource = pytest.importorskip("resource")
         # The child caps its own address space at 1 GB before it starts

@@ -85,6 +85,21 @@ def test_cli_stdout_matches_golden(golden):
                             f"commands differ, first: {mismatches[:5]}")
 
 
+def test_text_rows_build_no_json_lists(golden, monkeypatch):
+    import regioncc.cli
+
+    def refuse(text):
+        raise AssertionError("text output built a JSON bit list")
+
+    monkeypatch.setattr(regioncc.cli, "_bit_list", refuse)
+    data, paths = golden
+    cases = [case for case in data["cases"]
+             if case["argv"][0] in ("matrix", "homology") and "--json" not in case["argv"]]
+    assert len(cases) > 20
+    for case in cases:
+        assert _run(case["argv"], paths) == (case["exit"], case["stdout"])
+
+
 # ---------------------------------------------------------------------------
 # Recording.
 

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import brute_poke_sites, invariant_profile, random_suite
+from conftest import (FIXTURE_MAKERS, braid_pd, brute_poke_sites, cyclic_pd,
+                      invariant_profile, random_suite, reference_poke)
 from regioncc import (R2Spec, Edge, EmbeddingScheme, components, faces,
-                      incidence_matrix, poke_sites, random_diagram,
+                      import_pd, incidence_matrix, poke_sites, random_diagram,
                       rcc_equivalent, reidemeister_two, surface_info,
                       switch_crossing, verify_rank_formula)
 
@@ -119,6 +120,29 @@ class TestPoke:
             sb, sa = surface_info(d), surface_info(grown)
             assert sa.euler_characteristic == sb.euler_characteristic
             assert sa.orientable == sb.orientable
+
+    def test_one_rule_matches_the_layout_reference(self):
+        diagrams = [make() for make in FIXTURE_MAKERS.values()]
+        diagrams += random_suite(24, 1, 7, (0.0, 0.5, 1.0), seed=68)
+        diagrams += [import_pd(cyclic_pd(n)) for n in (3, 6)]
+        diagrams += [import_pd(braid_pd(3, 6, 1)), import_pd(braid_pd(4, 8, 3))]
+        pokes = mirror = negative_phi = twisted_b = reversed_a = 0
+        for d in diagrams:
+            plus_face = faces(d).plus_face
+            sign = lambda dart: d.edges[d.edge_of(dart)].sign
+            for da, db in poke_sites(d):
+                for over in "ab":
+                    assert (reidemeister_two(d, R2Spec(da, db, over))
+                            == reference_poke(d, da, db, over)), (d, da, db, over)
+                    pokes += 1
+                mirror += plus_face[da] != plus_face[db]
+                negative_phi += sign(da) < 0 and da < d.theta(da)
+                twisted_b += sign(db) < 0
+                reversed_a += da > d.theta(da)
+        # Every layout of the reference is reached: both signs of phi, both
+        # faces for dart_b, and -1 edges on the pierced strand too.
+        assert pokes > 5000
+        assert min(mirror, negative_phi, twisted_b, reversed_a) > 500
 
     def test_every_listed_site_works(self):
         for d in random_suite(10, 1, 4, (0.0, 0.5), seed=65):

@@ -15,7 +15,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       invariant_profile, json_shaped, make_torus11,
                       monodromy_orientable, parse_outcome, random_suite,
                       reference_parse_diagram, reference_serialize_diagram,
-                      region_parities, region_walks, relabeled)
+                      region_parities, region_walks, relabeled,
+                      shift_switched)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -465,6 +466,22 @@ class TestShadow:
             assert other.shadow is trefoil.shadow
             assert faces(other) is tables
         assert apply_rcc(trefoil, []) == trefoil
+        # The flag moves skip the flag check, so their flags are checked here.
+        rng = random.Random(71)
+        for d in random_suite(30, 1, 12, (0.0, 0.5, 1.0), seed=72):
+            r = faces(d).region_count
+            regions = rng.sample(range(r), min(r, rng.randrange(5)))
+            i = rng.randrange(d.crossing_count)
+            effect = shift_switched(d, regions)
+            moved = [(apply_rcc(d, regions),
+                      [o ^ ((effect >> k) & 1) for k, o in enumerate(d.overs)]),
+                     (switch_crossing(d, i),
+                      [o ^ (k == i) for k, o in enumerate(d.overs)])]
+            for other, expected in moved:
+                assert other.shadow is d.shadow
+                assert all(type(o) is int and o in (0, 1) for o in other.overs)
+                assert other == d.with_overs(expected)
+                assert parse_diagram(serialize_diagram(other)) == other
 
     def test_with_overs_checks_the_flags(self, trefoil):
         with pytest.raises(InvalidDiagramError, match="over flag"):
