@@ -10,19 +10,33 @@ component indicator vectors, that holds exactly when one particular
 solution's class is a sum of component classes, which the row basis of
 the component-class matrix reads off.  This route never looks at the
 incidence matrix.
+
+Queries work on whole ints.  The shadow's walk table lays the link
+components end to end, each from just after its largest edge, so walk
+position p holds a passage and then an edge.  A query sets the bits of
+the chosen crossings' passages and takes their prefix XOR by doubling
+shifts (``x ^= x << s`` for s = 1, 2, 4, ...): bit p becomes the parity
+of the chosen passages up to p, the color of the edge there.  A set bit
+at a component's last position means that component closes after an
+odd number of flips, so no bi-coloring exists.  Flipping a component is
+one XOR with the mask of its positions, and one ``itemgetter`` puts the
+walk's colors in edge order.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import itemgetter, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitVector, set_bits
+from .gf2 import BitVector, bit_flags, set_bits
 from .homology import class_of
-from .rcc import _index_set
+from .rcc import _index_set, _mask
 
 if TYPE_CHECKING:
-    from .scheme import EmbeddingScheme
+    from .scheme import EmbeddingScheme, Shadow
 
 __all__ = _EXPORTS["bicolor"]
 
@@ -38,15 +52,13 @@ class Bicoloring(NamedTuple):
         For a valid bi-coloring both strands of a crossing agree on
         whether they change; ValueError flags a mismatch.
         """
-        colors, edge_of = _checked_colors(d, self), d.shadow.edge_of
-        out = []
-        for i in range(d.crossing_count):
-            flip = colors[edge_of[4 * i]] ^ colors[edge_of[4 * i + 2]]
-            if flip != colors[edge_of[4 * i + 1]] ^ colors[edge_of[4 * i + 3]]:
-                raise ValueError(f"strands disagree at crossing {i}")
-            if flip:
-                out.append(i)
-        return tuple(out)
+        first, second = _strand_changes(d, _checked_colors(d, self))
+        if first != second:
+            low = first ^ second
+            raise ValueError(
+                f"strands disagree at crossing {(low & -low).bit_length() - 1 >> 3}")
+        c = d.crossing_count
+        return tuple(compress(range(c), first.to_bytes(c, "little")))
 
 
 def _checked_colors(d: EmbeddingScheme, coloring: Bicoloring) -> tuple[int, ...]:
@@ -60,37 +72,124 @@ def _checked_colors(d: EmbeddingScheme, coloring: Bicoloring) -> tuple[int, ...]
     return colors
 
 
+def _strand_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> tuple[int, int]:
+    """Whether each crossing's {0, 2} and {1, 3} strands change color.
+
+    Byte i of each int is crossing i's 0 or 1.  One gather through
+    ``edge_of`` reads the color at every dart, so this reads no walk
+    table.  The two agree exactly when the 1-colored edges form a cycle.
+    """
+    at = bytes(itemgetter(*d.shadow.edge_of)(colors))
+    d0, d1, d2, d3 = (int.from_bytes(at[k::4], "little") for k in range(4))
+    return d0 ^ d2, d1 ^ d3
+
+
+def _check_switching(d: EmbeddingScheme, colors: tuple[int, ...], chosen: set[int]) -> None:
+    """RuntimeError unless the colors are a bi-coloring for exactly the chosen crossings."""
+    first, second = _strand_changes(d, colors)
+    target = bytearray(d.crossing_count)
+    for i in chosen:
+        target[i] = 1
+    if not first == second == int.from_bytes(target, "little"):
+        raise RuntimeError("bi-coloring does not switch exactly the target crossings")
+
+
+class WalkTable(NamedTuple):
+    """The link components laid end to end in color order.
+
+    Component k runs over walk positions ``bounds[k]`` up to
+    ``bounds[k + 1]``, starting just after its largest edge; position p
+    holds the passage crossed just before the edge there.
+    ``crossing_positions[2 * i]`` and ``crossing_positions[2 * i + 1]``
+    are the positions of crossing i's two passages, ``ends`` has the bit
+    of each component's last position, and ``to_edges`` maps a sequence
+    in walk order to a tuple in edge order.  Positions take a few words
+    per edge: a mask of positions per crossing would grow with the
+    square of the crossing count.
+    """
+
+    bounds: tuple[int, ...]
+    ends: int
+    crossing_positions: tuple[int, ...]
+    to_edges: itemgetter
+
+
+def build_walk_table(shadow: Shadow) -> WalkTable:
+    """The walk table of a shadow; Shadow.walk_table caches it.
+
+    Slices rotate each component's edges and passages to start after
+    its largest edge; two C-level sorts then group the positions by
+    crossing and invert the walk order.
+    """
+    order: list[int] = []
+    passages: list[tuple[int, int]] = []
+    bounds = [0]
+    for edges, comp_passages in shadow.components:
+        start = edges.index(max(edges)) + 1
+        order += edges[start:] + edges[:start]
+        passages += comp_passages[start:] + comp_passages[:start]
+        bounds.append(len(order))
+    crossing_at = list(map(itemgetter(0), passages))
+    # One list, so both sorted results share its int objects.
+    positions = list(range(len(order)))
+    return WalkTable(tuple(bounds), _mask([b - 1 for b in bounds[1:]], len(order)),
+                     tuple(sorted(positions, key=crossing_at.__getitem__)),
+                     itemgetter(*sorted(positions, key=order.__getitem__)))
+
+
+def _walk_bits(d: EmbeddingScheme, chosen: set[int]) -> int | None:
+    """The pivot bi-coloring's colors in walk order as bits, or None.
+
+    None means a component closes odd, which is checked on the
+    components themselves: one of them must pass the chosen crossings an
+    odd number of times, or RuntimeError is raised.
+    """
+    table = d.shadow.walk_table
+    positions = table.crossing_positions
+    m = table.bounds[-1]
+    bits = _mask([p for i in chosen for p in positions[2 * i:2 * i + 2]], m)
+    shift = 1
+    while shift < m:
+        bits ^= bits << shift
+        shift <<= 1
+    bits &= (1 << m) - 1
+    if not bits & table.ends:
+        return bits
+    passed = chosen.__contains__
+    if any(sum(map(passed, map(itemgetter(0), comp.passages))) & 1
+           for comp in d.shadow.components):
+        return None
+    raise RuntimeError("bi-coloring walk closes odd on no component")
+
+
 def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | None:
     """A bi-coloring for the given crossing set, or None if none exists.
 
-    Each component is walked once from its largest edge, colored 0, and
-    the color flips at every passage through a chosen crossing; the
-    walk must close with an even number of flips.  A strand that
-    enters and leaves a chosen crossing along one edge closes after one
-    flip, so that set has no bi-coloring.  The equations, one per
-    passage, form one cycle per component, whose largest edge is its
-    only free unknown, so this is the pivot solution of the system.
+    Each component is walked from just after its largest edge, which
+    gets color 0, and the color flips at every passage through a chosen
+    crossing; the walk must close with an even number of flips.  A
+    strand that enters and leaves a chosen crossing along one edge
+    closes after one flip, so that set has no bi-coloring.  The
+    equations, one per passage, form one cycle per component, whose
+    largest edge is its only free unknown, so this is the pivot solution
+    of the system.  Either answer is checked without the walk table: a
+    coloring must switch exactly the given crossings, and None needs a
+    component passing them an odd number of times, or RuntimeError is
+    raised.
     """
     chosen = _index_set(crossings, d.crossing_count, "crossing")
-    colors = [0] * d.edge_count
-    for comp in d.shadow.components:
-        # Passage j joins edges[j - 1] to edges[j].
-        edges, passages = comp.edges, comp.passages
-        k = len(edges)
-        start = edges.index(max(edges))
-        color = 0
-        for j in range(start + 1, start + k + 1):
-            color ^= passages[j % k][0] in chosen
-            colors[edges[j % k]] = color
-        if color:
-            return None
-    return Bicoloring(tuple(colors))
+    bits = _walk_bits(d, chosen)
+    if bits is None:
+        return None
+    colors = d.shadow.walk_table.to_edges(bit_flags(bits, d.edge_count))
+    _check_switching(d, colors, chosen)
+    return Bicoloring(colors)
 
 
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
     """Homology class of the 1-colored edge set."""
     colors = _checked_colors(d, coloring)
-    return class_of(d, [e for e, color in enumerate(colors) if color])
+    return class_of(d, compress(range(len(colors)), colors))
 
 
 def admissible_by_bicoloring(
@@ -99,21 +198,34 @@ def admissible_by_bicoloring(
     """Admissibility via bi-colorings, with a class-zero witness.
 
     Returns (True, witness) where the witness is a bi-coloring for the
-    crossing set whose 1-colored edges bound, or (False, None).
+    crossing set whose 1-colored edges bound, or (False, None).  The
+    witness is checked from its own colors, in edge order: it must
+    switch exactly the given crossings, which makes it a cycle, and have
+    class zero, or RuntimeError is raised.  A no is checked as far as
+    the walk goes: the component parity, or the bi-coloring whose class
+    lies outside the component classes.
     """
-    base = bicoloring(d, crossings)
-    if base is None:
+    chosen = _index_set(crossings, d.crossing_count, "crossing")
+    shadow = d.shadow
+    table = shadow.walk_table
+    bits = _walk_bits(d, chosen)
+    if bits is None:
         return False, None
-    # Colors built here are 0 or 1, so class_of reads them without phi_class's check.
-    ones = [e for e, color in enumerate(base.colors) if color]
-    coeffs = d.shadow.homology_matrix.basis.expression(class_of(d, ones).bits)
+    m = d.edge_count
+    classes = shadow.homology_context.edge_classes
+    colors = table.to_edges(bit_flags(bits, m))
+    phi = reduce(xor, compress(classes, colors), 0)
+    coeffs = shadow.homology_matrix.basis.expression(phi)
     if coeffs is None:
+        _check_switching(d, colors, chosen)
         return False, None
-    colors = list(base.colors)
-    comps = d.shadow.components
-    for k in set_bits(coeffs):
-        for e in comps[k].edges:
-            colors[e] ^= 1
-    if class_of(d, [e for e, color in enumerate(colors) if color]).bits:
+    if coeffs:
+        bounds = table.bounds
+        for k in set_bits(coeffs):
+            bits ^= (1 << bounds[k + 1]) - (1 << bounds[k])
+        colors = table.to_edges(bit_flags(bits, m))
+        phi = reduce(xor, compress(classes, colors), 0)
+    if phi:
         raise RuntimeError("component flips did not cancel the class")
-    return True, Bicoloring(tuple(colors))
+    _check_switching(d, colors, chosen)
+    return True, Bicoloring(colors)

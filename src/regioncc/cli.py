@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .gf2 import BitVector
+from .gf2 import _BIT_VALUES, BitVector
 from .scheme import (DiagramFormatError, EmbeddingScheme, InvalidDiagramError,
                      _decode_json, components, faces, import_pd, parse_diagram,
                      serialize_diagram, surface_info)
@@ -52,9 +52,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
 def _bit_list(text: str) -> list[int]:
     """The 0/1 list of a vector's bit text, for JSON."""
     return list(text.encode().translate(_BIT_VALUES))
@@ -63,6 +60,38 @@ def _bit_list(text: str) -> list[int]:
 def _bit_lists(texts: list[str], args) -> list[list[int]] | None:
     """The texts' 0/1 lists when the answer is printed as JSON; text never reads them."""
     return [_bit_list(text) for text in texts] if args.json else None
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _json_text(value, pad: str = "") -> str:
+    """The text ``json.dumps(value, indent=2)`` writes, nested ``pad`` deep.
+
+    Containers are laid out here and scalars left to ``json.dumps``;
+    with an indent the standard library would run its pure-Python
+    encoder over every item.  The JSON of an exact int is its repr, so
+    a list of them is one join, and a list of 0/1 ints, as a bit row
+    is, one translate.  Dict keys must be str.
+    """
+    if isinstance(value, dict):
+        items = [json.dumps(key) + ": " + _json_text(item, pad + "  ")
+                 for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if {*map(type, value)} != {int}:
+            items = [_json_text(item, pad + "  ") for item in value]
+        elif {*value} <= {0, 1}:
+            items = bytes(value).translate(_DIGITS).decode()
+        else:
+            items = map(repr, value)
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    inner = "\n" + pad + "  "
+    return "".join((brackets[0], inner, ("," + inner).join(items), "\n", pad, brackets[1]))
 
 
 def _row_texts(m) -> list[str]:
@@ -326,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         answer = _COMMANDS[args.command][0](args)
         if not isinstance(answer, EmbeddingScheme):
             data, lines = answer
-            print(json.dumps(data, indent=2) if args.json else "\n".join(lines))
+            print(_json_text(data) if args.json else "\n".join(lines))
         elif args.output and args.output != "-":
             try:
                 with open(args.output, "w", encoding="utf-8") as handle:

@@ -11,16 +11,29 @@ can depend on it.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 
 __all__ = _EXPORTS["gf2"]
 
+# Maps the digits of a mask's binary text to 0/1 bytes.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask: int, length: int) -> bytes:
+    """Byte i is bit i of a nonnegative mask below ``1 << length``."""
+    return bin(mask | 1 << length)[:2:-1].encode().translate(_BIT_VALUES)
+
 
 def set_bits(mask: int) -> list[int]:
-    """Indices of the set bits of a nonnegative mask, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """Indices of the set bits of a nonnegative mask, ascending.
+
+    The mask's bit flags select from a range in one C-level compress.
+    """
+    length = mask.bit_length()
+    return list(compress(range(length), bit_flags(mask, length)))
 
 
 class Frozen:

@@ -9,17 +9,19 @@ expression of a target in the rows), which region sets do nothing
 (ineffective sets, the dependent rows), how many genuinely different
 effects exist (class counting), and whether its rank matches the value
 predicted from the region count, component count, and the homology
-rank of the components.
+rank of the components.  The rows are the shadow's region masks, so
+the crossings a region set switches are the XOR of its masks.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import reduce
+from itertools import compress
 from operator import xor
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, BitVector, set_bits
+from .gf2 import BitMatrix, BitVector, bit_flags, set_bits
 from .scheme import EmbeddingScheme, _on_shadow
 
 __all__ = _EXPORTS["rcc"]
@@ -27,8 +29,7 @@ __all__ = _EXPORTS["rcc"]
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
     """Region-by-crossing matrix of corner parities over GF(2), built on each call."""
-    return BitMatrix.from_bitrows([reg.corner_bits for reg in d.shadow.faces.regions],
-                                  d.crossing_count)
+    return BitMatrix.from_bitrows(d.shadow.region_masks, d.crossing_count)
 
 
 class RankReport(NamedTuple):
@@ -86,31 +87,12 @@ def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
     return chosen
 
 
-def _flags(indices: Iterable[int], count: int) -> bytearray:
-    """Byte i is the parity of i's count among the indices (all in range(count)).
-
-    A byte per index, not a bit of a growing int: XOR-ing ``1 << i``
-    into an int copies all of it each time.
-    """
-    flags = bytearray(count)
-    for i in indices:
-        flags[i] ^= 1
-    return flags
-
-
-def _mask(indices: set[int], count: int) -> int:
+def _mask(indices: Iterable[int], count: int) -> int:
     """The int with bit i set for each index: packed bytes, made an int once."""
     packed = bytearray((count + 7) >> 3)
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(packed, "little")
-
-
-def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> bytearray:
-    """Crossing flags switched by checked region indices: their corners' parities."""
-    all_regions = d.shadow.faces.regions
-    return _flags(chain.from_iterable(all_regions[rid].corners for rid in regions),
-                  d.crossing_count)
 
 
 def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] | None:
@@ -122,12 +104,12 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     switching check raises RuntimeError.
     """
     c = d.crossing_count
-    chosen = _index_set(crossings, c, "crossing")
-    regions = d.shadow.incidence_factor.expression(_mask(chosen, c))
+    target = _mask(_index_set(crossings, c, "crossing"), c)
+    regions = d.shadow.incidence_factor.expression(target)
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
-    if _switched(d, cert) != _flags(chosen, c):
+    if reduce(xor, map(d.shadow.region_masks.__getitem__, cert), 0) != target:
         raise RuntimeError("region certificate does not switch the target crossings")
     return cert
 
@@ -141,8 +123,10 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
+    effect = reduce(xor, map(d.shadow.region_masks.__getitem__, chosen), 0)
+    flips = bit_flags(effect, d.crossing_count)
     # A checked 0/1 flag XOR a 0/1 parity is a 0/1 flag: no second check.
-    return _on_shadow(tuple(map(xor, d.overs, _switched(d, chosen))), d.shadow)
+    return _on_shadow(tuple(map(xor, d.overs, flips)), d.shadow)
 
 
 def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] | None:
@@ -153,8 +137,7 @@ def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] 
     """
     if d1.edges != d2.edges:
         raise ValueError("diagrams have different shadows")
-    diff = [i for i, (a, b) in enumerate(zip(d1.overs, d2.overs)) if a != b]
-    return admissible(d1, diff)
+    return admissible(d1, compress(range(d1.crossing_count), map(xor, d1.overs, d2.overs)))
 
 
 def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
@@ -187,7 +170,7 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
                     queue.append(v)
                 elif colors[v] == colors[u]:
                     return None
-    for color in (0, 1):
-        if any(_switched(d, [rid for rid, c in enumerate(colors) if c == color])):
-            raise RuntimeError("checkerboard color class is not ineffective")
+    masks = d.shadow.region_masks
+    if reduce(xor, masks) or reduce(xor, compress(masks, colors), 0):
+        raise RuntimeError("checkerboard color class is not ineffective")
     return tuple(colors)

@@ -31,6 +31,7 @@ from . import _EXPORTS
 from .gf2 import Frozen, RowBasis
 
 if TYPE_CHECKING:
+    from .bicolor import WalkTable
     from .homology import HomologyContext, HomologyMatrix
 
 __all__ = _EXPORTS["scheme"]
@@ -343,10 +344,20 @@ class Shadow(Frozen):
         return build_homology_matrix(self)
 
     @cached_property
+    def walk_table(self) -> WalkTable:
+        """The components laid end to end in bi-coloring order."""
+        from .bicolor import build_walk_table
+        return build_walk_table(self)
+
+    @cached_property
+    def region_masks(self) -> tuple[int, ...]:
+        """Each region's incidence row: bit v is the parity of its corners at v."""
+        return tuple(reg.corner_bits for reg in self.faces.regions)
+
+    @cached_property
     def incidence_factor(self) -> RowBasis:
         """The row basis of the incidence matrix: one row per region."""
-        return RowBasis.of((reg.corner_bits for reg in self.faces.regions),
-                           self.crossing_count)
+        return RowBasis.of(self.region_masks, self.crossing_count)
 
 
 class EmbeddingScheme(Frozen):

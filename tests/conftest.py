@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import random
+from operator import itemgetter
 
 import pytest
 
-from regioncc import (DiagramFormatError, Edge, EmbeddingScheme, components,
-                      faces, incidence_matrix, import_pd,
-                      orientation_double_cover, random_diagram, surface_info,
-                      validate, verify_rank_formula)
+from regioncc import (DiagramFormatError, Edge, EmbeddingScheme, class_of,
+                      components, faces, homology_matrix, incidence_matrix,
+                      import_pd, orientation_double_cover, random_diagram,
+                      surface_info, validate, verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector
 from regioncc.scheme import _decode_json
 
@@ -686,6 +687,96 @@ def even_target(d: EmbeddingScheme, rng: random.Random) -> list[int]:
         picked = [i for i in members if rng.random() < 0.5]
         chosen += picked[:len(picked) & ~1]
     return sorted(chosen)
+
+
+# ---------------------------------------------------------------------------
+# The element-at-a-time loops that the package's whole-int queries
+# replaced: a bi-coloring walked passage by passage, its class read by
+# class_of, region effects toggled corner by corner, and set bits read
+# off the binary text one digit at a time.
+
+def reference_set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def reference_switched(d: EmbeddingScheme, regions) -> bytearray:
+    """Byte i is the parity of the regions' corners at crossing i."""
+    flags = bytearray(d.crossing_count)
+    all_regions = faces(d).regions
+    for rid in regions:
+        for v in all_regions[rid].corners:
+            flags[v] ^= 1
+    return flags
+
+
+def reference_bicoloring(d: EmbeddingScheme, crossings) -> tuple[int, ...] | None:
+    """Pivot bi-coloring colors, walked passage by passage, or None.
+
+    Each component is walked from just after its largest edge, colored
+    0, and the color flips at every passage through a chosen crossing;
+    an odd number of flips around a component leaves no bi-coloring.
+    """
+    chosen = set(crossings)
+    colors = [0] * d.edge_count
+    for comp in components(d):
+        edges, passages = comp.edges, comp.passages
+        k = len(edges)
+        start = edges.index(max(edges))
+        color = 0
+        for j in range(start + 1, start + k + 1):
+            color ^= passages[j % k][0] in chosen
+            colors[edges[j % k]] = color
+        if color:
+            return None
+    return tuple(colors)
+
+
+def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
+    """(verdict, witness colors): the pivot bi-coloring plus the component
+    flips that the component-class basis says cancel its class."""
+    base = reference_bicoloring(d, crossings)
+    if base is None:
+        return False, None
+    phi = class_of(d, [e for e, color in enumerate(base) if color]).bits
+    coeffs = homology_matrix(d).basis.expression(phi)
+    if coeffs is None:
+        return False, None
+    colors = list(base)
+    comps = components(d)
+    for k in ones(coeffs):
+        for e in comps[k].edges:
+            colors[e] ^= 1
+    assert class_of(d, [e for e, color in enumerate(colors) if color]).bits == 0
+    return True, tuple(colors)
+
+
+# Faults for a shadow's walk table (regioncc.bicolor.WalkTable), keyed
+# by the field each one corrupts.
+
+def swap_crossings(table):
+    p = list(table.crossing_positions)
+    p[0], p[2] = p[2], p[0]
+    return table._replace(crossing_positions=tuple(p))
+
+
+def swap_edges(table):
+    order = list(table.to_edges(range(table.bounds[-1])))
+    order[0], order[-1] = order[-1], order[0]
+    return table._replace(to_edges=itemgetter(*order))
+
+
+def drop_ends(table):
+    return table._replace(ends=0)
+
+
+def shift_bounds(table):
+    return table._replace(bounds=(0,) + tuple(b - 1 for b in table.bounds[1:-1])
+                          + table.bounds[-1:])
+
+
+WALK_FAULTS = {"crossing_positions": swap_crossings, "to_edges": swap_edges,
+               "ends": drop_ends, "bounds": shift_bounds}
 
 
 # ---------------------------------------------------------------------------

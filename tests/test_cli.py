@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS, cyclic_pd,
-                      even_target, make_curl, make_rp2curl, make_torus11, ones,
-                      violation_document)
+from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS, WALK_FAULTS,
+                      cyclic_pd, even_target, make_curl, make_rp2curl,
+                      make_torus11, ones, violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
                       homology_matrix, import_pd, incidence_matrix,
                       parse_diagram, phi_class, random_diagram,
@@ -601,6 +601,62 @@ class TestCorruptedBases:
         query = admissible if route == "incidence" else admissible_by_bicoloring
         with pytest.raises(RuntimeError):
             query(d, self.TARGET)
+
+
+class TestCorruptedTables:
+    """A corrupted walk table or region mask list never reaches stdout.
+
+    Each fault replaces one table on the loaded diagram's shadow.  Every
+    ``admissible`` and ``bicolor`` run then prints exactly what it prints
+    on the sound diagram, or exits 4 with one ``internal error:`` line.
+    """
+
+    # Three components on a nonorientable surface: some pairs close odd,
+    # some need component flips and some have nonzero class.
+    TARGETS = [f"{i},{j}" for i in range(6) for j in range(i, 6)]
+
+    @pytest.fixture
+    def diagram_file(self, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(serialize_diagram(random_diagram(6, 0.5, seed=8)) + "\n")
+        return str(path)
+
+    @staticmethod
+    def corrupt(d, fault: str) -> None:
+        shadow = d.shadow
+        if fault in WALK_FAULTS:
+            shadow.__dict__["walk_table"] = WALK_FAULTS[fault](shadow.walk_table)
+        else:
+            # The factor is built first, from the sound masks: the switching
+            # check is what must notice.
+            shadow.incidence_factor
+            shadow.__dict__["region_masks"] = tuple(
+                mask ^ 0b1010 for mask in shadow.region_masks)
+
+    @pytest.mark.parametrize("fault", ["crossing_positions", "to_edges", "ends",
+                                       "bounds", "region_masks"])
+    def test_commands_exit_4_or_answer_right(self, capsys, monkeypatch, diagram_file,
+                                            fault):
+        sound = {(command, target): run(capsys, command, diagram_file, "-c", target)
+                 for command in ("admissible", "bicolor") for target in self.TARGETS}
+
+        def corrupted_load(path):
+            d = _load(path)
+            self.corrupt(d, fault)
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        failed = set()
+        for (command, target), answer in sound.items():
+            code, out, err = run(capsys, command, diagram_file, "-c", target)
+            if code == 4:
+                assert out == "" and err.startswith("internal error: ")
+                assert err.count("\n") == 1
+                failed.add(command)
+            else:
+                assert (code, out, err) == answer
+        assert failed == ({"admissible"} if fault == "region_masks"
+                          else {"admissible", "bicolor"})
 
 
 class TestStdinAndScript:

@@ -5,6 +5,8 @@ column-scan dense reference in conftest, and that reference is checked
 against enumerating row spans.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,8 @@ from conftest import (KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_RANKS, as_matrix,
                       brute_rank, dense_in_rowspace, dense_nullspace,
                       dense_rank, dense_rref, dense_solve, mul_vector, ones,
-                      row_span, transpose)
-from regioncc.gf2 import BitMatrix, BitVector, RowBasis
+                      reference_set_bits, row_span, transpose)
+from regioncc.gf2 import BitMatrix, BitVector, RowBasis, bit_flags, set_bits
 
 
 @st.composite
@@ -207,3 +209,32 @@ def test_row_basis_kernel_is_the_dense_nullspace(m):
 @given(dependent_matrices())
 def test_row_basis_rank_is_the_dense_rank(m):
     assert RowBasis.of(m.row_bits, m.cols).rank == dense_rank(m)
+
+
+def _masks_of_every_shape():
+    """0, single bits, dense masks and masks past 10**4 bits."""
+    yield 0
+    yield from (1 << k for k in (0, 1, 7, 8, 63, 64, 10**4, 3 * 10**4 + 5))
+    yield from ((1 << k) - 1 for k in (1, 2, 9, 64, 10**4 + 1))
+    rng = random.Random(61)
+    for bits in (3, 40, 512, 10**4 + 3, 5 * 10**4):
+        yield rng.getrandbits(bits) | 1 << (bits - 1)
+        yield 1 << bits | 1  # two bits far apart
+
+
+def test_set_bits_matches_the_digit_scan():
+    for mask in _masks_of_every_shape():
+        found = set_bits(mask)
+        # A list even for one bit: no scalar slips out for a single index.
+        assert type(found) is list
+        assert found == reference_set_bits(mask) == ones(mask)
+        length = mask.bit_length() + 3
+        assert list(bit_flags(mask, length)) == [mask >> i & 1 for i in range(length)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 300) - 1) | st.integers(0, 255))
+def test_set_bits_property(mask):
+    assert set_bits(mask) == reference_set_bits(mask)
+    assert list(bit_flags(mask, 300)) == [mask >> i & 1 for i in range(300)]
+    assert sum(1 << i for i in set_bits(mask)) == mask

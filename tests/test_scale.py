@@ -6,7 +6,8 @@ crossing count) and a closed random braid on 200 strands (planar, with
 r = c + 2 and many components).  Each property is checked end to end from a cold
 shadow, within a time bound far above what the graph walks and the one
 factorisation need.  At 8000 crossings the face trace and the homology
-tables must stay linear in size.
+tables must stay linear in size, and the warm routes must agree on
+targets of every kind.
 """
 
 import random
@@ -15,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import braid_pd, cyclic_pd, even_target
+from conftest import braid_pd, cyclic_pd, even_target, reference_switched
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, poke_sites, random_diagram,
@@ -149,3 +150,41 @@ def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
     # The tagged rows are c + r bits wide; a dense transform per pivot
     # beside them would take more than the torus bound.
     assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("family", ["torus", "genus", "braid"])
+def test_warm_routes_agree_at_8000_crossings(family):
+    n = 8000
+    d = make(family, n)
+    shadow = d.shadow
+    shadow.components
+    tracemalloc.start()
+    try:
+        shadow.walk_table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Positions, two sorts and one itemgetter: a few words per edge.  A
+    # mask of walk positions per crossing would take about 10 MiB here.
+    assert peak <= 4 * 2**20
+    rng = random.Random(13)
+    even = even_target(d, rng)
+    odd = sorted(set(even) ^ {rng.randrange(n)})
+    regions = [rid for rid in range(faces(d).region_count) if rng.random() < 0.5]
+    reachable = [i for i, flip in enumerate(reference_switched(d, regions)) if flip]
+    verdicts = []
+    for target in (even, odd, reachable):
+        cert = admissible(d, target)
+        by_colors, witness = admissible_by_bicoloring(d, target)
+        assert (cert is not None) == by_colors
+        if cert is not None:
+            assert switched(d, cert) == target
+            assert witness.switched(d) == tuple(target)
+        verdicts.append(by_colors)
+    assert verdicts[2]
+    if family == "torus":
+        assert verdicts == [True, False, True]
+    start = time.perf_counter()
+    for target in (even, odd, reachable):
+        admissible_by_bicoloring(d, target)
+    assert time.perf_counter() - start < 1.0
