@@ -28,15 +28,12 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, xor
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitVector, bit_flags, set_bits
+from .gf2 import BitVector, bit_flags, mask_of, set_bits
 from .homology import class_of
-from .rcc import _index_set, _mask
-
-if TYPE_CHECKING:
-    from .scheme import EmbeddingScheme, Shadow
+from .scheme import EmbeddingScheme, Shadow, _index_set
 
 __all__ = _EXPORTS["bicolor"]
 
@@ -99,7 +96,7 @@ class WalkTable(NamedTuple):
 
     Component k runs over walk positions ``bounds[k]`` up to
     ``bounds[k + 1]``, starting just after its largest edge; position p
-    holds the passage crossed just before the edge there.
+    holds the crossing passed just before the edge there.
     ``crossing_positions[2 * i]`` and ``crossing_positions[2 * i + 1]``
     are the positions of crossing i's two passages, ``ends`` has the bit
     of each component's last position, and ``to_edges`` maps a sequence
@@ -117,22 +114,21 @@ class WalkTable(NamedTuple):
 def build_walk_table(shadow: Shadow) -> WalkTable:
     """The walk table of a shadow; Shadow.walk_table caches it.
 
-    Slices rotate each component's edges and passages to start after
+    Slices rotate each component's edges and crossings to start after
     its largest edge; two C-level sorts then group the positions by
     crossing and invert the walk order.
     """
     order: list[int] = []
-    passages: list[tuple[int, int]] = []
+    crossing_at: list[int] = []
     bounds = [0]
-    for edges, comp_passages in shadow.components:
+    for edges, crossings in shadow.components:
         start = edges.index(max(edges)) + 1
         order += edges[start:] + edges[:start]
-        passages += comp_passages[start:] + comp_passages[:start]
+        crossing_at += crossings[start:] + crossings[:start]
         bounds.append(len(order))
-    crossing_at = list(map(itemgetter(0), passages))
     # One list, so both sorted results share its int objects.
     positions = list(range(len(order)))
-    return WalkTable(tuple(bounds), _mask([b - 1 for b in bounds[1:]], len(order)),
+    return WalkTable(tuple(bounds), mask_of([b - 1 for b in bounds[1:]], len(order)),
                      tuple(sorted(positions, key=crossing_at.__getitem__)),
                      itemgetter(*sorted(positions, key=order.__getitem__)))
 
@@ -147,7 +143,7 @@ def _walk_bits(d: EmbeddingScheme, chosen: set[int]) -> int | None:
     table = d.shadow.walk_table
     positions = table.crossing_positions
     m = table.bounds[-1]
-    bits = _mask([p for i in chosen for p in positions[2 * i:2 * i + 2]], m)
+    bits = mask_of([p for i in chosen for p in positions[2 * i:2 * i + 2]], m)
     shift = 1
     while shift < m:
         bits ^= bits << shift
@@ -156,8 +152,7 @@ def _walk_bits(d: EmbeddingScheme, chosen: set[int]) -> int | None:
     if not bits & table.ends:
         return bits
     passed = chosen.__contains__
-    if any(sum(map(passed, map(itemgetter(0), comp.passages))) & 1
-           for comp in d.shadow.components):
+    if any(sum(map(passed, comp.crossings)) & 1 for comp in d.shadow.components):
         return None
     raise RuntimeError("bi-coloring walk closes odd on no component")
 

@@ -36,6 +36,14 @@ def set_bits(mask: int) -> list[int]:
     return list(compress(range(length), bit_flags(mask, length)))
 
 
+def mask_of(indices: Iterable[int], count: int) -> int:
+    """set_bits inverted, for indices below count: packed bytes, made an int once."""
+    packed = bytearray((count + 7) >> 3)
+    for i in indices:
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
+
+
 class Frozen:
     """Instances whose attributes, once set in ``__init__``, never change.
 

@@ -42,16 +42,12 @@ class HomologyContext(NamedTuple):
         return len(self.quotient_pivots)
 
 
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
 def _union(parent: list[int], a: int, b: int) -> bool:
-    """Join the classes of a and b; False when they were one class already."""
-    a, b = _find(parent, a), _find(parent, b)
+    """Join the classes of a and b, halving both find paths; False if already one."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
     if a == b:
         return False
     parent[a] = b

@@ -16,8 +16,8 @@ import sys
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .rcc import _index_set
-from .scheme import Edge, EmbeddingScheme, InvalidDiagramError, _on_shadow, faces
+from .scheme import (Edge, EmbeddingScheme, InvalidDiagramError, _index_set,
+                     _on_shadow, faces)
 
 __all__ = _EXPORTS["moves"]
 

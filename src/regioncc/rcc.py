@@ -21,8 +21,8 @@ from operator import xor
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, BitVector, bit_flags, set_bits
-from .scheme import EmbeddingScheme, _on_shadow
+from .gf2 import BitMatrix, BitVector, bit_flags, mask_of, set_bits
+from .scheme import EmbeddingScheme, _index_set, _on_shadow
 
 __all__ = _EXPORTS["rcc"]
 
@@ -74,27 +74,6 @@ def count_classes(d: EmbeddingScheme) -> int:
     return d.crossing_count - d.shadow.incidence_factor.rank
 
 
-def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
-    """The indices as a set, each exactly an int and in range(count)."""
-    chosen = set()
-    for i in indices:
-        if type(i) is not int:
-            raise TypeError(f"{what} index {i!r} is not an int")
-        chosen.add(i)
-    for i in chosen:
-        if not 0 <= i < count:
-            raise IndexError(f"{what} index {i} out of range")
-    return chosen
-
-
-def _mask(indices: Iterable[int], count: int) -> int:
-    """The int with bit i set for each index: packed bytes, made an int once."""
-    packed = bytearray((count + 7) >> 3)
-    for i in indices:
-        packed[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(packed, "little")
-
-
 def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] | None:
     """Region set switching exactly the given crossings, or None.
 
@@ -104,7 +83,7 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     switching check raises RuntimeError.
     """
     c = d.crossing_count
-    target = _mask(_index_set(crossings, c, "crossing"), c)
+    target = mask_of(_index_set(crossings, c, "crossing"), c)
     regions = d.shadow.incidence_factor.expression(target)
     if regions is None:
         return None

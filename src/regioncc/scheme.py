@@ -65,6 +65,19 @@ def _over_violations(overs: Sequence[int]) -> list[str]:
             for i, o in enumerate(overs) if o not in (0, 1) or type(o) is not int]
 
 
+def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
+    """The indices as a set, each exactly an int and in range(count)."""
+    chosen = set()
+    for i in indices:
+        if type(i) is not int:
+            raise TypeError(f"{what} index {i!r} is not an int")
+        chosen.add(i)
+    for i in chosen:
+        if not 0 <= i < count:
+            raise IndexError(f"{what} index {i} out of range")
+    return chosen
+
+
 def _structural_violations(overs: tuple[int, ...], edges: Sequence,
                            problems: list[str]) -> Shadow:
     """The checked shadow of a diagram; InvalidDiagramError lists every violation.
@@ -210,14 +223,13 @@ class FaceStructure(NamedTuple):
 
 
 class Component(NamedTuple):
-    """A link component: the edges it traverses and its crossing passages.
+    """A link component: the edges it traverses and the crossings it passes.
 
-    ``passages`` lists (crossing, through_pair) in traversal order; each
-    through-pair of the diagram is consumed by exactly one passage.
+    ``crossings[k]`` is the crossing passed just before ``edges[k]``.
     """
 
     edges: tuple[int, ...]
-    passages: tuple[tuple[int, int], ...]
+    crossings: tuple[int, ...]
 
 
 class Shadow(Frozen):
@@ -317,18 +329,18 @@ class Shadow(Frozen):
             if visited[start]:
                 continue
             walk = []
-            passages = []
+            crossings = []
             d = start
             while not visited[d]:
                 across = (d & ~3) | ((d + 2) & 3)
                 visited[d] = True
                 visited[across] = True
-                passages.append((d >> 2, d & 1))
+                crossings.append(d >> 2)
                 walk.append(edge_of[across])
                 d = theta[across]
             if d != start:
                 raise RuntimeError("component walk did not close at its starting dart")
-            out.append(Component(tuple(walk), tuple(passages)))
+            out.append(Component(tuple(walk), tuple(crossings)))
         out.sort(key=lambda comp: min(comp.edges))
         return tuple(out)
 

@@ -549,6 +549,41 @@ def region_walks(d: EmbeddingScheme) -> list[tuple[tuple[int, ...], tuple[int, .
     return walks
 
 
+def reference_components(d: EmbeddingScheme):
+    """Each link component as (edges, passages), traced from the edge list here.
+
+    A passage is a (crossing, through_pair) pair.  A strand entering
+    crossing i at dart x takes through-pair x % 2 and leaves by the dart
+    two steps further around the crossing, onto that dart's edge.  Each
+    walk starts at the least dart of a through-pair not yet taken, its
+    k-th passage comes just before its k-th edge, and the walks are
+    ordered by their least edge.  Reads only ``d.edges`` and
+    ``d.crossing_count``.
+    """
+    far = {}
+    edge_index = {}
+    for j, ((a, b), _) in enumerate(d.edges):
+        far[a], far[b] = b, a
+        edge_index[a] = edge_index[b] = j
+    taken = set()
+    walks = []
+    for start in range(4 * d.crossing_count):
+        if (start // 4, start % 2) in taken:
+            continue
+        edges, passages = [], []
+        x = start
+        while (x // 4, x % 2) not in taken:
+            taken.add((x // 4, x % 2))
+            passages.append((x // 4, x % 2))
+            leave = x - x % 4 + (x + 2) % 4
+            edges.append(edge_index[leave])
+            x = far[leave]
+        assert x == start, "component walk did not close"
+        walks.append((tuple(edges), tuple(passages)))
+    walks.sort(key=lambda walk: min(walk[0]))
+    return walks
+
+
 def region_parities(d: EmbeddingScheme) -> list[int]:
     """Each region's boundary as an edge mask: bit e is the parity of its walk's visits."""
     masks = []
@@ -674,14 +709,13 @@ def even_target(d: EmbeddingScheme, rng: random.Random) -> list[int]:
     Crossings are grouped by the components of their two passages, and
     an even number is taken from each group.
     """
-    owner = {}
+    owners: dict[int, list[int]] = {}
     for k, comp in enumerate(components(d)):
-        for crossing, pair in comp.passages:
-            owner[crossing, pair] = k
+        for crossing in comp.crossings:
+            owners.setdefault(crossing, []).append(k)
     groups: dict[frozenset, list[int]] = {}
     for i in range(d.crossing_count):
-        key = frozenset((owner[i, 0], owner[i, 1]))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(frozenset(owners[i]), []).append(i)
     chosen = []
     for members in groups.values():
         picked = [i for i in members if rng.random() < 0.5]
@@ -720,12 +754,12 @@ def reference_bicoloring(d: EmbeddingScheme, crossings) -> tuple[int, ...] | Non
     chosen = set(crossings)
     colors = [0] * d.edge_count
     for comp in components(d):
-        edges, passages = comp.edges, comp.passages
+        edges, crossings = comp.edges, comp.crossings
         k = len(edges)
         start = edges.index(max(edges))
         color = 0
         for j in range(start + 1, start + k + 1):
-            color ^= passages[j % k][0] in chosen
+            color ^= crossings[j % k] in chosen
             colors[edges[j % k]] = color
         if color:
             return None

@@ -13,23 +13,23 @@ from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS, WALK_FAULTS,
                       cyclic_pd, even_target, make_curl, make_rp2curl,
                       make_torus11, ones, violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
-                      homology_matrix, import_pd, incidence_matrix,
-                      parse_diagram, phi_class, random_diagram,
-                      serialize_diagram)
+                      components, homology_context, homology_matrix,
+                      import_pd, incidence_matrix, parse_diagram, phi_class,
+                      random_diagram, serialize_diagram, surface_info)
 from regioncc.cli import _cmd_bicolor, _load, _parser, main
 
 
 @pytest.fixture
 def trefoil_file(tmp_path):
     path = tmp_path / "trefoil.json"
-    path.write_text(serialize_diagram(import_pd(TREFOIL_PD)) + "\n")
+    path.write_text(serialize_diagram(import_pd(TREFOIL_PD)) + "\n", encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def torus_file(tmp_path):
     path = tmp_path / "torus.json"
-    path.write_text(serialize_diagram(make_torus11()) + "\n")
+    path.write_text(serialize_diagram(make_torus11()) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -110,7 +110,7 @@ class TestQueries:
 
     def test_bicolor_json_class(self, capsys, tmp_path):
         src = tmp_path / "rp2.json"
-        src.write_text(serialize_diagram(make_rp2curl()))
+        src.write_text(serialize_diagram(make_rp2curl()), encoding="utf-8")
         code, out, _ = run(capsys, "bicolor", "--json", str(src), "-c", "0")
         data = json.loads(out)
         assert code == 0
@@ -142,7 +142,8 @@ class TestQueries:
         assert (code, out.splitlines()[0], len(calls)) == (0, "admissible", 0)
         assert len(class_calls) == 0
         nonzero = tmp_path / "nonzero.json"
-        nonzero.write_text(serialize_diagram(random_diagram(2, 0.5, seed=0)))
+        nonzero.write_text(serialize_diagram(random_diagram(2, 0.5, seed=0)),
+                           encoding="utf-8")
         code, out, _ = run(capsys, "bicolor", str(nonzero), "-c", "0")
         assert code == 0
         assert out == ("infeasible: every bi-coloring has nonzero class\n"
@@ -156,7 +157,7 @@ class TestQueries:
         hopf = import_pd(HOPF_PD)
         assert bicoloring(hopf, [0]) is None
         path = tmp_path / "hopf.json"
-        path.write_text(serialize_diagram(hopf))
+        path.write_text(serialize_diagram(hopf), encoding="utf-8")
         monkeypatch.setattr("regioncc.rcc.admissible", lambda d, crossings: (0,))
         for command in ("admissible", "bicolor"):
             code, out, err = run(capsys, command, str(path), "-c", "0")
@@ -167,7 +168,7 @@ class TestQueries:
         switched = tmp_path / "switched.json"
         doc = json.loads(serialize_diagram(make_torus11()))
         doc["crossings"][0]["over"] = 1
-        switched.write_text(json.dumps(doc))
+        switched.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, "equivalent", torus_file, str(switched))
         assert code == 0
         assert "infeasible: diagrams lie in different classes" in out
@@ -181,7 +182,7 @@ class TestQueries:
         other = tmp_path / "other.json"
         doc = json.loads(serialize_diagram(import_pd(TREFOIL_PD)))
         doc["crossings"][0]["over"] = 0
-        other.write_text(json.dumps(doc))
+        other.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, "equivalent", trefoil_file, str(other))
         assert code == 0
         assert out.startswith("equivalent: regions")
@@ -193,7 +194,7 @@ class TestTransforms:
         code, out, _ = run(capsys, "apply", trefoil_file, "-r", "1",
                            "-o", str(out_path))
         assert code == 0
-        flipped = parse_diagram(out_path.read_text())
+        flipped = parse_diagram(out_path.read_text(encoding="utf-8"))
         assert flipped.edges == import_pd(TREFOIL_PD).edges
 
     def test_apply_stdout(self, capsys, trefoil_file):
@@ -211,21 +212,21 @@ class TestTransforms:
 
     def test_move_r2(self, capsys, tmp_path):
         src = tmp_path / "curl.json"
-        src.write_text(serialize_diagram(make_curl()))
+        src.write_text(serialize_diagram(make_curl()), encoding="utf-8")
         code, out, _ = run(capsys, "move-r2", str(src), "--darts", "0,2")
         assert code == 0
         assert parse_diagram(out).crossing_count == 3
 
     def test_move_r2_bad_site(self, capsys, tmp_path):
         src = tmp_path / "curl.json"
-        src.write_text(serialize_diagram(make_curl()))
+        src.write_text(serialize_diagram(make_curl()), encoding="utf-8")
         code, _, err = run(capsys, "move-r2", str(src), "--darts", "0,1")
         assert code == 2
         assert "same edge" in err
 
     def test_move_r2_wrong_dart_count(self, capsys, tmp_path):
         src = tmp_path / "curl.json"
-        src.write_text(serialize_diagram(make_curl()))
+        src.write_text(serialize_diagram(make_curl()), encoding="utf-8")
         code, _, err = run(capsys, "move-r2", str(src), "--darts", "0,2,3")
         assert code == 2
         assert "exactly two" in err
@@ -241,14 +242,14 @@ class TestTransforms:
 
     def test_import_pd_bare_list(self, capsys, tmp_path):
         src = tmp_path / "pd.json"
-        src.write_text(json.dumps([list(x) for x in TREFOIL_PD]))
+        src.write_text(json.dumps([list(x) for x in TREFOIL_PD]), encoding="utf-8")
         code, out, _ = run(capsys, "import-pd", str(src))
         assert code == 0
         assert parse_diagram(out) == import_pd(TREFOIL_PD)
 
     def test_import_pd_wrapped(self, capsys, tmp_path):
         src = tmp_path / "pd.json"
-        src.write_text(json.dumps({"pd": [[1, 1, 2, 2]]}))
+        src.write_text(json.dumps({"pd": [[1, 1, 2, 2]]}), encoding="utf-8")
         code, out, _ = run(capsys, "import-pd", str(src))
         assert code == 0
         assert parse_diagram(out).crossing_count == 1
@@ -257,7 +258,7 @@ class TestTransforms:
 class TestExitCodes:
     def test_format_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"bogus": 1}')
+        bad.write_text('{"bogus": 1}', encoding="utf-8")
         code, _, err = run(capsys, "info", str(bad))
         assert code == 2
         assert "error:" in err
@@ -267,7 +268,7 @@ class TestExitCodes:
         doc = {"crossings": [{"rotation": [0, 1, 2, 3], "over": 0}],
                "edges": [{"darts": [0, 0], "sign": 1},
                          {"darts": [2, 3], "sign": 1}]}
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run(capsys, "info", str(bad))
         assert code == 3
         assert "invalid diagram:" in err
@@ -276,7 +277,7 @@ class TestExitCodes:
     def test_invalid_diagram_message_exact(self, capsys, tmp_path, name):
         crossings, edges, expected = VALIDATE_VIOLATIONS[name]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(violation_document(crossings, edges)))
+        bad.write_text(json.dumps(violation_document(crossings, edges)), encoding="utf-8")
         code, out, err = run(capsys, "info", str(bad))
         assert code == 3
         assert out == ""
@@ -393,10 +394,12 @@ class TestExitCodes:
         ' "edges": [{"darts": [0.9, 1], "sign": 1}, {"darts": [2, 3], "sign": 1}]}',
         '{"crossings": [{"rotation": [0, 1, 2, 3], "over": 0}],'
         ' "edges": [{"darts": [0, 1], "sign": 1.0}, {"darts": [2, 3], "sign": true}]}',
+        '{"crossings": {}, "edges": []}',
+        '{"crossings": [], "edges": 5}',
     ], ids=["unhashable-label", "bool-label", "mixed-labels", "float-label",
             "string-crossing", "number-pd", "bool-rotation", "bool-darts",
             "deep-nesting", "float-rotation", "float-over", "float-darts",
-            "float-sign"])
+            "float-sign", "object-crossings", "number-edges"])
     def test_malformed_document(self, capsys, monkeypatch, doc):
         monkeypatch.setattr("sys.stdin", __import__("io").StringIO(doc))
         code, out, err = run(capsys, "info", "-")
@@ -452,7 +455,7 @@ class TestExitCodes:
     def test_failed_writes_leave_no_descriptor_open(self, capsys, monkeypatch):
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(5):
-            with open("/dev/full", "w") as full:
+            with open("/dev/full", "w", encoding="utf-8") as full:
                 monkeypatch.setattr(sys, "stdout", full)
                 assert main(["random", "-n", "3"]) == 2
                 monkeypatch.undo()
@@ -503,7 +506,7 @@ class TestBitRowsAtScale:
     def test_incidence_rows_at_1000_crossings(self, capsys, tmp_path):
         d = import_pd(cyclic_pd(1000))
         path = tmp_path / "torus.json"
-        path.write_text(serialize_diagram(d))
+        path.write_text(serialize_diagram(d), encoding="utf-8")
         m = incidence_matrix(d)
         want = bit_rows(m.row_bits, m.cols)
         code, out, _ = run(capsys, "matrix", str(path))
@@ -516,7 +519,7 @@ class TestBitRowsAtScale:
     def test_component_rows_and_class_at_300_crossings(self, capsys, tmp_path):
         d = random_diagram(300, 0.5, seed=4)
         path = tmp_path / "genus.json"
-        path.write_text(serialize_diagram(d))
+        path.write_text(serialize_diagram(d), encoding="utf-8")
         hm = homology_matrix(d)
         h1 = hm.matrix.cols
         assert h1 > 250
@@ -537,6 +540,58 @@ class TestBitRowsAtScale:
         assert (data["admissible"], data["phi_class"]) == (False, phi)
         code, out, _ = run(capsys, "bicolor", str(path), "-c", crossings)
         assert out.splitlines()[2] == "class: " + texts([phi])[0]
+
+
+class TestInternalChecks:
+    """Checks that only a corrupted table fires, each reached by info.
+
+    On the trefoil (3 crossings, 5 regions, a sphere): edge sides that
+    all name region 0 leave the dual forest empty, so the tree-cotree
+    split keeps 4 edges where 2 - chi is 0; a sixth region makes chi odd
+    on an orientable surface; and a theta taking every dart to dart 0's
+    partner ends the first component walk short of its start.
+    """
+
+    CHECKS = {
+        "edge_sides": (homology_context,
+                       "tree-cotree leaves 4 edges, expected 2 - chi = 0"),
+        "regions": (surface_info, "orientable surface with odd Euler characteristic"),
+        "theta": (components, "component walk did not close at its starting dart"),
+    }
+
+    @staticmethod
+    def corrupt(d, fault: str) -> None:
+        shadow = d.shadow
+        structure = shadow.faces
+        if fault == "edge_sides":
+            shadow.__dict__["faces"] = structure._replace(
+                edge_sides=((0, 0),) * d.edge_count)
+        elif fault == "regions":
+            shadow.__dict__["faces"] = structure._replace(
+                regions=structure.regions + structure.regions[:1])
+        else:
+            object.__setattr__(shadow, "theta", (shadow.theta[0],) * d.dart_count)
+
+    @pytest.mark.parametrize("fault", sorted(CHECKS))
+    def test_library_raises(self, fault):
+        query, message = self.CHECKS[fault]
+        d = import_pd(TREFOIL_PD)
+        self.corrupt(d, fault)
+        with pytest.raises(RuntimeError) as caught:
+            query(d)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("fault", sorted(CHECKS))
+    def test_info_exits_4(self, capsys, monkeypatch, trefoil_file, fault):
+        def corrupted_load(path):
+            d = _load(path)
+            self.corrupt(d, fault)
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        code, out, err = run(capsys, "info", trefoil_file)
+        assert (code, out) == (4, "")
+        assert err == f"internal error: {self.CHECKS[fault][1]}\n"
 
 
 class TestCorruptedBases:
@@ -574,7 +629,7 @@ class TestCorruptedBases:
     @pytest.fixture
     def torus4_file(self, tmp_path):
         path = tmp_path / "torus4.json"
-        path.write_text(serialize_diagram(import_pd(cyclic_pd(4))) + "\n")
+        path.write_text(serialize_diagram(import_pd(cyclic_pd(4))) + "\n", encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("kind", ["wrong_yes", "wrong_no"])
@@ -618,7 +673,8 @@ class TestCorruptedTables:
     @pytest.fixture
     def diagram_file(self, tmp_path):
         path = tmp_path / "three.json"
-        path.write_text(serialize_diagram(random_diagram(6, 0.5, seed=8)) + "\n")
+        path.write_text(serialize_diagram(random_diagram(6, 0.5, seed=8)) + "\n",
+                        encoding="utf-8")
         return str(path)
 
     @staticmethod

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import (FIXTURE_MAKERS, braid_pd, brute_poke_sites, cyclic_pd,
                       invariant_profile, random_suite, reference_poke)
-from regioncc import (R2Spec, Edge, EmbeddingScheme, components, faces,
-                      import_pd, incidence_matrix, poke_sites, random_diagram,
-                      rcc_equivalent, reidemeister_two, surface_info,
-                      switch_crossing, verify_rank_formula)
+from regioncc import (R2Spec, Edge, EmbeddingScheme, InvalidDiagramError,
+                      components, faces, import_pd, incidence_matrix,
+                      poke_sites, random_diagram, rcc_equivalent,
+                      reidemeister_two, surface_info, switch_crossing,
+                      verify_rank_formula)
 
 
 class TestSwitch:
@@ -66,6 +67,14 @@ class TestPoke:
     def test_over_choice_validated(self, curl):
         with pytest.raises(ValueError, match="over"):
             reidemeister_two(curl, R2Spec(0, 2, "c"))
+
+    def test_region_count_check_fires(self, curl, monkeypatch):
+        # faces answers with the curl's own regions, so the poke seems to add none.
+        structure = faces(curl)
+        monkeypatch.setattr("regioncc.moves.faces", lambda d: structure)
+        with pytest.raises(RuntimeError) as caught:
+            reidemeister_two(curl, R2Spec(0, 2))
+        assert str(caught.value) == "poke did not add exactly two regions"
 
     def test_dart_range(self, curl):
         with pytest.raises(ValueError, match="range"):
@@ -190,6 +199,15 @@ class TestRandomDiagram:
             random_diagram(3, neg_prob=1.5)
         with pytest.raises(ValueError, match="at most"):
             random_diagram(10 ** 20)
+
+    def test_search_gives_up(self, monkeypatch):
+        def never_connected(overs, edges):
+            raise InvalidDiagramError(["diagram is not connected"])
+
+        monkeypatch.setattr("regioncc.moves.EmbeddingScheme", never_connected)
+        with pytest.raises(RuntimeError) as caught:
+            random_diagram(1, seed=1)
+        assert str(caught.value) == "no connected pairing found"
 
     @pytest.mark.parametrize("count", [True, 2.0, "3", None])
     def test_count_must_be_an_int(self, count):

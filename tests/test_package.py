@@ -10,9 +10,9 @@ import pytest
 
 import regioncc
 from conftest import TREFOIL_PD
-from regioncc import (BitMatrix, BitVector, CoverScheme, Edge, EmbeddingScheme,
-                      FaceStructure, HomologyContext, Region, Shadow,
-                      import_pd, serialize_diagram)
+from regioncc import (BitMatrix, BitVector, Component, CoverScheme, Edge,
+                      EmbeddingScheme, FaceStructure, HomologyContext, Region,
+                      Shadow, import_pd, serialize_diagram)
 
 EXPORTS = [
     "Bicoloring", "BitMatrix", "BitVector", "Component", "CoverScheme",
@@ -49,7 +49,7 @@ def fresh(code: str):
     """The value a fresh interpreter (no site) prints, read back by eval."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     child = subprocess.run([sys.executable, "-S", "-c", code],
-                           capture_output=True, text=True, env=env, check=True)
+                           capture_output=True, encoding="utf-8", env=env, check=True)
     return eval(child.stdout)
 
 
@@ -79,8 +79,9 @@ def command_modules(argv: list[str]) -> set[str]:
 @pytest.fixture(scope="module")
 def trefoil_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("docs")
-    (root / "trefoil.json").write_text(serialize_diagram(import_pd(TREFOIL_PD)))
-    (root / "trefoil_pd.json").write_text(json.dumps(TREFOIL_PD))
+    (root / "trefoil.json").write_text(serialize_diagram(import_pd(TREFOIL_PD)),
+                                       encoding="utf-8")
+    (root / "trefoil_pd.json").write_text(json.dumps(TREFOIL_PD), encoding="utf-8")
     return str(root / "trefoil.json"), str(root / "trefoil_pd.json")
 
 
@@ -94,6 +95,26 @@ def test_import_pd_loads_only_the_scheme(trefoil_files):
 def test_command_without_homology_skips_it(trefoil_files, argv):
     loaded = command_modules([argv[0], trefoil_files[0], *argv[1:]])
     assert "regioncc.homology" not in loaded
+
+
+def test_bicolor_import_loads_no_region_route():
+    loaded = loaded_modules("import regioncc.bicolor")
+    assert "regioncc.bicolor" in loaded and "regioncc.rcc" not in loaded
+
+
+def test_moves_import_loads_only_the_scheme():
+    loaded = loaded_modules("import regioncc.moves")
+    assert {name for name in loaded if name.startswith("regioncc.")} == {
+        "regioncc.gf2", "regioncc.moves", "regioncc.scheme"}
+
+
+@pytest.mark.parametrize("argv", [["switch", "trefoil", "-i", "1"],
+                                  ["move-r2", "trefoil", "-d", "0,4"],
+                                  ["random", "-n", "3", "--seed", "1"]])
+def test_move_commands_load_only_moves_and_the_scheme(trefoil_files, argv):
+    argv = [trefoil_files[0] if arg == "trefoil" else arg for arg in argv]
+    assert command_modules(argv) == {
+        "regioncc.cli", "regioncc.gf2", "regioncc.moves", "regioncc.scheme"}
 
 
 def test_package_import_loads_no_submodule():
@@ -163,6 +184,11 @@ class TestValueClasses:
             BitVector(-1)
         with pytest.raises(ValueError, match="outside declared width"):
             BitMatrix(1, 1, (2,))
+        for rows, cols in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+                BitMatrix(rows, cols, ())
+        with pytest.raises(ValueError, match="row count does not match row data"):
+            BitMatrix(2, 1, (0,))
 
     def test_shadow_equality_ignores_the_derived_fields(self):
         a = Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1))
@@ -189,6 +215,7 @@ class TestValueClasses:
 
     def test_derived_records_keep_only_what_is_read(self):
         assert Region._fields == ("corners", "crossing_count")
+        assert Component._fields == ("edges", "crossings")
         assert CoverScheme._fields == ("sigma", "theta")
         assert HomologyContext._fields == ("edge_ends", "quotient_pivots", "edge_classes")
         assert FaceStructure._fields == ("regions", "face_partner", "plus_face",

@@ -150,7 +150,7 @@ def _crossing_pairs(d):
     crossing sets keyed by those pairs."""
     owners = {}
     for k, comp in enumerate(components(d)):
-        for crossing, _ in comp.passages:
+        for crossing in comp.crossings:
             owners.setdefault(crossing, []).append(k)
     inter = {}
     for i, ks in owners.items():
@@ -365,6 +365,14 @@ class TestCheckerboard:
                 if color == side:
                     effect ^= m.row_bits[rid]
             assert effect == 0
+
+    def test_color_class_check_fires(self, trefoil):
+        # One flipped mask bit: the regions together now switch a crossing.
+        masks = trefoil.shadow.region_masks
+        trefoil.shadow.__dict__["region_masks"] = (masks[0] ^ 1,) + masks[1:]
+        with pytest.raises(RuntimeError) as caught:
+            checkerboard(trefoil)
+        assert str(caught.value) == "checkerboard color class is not ineffective"
 
     def test_torus11_not_colorable(self, torus11):
         assert checkerboard(torus11) is None

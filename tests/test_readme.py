@@ -84,9 +84,9 @@ def test_cli_tour(capsys, monkeypatch, tmp_path):
     for block in tour:
         for command, shown in tour_steps(block):
             if m := re.fullmatch(r"echo '(.*)' > (\S+)", command):
-                Path(m[2]).write_text(m[1] + "\n")
+                Path(m[2]).write_text(m[1] + "\n", encoding="utf-8")
             elif m := re.fullmatch(r"cat (\S+)", command):
-                Path(m[1]).write_text("\n".join(shown) + "\n")
+                Path(m[1]).write_text("\n".join(shown) + "\n", encoding="utf-8")
             elif m := re.fullmatch(r"(regioncc .*) \| python3 -m json\.tool", command):
                 json.loads("\n".join(run_regioncc(capsys, m[1])))
                 assert shown == [], command

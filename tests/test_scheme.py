@@ -14,9 +14,9 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       base_region_count, braid_pd, cover_face_count, cyclic_pd,
                       invariant_profile, json_shaped, make_torus11,
                       monodromy_orientable, parse_outcome, random_suite,
-                      reference_parse_diagram, reference_serialize_diagram,
-                      region_parities, region_walks, relabeled,
-                      shift_switched)
+                      reference_components, reference_parse_diagram,
+                      reference_serialize_diagram, region_parities,
+                      region_walks, relabeled, shift_switched)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
@@ -334,24 +334,32 @@ class TestComponents:
         comps = components(curl)
         assert len(comps) == 1
         assert sorted(comps[0].edges) == [0, 1]
-        assert len(comps[0].passages) == 2
+        assert len(comps[0].crossings) == 2
 
     def test_torus11_two_components(self, torus11):
         comps = components(torus11)
         assert len(comps) == 2
         assert [comp.edges for comp in comps] == [(0,), (1,)]
-        assert all(len(comp.passages) == 1 for comp in comps)
+        assert [comp.crossings for comp in comps] == [(0,), (0,)]
 
     def test_trefoil_component(self, trefoil):
         comps = components(trefoil)
         assert len(comps) == 1
-        assert len(comps[0].passages) == 6
+        assert sorted(comps[0].crossings) == [0, 0, 1, 1, 2, 2]
 
-    def test_passages_cover_all_through_pairs(self):
-        for d in random_suite(60, 1, 8, (0.0, 0.5), seed=8):
-            seen = [p for comp in components(d) for p in comp.passages]
-            assert sorted(seen) == [(i, p) for i in range(d.crossing_count)
-                                    for p in (0, 1)]
+    def test_trace_matches_the_reference(self):
+        diagrams = [make() for make in FIXTURE_MAKERS.values()]
+        for p in (0.0, 0.5, 1.0):
+            diagrams += random_suite(30, 1, 12, (p,), seed=int(8 + 10 * p))
+        diagrams += [import_pd(cyclic_pd(n)) for n in (2, 5, 12, 31)]
+        diagrams += [import_pd(braid_pd(s, n, seed))
+                     for s, n, seed in ((3, 9, 1), (8, 30, 3), (16, 48, 2))]
+        for d in diagrams:
+            walks = reference_components(d)
+            seen = sorted(p for _, passages in walks for p in passages)
+            assert seen == [(i, p) for i in range(d.crossing_count) for p in (0, 1)]
+            assert components(d) == tuple(
+                (edges, tuple(i for i, _ in passages)) for edges, passages in walks)
 
 
 class TestRelabeling:
@@ -446,6 +454,9 @@ class TestDocuments:
                      ' "edges": []}')
         with pytest.raises(DiagramFormatError, match="over"):
             parse_diagram(bool_over)
+        for doc in ('{"crossings": {}, "edges": []}', '{"crossings": [], "edges": 5}'):
+            with pytest.raises(DiagramFormatError, match="^crossings and edges must be lists"):
+                parse_diagram(doc)
 
     def test_value_errors_are_diagram_level(self, curl):
         doc = json.loads(serialize_diagram(curl))
