@@ -54,6 +54,49 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
+def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
+    """F as (region, parent, edge) from (0, 0, -1); Shadow.dual_tree caches it.
+
+    Kruskal over the regions in ascending edge order, listed breadth-first:
+    the package's one search of the dual graph.
+    """
+    r = shadow.faces.region_count
+    parent = list(range(r))
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for j, (a, b) in enumerate(shadow.faces.edge_sides):
+        if _union(parent, a, b):
+            tree[a].append((b, j))
+            tree[b].append((a, j))
+    # F has no loops or parallel edges: a region's children are its other neighbors.
+    order = [(0, 0, -1)]
+    for u, p, _ in order:
+        for v, j in tree[u]:
+            if v != p:
+                order.append((v, u, j))
+    return tuple(order)
+
+
+def checked_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
+    """Shadow.dual_tree, checked: RuntimeError unless it spans the regions.
+
+    Entry 0 is (0, 0, -1); each later entry joins a region not listed
+    before to a listed parent by an edge whose ``edge_sides`` entry is
+    exactly that pair; every region is listed.
+    """
+    tree, sides, m = shadow.dual_tree, shadow.faces.edge_sides, len(shadow.edges)
+    listed = bytearray(shadow.faces.region_count)
+    listed[0] = tree[:1] == ((0, 0, -1),)
+    for v, u, j in tree[1:]:
+        if not (0 <= j < m and sides[j] == ((u, v) if u < v else (v, u))
+                and listed[u] and not listed[v]):
+            raise RuntimeError(f"dual tree entry {(v, u, j)} hangs no new region "
+                               "on a listed one")
+        listed[v] = 1
+    if 0 in listed:
+        raise RuntimeError("dual tree does not list every region")
+    return tree
+
+
 def build_context(shadow: Shadow) -> HomologyContext:
     """The homology context of a shadow; Shadow.homology_context caches it.
 
@@ -61,10 +104,10 @@ def build_context(shadow: Shadow) -> HomologyContext:
     orders (Erickson and Whittlesey, SODA 2005) picks the pivots of the
     unique RREFs without eliminating:
 
-    - F, Kruskal over regions in ascending edge order, is the min-index
-      basis of the dual graph's graphic matroid, which the region masks
-      represent: the pivots of their RREF.  The RREF row with pivot f is
-      the fundamental cut of f in F.
+    - F, the shadow's dual tree (Kruskal over regions in ascending edge
+      order), is the min-index basis of the dual graph's graphic
+      matroid, which the region masks represent: the pivots of their
+      RREF.  The RREF row with pivot f is the fundamental cut of f in F.
     - Kruskal over crossings on the other edges in descending order
       keeps a max-index spanning tree of G minus F.  The edges it
       rejects, L, form the min-index basis of its dual, the cycle
@@ -75,54 +118,32 @@ def build_context(shadow: Shadow) -> HomologyContext:
       RREF.  So l_k gets class bit k, and an edge of F gets bit k when
       exactly one of l_k's regions lies below it in F.
     """
-    edges = shadow.edges
-    c = shadow.crossing_count
-    m = len(edges)
-    structure = shadow.faces
-    sides = structure.edge_sides
-    r = structure.region_count
-    ends = tuple((a >> 2, b >> 2) for (a, b), _ in edges)
+    c, m = shadow.crossing_count, len(shadow.edges)
+    sides, r = shadow.faces.edge_sides, shadow.faces.region_count
+    ends = tuple((a >> 2, b >> 2) for (a, b), _ in shadow.edges)
 
-    # An edge with one region on both sides is a loop of the dual graph
-    # and never joins F.
-    parent = list(range(r))
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    in_f = bytearray(m)
-    for j, (a, b) in enumerate(sides):
-        if _union(parent, a, b):
-            tree[a].append((b, j))
-            tree[b].append((a, j))
-            in_f[j] = 1
-
+    # The root's -1 names no edge.  The count check comes before the tree
+    # check: edge sides that cut the dual graph apart show there first.
+    in_f = {j for _, _, j in shadow.dual_tree}
     parent = list(range(c))
     cotree = []
     for j in range(m - 1, -1, -1):
-        if not in_f[j] and not _union(parent, *ends[j]):
+        if j not in in_f and not _union(parent, *ends[j]):
             cotree.append(j)
     cotree.reverse()
     if len(cotree) != 2 - (r - c):
         raise RuntimeError(f"tree-cotree leaves {len(cotree)} edges, "
                            f"expected 2 - chi = {2 - (r - c)}")
 
-    classes = [0] * m
-    below = [0] * r
+    classes, below = [0] * m, [0] * r
     for k, j in enumerate(cotree):
         classes[j] = 1 << k
         a, b = sides[j]
         below[a] ^= 1 << k
         below[b] ^= 1 << k
-    # (region, parent, edge to parent) in breadth-first order from region
-    # 0.  Read backwards, every region comes before its parent, so
-    # below[v] has gathered v's whole subtree when v's edge is reached.
-    seen = bytearray(r)
-    seen[0] = 1
-    order = [(0, 0, -1)]
-    for u, _, _ in order:
-        for v, j in tree[u]:
-            if not seen[v]:
-                seen[v] = 1
-                order.append((v, u, j))
-    for v, u, j in reversed(order[1:]):
+    # Read backwards, F's breadth-first order puts every region before its
+    # parent, so below[v] has gathered v's subtree when v's edge is reached.
+    for v, u, j in reversed(checked_dual_tree(shadow)[1:]):
         classes[j] = below[v]
         below[u] ^= below[v]
     return HomologyContext(ends, tuple(cotree), tuple(classes))

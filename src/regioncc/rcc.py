@@ -2,15 +2,15 @@
 
 Switching a region switches each crossing once per corner the region
 has there, so over GF(2) only corner parities matter.  The incidence
-matrix has one row per region and one column per crossing; every
-question below is answered by its tagged row basis, cached on the
-shadow: which crossing sets are reachable (admissibility, the
+matrix has one row per region and one column per crossing: the rows
+are the shadow's region masks, so the crossings a region set switches
+are the XOR of its masks.  Its tagged row basis, cached on the shadow,
+answers which crossing sets are reachable (admissibility, the
 expression of a target in the rows), which region sets do nothing
 (ineffective sets, the dependent rows), how many genuinely different
 effects exist (class counting), and whether its rank matches the value
-predicted from the region count, component count, and the homology
-rank of the components.  The rows are the shadow's region masks, so
-the crossings a region set switches are the XOR of its masks.
+predicted from the region, component and homology ranks.
+``checkerboard`` needs no elimination: it colors down the dual tree.
 """
 
 from __future__ import annotations
@@ -122,33 +122,18 @@ def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] 
 def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
     """Two-coloring of the regions with opposite colors across every edge.
 
-    Returns one color per region (region 0 gets color 0), or None when
-    the regions cannot be two-colored.  When a coloring exists, both
-    color classes are ineffective region sets; that is rechecked here
-    before returning.
+    Returns one color per region, alternating down the shadow's dual tree
+    from color 0 at region 0, or None when some edge (a loop, say) then
+    has one color on both sides.  Both color classes of a coloring are
+    ineffective region sets; that is rechecked here before returning.
     """
-    structure = d.shadow.faces
-    r = structure.region_count
-    adjacency: list[list[int]] = [[] for _ in range(r)]
-    for u, v in structure.edge_sides:
-        if u == v:
-            return None
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    colors = [-1] * r
-    for start in range(r):
-        if colors[start] >= 0:
-            continue
-        colors[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in adjacency[u]:
-                if colors[v] < 0:
-                    colors[v] = colors[u] ^ 1
-                    queue.append(v)
-                elif colors[v] == colors[u]:
-                    return None
+    from .homology import checked_dual_tree
+    tree = checked_dual_tree(d.shadow)
+    colors = [0] * len(tree)
+    for v, u, _ in tree[1:]:
+        colors[v] = colors[u] ^ 1
+    if any(colors[u] == colors[v] for u, v in d.shadow.faces.edge_sides):
+        return None
     masks = d.shadow.region_masks
     if reduce(xor, masks) or reduce(xor, compress(masks, colors), 0):
         raise RuntimeError("checkerboard color class is not ineffective")

@@ -16,9 +16,10 @@ Conventions used throughout the package:
   disagree when transported along the edge.
 - Regions of the complement are read off the orientation double cover.
   Cover darts are encoded as 2 * d + sheet with sheet 0 the untwisted
-  lift, so the deck involution is x ^ 1.  Faces of the cover are orbits
-  of next(x) = sigma(theta(x)); a region of the base surface is a pair
-  of cover faces exchanged by x -> theta(deck(x)).
+  lift, so the deck involution is x ^ 1.  Faces of the cover are orbits of
+  next(x) = sigma(theta(x)), where the rotation sigma(x) = (x & ~7) |
+  ((x + 2 - 4 * (x & 1)) & 7) runs backwards on sheet 1; a region of the
+  base surface is a pair of cover faces exchanged by x -> theta(deck(x)).
 """
 
 from __future__ import annotations
@@ -158,14 +159,12 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
 class CoverScheme(NamedTuple):
     """Orientation double cover of a diagram's embedded graph.
 
-    Cover darts are 2 * d + sheet.  ``sigma`` rotates around cover
-    vertices (the rotation on sheet 1 runs backwards), ``theta`` is the
-    lifted edge involution, so the cover edges are its pairs, and the
-    deck involution is x ^ 1.  The cover is connected exactly when the
-    base surface is nonorientable.
+    Cover darts are 2 * d + sheet, paired into cover edges by ``theta``,
+    the lifted edge involution.  The rotation is the module's sigma
+    formula and the deck involution x ^ 1.  The cover is connected
+    exactly when the base surface is nonorientable.
     """
 
-    sigma: tuple[int, ...]
     theta: tuple[int, ...]
 
 
@@ -260,54 +259,43 @@ class Shadow(Frozen):
 
     @cached_property
     def cover(self) -> CoverScheme:
-        c = self.crossing_count
-        n = 8 * c
-        sigma = [0] * n
-        for d in range(4 * c):
-            base = d & ~3
-            sigma[2 * d] = 2 * (base | ((d + 1) & 3))
-            sigma[2 * d + 1] = 2 * (base | ((d - 1) & 3)) + 1
-        theta = [0] * n
+        theta = [0] * (8 * self.crossing_count)
         for (a, b), sign in self.edges:
             # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
             x, y = 2 * a, 2 * b + (sign < 0)
             theta[x], theta[y], theta[x + 1], theta[y ^ 1] = y, x, y ^ 1, x + 1
-        return CoverScheme(tuple(sigma), tuple(theta))
+        return CoverScheme(tuple(theta))
 
     @cached_property
     def faces(self) -> FaceStructure:
-        sigma, theta = self.cover
+        theta = self.cover.theta
         c = self.crossing_count
-        # The cover laws: sigma(sigma(x ^ 1) ^ 1) == x, so x -> sigma(x) ^ 1
-        # is an involution, theta(theta(x)) == x and theta(x ^ 1) ==
-        # theta(x) ^ 1.  So sigma and theta are permutations, every walk of
-        # x -> sigma(theta(x)) closes, and the mirror x -> theta(x ^ 1) maps
-        # each face onto one, run backwards.
-        darts = list(range(len(sigma)))
-        flipped = [y ^ 1 for y in sigma]
-        if ([flipped[y] for y in flipped] != darts or [theta[y] for y in theta] != darts
+        # theta(theta(x)) == x and theta(x ^ 1) == theta(x) ^ 1 close every walk of
+        # sigma(theta(x)) and make the mirror x -> theta(x ^ 1) map faces to faces.
+        darts = list(range(len(theta)))
+        if ([theta[y] for y in theta] != darts
                 or list(theta[1::2]) != [y ^ 1 for y in theta[::2]]):
             raise RuntimeError("cover breaks the deck laws")
-        face_of = [-1] * len(sigma)
+        nxt = [(y & ~7) | ((y + 2 - 4 * (y & 1)) & 7) for y in theta]  # sigma(theta(x))
+        face_of = [-1] * len(theta)
         regions = []
         for start in darts:
             if face_of[start] >= 0:
                 continue
             fid = 2 * len(regions)
-            corners = []
+            walk = []
             x = start
             while face_of[x] < 0:
                 face_of[x] = fid
-                corners.append(x >> 3)
-                x = sigma[theta[x]]
-            # The other lift is the mirror face: fresh, unless it is this one.
-            y = theta[start ^ 1]
-            while face_of[y] < 0:
+                walk.append(x)
+                x = nxt[x]
+            # The other lift is the mirror image: fresh, unless it is this face.
+            for x in walk:
+                y = theta[x ^ 1]
+                if face_of[y] >= 0:
+                    raise RuntimeError(f"face {fid} meets its own mirror")
                 face_of[y] = fid + 1
-                y = sigma[theta[y]]
-            if face_of[y] == fid:
-                raise RuntimeError(f"face {fid} meets its own mirror")
-            regions.append(Region(tuple(corners), c))
+            regions.append(Region(tuple([x >> 3 for x in walk]), c))
         # An edge's sides are the faces of one cover edge's two darts.  The
         # plus faces of its two base darts would not do: on a -1 edge they
         # name the same side.
@@ -343,6 +331,12 @@ class Shadow(Frozen):
             out.append(Component(tuple(walk), tuple(crossings)))
         out.sort(key=lambda comp: min(comp.edges))
         return tuple(out)
+
+    @cached_property
+    def dual_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The regions' spanning tree F: (region, parent, edge) from (0, 0, -1)."""
+        from .homology import build_dual_tree
+        return build_dual_tree(self)
 
     @cached_property
     def homology_context(self) -> HomologyContext:

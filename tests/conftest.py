@@ -481,20 +481,44 @@ def base_region_count(d: EmbeddingScheme) -> int:
     return count
 
 
+def rotation_step(x: int) -> int:
+    """The next cover dart around a cover vertex, by the rotation rule.
+
+    Cover dart x is 2 * dart + sheet, as in the package.  On sheet 0 the
+    rotation runs through a crossing's darts in ascending order, on
+    sheet 1 in descending order: the step of ``region_walks``.
+    """
+    dart, sheet = x >> 1, x & 1
+    turn = -1 if sheet else 1
+    return 2 * (dart - dart % 4 + (dart + turn) % 4) + sheet
+
+
 def cover_face_count(d: EmbeddingScheme) -> int:
-    """Number of orbits of x -> sigma(theta(x)) over the cover's darts."""
-    cover = orientation_double_cover(d)
-    seen = [False] * len(cover.sigma)
+    """Number of orbits of x -> sigma(theta(x)), with the package's theta only."""
+    theta = orientation_double_cover(d).theta
+    seen = [False] * len(theta)
     count = 0
-    for start in range(len(cover.sigma)):
+    for start in range(len(theta)):
         if seen[start]:
             continue
         count += 1
         x = start
         while not seen[x]:
             seen[x] = True
-            x = cover.sigma[cover.theta[x]]
+            x = rotation_step(theta[x])
     return count
+
+
+def mirror_fault(cover):
+    """The cover with theta(0) = 1 and theta(y) = y ^ 1 for y = theta(0).
+
+    Both theta laws still hold, but dart 0 is its own mirror theta(0 ^ 1),
+    so the face trace must stop at face 0.
+    """
+    theta = list(cover.theta)
+    y = theta[0]
+    theta[0], theta[1], theta[y], theta[y ^ 1] = 1, 0, y ^ 1, y
+    return cover._replace(theta=tuple(theta))
 
 
 def region_walks(d: EmbeddingScheme) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -811,6 +835,63 @@ def shift_bounds(table):
 
 WALK_FAULTS = {"crossing_positions": swap_crossings, "to_edges": swap_edges,
                "ends": drop_ends, "bounds": shift_bounds}
+
+
+# Faults for a shadow's dual tree (Shadow.dual_tree).  Each keeps the set
+# of tree edges, so the tree-cotree count still adds up and only the tree
+# check can name the fault.  All three need a tree whose last entry's
+# parent is not region 0.
+
+def swap_tree_edges(tree):
+    """The last two entries trade edges, so neither joins its region and parent."""
+    (v1, u1, j1), (v2, u2, j2) = tree[-2:]
+    return tree[:-2] + ((v1, u1, j2), (v2, u2, j1))
+
+
+def repeat_region(tree):
+    """The first child is listed a second time, at the end."""
+    return tree + tree[1:2]
+
+
+def child_first(tree):
+    """The last entry moves up to just after the root, ahead of its parent."""
+    return tree[:1] + tree[-1:] + tree[1:-1]
+
+
+TREE_FAULTS = {"tree_edge": swap_tree_edges, "repeated_region": repeat_region,
+               "parent_after_child": child_first}
+
+
+def reference_checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
+    """Two-coloring of the regions across every edge, by a search of its own.
+
+    Adjacency lists over the reference walks' edge sides, then a
+    depth-first search from every uncolored region; a loop edge or an
+    edge with equal colors on both sides means no coloring.
+    """
+    sides = dense_edge_sides(d)
+    r = 1 + max(v for _, v in sides)   # every region borders some edge
+    adjacency: list[list[int]] = [[] for _ in range(r)]
+    for u, v in sides:
+        if u == v:
+            return None
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    colors = [-1] * r
+    for start in range(r):
+        if colors[start] >= 0:
+            continue
+        colors[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adjacency[u]:
+                if colors[v] < 0:
+                    colors[v] = colors[u] ^ 1
+                    stack.append(v)
+                elif colors[v] == colors[u]:
+                    return None
+    return tuple(colors)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ import sys
 
 import pytest
 
-from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS, WALK_FAULTS,
-                      cyclic_pd, even_target, make_curl, make_rp2curl,
-                      make_torus11, ones, violation_document)
+from conftest import (HOPF_PD, TREE_FAULTS, TREFOIL_PD, VALIDATE_VIOLATIONS,
+                      WALK_FAULTS, cyclic_pd, even_target, make_curl,
+                      make_rp2curl, make_torus11, mirror_fault, ones,
+                      violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
-                      components, homology_context, homology_matrix,
+                      components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
                       random_diagram, serialize_diagram, surface_info)
 from regioncc.cli import _cmd_bicolor, _load, _parser, main
@@ -546,10 +547,13 @@ class TestInternalChecks:
     """Checks that only a corrupted table fires, each reached by info.
 
     On the trefoil (3 crossings, 5 regions, a sphere): edge sides that
-    all name region 0 leave the dual forest empty, so the tree-cotree
+    all name region 0 leave the dual tree one region, so the tree-cotree
     split keeps 4 edges where 2 - chi is 0; a sixth region makes chi odd
-    on an orientable surface; and a theta taking every dart to dart 0's
-    partner ends the first component walk short of its start.
+    on an orientable surface; a theta taking every dart to dart 0's
+    partner ends the first component walk short of its start; a cover
+    whose dart 0 is its own mirror stops the face trace; and each
+    ``TREE_FAULTS`` entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4),
+    (2, 1, 1), (3, 2, 2))) fails the dual tree check at the entry named.
     """
 
     CHECKS = {
@@ -557,16 +561,25 @@ class TestInternalChecks:
                        "tree-cotree leaves 4 edges, expected 2 - chi = 0"),
         "regions": (surface_info, "orientable surface with odd Euler characteristic"),
         "theta": (components, "component walk did not close at its starting dart"),
+        "mirror": (faces, "face 0 meets its own mirror"),
+        **{fault: (homology_context,
+                   f"dual tree entry {entry} hangs no new region on a listed one")
+           for fault, entry in (("tree_edge", (2, 1, 2)), ("repeated_region", (1, 0, 0)),
+                                ("parent_after_child", (3, 2, 2)))},
     }
 
     @staticmethod
     def corrupt(d, fault: str) -> None:
         shadow = d.shadow
-        structure = shadow.faces
-        if fault == "edge_sides":
-            shadow.__dict__["faces"] = structure._replace(
+        if fault in TREE_FAULTS:
+            shadow.__dict__["dual_tree"] = TREE_FAULTS[fault](shadow.dual_tree)
+        elif fault == "mirror":
+            shadow.__dict__["cover"] = mirror_fault(shadow.cover)
+        elif fault == "edge_sides":
+            shadow.__dict__["faces"] = shadow.faces._replace(
                 edge_sides=((0, 0),) * d.edge_count)
         elif fault == "regions":
+            structure = shadow.faces
             shadow.__dict__["faces"] = structure._replace(
                 regions=structure.regions + structure.regions[:1])
         else:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import dense_rank, random_suite, region_walks, relabeled
-from regioncc import (class_of, components, homology_context, homology_matrix,
-                      surface_info)
+from conftest import (TREE_FAULTS, dense_rank, dense_rref, make_trefoil,
+                      random_suite, region_parities, region_walks, relabeled)
+from regioncc import (EmbeddingScheme, checkerboard, class_of, components,
+                      homology_context, homology_matrix, surface_info)
 
 
 class TestContext:
@@ -19,6 +20,35 @@ class TestContext:
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=21):
             assert homology_context(d).h1_dim \
                 == 2 - surface_info(d).euler_characteristic
+
+
+class TestDualTree:
+    """The shadow's dual tree F, which the homology classes and checkerboard share."""
+
+    def test_edges_are_the_face_rref_pivots(self):
+        # Kruskal in ascending edge order keeps the min-index basis of the
+        # dual graph's matroid: the pivots of the region boundary masks' RREF.
+        for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=28):
+            tree = d.shadow.dual_tree
+            assert tree[0] == (0, 0, -1)
+            assert len(tree) == len(region_walks(d))
+            pivots, _ = dense_rref(region_parities(d), d.edge_count)
+            assert sorted(j for _, _, j in tree[1:]) == list(pivots)
+
+    @pytest.mark.parametrize("fault", sorted(TREE_FAULTS))
+    def test_corrupted_tree_stops_both_readers(self, fault):
+        checked = 0
+        for d in [make_trefoil()] + random_suite(60, 2, 8, (0.0, 0.5, 1.0), seed=29):
+            if d.shadow.dual_tree[-1][1] == 0:
+                continue
+            for reader in (checkerboard, homology_context):
+                fresh = EmbeddingScheme(d.overs, d.edges)
+                fresh.shadow.__dict__["dual_tree"] = \
+                    TREE_FAULTS[fault](fresh.shadow.dual_tree)
+                with pytest.raises(RuntimeError, match="^dual tree entry "):
+                    reader(fresh)
+            checked += 1
+        assert checked >= 10
 
 
 class TestClassOf:

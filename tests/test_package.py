@@ -216,7 +216,7 @@ class TestValueClasses:
     def test_derived_records_keep_only_what_is_read(self):
         assert Region._fields == ("corners", "crossing_count")
         assert Component._fields == ("edges", "crossings")
-        assert CoverScheme._fields == ("sigma", "theta")
+        assert CoverScheme._fields == ("theta",)
         assert HomologyContext._fields == ("edge_ends", "quotient_pivots", "edge_classes")
         assert FaceStructure._fields == ("regions", "face_partner", "plus_face",
                                          "edge_sides")

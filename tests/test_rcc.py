@@ -9,11 +9,12 @@ from conftest import (CHAIN3_PD, FIXTURE_MAKERS, FIXTURE_PROFILES, HOPF_PD,
                       KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       KLEIN_2COMP_SHAPE, TORUS_3COMP_CLASSES,
                       TORUS_3COMP_INCIDENCE, TORUS_3COMP_SHAPE, as_matrix,
-                      brute_admissible, brute_rank, cyclic_pd,
-                      dense_edge_sides, dense_rank, ones, random_suite,
-                      row_span, shift_switched)
+                      braid_pd, brute_admissible, brute_rank, cyclic_pd,
+                      dense_edge_sides, dense_rank, ones, planar_knot_pds,
+                      random_suite, reference_checkerboard, row_span,
+                      shift_switched)
 from regioncc import (Edge, EmbeddingScheme, R2Spec, admissible, apply_rcc,
-                      checkerboard, components, count_classes, faces,
+                      checkerboard, class_of, components, count_classes, faces,
                       import_pd, incidence_matrix, ineffective_basis,
                       poke_sites, random_diagram, rcc_equivalent,
                       reidemeister_two, surface_info, switch_crossing,
@@ -354,6 +355,20 @@ class TestEquivalent:
             assert (forward is None) == (backward is None)
 
 
+CHECKERBOARD_FAMILIES = {
+    "fixtures": lambda: [make() for make in FIXTURE_MAKERS.values()],
+    "random": lambda: random_suite(240, 1, 10, (0.0, 0.5, 1.0), seed=71),
+    "cyclic": lambda: [import_pd(cyclic_pd(n)) for n in (3, 4, 8, 9, 64, 65)],
+    "braid": lambda: [import_pd(braid_pd(s, n, seed))
+                      for s, n, seed in ((3, 20, 1), (5, 60, 2), (30, 300, 1))],
+    "knots": lambda: [import_pd(code) for code in planar_knot_pds()],
+    "large": lambda: [random_diagram(300, p, seed=3) for p in (0.0, 0.5, 1.0)],
+}
+# Planar diagrams always two-color; these random 300-crossing pairings
+# never do.
+CHECKERBOARD_VERDICTS = {"braid": {True}, "knots": {True}, "large": {False}}
+
+
 class TestCheckerboard:
     def test_trefoil_colorable_and_ineffective(self, trefoil):
         colors = checkerboard(trefoil)
@@ -382,6 +397,18 @@ class TestCheckerboard:
         assert colors is not None
         for u, v in faces(curl).edge_sides:
             assert colors[u] != colors[v]
+
+    @pytest.mark.parametrize("family", sorted(CHECKERBOARD_FAMILIES))
+    def test_matches_reference_and_homology(self, family):
+        # All edges together bound a region set, so have class zero,
+        # exactly when the regions two-color.
+        verdicts = set()
+        for d in CHECKERBOARD_FAMILIES[family]():
+            colors = checkerboard(d)
+            assert colors == reference_checkerboard(d)
+            assert (colors is not None) == (class_of(d, range(d.edge_count)).bits == 0)
+            verdicts.add(colors is not None)
+        assert verdicts == CHECKERBOARD_VERDICTS.get(family, {False, True})
 
     def test_colorings_separate_edge_sides(self):
         found = 0

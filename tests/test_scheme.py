@@ -12,13 +12,14 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
                       SCHEME_VIOLATIONS, VALIDATE_VIOLATIONS,
                       base_region_count, braid_pd, cover_face_count, cyclic_pd,
-                      invariant_profile, json_shaped, make_torus11,
+                      invariant_profile, json_shaped, make_torus11, mirror_fault,
                       monodromy_orientable, parse_outcome, random_suite,
                       reference_components, reference_parse_diagram,
                       reference_serialize_diagram, region_parities,
-                      region_walks, relabeled, shift_switched)
+                      region_walks, relabeled, rotation_step,
+                      shift_switched)
 import regioncc.scheme
-from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
+from regioncc import (CoverScheme, DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
                       import_pd, orientation_double_cover, parse_diagram,
                       random_diagram, serialize_diagram, surface_info,
@@ -150,17 +151,20 @@ class TestDartAlgebra:
 
 
 def cover_is_connected(d: EmbeddingScheme) -> bool:
-    """Whether the package's cover is connected, by a search along sigma and theta."""
-    sigma, theta = orientation_double_cover(d)
+    """Whether the package's cover is connected, by a search along sigma and theta.
+
+    Only theta comes from the package; sigma is the rotation rule.
+    """
+    theta = orientation_double_cover(d).theta
     seen = {0}
     stack = [0]
     while stack:
         x = stack.pop()
-        for y in (sigma[x], theta[x]):
+        for y in (rotation_step(x), theta[x]):
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return len(seen) == len(sigma)
+    return len(seen) == len(theta)
 
 
 class TestCover:
@@ -175,13 +179,6 @@ class TestCover:
         assert len(cover.theta) == 8
         assert all(cover.theta[x] != x and cover.theta[cover.theta[x]] == x
                    for x in range(8))
-
-    def test_deck_and_sigma_commute_right(self, rp2curl):
-        cover = orientation_double_cover(rp2curl)
-        for x in range(len(cover.sigma)):
-            # the deck swap x ^ 1 conjugates the rotation to its inverse
-            y = cover.sigma[cover.sigma[x ^ 1] ^ 1]
-            assert y == x
 
     def test_orientability_matches_sign_monodromy(self):
         for d in random_suite(120, 1, 7, (0.0, 0.4, 1.0), seed=101):
@@ -250,45 +247,39 @@ class TestFaces:
         assert [reg.corners for reg in faces(d).regions] \
             == [corners for corners, _ in region_walks(d)]
 
-    @pytest.mark.parametrize("kind", ["sigma_not_a_permutation",
-                                      "sheet1_runs_forwards", "theta_breaks_deck"])
+    @staticmethod
+    def break_deck(d: EmbeddingScheme) -> None:
+        """Swap the sheet-0 lifts of two edges; sheet 1 keeps the old pairs."""
+        theta = list(d.shadow.cover.theta)
+        x1, y1 = 0, theta[0]
+        x2 = next(x for x in range(0, len(theta), 2) if x not in (x1, y1))
+        y2 = theta[x2]
+        theta[x1], theta[y2], theta[x2], theta[y1] = y2, x1, y1, x2
+        d.shadow.__dict__["cover"] = CoverScheme(tuple(theta))
+
+    # sigma is a formula, not data, so theta is the one table to corrupt.
+    @pytest.mark.parametrize("kind", ["theta_breaks_deck"])
     @pytest.mark.parametrize("name", ["curl", "rp2curl", "trefoil"])
     def test_corrupted_cover_is_caught(self, name, kind):
         d = FIXTURE_MAKERS[name]()
-        cover = d.shadow.cover
-        sigma, theta = list(cover.sigma), list(cover.theta)
-        if kind == "sigma_not_a_permutation":
-            sigma[0] = sigma[2]
-        elif kind == "sheet1_runs_forwards":
-            sigma[1::2] = [x + 1 for x in sigma[0::2]]
-        else:
-            # Rewire the sheet-0 lifts of two edges and leave sheet 1 alone.
-            x1, y1 = 0, theta[0]
-            x2 = next(x for x in range(0, len(theta), 2) if x not in (x1, y1))
-            y2 = theta[x2]
-            theta[x1], theta[y2], theta[x2], theta[y1] = y2, x1, y1, x2
-        d.shadow.__dict__["cover"] = cover._replace(sigma=tuple(sigma),
-                                                    theta=tuple(theta))
+        self.break_deck(d)
         with pytest.raises(RuntimeError):
             faces(d)
 
-    @pytest.mark.parametrize("kind", ["sheet1_runs_forwards", "theta_breaks_deck"])
+    @pytest.mark.parametrize("kind", ["theta_breaks_deck"])
     def test_cover_breaking_the_deck_laws_is_caught(self, kind):
         for d in [make_torus11()] + random_suite(60, 1, 8, (0.0, 0.5, 1.0), seed=1):
-            cover = d.shadow.cover
-            sigma, theta = list(cover.sigma), list(cover.theta)
-            if kind == "sheet1_runs_forwards":
-                sigma[1::2] = [x + 1 for x in sigma[0::2]]
-            else:
-                # Swap the sheet-0 lifts of two edges; sheet 1 keeps the old pairs.
-                x1, y1 = 0, theta[0]
-                x2 = next(x for x in range(0, len(theta), 2) if x not in (x1, y1))
-                y2 = theta[x2]
-                theta[x1], theta[y2], theta[x2], theta[y1] = y2, x1, y1, x2
-            d.shadow.__dict__["cover"] = cover._replace(sigma=tuple(sigma),
-                                                        theta=tuple(theta))
+            self.break_deck(d)
             with pytest.raises(RuntimeError):
                 faces(d)
+
+    @pytest.mark.parametrize("name", ["curl", "rp2curl", "trefoil"])
+    def test_face_meeting_its_own_mirror_is_caught(self, name):
+        d = FIXTURE_MAKERS[name]()
+        d.shadow.__dict__["cover"] = mirror_fault(d.shadow.cover)
+        with pytest.raises(RuntimeError) as caught:
+            faces(d)
+        assert str(caught.value) == "face 0 meets its own mirror"
 
     def test_corner_and_parity_bookkeeping(self):
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=6):
