@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "gf2": ("BitVector", "BitMatrix"),
     "scheme": ("DiagramFormatError", "InvalidDiagramError", "Edge", "Shadow",
-               "EmbeddingScheme", "CoverScheme", "Region", "FaceStructure",
+               "EmbeddingScheme", "Region", "FaceStructure",
                "SurfaceInfo", "Component", "validate",
                "orientation_double_cover", "faces", "surface_info",
                "components", "import_pd", "parse_diagram",

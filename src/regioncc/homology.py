@@ -10,13 +10,11 @@ basis element k), matching the gf2 row convention.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
-
-if TYPE_CHECKING:
-    from .scheme import EmbeddingScheme, Shadow
+from .scheme import EmbeddingScheme, Shadow, _union, checked_dual_tree
 
 __all__ = _EXPORTS["homology"]
 
@@ -40,61 +38,6 @@ class HomologyContext(NamedTuple):
     @property
     def h1_dim(self) -> int:
         return len(self.quotient_pivots)
-
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Join the classes of a and b, halving both find paths; False if already one."""
-    while parent[a] != a:
-        parent[a] = a = parent[parent[a]]
-    while parent[b] != b:
-        parent[b] = b = parent[parent[b]]
-    if a == b:
-        return False
-    parent[a] = b
-    return True
-
-
-def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
-    """F as (region, parent, edge) from (0, 0, -1); Shadow.dual_tree caches it.
-
-    Kruskal over the regions in ascending edge order, listed breadth-first:
-    the package's one search of the dual graph.
-    """
-    r = shadow.faces.region_count
-    parent = list(range(r))
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    for j, (a, b) in enumerate(shadow.faces.edge_sides):
-        if _union(parent, a, b):
-            tree[a].append((b, j))
-            tree[b].append((a, j))
-    # F has no loops or parallel edges: a region's children are its other neighbors.
-    order = [(0, 0, -1)]
-    for u, p, _ in order:
-        for v, j in tree[u]:
-            if v != p:
-                order.append((v, u, j))
-    return tuple(order)
-
-
-def checked_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
-    """Shadow.dual_tree, checked: RuntimeError unless it spans the regions.
-
-    Entry 0 is (0, 0, -1); each later entry joins a region not listed
-    before to a listed parent by an edge whose ``edge_sides`` entry is
-    exactly that pair; every region is listed.
-    """
-    tree, sides, m = shadow.dual_tree, shadow.faces.edge_sides, len(shadow.edges)
-    listed = bytearray(shadow.faces.region_count)
-    listed[0] = tree[:1] == ((0, 0, -1),)
-    for v, u, j in tree[1:]:
-        if not (0 <= j < m and sides[j] == ((u, v) if u < v else (v, u))
-                and listed[u] and not listed[v]):
-            raise RuntimeError(f"dual tree entry {(v, u, j)} hangs no new region "
-                               "on a listed one")
-        listed[v] = 1
-    if 0 in listed:
-        raise RuntimeError("dual tree does not list every region")
-    return tree
 
 
 def build_context(shadow: Shadow) -> HomologyContext:
@@ -124,7 +67,11 @@ def build_context(shadow: Shadow) -> HomologyContext:
 
     # The root's -1 names no edge.  The count check comes before the tree
     # check: edge sides that cut the dual graph apart show there first.
-    in_f = {j for _, _, j in shadow.dual_tree}
+    try:
+        in_f = {j for _, _, j in shadow.dual_tree}
+    except (TypeError, ValueError):
+        checked_dual_tree(shadow)   # names the entry that is no triple
+        raise
     parent = list(range(c))
     cotree = []
     for j in range(m - 1, -1, -1):
@@ -210,7 +157,7 @@ def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
     ctx = shadow.homology_context
     try:
         rows = [_cycle_class(ctx, comp.edges) for comp in shadow.components]
-    except ValueError:
+    except (IndexError, TypeError, ValueError):
         raise RuntimeError("component trace is not a cycle") from None
     return HomologyMatrix(BitMatrix.from_bitrows(rows, ctx.h1_dim),
                           RowBasis.of(rows, ctx.h1_dim))

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, bit_flags, mask_of, set_bits
-from .scheme import EmbeddingScheme, _index_set, _on_shadow
+from .scheme import EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree
 
 __all__ = _EXPORTS["rcc"]
 
@@ -127,7 +127,6 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
     has one color on both sides.  Both color classes of a coloring are
     ineffective region sets; that is rechecked here before returning.
     """
-    from .homology import checked_dual_tree
     tree = checked_dual_tree(d.shadow)
     colors = [0] * len(tree)
     for v, u, _ in tree[1:]:

@@ -156,23 +156,11 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
     return Shadow(tuple(checked), orientable, tuple(theta), tuple(edge_of))
 
 
-class CoverScheme(NamedTuple):
-    """Orientation double cover of a diagram's embedded graph.
-
-    Cover darts are 2 * d + sheet, paired into cover edges by ``theta``,
-    the lifted edge involution.  The rotation is the module's sigma
-    formula and the deck involution x ^ 1.  The cover is connected
-    exactly when the base surface is nonorientable.
-    """
-
-    theta: tuple[int, ...]
-
-
 class Region(NamedTuple):
     """One region of the surface complement, as the walk of its first cover face.
 
     The walk's k-th corner sits at crossing ``corners[k]``;
-    ``crossing_count`` is the diagram's, for the dense views below.
+    ``crossing_count`` is the diagram's, for the dense view below.
     """
 
     corners: tuple[int, ...]
@@ -185,14 +173,6 @@ class Region(NamedTuple):
         for v in self.corners:
             counts[v] += 1
         return tuple(counts)
-
-    @property
-    def corner_bits(self) -> int:
-        """Bit v is the mod-2 number of corners at crossing v: an incidence row."""
-        bits = 0
-        for v in self.corners:
-            bits ^= 1 << v
-        return bits
 
 
 class FaceStructure(NamedTuple):
@@ -258,23 +238,31 @@ class Shadow(Frozen):
         return len(self.edges) // 2
 
     @cached_property
-    def cover(self) -> CoverScheme:
+    def cover(self) -> tuple[int, ...]:
+        """Theta, the cover's lifted edge involution, on cover darts 2 * d + sheet.
+
+        The cover is connected exactly when the base surface is nonorientable.
+        """
         theta = [0] * (8 * self.crossing_count)
         for (a, b), sign in self.edges:
             # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
             x, y = 2 * a, 2 * b + (sign < 0)
             theta[x], theta[y], theta[x + 1], theta[y ^ 1] = y, x, y ^ 1, x + 1
-        return CoverScheme(tuple(theta))
+        return tuple(theta)
 
     @cached_property
     def faces(self) -> FaceStructure:
-        theta = self.cover.theta
+        theta = self.cover
         c = self.crossing_count
         # theta(theta(x)) == x and theta(x ^ 1) == theta(x) ^ 1 close every walk of
         # sigma(theta(x)) and make the mirror x -> theta(x ^ 1) map faces to faces.
         darts = list(range(len(theta)))
-        if ([theta[y] for y in theta] != darts
-                or list(theta[1::2]) != [y ^ 1 for y in theta[::2]]):
+        try:
+            broken = ([theta[y] for y in theta] != darts
+                      or list(theta[1::2]) != [y ^ 1 for y in theta[::2]])
+        except (IndexError, TypeError):   # an entry that is no cover dart
+            broken = True
+        if broken:
             raise RuntimeError("cover breaks the deck laws")
         nxt = [(y & ~7) | ((y + 2 - 4 * (y & 1)) & 7) for y in theta]  # sigma(theta(x))
         face_of = [-1] * len(theta)
@@ -335,7 +323,6 @@ class Shadow(Frozen):
     @cached_property
     def dual_tree(self) -> tuple[tuple[int, int, int], ...]:
         """The regions' spanning tree F: (region, parent, edge) from (0, 0, -1)."""
-        from .homology import build_dual_tree
         return build_dual_tree(self)
 
     @cached_property
@@ -358,12 +345,78 @@ class Shadow(Frozen):
     @cached_property
     def region_masks(self) -> tuple[int, ...]:
         """Each region's incidence row: bit v is the parity of its corners at v."""
-        return tuple(reg.corner_bits for reg in self.faces.regions)
+        masks = []
+        for reg in self.faces.regions:
+            bits = 0
+            for v in reg.corners:
+                bits ^= 1 << v
+            masks.append(bits)
+        return tuple(masks)
 
     @cached_property
     def incidence_factor(self) -> RowBasis:
         """The row basis of the incidence matrix: one row per region."""
         return RowBasis.of(self.region_masks, self.crossing_count)
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the classes of a and b, halving both find paths; False if already one."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a == b:
+        return False
+    parent[a] = b
+    return True
+
+
+def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
+    """F as (region, parent, edge) from (0, 0, -1); Shadow.dual_tree caches it.
+
+    Kruskal over the regions in ascending edge order, listed breadth-first:
+    the package's one search of the dual graph.
+    """
+    r = shadow.faces.region_count
+    parent = list(range(r))
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for j, (a, b) in enumerate(shadow.faces.edge_sides):
+        if _union(parent, a, b):
+            tree[a].append((b, j))
+            tree[b].append((a, j))
+    # F has no loops or parallel edges: a region's children are its other neighbors.
+    order = [(0, 0, -1)]
+    for u, p, _ in order:
+        for v, j in tree[u]:
+            if v != p:
+                order.append((v, u, j))
+    return tuple(order)
+
+
+def checked_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
+    """Shadow.dual_tree, checked: RuntimeError unless it spans the regions.
+
+    Entry 0 is (0, 0, -1); each later entry joins a region not listed
+    before to a listed parent by an edge whose ``edge_sides`` entry is
+    exactly that pair; every region is listed.
+    """
+    tree, sides, m = shadow.dual_tree, shadow.faces.edge_sides, len(shadow.edges)
+    listed = bytearray(shadow.faces.region_count)
+    listed[0] = tree[:1] == ((0, 0, -1),)
+    for entry in tree[1:]:
+        try:
+            v, u, j = entry
+            hangs = (0 <= j < m and sides[j] == ((u, v) if u < v else (v, u))
+                     and listed[u] and not listed[v])
+        except (TypeError, ValueError):
+            hangs = False
+        if not hangs:
+            raise RuntimeError(f"dual tree entry {entry!r} hangs no new region "
+                               "on a listed one")
+        listed[v] = 1
+    if 0 in listed:
+        raise RuntimeError("dual tree does not list every region")
+    return tree
 
 
 class EmbeddingScheme(Frozen):
@@ -456,8 +509,8 @@ def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
     return _on_shadow(overs, _structural_violations(overs, tuple(edges), problems))
 
 
-def orientation_double_cover(d: EmbeddingScheme) -> CoverScheme:
-    """Orientation double cover of the diagram's surface."""
+def orientation_double_cover(d: EmbeddingScheme) -> tuple[int, ...]:
+    """Orientation double cover of the diagram's surface, as ``Shadow.cover``."""
     return d.shadow.cover
 
 

@@ -334,11 +334,12 @@ def json_shaped(table) -> dict:
 
 
 def shift_switched(d: EmbeddingScheme, regions) -> int:
-    """Crossing bits switched by the regions, one shifted row per region."""
+    """Crossing bits switched by the regions, one shifted bit per corner."""
     all_regions = d.shadow.faces.regions
     effect = 0
     for rid in regions:
-        effect ^= all_regions[rid].corner_bits
+        for v in all_regions[rid].corners:
+            effect ^= 1 << v
     return effect
 
 
@@ -495,7 +496,7 @@ def rotation_step(x: int) -> int:
 
 def cover_face_count(d: EmbeddingScheme) -> int:
     """Number of orbits of x -> sigma(theta(x)), with the package's theta only."""
-    theta = orientation_double_cover(d).theta
+    theta = orientation_double_cover(d)
     seen = [False] * len(theta)
     count = 0
     for start in range(len(theta)):
@@ -515,10 +516,10 @@ def mirror_fault(cover):
     Both theta laws still hold, but dart 0 is its own mirror theta(0 ^ 1),
     so the face trace must stop at face 0.
     """
-    theta = list(cover.theta)
+    theta = list(cover)
     y = theta[0]
     theta[0], theta[1], theta[y], theta[y ^ 1] = 1, 0, y ^ 1, y
-    return cover._replace(theta=tuple(theta))
+    return tuple(theta)
 
 
 def region_walks(d: EmbeddingScheme) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -838,9 +839,9 @@ WALK_FAULTS = {"crossing_positions": swap_crossings, "to_edges": swap_edges,
 
 
 # Faults for a shadow's dual tree (Shadow.dual_tree).  Each keeps the set
-# of tree edges, so the tree-cotree count still adds up and only the tree
-# check can name the fault.  All three need a tree whose last entry's
-# parent is not region 0.
+# of tree edges or stops the tree-cotree count at an entry that is no
+# triple, so only the tree check can name the fault.  All need a tree
+# whose last entry's parent is not region 0.
 
 def swap_tree_edges(tree):
     """The last two entries trade edges, so neither joins its region and parent."""
@@ -858,8 +859,25 @@ def child_first(tree):
     return tree[:1] + tree[-1:] + tree[1:-1]
 
 
+def short_entry(tree):
+    """The first child's entry loses its edge: a pair, not a triple."""
+    return tree[:1] + (tree[1][:2],) + tree[2:]
+
+
+def int_entry(tree):
+    """The first child's entry is the int 5."""
+    return tree[:1] + (5,) + tree[2:]
+
+
+def float_region(tree):
+    """The first child's region is a float, equal to the int but no index."""
+    v, u, j = tree[1]
+    return tree[:1] + ((float(v), u, j),) + tree[2:]
+
+
 TREE_FAULTS = {"tree_edge": swap_tree_edges, "repeated_region": repeat_region,
-               "parent_after_child": child_first}
+               "parent_after_child": child_first, "short_entry": short_entry,
+               "int_entry": int_entry, "float_region": float_region}
 
 
 def reference_checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:

@@ -551,10 +551,14 @@ class TestInternalChecks:
     split keeps 4 edges where 2 - chi is 0; a sixth region makes chi odd
     on an orientable surface; a theta taking every dart to dart 0's
     partner ends the first component walk short of its start; a cover
-    whose dart 0 is its own mirror stops the face trace; and each
-    ``TREE_FAULTS`` entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4),
-    (2, 1, 1), (3, 2, 2))) fails the dual tree check at the entry named.
+    whose dart 0 is its own mirror stops the face trace, and one whose
+    dart 0 has the partner 24, no dart, breaks the deck laws; a first
+    component edge 1000000 or None is no cycle; and each ``TREE_FAULTS``
+    entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4), (2, 1, 1),
+    (3, 2, 2))) fails the dual tree check at the entry named.
     """
+
+    COMPONENT_EDGES = {"component_range": 1000000, "component_type": None}
 
     CHECKS = {
         "edge_sides": (homology_context,
@@ -562,10 +566,15 @@ class TestInternalChecks:
         "regions": (surface_info, "orientable surface with odd Euler characteristic"),
         "theta": (components, "component walk did not close at its starting dart"),
         "mirror": (faces, "face 0 meets its own mirror"),
+        "cover_range": (faces, "cover breaks the deck laws"),
+        **{fault: (homology_matrix, "component trace is not a cycle")
+           for fault in COMPONENT_EDGES},
         **{fault: (homology_context,
                    f"dual tree entry {entry} hangs no new region on a listed one")
            for fault, entry in (("tree_edge", (2, 1, 2)), ("repeated_region", (1, 0, 0)),
-                                ("parent_after_child", (3, 2, 2)))},
+                                ("parent_after_child", (3, 2, 2)),
+                                ("short_entry", (1, 0)), ("int_entry", 5),
+                                ("float_region", (1.0, 0, 0)))},
     }
 
     @staticmethod
@@ -573,8 +582,14 @@ class TestInternalChecks:
         shadow = d.shadow
         if fault in TREE_FAULTS:
             shadow.__dict__["dual_tree"] = TREE_FAULTS[fault](shadow.dual_tree)
+        elif fault in TestInternalChecks.COMPONENT_EDGES:
+            first, *rest = shadow.components
+            edges = (TestInternalChecks.COMPONENT_EDGES[fault],) + first.edges[1:]
+            shadow.__dict__["components"] = (first._replace(edges=edges), *rest)
         elif fault == "mirror":
             shadow.__dict__["cover"] = mirror_fault(shadow.cover)
+        elif fault == "cover_range":
+            shadow.__dict__["cover"] = (len(shadow.cover),) + shadow.cover[1:]
         elif fault == "edge_sides":
             shadow.__dict__["faces"] = shadow.faces._replace(
                 edge_sides=((0, 0),) * d.edge_count)

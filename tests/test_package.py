@@ -10,15 +10,15 @@ import pytest
 
 import regioncc
 from conftest import TREFOIL_PD
-from regioncc import (BitMatrix, BitVector, Component, CoverScheme, Edge,
-                      EmbeddingScheme, FaceStructure, HomologyContext, Region,
-                      Shadow, import_pd, serialize_diagram)
+from regioncc import (BitMatrix, BitVector, Component, Edge, EmbeddingScheme,
+                      FaceStructure, HomologyContext, Region, Shadow, import_pd,
+                      orientation_double_cover, serialize_diagram)
 
 EXPORTS = [
-    "Bicoloring", "BitMatrix", "BitVector", "Component", "CoverScheme",
-    "DiagramFormatError", "Edge", "EmbeddingScheme", "FaceStructure",
-    "HomologyContext", "HomologyMatrix", "InvalidDiagramError", "R2Spec",
-    "RankReport", "Region", "Shadow", "SurfaceInfo", "__version__",
+    "Bicoloring", "BitMatrix", "BitVector", "Component", "DiagramFormatError",
+    "Edge", "EmbeddingScheme", "FaceStructure", "HomologyContext",
+    "HomologyMatrix", "InvalidDiagramError", "R2Spec", "RankReport", "Region",
+    "Shadow", "SurfaceInfo", "__version__",
     "admissible", "admissible_by_bicoloring", "apply_rcc", "bicoloring",
     "checkerboard", "class_of", "components", "count_classes", "faces",
     "homology_context", "homology_matrix", "import_pd", "incidence_matrix",
@@ -95,6 +95,12 @@ def test_import_pd_loads_only_the_scheme(trefoil_files):
 def test_command_without_homology_skips_it(trefoil_files, argv):
     loaded = command_modules([argv[0], trefoil_files[0], *argv[1:]])
     assert "regioncc.homology" not in loaded
+
+
+def test_checkerboard_loads_no_homology():
+    loaded = loaded_modules("from regioncc import checkerboard, import_pd\n"
+                            f"assert checkerboard(import_pd({TREFOIL_PD!r}))")
+    assert "regioncc.rcc" in loaded and "regioncc.homology" not in loaded
 
 
 def test_bicolor_import_loads_no_region_route():
@@ -216,10 +222,20 @@ class TestValueClasses:
     def test_derived_records_keep_only_what_is_read(self):
         assert Region._fields == ("corners", "crossing_count")
         assert Component._fields == ("edges", "crossings")
-        assert CoverScheme._fields == ("theta",)
         assert HomologyContext._fields == ("edge_ends", "quotient_pivots", "edge_classes")
         assert FaceStructure._fields == ("regions", "face_partner", "plus_face",
                                          "edge_sides")
+
+    def test_face_trace_tables_are_plain(self):
+        d = import_pd(TREFOIL_PD)
+        cover = orientation_double_cover(d)
+        assert type(cover) is tuple and cover is d.shadow.cover
+        assert not hasattr(Region, "corner_bits")
+        # The dual tree and its check are the scheme's; homology only imports them.
+        defined = {name for name, value in vars(regioncc.homology).items()
+                   if getattr(value, "__module__", None) == "regioncc.homology"}
+        assert not defined & {"_union", "build_dual_tree", "checked_dual_tree"}
+        assert {"build_context", "HomologyContext"} <= defined
 
     def test_cached_table_survives_on_the_shadow(self):
         d = EmbeddingScheme((1,), EDGES)

@@ -19,7 +19,7 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       region_walks, relabeled, rotation_step,
                       shift_switched)
 import regioncc.scheme
-from regioncc import (CoverScheme, DiagramFormatError, Edge, EmbeddingScheme,
+from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, apply_rcc, components, faces,
                       import_pd, orientation_double_cover, parse_diagram,
                       random_diagram, serialize_diagram, surface_info,
@@ -155,7 +155,7 @@ def cover_is_connected(d: EmbeddingScheme) -> bool:
 
     Only theta comes from the package; sigma is the rotation rule.
     """
-    theta = orientation_double_cover(d).theta
+    theta = orientation_double_cover(d)
     seen = {0}
     stack = [0]
     while stack:
@@ -173,12 +173,11 @@ class TestCover:
         assert not cover_is_connected(torus11) and torus11.shadow.orientable
 
     def test_crosscap_connects(self, rp2curl):
-        cover = orientation_double_cover(rp2curl)
+        theta = orientation_double_cover(rp2curl)
         assert cover_is_connected(rp2curl) and not rp2curl.shadow.orientable
         # theta is a fixed-point-free involution on 8 darts: 4 cover edges
-        assert len(cover.theta) == 8
-        assert all(cover.theta[x] != x and cover.theta[cover.theta[x]] == x
-                   for x in range(8))
+        assert len(theta) == 8
+        assert all(theta[x] != x and theta[theta[x]] == x for x in range(8))
 
     def test_orientability_matches_sign_monodromy(self):
         for d in random_suite(120, 1, 7, (0.0, 0.4, 1.0), seed=101):
@@ -249,13 +248,9 @@ class TestFaces:
 
     @staticmethod
     def break_deck(d: EmbeddingScheme) -> None:
-        """Swap the sheet-0 lifts of two edges; sheet 1 keeps the old pairs."""
-        theta = list(d.shadow.cover.theta)
-        x1, y1 = 0, theta[0]
-        x2 = next(x for x in range(0, len(theta), 2) if x not in (x1, y1))
-        y2 = theta[x2]
-        theta[x1], theta[y2], theta[x2], theta[y1] = y2, x1, y1, x2
-        d.shadow.__dict__["cover"] = CoverScheme(tuple(theta))
+        """Dart 0 takes dart 1's partner: theta(1) == theta(0) breaks both laws."""
+        theta = d.shadow.cover
+        d.shadow.__dict__["cover"] = theta[1:2] + theta[1:]
 
     # sigma is a formula, not data, so theta is the one table to corrupt.
     @pytest.mark.parametrize("kind", ["theta_breaks_deck"])
@@ -263,15 +258,17 @@ class TestFaces:
     def test_corrupted_cover_is_caught(self, name, kind):
         d = FIXTURE_MAKERS[name]()
         self.break_deck(d)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as caught:
             faces(d)
+        assert str(caught.value) == "cover breaks the deck laws"
 
     @pytest.mark.parametrize("kind", ["theta_breaks_deck"])
     def test_cover_breaking_the_deck_laws_is_caught(self, kind):
         for d in [make_torus11()] + random_suite(60, 1, 8, (0.0, 0.5, 1.0), seed=1):
             self.break_deck(d)
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError) as caught:
                 faces(d)
+            assert str(caught.value) == "cover breaks the deck laws"
 
     @pytest.mark.parametrize("name", ["curl", "rp2curl", "trefoil"])
     def test_face_meeting_its_own_mirror_is_caught(self, name):
