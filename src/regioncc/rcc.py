@@ -29,7 +29,10 @@ __all__ = _EXPORTS["rcc"]
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
     """Region-by-crossing matrix of corner parities over GF(2), built on each call."""
-    return BitMatrix.from_bitrows(d.shadow.region_masks, d.crossing_count)
+    try:
+        return BitMatrix.from_bitrows(d.shadow.region_masks, d.crossing_count)
+    except (TypeError, ValueError):
+        raise RuntimeError("region masks are not crossing sets") from None
 
 
 class RankReport(NamedTuple):
@@ -102,7 +105,10 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
-    effect = reduce(xor, map(d.shadow.region_masks.__getitem__, chosen), 0)
+    try:
+        effect = reduce(xor, map(d.shadow.region_masks.__getitem__, chosen), 0)
+    except TypeError:
+        raise RuntimeError("region masks are not crossing sets") from None
     flips = bit_flags(effect, d.crossing_count)
     # A checked 0/1 flag XOR a 0/1 parity is a 0/1 flag: no second check.
     return _on_shadow(tuple(map(xor, d.overs, flips)), d.shadow)

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -79,17 +81,39 @@ def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
     return chosen
 
 
+def _cover_search(theta: list[int], edge_of: list[int],
+                  flips: Sequence[int]) -> tuple[bool, bool]:
+    """(connected, orientable), from a search of the orientation double cover.
+
+    A sheet bit per crossing flips along edge j when ``flips[j]`` is set.
+    The surface is nonorientable exactly when some edge then contradicts
+    the sheets of its ends: a cycle with an odd number of -1 edges.
+    """
+    sheet = [-1] * (len(theta) >> 2)
+    sheet[0] = 0
+    found = [0]
+    orientable = True
+    for v in found:   # the list grows as the search reaches crossings
+        sv = sheet[v]
+        for d in range(4 * v, 4 * v + 4):
+            w = theta[d] >> 2
+            s = sv ^ flips[edge_of[d]]
+            sw = sheet[w]
+            if sw < 0:
+                sheet[w] = s
+                found.append(w)
+            elif sw != s:
+                orientable = False
+    return len(found) == len(sheet), orientable
+
+
 def _structural_violations(overs: tuple[int, ...], edges: Sequence,
                            problems: list[str]) -> Shadow:
     """The checked shadow of a diagram; InvalidDiagramError lists every violation.
 
     ``problems`` holds the caller's own findings; they come first.  The
     pass over the ((dart, dart), sign) pairs makes each an Edge and fills
-    the dart tables.  The connectivity search over them carries a sheet
-    bit per crossing, flipped along -1 edges, so it walks the orientation
-    double cover.  The cover is connected, and the surface nonorientable,
-    exactly when some cycle has an odd number of -1 edges: then an edge
-    contradicts the sheets of its ends.
+    the dart tables; ``_cover_search`` then checks connectivity.
     """
     c = len(overs)
     if c == 0:
@@ -133,23 +157,8 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
         found.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
     orientable = True
     if not found:
-        flips = [sign < 0 for _, sign in edges]
-        sheet = [-1] * c
-        sheet[0] = 0
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            sv = sheet[v]
-            for d in range(4 * v, 4 * v + 4):
-                w = theta[d] >> 2
-                s = sv ^ flips[edge_of[d]]
-                sw = sheet[w]
-                if sw < 0:
-                    sheet[w] = s
-                    stack.append(w)
-                elif sw != s:
-                    orientable = False
-        if -1 in sheet:
+        connected, orientable = _cover_search(theta, edge_of, [s < 0 for _, s in edges])
+        if not connected:
             found.append("diagram is disconnected")
     if problems or found:
         raise InvalidDiagramError(problems + found)
@@ -214,11 +223,12 @@ class Component(NamedTuple):
 class Shadow(Frozen):
     """A diagram with its over flags forgotten: its edges and their signs.
 
-    Only validation (``_structural_violations``) builds shadows, so every
-    shadow is checked: its darts and signs are exactly int (not bool or
-    float) and in range.  The same pass gives ``orientable`` and the dart
-    tables: ``theta[d]`` is the other dart of d's edge and ``edge_of[d]``
-    that edge's index.  Diagrams that differ only in over flags share
+    Only validation (``_structural_violations``, and ``import_pd``, whose
+    codes are valid by construction) builds shadows, so every shadow is
+    checked: its darts and signs are exactly int (not bool or float) and
+    in range.  The same pass gives ``orientable`` and the dart tables:
+    ``theta[d]`` is the other dart of d's edge and ``edge_of[d]`` that
+    edge's index.  Diagrams that differ only in over flags share
     one shadow.  Every other derived table is a cached property: built
     on first use, shared by those diagrams, and freed with the shadow.
     Shadows compare, hash and print by their edges alone.
@@ -254,36 +264,45 @@ class Shadow(Frozen):
     def faces(self) -> FaceStructure:
         theta = self.cover
         c = self.crossing_count
+        n = 8 * c
         # theta(theta(x)) == x and theta(x ^ 1) == theta(x) ^ 1 close every walk of
         # sigma(theta(x)) and make the mirror x -> theta(x ^ 1) map faces to faces.
-        darts = list(range(len(theta)))
+        sigma = list(range(n))
         try:
-            broken = ([theta[y] for y in theta] != darts
-                      or list(theta[1::2]) != [y ^ 1 for y in theta[::2]])
+            broken = (itemgetter(*theta)(theta) != tuple(sigma)
+                      or tuple(map(xor, theta[::2], repeat(1))) != theta[1::2])
         except (IndexError, TypeError):   # an entry that is no cover dart
             broken = True
         if broken:
             raise RuntimeError("cover breaks the deck laws")
-        nxt = [(y & ~7) | ((y + 2 - 4 * (y & 1)) & 7) for y in theta]  # sigma(theta(x))
-        face_of = [-1] * len(theta)
+        for k in range(8):   # sigma on the cover darts x with x & 7 == k
+            sigma[k::8] = range((k + 2 - 4 * (k & 1)) & 7, n, 8)
+        nxt = itemgetter(*theta)(sigma)   # sigma(theta(x))
+        face_of = [-1] * n
         regions = []
-        for start in darts:
-            if face_of[start] >= 0:
-                continue
+        start, unseen = 0, n
+        while unseen:
+            start = face_of.index(-1, start)
             fid = 2 * len(regions)
-            walk = []
+            mirror = fid + 1
+            corners = []
             x = start
             while face_of[x] < 0:
                 face_of[x] = fid
-                walk.append(x)
-                x = nxt[x]
-            # The other lift is the mirror image: fresh, unless it is this face.
-            for x in walk:
+                # The other lift is the mirror image: fresh, unless it is this face.
                 y = theta[x ^ 1]
                 if face_of[y] >= 0:
-                    raise RuntimeError(f"face {fid} meets its own mirror")
-                face_of[y] = fid + 1
-            regions.append(Region(tuple([x >> 3 for x in walk]), c))
+                    break
+                face_of[y] = mirror
+                corners.append(x >> 3)
+                x = nxt[x]
+            # A walk that met its mirror stopped at a marked dart, or on a
+            # mirror dart that was not fresh.
+            if x != start or face_of[y] != mirror:
+                raise RuntimeError(f"face {fid} meets its own mirror")
+            unseen -= 2 * len(corners)
+            # Region.__new__ does just this, in one more Python call.
+            regions.append(tuple.__new__(Region, (tuple(corners), c)))
         # An edge's sides are the faces of one cover edge's two darts.  The
         # plus faces of its two base darts would not do: on a -1 edge they
         # name the same side.
@@ -292,7 +311,7 @@ class Shadow(Frozen):
             u, v = face_of[2 * a] >> 1, face_of[theta[2 * a]] >> 1
             edge_sides.append((u, v) if u <= v else (v, u))
         return FaceStructure(tuple(regions),
-                             tuple(f ^ 1 for f in range(2 * len(regions))),
+                             tuple(map(xor, range(2 * len(regions)), repeat(1))),
                              tuple(face_of[::2]), tuple(edge_sides))
 
     @cached_property
@@ -345,18 +364,27 @@ class Shadow(Frozen):
     @cached_property
     def region_masks(self) -> tuple[int, ...]:
         """Each region's incidence row: bit v is the parity of its corners at v."""
+        c = self.crossing_count
         masks = []
-        for reg in self.faces.regions:
+        for k, reg in enumerate(self.faces.regions):
             bits = 0
-            for v in reg.corners:
-                bits ^= 1 << v
+            try:
+                for v in reg.corners:
+                    bits ^= 1 << v
+            except (TypeError, ValueError, OverflowError):
+                bits = -1
+            if bits >> c:   # also when bits < 0
+                raise RuntimeError(f"region {k} has a corner at no crossing")
             masks.append(bits)
         return tuple(masks)
 
     @cached_property
     def incidence_factor(self) -> RowBasis:
         """The row basis of the incidence matrix: one row per region."""
-        return RowBasis.of(self.region_masks, self.crossing_count)
+        try:
+            return RowBasis.of(self.region_masks, self.crossing_count)
+        except TypeError:
+            raise RuntimeError("region masks are not crossing sets") from None
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:
@@ -377,13 +405,20 @@ def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
     Kruskal over the regions in ascending edge order, listed breadth-first:
     the package's one search of the dual graph.
     """
-    r = shadow.faces.region_count
+    sides, r = shadow.faces.edge_sides, shadow.faces.region_count
     parent = list(range(r))
     tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    for j, (a, b) in enumerate(shadow.faces.edge_sides):
-        if _union(parent, a, b):
-            tree[a].append((b, j))
-            tree[b].append((a, j))
+    try:
+        # j is bound before its entry is unpacked.
+        for j, (a, b) in enumerate(sides):
+            if not 0 <= a <= b < r:
+                raise ValueError
+            if _union(parent, a, b):
+                tree[a].append((b, j))
+                tree[b].append((a, j))
+    except (TypeError, ValueError, IndexError):
+        raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
+                           "not a sorted pair of regions") from None
     # F has no loops or parallel edges: a region's children are its other neighbors.
     order = [(0, 0, -1)]
     for u, p, _ in order:
@@ -568,25 +603,33 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
         raise DiagramFormatError(f"pd label {bad!r} must be an integer or a string")
     if len(kinds) > 1:
         raise DiagramFormatError("pd labels must be all integers or all strings")
-    first_seen: dict[object, int] = {}
-    pairs: dict[object, tuple[int, int]] = {}
-    order: list[object] = []
-    for i, labels in enumerate(code):
-        for k, label in enumerate(labels):
-            dart = 4 * i + k
-            if label in pairs:
-                raise DiagramFormatError(f"pd label {label!r} occurs more than twice")
-            if label in first_seen:
-                pairs[label] = (first_seen.pop(label), dart)
-            else:
-                first_seen[label] = dart
-                order.append(label)
-    if first_seen:
-        missing = ", ".join(repr(l) for l in sorted(first_seen, key=repr))
+    # One pass pairs the labels and fills the dart tables, numbering edges by
+    # first sighting; theta at a label's first dart shows if it is paired.
+    n_darts = 4 * len(code)
+    theta = [-1] * n_darts
+    edge_of = theta[:]
+    edges: list = []
+    first_dart: dict[object, int] = {}
+    setdefault = first_dart.setdefault
+    for dart, label in enumerate(chain.from_iterable(code)):
+        first = setdefault(label, dart)
+        if first == dart:
+            edge_of[dart] = len(edges)
+            edges.append(None)
+        elif theta[first] < 0:
+            k = edge_of[dart] = edge_of[first]
+            theta[first], theta[dart] = dart, first
+            edges[k] = tuple.__new__(Edge, ((first, dart), 1))
+        else:
+            raise DiagramFormatError(f"pd label {label!r} occurs more than twice")
+    if 2 * len(edges) != n_darts:
+        missing = ", ".join(sorted(repr(l) for l, d in first_dart.items() if theta[d] < 0))
         raise DiagramFormatError(f"pd labels occurring once: {missing}")
-    overs = (1,) * len(code)
-    return _on_shadow(overs, _structural_violations(
-        overs, [(pairs[label], 1) for label in order], []))
+    # Distinct darts, each in one +1 edge: only connectivity is left to check.
+    if not _cover_search(theta, edge_of, bytes(len(edges)))[0]:
+        raise InvalidDiagramError(["diagram is disconnected"])
+    return _on_shadow((1,) * len(code),
+                      Shadow(tuple(edges), True, tuple(theta), tuple(edge_of)))
 
 
 _DOCUMENT_KEYS = {"crossings", "edges"}

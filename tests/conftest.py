@@ -252,6 +252,47 @@ def _require_keys(obj: dict, keys: set[str], what: str) -> None:
             f"{what} must have exactly the keys {sorted(keys)}, got {sorted(obj)}")
 
 
+def reference_import_pd(code) -> EmbeddingScheme:
+    """A planar-diagram code in two steps: pair the labels, then ``validate``.
+
+    Edges are numbered by the first sighting of their label and every
+    over flag is 1; the structural check runs on the pairs as on any
+    crossings-and-edges data.
+    """
+    if not isinstance(code, (list, tuple)):
+        raise DiagramFormatError("pd must be a list of 4-label crossings")
+    if len(code) == 0:
+        raise DiagramFormatError("pd code must list at least one crossing")
+    for i, labels in enumerate(code):
+        if not isinstance(labels, (list, tuple)) or len(labels) != 4:
+            raise DiagramFormatError(f"pd crossing {i} must list exactly 4 labels")
+    kinds = {type(label) for labels in code for label in labels}
+    if kinds - {int, str}:
+        bad = next(label for labels in code for label in labels
+                   if type(label) not in (int, str))
+        raise DiagramFormatError(f"pd label {bad!r} must be an integer or a string")
+    if len(kinds) > 1:
+        raise DiagramFormatError("pd labels must be all integers or all strings")
+    first_seen: dict[object, int] = {}
+    pairs: dict[object, tuple[int, int]] = {}
+    order: list[object] = []
+    for i, labels in enumerate(code):
+        for k, label in enumerate(labels):
+            dart = 4 * i + k
+            if label in pairs:
+                raise DiagramFormatError(f"pd label {label!r} occurs more than twice")
+            if label in first_seen:
+                pairs[label] = (first_seen.pop(label), dart)
+            else:
+                first_seen[label] = dart
+                order.append(label)
+    if first_seen:
+        missing = ", ".join(repr(l) for l in sorted(first_seen, key=repr))
+        raise DiagramFormatError(f"pd labels occurring once: {missing}")
+    crossings = [([4 * i + k for k in range(4)], 1) for i in range(len(code))]
+    return validate(crossings, [(pairs[label], 1) for label in order])
+
+
 def reference_parse_diagram(text: str) -> EmbeddingScheme:
     """Parse a diagram document (strict; unknown keys are rejected).
 
@@ -264,7 +305,7 @@ def reference_parse_diagram(text: str) -> EmbeddingScheme:
     if not isinstance(doc, dict):
         raise DiagramFormatError("top-level document must be an object")
     if set(doc) == {"pd"}:
-        return import_pd(doc["pd"])
+        return reference_import_pd(doc["pd"])
     _require_keys(doc, {"crossings", "edges"}, "diagram document")
     if not isinstance(doc["crossings"], list) or not isinstance(doc["edges"], list):
         raise DiagramFormatError("crossings and edges must be lists")

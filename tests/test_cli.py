@@ -555,10 +555,14 @@ class TestInternalChecks:
     dart 0 has the partner 24, no dart, breaks the deck laws; a first
     component edge 1000000 or None is no cycle; and each ``TREE_FAULTS``
     entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4), (2, 1, 1),
-    (3, 2, 2))) fails the dual tree check at the entry named.
+    (3, 2, 2))) fails the dual tree check at the entry named.  Edge 0's
+    sides (0, 99) or None stop the dual tree's builder; a corner 1000000
+    in region 0 stops the region masks, and a cached mask None their
+    readers.
     """
 
     COMPONENT_EDGES = {"component_range": 1000000, "component_type": None}
+    EDGE_SIDES = {"sides_range": (0, 99), "sides_type": None}
 
     CHECKS = {
         "edge_sides": (homology_context,
@@ -567,6 +571,11 @@ class TestInternalChecks:
         "theta": (components, "component walk did not close at its starting dart"),
         "mirror": (faces, "face 0 meets its own mirror"),
         "cover_range": (faces, "cover breaks the deck laws"),
+        **{fault: (homology_context,
+                   f"edge 0 has sides {sides}, not a sorted pair of regions")
+           for fault, sides in EDGE_SIDES.items()},
+        "corner_range": (incidence_matrix, "region 0 has a corner at no crossing"),
+        "mask_type": (incidence_matrix, "region masks are not crossing sets"),
         **{fault: (homology_matrix, "component trace is not a cycle")
            for fault in COMPONENT_EDGES},
         **{fault: (homology_context,
@@ -586,6 +595,15 @@ class TestInternalChecks:
             first, *rest = shadow.components
             edges = (TestInternalChecks.COMPONENT_EDGES[fault],) + first.edges[1:]
             shadow.__dict__["components"] = (first._replace(edges=edges), *rest)
+        elif fault in TestInternalChecks.EDGE_SIDES:
+            sides = (TestInternalChecks.EDGE_SIDES[fault],) + shadow.faces.edge_sides[1:]
+            shadow.__dict__["faces"] = shadow.faces._replace(edge_sides=sides)
+        elif fault == "corner_range":
+            first, *rest = shadow.faces.regions
+            first = first._replace(corners=(1000000,) + first.corners[1:])
+            shadow.__dict__["faces"] = shadow.faces._replace(regions=(first, *rest))
+        elif fault == "mask_type":
+            shadow.__dict__["region_masks"] = (None,) + shadow.region_masks[1:]
         elif fault == "mirror":
             shadow.__dict__["cover"] = mirror_fault(shadow.cover)
         elif fault == "cover_range":
@@ -609,15 +627,33 @@ class TestInternalChecks:
             query(d)
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("fault", sorted(CHECKS))
-    def test_info_exits_4(self, capsys, monkeypatch, trefoil_file, fault):
+    def load_corrupted(self, monkeypatch, fault: str) -> None:
         def corrupted_load(path):
             d = _load(path)
             self.corrupt(d, fault)
             return d
 
         monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+
+    @pytest.mark.parametrize("fault", sorted(CHECKS))
+    def test_info_exits_4(self, capsys, monkeypatch, trefoil_file, fault):
+        self.load_corrupted(monkeypatch, fault)
         code, out, err = run(capsys, "info", trefoil_file)
+        assert (code, out) == (4, "")
+        assert err == f"internal error: {self.CHECKS[fault][1]}\n"
+
+    # Every command that reads the corrupted table, besides info.
+    READERS = {"sides_range": ["bicolor -c 0", "admissible -c 0"],
+               "sides_type": ["bicolor -c 0", "admissible -c 0"],
+               "corner_range": ["admissible -c 0", "matrix", "apply -r 0"],
+               "mask_type": ["admissible -c 0", "matrix", "apply -r 0"]}
+
+    @pytest.mark.parametrize("fault, command",
+                             [(f, c) for f, cs in READERS.items() for c in cs])
+    def test_readers_exit_4(self, capsys, monkeypatch, trefoil_file, fault, command):
+        self.load_corrupted(monkeypatch, fault)
+        name, *flags = command.split()
+        code, out, err = run(capsys, name, trefoil_file, *flags)
         assert (code, out) == (4, "")
         assert err == f"internal error: {self.CHECKS[fault][1]}\n"
 

@@ -135,6 +135,20 @@ def test_tables_linear_at_8000_crossings(family):
     assert verify_rank_formula(d).holds
 
 
+def test_pd_import_memory_at_8000_crossings():
+    code = cyclic_pd(8000)
+    tracemalloc.start()
+    try:
+        d = import_pd(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One label pass fills the dart tables: about 5.0 MiB here.  Pairing
+    # the labels first and checking the pairs in a second pass took 7.2.
+    assert peak <= 6 * 2**20
+    assert d.edge_count == 16000
+
+
 @pytest.mark.parametrize("family, bound_mib", [("torus", 40), ("genus", 1)])
 def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
     d = make(family, 8000)

@@ -14,7 +14,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       base_region_count, braid_pd, cover_face_count, cyclic_pd,
                       invariant_profile, json_shaped, make_torus11, mirror_fault,
                       monodromy_orientable, parse_outcome, random_suite,
-                      reference_components, reference_parse_diagram,
+                      reference_components, reference_import_pd,
+                      reference_parse_diagram,
                       reference_serialize_diagram, region_parities,
                       region_walks, relabeled, rotation_step,
                       shift_switched)
@@ -386,6 +387,34 @@ class TestPdImport:
     def test_empty(self):
         with pytest.raises(DiagramFormatError):
             import_pd([])
+
+    @staticmethod
+    def pd_codes():
+        rng = random.Random(23)
+        for code in ([cyclic_pd(n) for n in (1, 2, 5, 64)]
+                     + [braid_pd(s, n, seed) for s, n, seed in ((3, 9, 1), (8, 60, 2))]):
+            shuffled = list(code)
+            rng.shuffle(shuffled)
+            for crossings in (code, shuffled):
+                yield crossings
+                yield [[f"s{label}" for label in labels] for labels in crossings]
+
+    def test_matches_the_two_step_reference(self):
+        for code in self.pd_codes():
+            # Overs, edge types, edges, theta, edge_of and orientable.
+            assert parse_outcome(import_pd, code) == parse_outcome(reference_import_pd, code)
+
+    @pytest.mark.parametrize("code", [
+        [(1, 1, 1, 2), (2, 3, 3, 4)], [[1, 1, 1, 2]], [(1, 2, 3, 4), (1, 2, 3, 5)],
+        [[1, 2, 3, 4]], [[1, 2, 3, 4], [5, 5, 6, 7]],
+        [["a", "b", "a", "b"], ["c", "d", "d", "c"], ["e"]],
+        [[1, 1, 2, 2], [3, 3, "a", 4]], [(1, 2, 3)], [(1, 2, 3, 4, 5)], [[1, 1.0, 2, 2]],
+        [[1, 1, 2, 2], [3, 3, 4, 4]], [["a", "a", "b", "b"], ["c", "c", "d", "d"]],
+        [[1, 2, 3, 3], [4, 4, 5, 5], [1, 2, 5, 6]], 7, []])
+    def test_malformed_codes_match_the_reference(self, code):
+        outcome = parse_outcome(import_pd, code)
+        assert outcome == parse_outcome(reference_import_pd, code)
+        assert issubclass(outcome[0], ValueError)
 
 
 class TestDocuments:
