@@ -10,6 +10,7 @@ basis element k), matching the gf2 row convention.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
@@ -27,11 +28,9 @@ class HomologyContext(NamedTuple):
     boundaries, with edges as columns.  The class of a cycle z is the
     XOR of ``edge_classes[e]`` over its edges; its bit k is bit
     quotient_pivots[k] of z reduced by the RREF of the region boundary
-    masks.  ``edge_ends[e]`` holds the end crossings of edge e, which
-    the cycle check counts.
+    masks.
     """
 
-    edge_ends: tuple[tuple[int, int], ...]
     quotient_pivots: tuple[int, ...]
     edge_classes: tuple[int, ...]
 
@@ -61,9 +60,9 @@ def build_context(shadow: Shadow) -> HomologyContext:
       RREF.  So l_k gets class bit k, and an edge of F gets bit k when
       exactly one of l_k's regions lies below it in F.
     """
-    c, m = shadow.crossing_count, len(shadow.edges)
+    edges = shadow.edges
+    c, m = shadow.crossing_count, len(edges)
     sides, r = shadow.faces.edge_sides, shadow.faces.region_count
-    ends = tuple((a >> 2, b >> 2) for (a, b), _ in shadow.edges)
 
     # The root's -1 names no edge.  The count check comes before the tree
     # check: edge sides that cut the dual graph apart show there first.
@@ -75,7 +74,8 @@ def build_context(shadow: Shadow) -> HomologyContext:
     parent = list(range(c))
     cotree = []
     for j in range(m - 1, -1, -1):
-        if j not in in_f and not _union(parent, *ends[j]):
+        (a, b), _ = edges[j]
+        if j not in in_f and not _union(parent, a >> 2, b >> 2):
             cotree.append(j)
     cotree.reverse()
     if len(cotree) != 2 - (r - c):
@@ -93,40 +93,41 @@ def build_context(shadow: Shadow) -> HomologyContext:
     for v, u, j in reversed(checked_dual_tree(shadow)[1:]):
         classes[j] = below[v]
         below[u] ^= below[v]
-    return HomologyContext(ends, tuple(cotree), tuple(classes))
+    return HomologyContext(tuple(cotree), tuple(classes))
 
 
 def homology_context(d: EmbeddingScheme) -> HomologyContext:
     return d.shadow.homology_context
 
 
-def _cycle_class(ctx: HomologyContext, edges: Iterable[int]) -> int:
+def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
     """Class bits of an edge cycle, read in one pass over its edge indices.
 
-    Each index is checked, its class XORed in and its end crossings
-    toggled (a loop's two ends cancel); indices are taken mod 2.  ValueError names the crossings
-    with odd incidence if the edges do not form a cycle of the graph.
+    Each index is checked, its class XORed in and the parities of its
+    end crossings toggled (a loop's two ends cancel); indices are taken
+    mod 2.  ValueError names the crossings with odd incidence if the
+    edges do not form a cycle of the graph.
     """
     try:
         edges = iter(edges)
     except TypeError:
         raise TypeError(f"edge set {edges!r} is not an iterable") from None
-    edge_ends, edge_classes = ctx.edge_ends, ctx.edge_classes
-    m = len(edge_ends)
+    shadow_edges, edge_classes = shadow.edges, shadow.homology_context.edge_classes
+    m = len(shadow_edges)
     bits = 0
-    odd: set[int] = set()
+    odd = bytearray(shadow.crossing_count)
     for e in edges:
         if type(e) is not int:
             raise TypeError(f"edge index {e!r} is not an int")
         if not 0 <= e < m:
             raise IndexError(f"edge index {e} out of range")
         bits ^= edge_classes[e]
-        u, v = edge_ends[e]
-        if u != v:
-            odd ^= {u, v}
-    if odd:
+        (a, b), _ = shadow_edges[e]
+        odd[a >> 2] ^= 1
+        odd[b >> 2] ^= 1
+    if 1 in odd:
         raise ValueError("edge set is not a cycle: odd incidence at "
-                         f"crossing {', '.join(map(str, sorted(odd)))}")
+                         f"crossing {', '.join(map(str, compress(count(), odd)))}")
     return bits
 
 
@@ -137,8 +138,7 @@ def class_of(d: EmbeddingScheme, edges: Iterable[int]) -> BitVector:
     ValueError naming the crossings with odd incidence if they do not
     form a cycle of the graph.
     """
-    ctx = d.shadow.homology_context
-    return BitVector(ctx.h1_dim, _cycle_class(ctx, edges))
+    return BitVector(d.shadow.homology_context.h1_dim, _cycle_class(d.shadow, edges))
 
 
 class HomologyMatrix(NamedTuple):
@@ -156,7 +156,7 @@ def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
     """The component-class matrix of a shadow; Shadow.homology_matrix caches it."""
     ctx = shadow.homology_context
     try:
-        rows = [_cycle_class(ctx, comp.edges) for comp in shadow.components]
+        rows = [_cycle_class(shadow, comp.edges) for comp in shadow.components]
     except (IndexError, TypeError, ValueError):
         raise RuntimeError("component trace is not a cycle") from None
     return HomologyMatrix(BitMatrix.from_bitrows(rows, ctx.h1_dim),

@@ -22,17 +22,16 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, bit_flags, mask_of, set_bits
-from .scheme import EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree
+from .scheme import (EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree,
+                     checked_masks)
 
 __all__ = _EXPORTS["rcc"]
 
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
     """Region-by-crossing matrix of corner parities over GF(2), built on each call."""
-    try:
-        return BitMatrix.from_bitrows(d.shadow.region_masks, d.crossing_count)
-    except (TypeError, ValueError):
-        raise RuntimeError("region masks are not crossing sets") from None
+    c = d.crossing_count
+    return BitMatrix.from_bitrows(checked_masks(d.shadow.region_masks, c), c)
 
 
 class RankReport(NamedTuple):
@@ -105,11 +104,9 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
-    try:
-        effect = reduce(xor, map(d.shadow.region_masks.__getitem__, chosen), 0)
-    except TypeError:
-        raise RuntimeError("region masks are not crossing sets") from None
-    flips = bit_flags(effect, d.crossing_count)
+    c = d.crossing_count
+    masks = checked_masks([d.shadow.region_masks[k] for k in chosen], c)
+    flips = bit_flags(reduce(xor, masks, 0), c)
     # A checked 0/1 flag XOR a 0/1 parity is a 0/1 flag: no second check.
     return _on_shadow(tuple(map(xor, d.overs, flips)), d.shadow)
 
@@ -139,7 +136,7 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
         colors[v] = colors[u] ^ 1
     if any(colors[u] == colors[v] for u, v in d.shadow.faces.edge_sides):
         return None
-    masks = d.shadow.region_masks
+    masks = checked_masks(d.shadow.region_masks, d.crossing_count)
     if reduce(xor, masks) or reduce(xor, compress(masks, colors), 0):
         raise RuntimeError("checkerboard color class is not ineffective")
     return tuple(colors)

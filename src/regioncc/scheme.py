@@ -25,9 +25,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import itemgetter, xor
+from operator import itemgetter, or_, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -81,23 +81,23 @@ def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
     return chosen
 
 
-def _cover_search(theta: list[int], edge_of: list[int],
-                  flips: Sequence[int]) -> tuple[bool, bool]:
+def _cover_search(cover: list[int]) -> tuple[bool, bool]:
     """(connected, orientable), from a search of the orientation double cover.
 
-    A sheet bit per crossing flips along edge j when ``flips[j]`` is set.
-    The surface is nonorientable exactly when some edge then contradicts
-    the sheets of its ends: a cycle with an odd number of -1 edges.
+    A sheet bit per crossing flips along an edge whose lift changes
+    sheet: cover dart 2 * d maps to an odd cover dart.  The surface is
+    nonorientable exactly when some edge then contradicts the sheets of
+    its ends: a cycle with an odd number of -1 edges.
     """
-    sheet = [-1] * (len(theta) >> 2)
+    sheet = [-1] * (len(cover) >> 3)
     sheet[0] = 0
     found = [0]
     orientable = True
     for v in found:   # the list grows as the search reaches crossings
         sv = sheet[v]
-        for d in range(4 * v, 4 * v + 4):
-            w = theta[d] >> 2
-            s = sv ^ flips[edge_of[d]]
+        for y in cover[8 * v:8 * v + 8:2]:   # the sheet-0 lifts of v's darts
+            w = y >> 3
+            s = sv ^ (y & 1)
             sw = sheet[w]
             if sw < 0:
                 sheet[w] = s
@@ -107,13 +107,22 @@ def _cover_search(theta: list[int], edge_of: list[int],
     return len(found) == len(sheet), orientable
 
 
+def _shadow(edges: list[Edge], theta: list[int], edge_of: list[int],
+            cover: list[int], problems: list[str]) -> Shadow:
+    """The shadow of edges pairing all darts; InvalidDiagramError: problems, disconnection."""
+    connected, orientable = _cover_search(cover)
+    if problems or not connected:
+        raise InvalidDiagramError(problems + ([] if connected else ["diagram is disconnected"]))
+    return Shadow(tuple(edges), orientable, tuple(theta), tuple(edge_of), tuple(cover))
+
+
 def _structural_violations(overs: tuple[int, ...], edges: Sequence,
                            problems: list[str]) -> Shadow:
     """The checked shadow of a diagram; InvalidDiagramError lists every violation.
 
     ``problems`` holds the caller's own findings; they come first.  The
     pass over the ((dart, dart), sign) pairs makes each an Edge and fills
-    the dart tables; ``_cover_search`` then checks connectivity.
+    the dart tables; ``_shadow`` then checks connectivity.
     """
     c = len(overs)
     if c == 0:
@@ -122,6 +131,7 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
     n_darts = 4 * c
     theta = [-1] * n_darts
     edge_of = [-1] * n_darts
+    cover = [0] * (2 * n_darts)
     checked = []
     for j, edge in enumerate(edges):
         try:
@@ -137,6 +147,9 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
                 and edge_of[a] < 0 and edge_of[b] < 0):
             edge_of[a] = edge_of[b] = j
             theta[a], theta[b] = b, a
+            # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
+            x, y = 2 * a, 2 * b + (sign < 0)
+            cover[x], cover[y], cover[x + 1], cover[y ^ 1] = y, x, y ^ 1, x + 1
             continue
         # Some check fails: name each fault of the edge, in order.
         if sign not in (1, -1) or type(sign) is not int:
@@ -155,14 +168,9 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
                 theta[d] = other
     if len(edges) != 2 * c:
         found.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
-    orientable = True
-    if not found:
-        connected, orientable = _cover_search(theta, edge_of, [s < 0 for _, s in edges])
-        if not connected:
-            found.append("diagram is disconnected")
-    if problems or found:
+    if found:
         raise InvalidDiagramError(problems + found)
-    return Shadow(tuple(checked), orientable, tuple(theta), tuple(edge_of))
+    return _shadow(checked, theta, edge_of, cover, problems)
 
 
 class Region(NamedTuple):
@@ -223,42 +231,33 @@ class Component(NamedTuple):
 class Shadow(Frozen):
     """A diagram with its over flags forgotten: its edges and their signs.
 
-    Only validation (``_structural_violations``, and ``import_pd``, whose
-    codes are valid by construction) builds shadows, so every shadow is
-    checked: its darts and signs are exactly int (not bool or float) and
-    in range.  The same pass gives ``orientable`` and the dart tables:
-    ``theta[d]`` is the other dart of d's edge and ``edge_of[d]`` that
-    edge's index.  Diagrams that differ only in over flags share
-    one shadow.  Every other derived table is a cached property: built
-    on first use, shared by those diagrams, and freed with the shadow.
-    Shadows compare, hash and print by their edges alone.
+    Only validation (``_structural_violations``, ``parse_diagram``'s edge
+    pass, and ``import_pd``, whose codes are valid by construction) builds
+    shadows, so every shadow is checked: its darts and signs are exactly
+    int (not bool or float) and in range.  The same pass gives
+    ``orientable`` and the dart tables: ``theta[d]`` is the other dart of
+    d's edge, ``edge_of[d]`` that edge's index, and ``cover`` theta lifted
+    to cover darts 2 * d + sheet, where a -1 edge changes sheet.  Diagrams
+    that differ only in over flags share one shadow.  Every other derived
+    table is a cached property: built on first use, shared by those
+    diagrams, and freed with the shadow.  Shadows compare, hash and print
+    by their edges alone.
     """
 
     _fields = ("edges",)
 
     def __init__(self, edges: tuple[Edge, ...], orientable: bool,
-                 theta: tuple[int, ...], edge_of: tuple[int, ...]) -> None:
+                 theta: tuple[int, ...], edge_of: tuple[int, ...],
+                 cover: tuple[int, ...]) -> None:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "orientable", orientable)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "edge_of", edge_of)
+        object.__setattr__(self, "cover", cover)
 
     @property
     def crossing_count(self) -> int:
         return len(self.edges) // 2
-
-    @cached_property
-    def cover(self) -> tuple[int, ...]:
-        """Theta, the cover's lifted edge involution, on cover darts 2 * d + sheet.
-
-        The cover is connected exactly when the base surface is nonorientable.
-        """
-        theta = [0] * (8 * self.crossing_count)
-        for (a, b), sign in self.edges:
-            # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
-            x, y = 2 * a, 2 * b + (sign < 0)
-            theta[x], theta[y], theta[x + 1], theta[y ^ 1] = y, x, y ^ 1, x + 1
-        return tuple(theta)
 
     @cached_property
     def faces(self) -> FaceStructure:
@@ -370,21 +369,32 @@ class Shadow(Frozen):
             bits = 0
             try:
                 for v in reg.corners:
-                    bits ^= 1 << v
-            except (TypeError, ValueError, OverflowError):
-                bits = -1
-            if bits >> c:   # also when bits < 0
-                raise RuntimeError(f"region {k} has a corner at no crossing")
+                    if v >= c:   # before the shift: 1 << 10**18 would not fit
+                        raise ValueError
+                    bits ^= 1 << v   # ValueError when v < 0
+            except (TypeError, ValueError):
+                raise RuntimeError(f"region {k} has a corner at no crossing") from None
             masks.append(bits)
         return tuple(masks)
 
     @cached_property
     def incidence_factor(self) -> RowBasis:
         """The row basis of the incidence matrix: one row per region."""
-        try:
-            return RowBasis.of(self.region_masks, self.crossing_count)
-        except TypeError:
-            raise RuntimeError("region masks are not crossing sets") from None
+        return RowBasis.of(checked_masks(self.region_masks, self.crossing_count),
+                           self.crossing_count)
+
+
+def checked_masks(masks: Sequence[int], c: int) -> Sequence[int]:
+    """Masks read from Shadow.region_masks, checked: RuntimeError unless
+    each is an int in range(1 << c).  Every reader of the masks calls it
+    but ``admissible``, whose certificate check follows the row basis's."""
+    try:   # their union is negative or too wide exactly when some mask is
+        fits = not reduce(or_, masks, 0) >> c
+    except TypeError:   # a mask that is no int
+        fits = False
+    if not fits:
+        raise RuntimeError("region masks are not crossing sets")
+    return masks
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:
@@ -403,19 +413,28 @@ def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
     """F as (region, parent, edge) from (0, 0, -1); Shadow.dual_tree caches it.
 
     Kruskal over the regions in ascending edge order, listed breadth-first:
-    the package's one search of the dual graph.
+    the package's one search of the dual graph.  The forest spans once it
+    has r - 1 edges; the entries after that are only checked.
     """
     sides, r = shadow.faces.edge_sides, shadow.faces.region_count
     parent = list(range(r))
     tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    entries = enumerate(sides)
+    missing = r - 1
     try:
         # j is bound before its entry is unpacked.
-        for j, (a, b) in enumerate(sides):
+        for j, (a, b) in entries:
             if not 0 <= a <= b < r:
                 raise ValueError
-            if _union(parent, a, b):
+            if a != b and _union(parent, a, b):
                 tree[a].append((b, j))
                 tree[b].append((a, j))
+                missing -= 1
+                if not missing:
+                    break
+        for j, (a, b) in entries:
+            if not 0 <= a <= b < r:
+                raise ValueError
     except (TypeError, ValueError, IndexError):
         raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
                            "not a sorted pair of regions") from None
@@ -605,31 +624,37 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
         raise DiagramFormatError("pd labels must be all integers or all strings")
     # One pass pairs the labels and fills the dart tables, numbering edges by
     # first sighting; theta at a label's first dart shows if it is paired.
+    # Each int is held once: all tables take theirs from the cover, which
+    # starts as the identity and has each edge's lifts swapped into place.
     n_darts = 4 * len(code)
+    cover = [*range(2 * n_darts)]
+    darts = cover[:n_darts]
     theta = [-1] * n_darts
     edge_of = theta[:]
     edges: list = []
     first_dart: dict[object, int] = {}
     setdefault = first_dart.setdefault
-    for dart, label in enumerate(chain.from_iterable(code)):
+    for dart, label in zip(darts, chain.from_iterable(code)):
         first = setdefault(label, dart)
         if first == dart:
-            edge_of[dart] = len(edges)
+            edge_of[dart] = darts[len(edges)]
             edges.append(None)
         elif theta[first] < 0:
             k = edge_of[dart] = edge_of[first]
             theta[first], theta[dart] = dart, first
+            x, y = 2 * first, 2 * dart
+            cover[x], cover[y], cover[x + 1], cover[y + 1] = (
+                cover[y], cover[x], cover[y + 1], cover[x + 1])
             edges[k] = tuple.__new__(Edge, ((first, dart), 1))
         else:
             raise DiagramFormatError(f"pd label {label!r} occurs more than twice")
     if 2 * len(edges) != n_darts:
         missing = ", ".join(sorted(repr(l) for l, d in first_dart.items() if theta[d] < 0))
         raise DiagramFormatError(f"pd labels occurring once: {missing}")
+    del darts, first_dart, setdefault   # not to sit beside the cover's tuple
+    cover = tuple(cover)
     # Distinct darts, each in one +1 edge: only connectivity is left to check.
-    if not _cover_search(theta, edge_of, bytes(len(edges)))[0]:
-        raise InvalidDiagramError(["diagram is disconnected"])
-    return _on_shadow((1,) * len(code),
-                      Shadow(tuple(edges), True, tuple(theta), tuple(edge_of)))
+    return _on_shadow((1,) * len(code), _shadow(edges, theta, edge_of, cover, []))
 
 
 _DOCUMENT_KEYS = {"crossings", "edges"}
@@ -660,9 +685,11 @@ def parse_diagram(text: str) -> EmbeddingScheme:
        "edges": [{"darts": [a, b], "sign": 1|-1}, ...]}
     or {"pd": [[a, b, c, d], ...]}.
     A wrong shape, key set or value type raises DiagramFormatError at
-    the first entry that has one.  Otherwise the rotations are checked
-    in the same pass and the rest by the structural check, and
-    InvalidDiagramError lists every violation, as ``validate`` would.
+    the first entry that has one.  The same passes check the rotations
+    and, while every edge so far pairs two fresh darts with a sign of
+    +1 or -1, fill the dart tables.  A document with any violation goes
+    to the structural check, and InvalidDiagramError lists every
+    violation, as ``validate`` would.
     """
     doc = _decode_json(text)
     if not isinstance(doc, dict):
@@ -695,7 +722,12 @@ def parse_diagram(text: str) -> EmbeddingScheme:
         if r0 != base or r1 != base + 1 or r2 != base + 2 or r3 != base + 3:
             problems.append(_rotation_violation(i))
         overs.append(over)
-    pairs = []
+    n_darts = 4 * len(overs)
+    theta = [-1] * n_darts
+    edge_of = theta[:]
+    cover = [0] * (2 * n_darts)
+    checked = []
+    paired = True
     for j, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise DiagramFormatError(f"edge {j} must be an object")
@@ -710,9 +742,20 @@ def parse_diagram(text: str) -> EmbeddingScheme:
         sign = entry["sign"]
         if type(sign) is not int:
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
-        pairs.append(((a, b), sign))
+        checked.append(tuple.__new__(Edge, ((a, b), sign)))
+        if (paired and (sign == 1 or sign == -1) and a != b and 0 <= a < n_darts
+                and 0 <= b < n_darts and edge_of[a] < 0 and edge_of[b] < 0):
+            edge_of[a] = edge_of[b] = j
+            theta[a], theta[b] = b, a
+            x, y = 2 * a, 2 * b + (sign < 0)
+            cover[x], cover[y], cover[x + 1], cover[y ^ 1] = y, x, y ^ 1, x + 1
+        else:
+            paired = False
     overs = tuple(overs)
-    return _on_shadow(overs, _structural_violations(overs, pairs, problems))
+    if (problems or not paired or 2 * len(checked) != n_darts or not overs
+            or not {*overs} <= {0, 1}):
+        return _on_shadow(overs, _structural_violations(overs, checked, problems))
+    return _on_shadow(overs, _shadow(checked, theta, edge_of, cover, problems))
 
 
 # The layout json.dumps(doc, indent=2) gives, written directly: with an

@@ -360,7 +360,7 @@ def parse_outcome(parse, text: str):
         return type(err), str(err), getattr(err, "violations", None)
     shadow = d.shadow
     return (d.overs, tuple(map(type, d.edges)), d.edges, shadow.theta,
-            shadow.edge_of, shadow.orientable)
+            shadow.edge_of, shadow.cover, shadow.orientable)
 
 
 def json_shaped(table) -> dict:
@@ -533,6 +533,20 @@ def rotation_step(x: int) -> int:
     dart, sheet = x >> 1, x & 1
     turn = -1 if sheet else 1
     return 2 * (dart - dart % 4 + (dart + turn) % 4) + sheet
+
+
+def reference_cover(edges) -> tuple[int, ...]:
+    """Theta lifted to cover darts 2 * d + sheet, edge by edge from the edge list.
+
+    Edge (a, b) joins (a, sheet) to (b, sheet) when its sign is +1 and to
+    (b, 1 - sheet) when it is -1.
+    """
+    theta = {}
+    for (a, b), sign in edges:
+        for sheet in (0, 1):
+            x, y = 2 * a + sheet, 2 * b + (sheet ^ (sign < 0))
+            theta[x], theta[y] = y, x
+    return tuple(theta[x] for x in range(len(theta)))
 
 
 def cover_face_count(d: EmbeddingScheme) -> int:

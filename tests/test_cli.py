@@ -557,12 +557,16 @@ class TestInternalChecks:
     entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4), (2, 1, 1),
     (3, 2, 2))) fails the dual tree check at the entry named.  Edge 0's
     sides (0, 99) or None stop the dual tree's builder; a corner 1000000
-    in region 0 stops the region masks, and a cached mask None their
-    readers.
+    or 10**18 in region 0 stops the region masks (before the shift, which
+    would not fit), and a cached mask that is None, has bit 3 set or is
+    -1 their readers.
     """
 
     COMPONENT_EDGES = {"component_range": 1000000, "component_type": None}
     EDGE_SIDES = {"sides_range": (0, 99), "sides_type": None}
+    CORNERS = {"corner_range": 1000000, "corner_huge": 10**18}
+    MASKS = {"mask_type": lambda mask: None, "mask_wide": lambda mask: mask | 1 << 3,
+             "mask_negative": lambda mask: -1}
 
     CHECKS = {
         "edge_sides": (homology_context,
@@ -574,8 +578,10 @@ class TestInternalChecks:
         **{fault: (homology_context,
                    f"edge 0 has sides {sides}, not a sorted pair of regions")
            for fault, sides in EDGE_SIDES.items()},
-        "corner_range": (incidence_matrix, "region 0 has a corner at no crossing"),
-        "mask_type": (incidence_matrix, "region masks are not crossing sets"),
+        **{fault: (incidence_matrix, "region 0 has a corner at no crossing")
+           for fault in CORNERS},
+        **{fault: (incidence_matrix, "region masks are not crossing sets")
+           for fault in MASKS},
         **{fault: (homology_matrix, "component trace is not a cycle")
            for fault in COMPONENT_EDGES},
         **{fault: (homology_context,
@@ -598,12 +604,14 @@ class TestInternalChecks:
         elif fault in TestInternalChecks.EDGE_SIDES:
             sides = (TestInternalChecks.EDGE_SIDES[fault],) + shadow.faces.edge_sides[1:]
             shadow.__dict__["faces"] = shadow.faces._replace(edge_sides=sides)
-        elif fault == "corner_range":
+        elif fault in TestInternalChecks.CORNERS:
             first, *rest = shadow.faces.regions
-            first = first._replace(corners=(1000000,) + first.corners[1:])
+            corners = (TestInternalChecks.CORNERS[fault],) + first.corners[1:]
+            first = first._replace(corners=corners)
             shadow.__dict__["faces"] = shadow.faces._replace(regions=(first, *rest))
-        elif fault == "mask_type":
-            shadow.__dict__["region_masks"] = (None,) + shadow.region_masks[1:]
+        elif fault in TestInternalChecks.MASKS:
+            first, *rest = shadow.region_masks
+            shadow.__dict__["region_masks"] = (TestInternalChecks.MASKS[fault](first), *rest)
         elif fault == "mirror":
             shadow.__dict__["cover"] = mirror_fault(shadow.cover)
         elif fault == "cover_range":
@@ -643,10 +651,9 @@ class TestInternalChecks:
         assert err == f"internal error: {self.CHECKS[fault][1]}\n"
 
     # Every command that reads the corrupted table, besides info.
-    READERS = {"sides_range": ["bicolor -c 0", "admissible -c 0"],
-               "sides_type": ["bicolor -c 0", "admissible -c 0"],
-               "corner_range": ["admissible -c 0", "matrix", "apply -r 0"],
-               "mask_type": ["admissible -c 0", "matrix", "apply -r 0"]}
+    READERS = {**{fault: ["bicolor -c 0", "admissible -c 0"] for fault in EDGE_SIDES},
+               **{fault: ["admissible -c 0", "ineffective", "matrix", "apply -r 0"]
+                  for fault in [*CORNERS, *MASKS]}}
 
     @pytest.mark.parametrize("fault, command",
                              [(f, c) for f, cs in READERS.items() for c in cs])
@@ -656,6 +663,30 @@ class TestInternalChecks:
         code, out, err = run(capsys, name, trefoil_file, *flags)
         assert (code, out) == (4, "")
         assert err == f"internal error: {self.CHECKS[fault][1]}\n"
+
+    def test_sides_past_the_spanning_tree_exit_4(self, capsys, monkeypatch, tmp_path):
+        # F spans the few regions of a genus diagram long before the last
+        # edge; that edge's entry is still checked.
+        d = random_diagram(40, 0.5, seed=3)
+        last = d.edge_count - 1
+        assert d.shadow.faces.region_count <= 8
+        assert max(j for _, _, j in d.shadow.dual_tree) < last
+        path = tmp_path / "genus.json"
+        path.write_text(serialize_diagram(d) + "\n", encoding="utf-8")
+
+        def corrupted_load(path):
+            d = _load(path)
+            sides = d.shadow.faces.edge_sides[:-1] + ((0, 99),)
+            d.shadow.__dict__["faces"] = d.shadow.faces._replace(edge_sides=sides)
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        for command in ("info", "bicolor -c 0,2", "admissible -c 0,2"):
+            name, *flags = command.split()
+            code, out, err = run(capsys, name, str(path), *flags)
+            assert (code, out) == (4, "")
+            assert err == (f"internal error: edge {last} has sides (0, 99), "
+                           "not a sorted pair of regions\n")
 
 
 class TestCorruptedBases:

@@ -156,6 +156,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 EDGES = (Edge((0, 1), 1), Edge((2, 3), 1))
+COVER = (2, 3, 0, 1, 6, 7, 4, 5)
 SHADOW_REPR = "Shadow(edges=(Edge(darts=(0, 1), sign=1), Edge(darts=(2, 3), sign=1)))"
 
 
@@ -167,8 +168,8 @@ class TestValueClasses:
          "BitVector(length=3, bits=5)"),
         (lambda: BitMatrix(2, 3, (1, 6)), lambda: BitMatrix(2, 3, (1, 7)),
          "BitMatrix(rows=2, cols=3, row_bits=(1, 6))"),
-        (lambda: Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1)),
-         lambda: Shadow(EDGES[::-1], True, (1, 0, 3, 2), (1, 1, 0, 0)),
+        (lambda: Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1), COVER),
+         lambda: Shadow(EDGES[::-1], True, (1, 0, 3, 2), (1, 1, 0, 0), COVER),
          SHADOW_REPR),
         (lambda: EmbeddingScheme((1,), EDGES),
          lambda: EmbeddingScheme((0,), EDGES),
@@ -197,15 +198,15 @@ class TestValueClasses:
             BitMatrix(2, 1, (0,))
 
     def test_shadow_equality_ignores_the_derived_fields(self):
-        a = Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1))
-        b = Shadow(EDGES, False, (), ())
+        a = Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1), COVER)
+        b = Shadow(EDGES, False, (), (), ())
         assert a == b and hash(a) == hash(b)
         assert repr(b) == SHADOW_REPR
 
     @pytest.mark.parametrize("obj, field", [
         (BitVector(3, 5), "bits"),
         (BitMatrix(2, 3, (1, 6)), "row_bits"),
-        (Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1)), "orientable"),
+        (Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1), COVER), "orientable"),
         (EmbeddingScheme((1,), EDGES), "overs"),
         (EmbeddingScheme((1,), EDGES), "shadow"),
     ])
@@ -222,7 +223,7 @@ class TestValueClasses:
     def test_derived_records_keep_only_what_is_read(self):
         assert Region._fields == ("corners", "crossing_count")
         assert Component._fields == ("edges", "crossings")
-        assert HomologyContext._fields == ("edge_ends", "quotient_pivots", "edge_classes")
+        assert HomologyContext._fields == ("quotient_pivots", "edge_classes")
         assert FaceStructure._fields == ("regions", "face_partner", "plus_face",
                                          "edge_sides")
 

@@ -19,8 +19,9 @@ import pytest
 from conftest import braid_pd, cyclic_pd, even_target, reference_switched
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
-                      incidence_matrix, poke_sites, random_diagram,
-                      reidemeister_two, verify_rank_formula)
+                      incidence_matrix, parse_diagram, poke_sites,
+                      random_diagram, reidemeister_two, serialize_diagram,
+                      verify_rank_formula)
 
 N = 2000
 
@@ -143,10 +144,25 @@ def test_pd_import_memory_at_8000_crossings():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One label pass fills the dart tables: about 5.0 MiB here.  Pairing
-    # the labels first and checking the pairs in a second pass took 7.2.
+    # One label pass fills the dart tables and the cover, all their ints
+    # drawn from one pool: about 5.7 MiB here.  Pairing the labels first
+    # and checking the pairs in a second pass took 7.2 without the cover.
     assert peak <= 6 * 2**20
     assert d.edge_count == 16000
+
+
+def test_document_parse_memory_at_8000_crossings():
+    text = serialize_diagram(make("genus", 8000))
+    tracemalloc.start()
+    try:
+        d = parse_diagram(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 14.6 MiB here, most of it the decoded JSON objects; the edge
+    # pass adds the dart tables and the cover, whose ints are its own.
+    assert peak <= 16 * 2**20
+    assert d.edge_count == 16000 and not d.shadow.orientable
 
 
 @pytest.mark.parametrize("family, bound_mib", [("torus", 40), ("genus", 1)])

@@ -14,7 +14,7 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       base_region_count, braid_pd, cover_face_count, cyclic_pd,
                       invariant_profile, json_shaped, make_torus11, mirror_fault,
                       monodromy_orientable, parse_outcome, random_suite,
-                      reference_components, reference_import_pd,
+                      reference_components, reference_cover, reference_import_pd,
                       reference_parse_diagram,
                       reference_serialize_diagram, region_parities,
                       region_walks, relabeled, rotation_step,
@@ -444,6 +444,83 @@ class TestDocuments:
         if name in VALIDATE_VIOLATIONS:
             assert outcome[2] == VALIDATE_VIOLATIONS[name][2]
 
+    @staticmethod
+    def edit(doc: dict, name: str) -> None:
+        """One of ``ORDERING``'s edits, in place, on a 12-crossing genus document."""
+        edges, crossings = doc["edges"], doc["crossings"]
+        if name == "duplicate-then-bad-darts":
+            edges[2]["darts"] = list(edges[1]["darts"])
+            edges[9]["darts"] = [0, "x"]
+        elif name == "sign-then-float-sign":
+            edges[3]["sign"] = 3
+            edges[20]["sign"] = 1.0
+        elif name == "range-then-missing-key":
+            edges[0]["darts"] = [0, 48]
+            del edges[23]["sign"]
+        elif name == "rotation-and-edges":
+            crossings[1]["rotation"] = [4, 6, 5, 7]
+            crossings[5]["over"] = 2
+            edges[4]["darts"] = [edges[4]["darts"][0]] * 2
+            edges[7]["sign"] = 0
+        elif name == "rotation-only":
+            crossings[11]["rotation"] = [44, 45, 46, 48]
+        elif name == "over-only":
+            crossings[0]["over"] = -1
+        elif name == "one-edge-short":
+            edges.pop()
+        elif name == "one-edge-over":
+            edges.append({"darts": [0, 1], "sign": 1})
+        elif name == "last-edge-bad":
+            edges[-1]["sign"] = -2
+        elif name == "disconnected":
+            shift = 4 * len(crossings)
+            crossings += [{"rotation": [shift + k for k in range(4)], "over": 0}]
+            edges += [{"darts": [shift, shift + 1], "sign": -1},
+                      {"darts": [shift + 2, shift + 3], "sign": 1}]
+
+    ORDERING = {"duplicate-then-bad-darts": DiagramFormatError,
+                "sign-then-float-sign": DiagramFormatError,
+                "range-then-missing-key": DiagramFormatError,
+                "rotation-and-edges": InvalidDiagramError,
+                "rotation-only": InvalidDiagramError,
+                "over-only": InvalidDiagramError,
+                "one-edge-short": InvalidDiagramError,
+                "one-edge-over": InvalidDiagramError,
+                "last-edge-bad": InvalidDiagramError,
+                "disconnected": InvalidDiagramError,
+                "sound": None}
+
+    @pytest.mark.parametrize("name", sorted(ORDERING))
+    def test_faults_in_any_order_match_the_reference_parser(self, name):
+        d = random_diagram(12, 0.5, seed=21)
+        assert not d.shadow.orientable and any(s < 0 for _, s in d.edges)
+        doc = json.loads(serialize_diagram(d))
+        self.edit(doc, name)
+        text = json.dumps(doc)
+        outcome = parse_outcome(parse_diagram, text)
+        assert outcome == parse_outcome(reference_parse_diagram, text)
+        if self.ORDERING[name] is None:
+            assert outcome[2] == d.edges and outcome[-1] is False
+        else:
+            assert outcome[0] is self.ORDERING[name]
+        if name == "rotation-and-edges":
+            assert outcome[2] == ["crossing 1: rotation must be [4, 5, 6, 7]",
+                                  "crossing 5: over flag must be 0 or 1",
+                                  f"edge 4: self-paired dart {doc['edges'][4]['darts'][0]}",
+                                  "edge 7: sign must be +1 or -1"]
+        elif name == "duplicate-then-bad-darts":
+            assert outcome[1] == "edge 9: darts must be a list of 2 dart ids"
+
+    def test_cover_is_the_lifted_theta(self):
+        suite = (random_suite(40, 1, 30, (0.0, 0.5, 1.0), seed=22)
+                 + [import_pd(cyclic_pd(9)), import_pd(braid_pd(4, 12, 1))])
+        for d in suite:
+            cover = reference_cover(d.edges)
+            for built in (d, parse_diagram(serialize_diagram(d)),
+                          EmbeddingScheme(d.overs, d.edges)):
+                assert built.shadow.cover == cover
+                assert type(built.shadow.cover) is tuple
+
     def test_pd_document(self):
         text = json.dumps({"pd": [[1, 1, 2, 2]]})
         assert faces(parse_diagram(text)).region_count == 3
@@ -532,12 +609,19 @@ class TestShadow:
         assert ref() is None
 
     def test_documents_are_validated_once(self, monkeypatch, curl):
+        # The document's own edge pass validates a sound document; the
+        # structural check runs once, and only to name the violations.
         calls = []
         check = regioncc.scheme._structural_violations
         monkeypatch.setattr(regioncc.scheme, "_structural_violations",
                             lambda *args: calls.append(1) or check(*args))
         assert parse_diagram(serialize_diagram(curl)) == curl
-        assert len(calls) == 1
+        assert calls == []
+        doc = json.loads(serialize_diagram(curl))
+        doc["edges"][1]["sign"] = 3
+        with pytest.raises(InvalidDiagramError, match="^edge 1: sign must be"):
+            parse_diagram(json.dumps(doc))
+        assert calls == [1]
 
     def test_large_cyclic_pd_face_trace(self):
         n = 2000
