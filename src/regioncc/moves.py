@@ -1,9 +1,9 @@
 """Diagram surgeries and random generation.
 
 The second Reidemeister move here pokes a finger of one strand across
-another strand through a region both border.  It appends two crossings
-and replaces the two pierced edges by six, leaving every other edge
-index untouched; the new crossings are indexed c and c + 1.  Signs on
+another strand through a region both border.  It appends two crossings,
+indexed c and c + 1, and replaces the two pierced edges by six: the
+other edges keep their order, and the six new edges follow them.  Signs on
 the replacement edges are chosen to transport local orientations
 consistently, which keeps the surface (and so the Euler characteristic
 and orientability) fixed while adding two regions.
@@ -87,7 +87,9 @@ def poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
 
     dart_b is on another edge, with its side in dart_a's region, so each
     dart pairs with the darts of one region: grouping the darts by region
-    takes time linear in the number of sites.
+    takes time linear in the number of sites.  Every pair is listed, so
+    the output is quadratic in region size: ``random_diagram(8000, 0.5,
+    seed=1)`` spreads its 32000 darts over 4 regions, nearly 10**9 sites.
     """
     structure = faces(d)
     edge_of = d.shadow.edge_of

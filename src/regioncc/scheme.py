@@ -28,7 +28,7 @@ import json
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import itemgetter, or_, xor
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .gf2 import Frozen, RowBasis
@@ -116,23 +116,24 @@ def _shadow(edges: list[Edge], theta: list[int], edge_of: list[int],
     return Shadow(tuple(edges), orientable, tuple(theta), tuple(edge_of), tuple(cover))
 
 
-def _structural_violations(overs: tuple[int, ...], edges: Sequence,
+def _structural_violations(overs: tuple[int, ...], edges: Iterable,
                            problems: list[str]) -> Shadow:
     """The checked shadow of a diagram; InvalidDiagramError lists every violation.
 
     ``problems`` holds the caller's own findings; they come first.  The
-    pass over the ((dart, dart), sign) pairs makes each an Edge and fills
-    the dart tables; ``_shadow`` then checks connectivity.
+    one pass over the ((dart, dart), sign) pairs makes each an Edge and
+    fills the dart tables; ``_shadow`` then checks connectivity.  The
+    pairs may be streamed: the pass drains them before it raises, so a
+    shape fault the stream raises comes first.
     """
     c = len(overs)
-    if c == 0:
-        raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
     found = _over_violations(overs)
     n_darts = 4 * c
     theta = [-1] * n_darts
     edge_of = [-1] * n_darts
     cover = [0] * (2 * n_darts)
     checked = []
+    j = -1
     for j, edge in enumerate(edges):
         try:
             (a, b), sign = edge
@@ -166,8 +167,10 @@ def _structural_violations(overs: tuple[int, ...], edges: Sequence,
             else:
                 edge_of[d] = j
                 theta[d] = other
-    if len(edges) != 2 * c:
-        found.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
+    if c == 0:
+        raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
+    if j + 1 != 2 * c:
+        found.append(f"expected {2 * c} edges for {c} crossings, got {j + 1}")
     if found:
         raise InvalidDiagramError(problems + found)
     return _shadow(checked, theta, edge_of, cover, problems)
@@ -231,17 +234,17 @@ class Component(NamedTuple):
 class Shadow(Frozen):
     """A diagram with its over flags forgotten: its edges and their signs.
 
-    Only validation (``_structural_violations``, ``parse_diagram``'s edge
-    pass, and ``import_pd``, whose codes are valid by construction) builds
-    shadows, so every shadow is checked: its darts and signs are exactly
-    int (not bool or float) and in range.  The same pass gives
-    ``orientable`` and the dart tables: ``theta[d]`` is the other dart of
-    d's edge, ``edge_of[d]`` that edge's index, and ``cover`` theta lifted
-    to cover darts 2 * d + sheet, where a -1 edge changes sheet.  Diagrams
-    that differ only in over flags share one shadow.  Every other derived
-    table is a cached property: built on first use, shared by those
-    diagrams, and freed with the shadow.  Shadows compare, hash and print
-    by their edges alone.
+    Only validation (``_structural_violations``, which checks every
+    document, ``validate`` and ``EmbeddingScheme``, and ``import_pd``,
+    whose codes are valid by construction) builds shadows, so every
+    shadow is checked: its darts and signs are exactly int (not bool or
+    float) and in range.  The same pass gives ``orientable`` and the dart
+    tables: ``theta[d]`` is the other dart of d's edge, ``edge_of[d]``
+    that edge's index, and ``cover`` theta lifted to cover darts 2 * d +
+    sheet, where a -1 edge changes sheet.  Diagrams that differ only in
+    over flags share one shadow.  Every other derived table is a cached
+    property: built on first use, shared by those diagrams, and freed
+    with the shadow.  Shadows compare, hash and print by their edges alone.
     """
 
     _fields = ("edges",)
@@ -486,7 +489,7 @@ class EmbeddingScheme(Frozen):
 
     def __init__(self, overs: Iterable[int], edges: Iterable[Edge]) -> None:
         overs = tuple(overs)
-        shadow = _structural_violations(overs, tuple(edges), [])
+        shadow = _structural_violations(overs, edges, [])
         object.__setattr__(self, "overs", overs)
         object.__setattr__(self, "shadow", shadow)
 
@@ -560,7 +563,7 @@ def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
             problems.append(_rotation_violation(i))
         overs.append(over)
     overs = tuple(overs)
-    return _on_shadow(overs, _structural_violations(overs, tuple(edges), problems))
+    return _on_shadow(overs, _structural_violations(overs, edges, problems))
 
 
 def orientation_double_cover(d: EmbeddingScheme) -> tuple[int, ...]:
@@ -685,11 +688,9 @@ def parse_diagram(text: str) -> EmbeddingScheme:
        "edges": [{"darts": [a, b], "sign": 1|-1}, ...]}
     or {"pd": [[a, b, c, d], ...]}.
     A wrong shape, key set or value type raises DiagramFormatError at
-    the first entry that has one.  The same passes check the rotations
-    and, while every edge so far pairs two fresh darts with a sign of
-    +1 or -1, fill the dart tables.  A document with any violation goes
-    to the structural check, and InvalidDiagramError lists every
-    violation, as ``validate`` would.
+    the first entry that has one.  The crossing pass checks the
+    rotations; the edges stream through the structural pass behind
+    ``validate``, and InvalidDiagramError lists every violation.
     """
     doc = _decode_json(text)
     if not isinstance(doc, dict):
@@ -722,12 +723,13 @@ def parse_diagram(text: str) -> EmbeddingScheme:
         if r0 != base or r1 != base + 1 or r2 != base + 2 or r3 != base + 3:
             problems.append(_rotation_violation(i))
         overs.append(over)
-    n_darts = 4 * len(overs)
-    theta = [-1] * n_darts
-    edge_of = theta[:]
-    cover = [0] * (2 * n_darts)
-    checked = []
-    paired = True
+    overs = tuple(overs)
+    return _on_shadow(overs, _structural_violations(overs, _document_edges(edges), problems))
+
+
+def _document_edges(edges: list) -> Iterator[tuple[tuple[int, int], int]]:
+    """A document's edges as ((dart, dart), sign) pairs, DiagramFormatError at
+    the first of the wrong shape."""
     for j, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise DiagramFormatError(f"edge {j} must be an object")
@@ -742,20 +744,7 @@ def parse_diagram(text: str) -> EmbeddingScheme:
         sign = entry["sign"]
         if type(sign) is not int:
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
-        checked.append(tuple.__new__(Edge, ((a, b), sign)))
-        if (paired and (sign == 1 or sign == -1) and a != b and 0 <= a < n_darts
-                and 0 <= b < n_darts and edge_of[a] < 0 and edge_of[b] < 0):
-            edge_of[a] = edge_of[b] = j
-            theta[a], theta[b] = b, a
-            x, y = 2 * a, 2 * b + (sign < 0)
-            cover[x], cover[y], cover[x + 1], cover[y ^ 1] = y, x, y ^ 1, x + 1
-        else:
-            paired = False
-    overs = tuple(overs)
-    if (problems or not paired or 2 * len(checked) != n_darts or not overs
-            or not {*overs} <= {0, 1}):
-        return _on_shadow(overs, _structural_violations(overs, checked, problems))
-    return _on_shadow(overs, _shadow(checked, theta, edge_of, cover, problems))
+        yield (a, b), sign
 
 
 # The layout json.dumps(doc, indent=2) gives, written directly: with an

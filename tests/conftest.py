@@ -9,16 +9,30 @@ from __future__ import annotations
 
 import json
 import random
+import warnings
 from operator import itemgetter
 
 import pytest
 
-from regioncc import (DiagramFormatError, Edge, EmbeddingScheme, class_of,
-                      components, faces, homology_matrix, incidence_matrix,
-                      import_pd, orientation_double_cover, random_diagram,
-                      surface_info, validate, verify_rank_formula)
+from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
+                      InvalidDiagramError, Shadow, class_of, components, faces,
+                      homology_matrix, incidence_matrix, import_pd,
+                      orientation_double_cover, random_diagram, surface_info,
+                      verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector
-from regioncc.scheme import _decode_json
+from regioncc.scheme import _decode_json, _on_shadow
+
+# Hypothesis reports a failing example through hypothesis.extra._patching,
+# which imports libcst where it is installed, and that import warns.  Under
+# filterwarnings = error the warning would end the run as an internal
+# error; imported once here, quietly, the module is cached and a failing
+# property test is reported like any other failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +255,87 @@ def violation_document(crossings, edges) -> dict:
 
 # ---------------------------------------------------------------------------
 # Document oracles.  The reference parser checks each entry's keys and
-# types, then hands raw tuples to ``validate``, which checks the
-# rotations again; the reference writer is the standard library's
-# indented encoder.  ``parse_diagram`` and ``serialize_diagram`` must
+# types, then hands raw tuples to ``reference_validate``, a frozen copy
+# of the structural check, so the oracle shares no validation code with
+# the package; the reference writer is the standard library's indented
+# encoder.  ``parse_diagram`` and ``serialize_diagram`` must
 # match them exactly: result, exception class and message, and bytes.
+
+def reference_validate(crossings, edges) -> EmbeddingScheme:
+    """``validate`` as frozen: the same violations, in the same order.
+
+    Whole lists in, every entry checked in one pass over each; the tables
+    it fills become the diagram's shadow, built without the package's
+    structural pass.
+    """
+    problems, overs = [], []
+    for i, crossing in enumerate(crossings):
+        over = None
+        try:
+            rotation, over = crossing
+            fits = (list(rotation) == [4 * i + k for k in range(4)]
+                    and all(type(x) is int for x in rotation))
+        except (TypeError, ValueError):
+            fits = False
+        if not fits:
+            problems.append(f"crossing {i}: rotation must be {[4 * i + k for k in range(4)]}")
+        overs.append(over)
+    overs, edges = tuple(overs), tuple(edges)
+    c = len(overs)
+    if c == 0:
+        raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
+    found = [f"crossing {i}: over flag must be 0 or 1"
+             for i, o in enumerate(overs) if o not in (0, 1) or type(o) is not int]
+    n_darts = 4 * c
+    theta, edge_of, cover = [-1] * n_darts, [-1] * n_darts, [0] * (2 * n_darts)
+    checked = []
+    for j, edge in enumerate(edges):
+        try:
+            (a, b), sign = edge
+        except (TypeError, ValueError):
+            found.append(f"edge {j}: must be ((dart, dart), sign)")
+            continue
+        checked.append(Edge((a, b), sign))
+        sound = len(found)
+        if sign not in (1, -1) or type(sign) is not int:
+            found.append(f"edge {j}: sign must be +1 or -1")
+        if a == b:
+            found.append(f"edge {j}: self-paired dart {a}")
+        for d, other in (((a, b),) if a == b else ((a, b), (b, a))):
+            if type(d) is not int:
+                found.append(f"edge {j}: dart {d!r} must be an integer")
+            elif not 0 <= d < n_darts:
+                found.append(f"edge {j}: dart {d} out of range")
+            elif edge_of[d] >= 0:
+                found.append(f"dart {d} appears in edges {edge_of[d]} and {j}")
+            else:
+                edge_of[d] = j
+                theta[d] = other
+        if len(found) == sound:   # no fault named: lift the edge
+            x, y = 2 * a, 2 * b + (sign < 0)
+            cover[x], cover[y], cover[x + 1], cover[y ^ 1] = y, x, y ^ 1, x + 1
+    if len(edges) != 2 * c:
+        found.append(f"expected {2 * c} edges for {c} crossings, got {len(edges)}")
+    if found:
+        raise InvalidDiagramError(problems + found)
+    # A sheet per crossing, searched over the sheet-0 lifts of its darts.
+    sheet = [-1] * c
+    sheet[0] = 0
+    seen, orientable = [0], True
+    for v in seen:
+        for y in cover[8 * v:8 * v + 8:2]:
+            w, s = y >> 3, sheet[v] ^ (y & 1)
+            if sheet[w] < 0:
+                sheet[w] = s
+                seen.append(w)
+            elif sheet[w] != s:
+                orientable = False
+    if problems or len(seen) != c:
+        raise InvalidDiagramError(problems + ([] if len(seen) == c
+                                              else ["diagram is disconnected"]))
+    return _on_shadow(overs, Shadow(tuple(checked), orientable, tuple(theta),
+                                    tuple(edge_of), tuple(cover)))
+
 
 def _require_keys(obj: dict, keys: set[str], what: str) -> None:
     if set(obj) != keys:
@@ -253,7 +344,7 @@ def _require_keys(obj: dict, keys: set[str], what: str) -> None:
 
 
 def reference_import_pd(code) -> EmbeddingScheme:
-    """A planar-diagram code in two steps: pair the labels, then ``validate``.
+    """A planar-diagram code in two steps: pair the labels, then ``reference_validate``.
 
     Edges are numbered by the first sighting of their label and every
     over flag is 1; the structural check runs on the pairs as on any
@@ -290,7 +381,7 @@ def reference_import_pd(code) -> EmbeddingScheme:
         missing = ", ".join(repr(l) for l in sorted(first_seen, key=repr))
         raise DiagramFormatError(f"pd labels occurring once: {missing}")
     crossings = [([4 * i + k for k in range(4)], 1) for i in range(len(code))]
-    return validate(crossings, [(pairs[label], 1) for label in order])
+    return reference_validate(crossings, [(pairs[label], 1) for label in order])
 
 
 def reference_parse_diagram(text: str) -> EmbeddingScheme:
@@ -333,7 +424,7 @@ def reference_parse_diagram(text: str) -> EmbeddingScheme:
         if type(entry["sign"]) is not int:
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
         raw_edges.append(((darts[0], darts[1]), entry["sign"]))
-    return validate(raw_crossings, raw_edges)
+    return reference_validate(raw_crossings, raw_edges)
 
 
 def reference_serialize_diagram(d: EmbeddingScheme) -> str:

@@ -159,8 +159,9 @@ def test_document_parse_memory_at_8000_crossings():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # About 14.6 MiB here, most of it the decoded JSON objects; the edge
-    # pass adds the dart tables and the cover, whose ints are its own.
+    # About 14.6 MiB here, most of it the decoded JSON objects; the
+    # structural pass adds the dart tables and the cover, whose ints are
+    # its own.
     assert peak <= 16 * 2**20
     assert d.edge_count == 16000 and not d.shadow.orientable
 

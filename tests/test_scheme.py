@@ -472,6 +472,9 @@ class TestDocuments:
             edges.append({"darts": [0, 1], "sign": 1})
         elif name == "last-edge-bad":
             edges[-1]["sign"] = -2
+        elif name == "no-crossings-then-bad-sign":
+            crossings.clear()
+            edges[6]["sign"] = 1.0
         elif name == "disconnected":
             shift = 4 * len(crossings)
             crossings += [{"rotation": [shift + k for k in range(4)], "over": 0}]
@@ -488,6 +491,7 @@ class TestDocuments:
                 "one-edge-over": InvalidDiagramError,
                 "last-edge-bad": InvalidDiagramError,
                 "disconnected": InvalidDiagramError,
+                "no-crossings-then-bad-sign": DiagramFormatError,
                 "sound": None}
 
     @pytest.mark.parametrize("name", sorted(ORDERING))
@@ -510,6 +514,8 @@ class TestDocuments:
                                   "edge 7: sign must be +1 or -1"]
         elif name == "duplicate-then-bad-darts":
             assert outcome[1] == "edge 9: darts must be a list of 2 dart ids"
+        elif name == "no-crossings-then-bad-sign":
+            assert outcome[1] == "edge 6: sign must be an integer"
 
     def test_cover_is_the_lifted_theta(self):
         suite = (random_suite(40, 1, 30, (0.0, 0.5, 1.0), seed=22)
@@ -609,19 +615,23 @@ class TestShadow:
         assert ref() is None
 
     def test_documents_are_validated_once(self, monkeypatch, curl):
-        # The document's own edge pass validates a sound document; the
-        # structural check runs once, and only to name the violations.
+        # Every document, sound or faulty, streams its edges through the one
+        # structural pass, which builds the shadow or names the violations.
         calls = []
         check = regioncc.scheme._structural_violations
         monkeypatch.setattr(regioncc.scheme, "_structural_violations",
                             lambda *args: calls.append(1) or check(*args))
         assert parse_diagram(serialize_diagram(curl)) == curl
-        assert calls == []
-        doc = json.loads(serialize_diagram(curl))
-        doc["edges"][1]["sign"] = 3
-        with pytest.raises(InvalidDiagramError, match="^edge 1: sign must be"):
-            parse_diagram(json.dumps(doc))
         assert calls == [1]
+        for entry, key, value, match in (("edges", "sign", 3, "^edge 1: sign must be"),
+                                         ("crossings", "rotation", [0, 2, 1, 3],
+                                          "^crossing 0: rotation must be")):
+            calls.clear()
+            doc = json.loads(serialize_diagram(curl))
+            doc[entry][-1][key] = value
+            with pytest.raises(InvalidDiagramError, match=match):
+                parse_diagram(json.dumps(doc))
+            assert calls == [1]
 
     def test_large_cyclic_pd_face_trace(self):
         n = 2000
