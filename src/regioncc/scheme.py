@@ -9,9 +9,9 @@ Conventions used throughout the package:
   So dart d sits at crossing d >> 2, and the next dart counterclockwise
   is (d & ~3) | ((d + 1) & 3).
 - The two strands passing through a crossing occupy dart positions
-  {0, 2} and {1, 3}: dart d's strand leaves through
-  (d & ~3) | ((d + 2) & 3), and d & 1 names its through-pair.  Over
-  flag 0 means the {0, 2} strand is on top.
+  {0, 2} and {1, 3}: dart d's strand leaves through d ^ 2, two
+  positions on, and d & 1 names its through-pair.  Over flag 0 means
+  the {0, 2} strand is on top.
 - An edge sign of -1 means the local orientations at its two endpoints
   disagree when transported along the edge.
 - Regions of the complement are read off the orientation double cover.
@@ -107,13 +107,13 @@ def _cover_search(cover: list[int]) -> tuple[bool, bool]:
     return len(found) == len(sheet), orientable
 
 
-def _shadow(edges: list[Edge], theta: list[int], edge_of: list[int],
-            cover: list[int], problems: list[str]) -> Shadow:
+def _shadow(edges: list[Edge], edge_of: list[int], cover: list[int],
+            problems: list[str]) -> Shadow:
     """The shadow of edges pairing all darts; InvalidDiagramError: problems, disconnection."""
     connected, orientable = _cover_search(cover)
     if problems or not connected:
         raise InvalidDiagramError(problems + ([] if connected else ["diagram is disconnected"]))
-    return Shadow(tuple(edges), orientable, tuple(theta), tuple(edge_of), tuple(cover))
+    return Shadow(tuple(edges), orientable, tuple(edge_of), tuple(cover))
 
 
 def _structural_violations(overs: tuple[int, ...], edges: Iterable,
@@ -129,7 +129,6 @@ def _structural_violations(overs: tuple[int, ...], edges: Iterable,
     c = len(overs)
     found = _over_violations(overs)
     n_darts = 4 * c
-    theta = [-1] * n_darts
     edge_of = [-1] * n_darts
     cover = [0] * (2 * n_darts)
     checked = []
@@ -147,7 +146,6 @@ def _structural_violations(overs: tuple[int, ...], edges: Iterable,
                 and 0 <= a < n_darts and 0 <= b < n_darts
                 and edge_of[a] < 0 and edge_of[b] < 0):
             edge_of[a] = edge_of[b] = j
-            theta[a], theta[b] = b, a
             # The lifts are (2a, y) and (2a + 1, y ^ 1); a -1 edge changes sheet.
             x, y = 2 * a, 2 * b + (sign < 0)
             cover[x], cover[y], cover[x + 1], cover[y ^ 1] = y, x, y ^ 1, x + 1
@@ -157,7 +155,7 @@ def _structural_violations(overs: tuple[int, ...], edges: Iterable,
             found.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
             found.append(f"edge {j}: self-paired dart {a}")
-        for d, other in (((a, b),) if a == b else ((a, b), (b, a))):
+        for d in ((a,) if a == b else (a, b)):
             if type(d) is not int:
                 found.append(f"edge {j}: dart {d!r} must be an integer")
             elif not 0 <= d < n_darts:
@@ -166,14 +164,13 @@ def _structural_violations(overs: tuple[int, ...], edges: Iterable,
                 found.append(f"dart {d} appears in edges {edge_of[d]} and {j}")
             else:
                 edge_of[d] = j
-                theta[d] = other
     if c == 0:
         raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
     if j + 1 != 2 * c:
         found.append(f"expected {2 * c} edges for {c} crossings, got {j + 1}")
     if found:
         raise InvalidDiagramError(problems + found)
-    return _shadow(checked, theta, edge_of, cover, problems)
+    return _shadow(checked, edge_of, cover, problems)
 
 
 class Region(NamedTuple):
@@ -239,9 +236,10 @@ class Shadow(Frozen):
     whose codes are valid by construction) builds shadows, so every
     shadow is checked: its darts and signs are exactly int (not bool or
     float) and in range.  The same pass gives ``orientable`` and the dart
-    tables: ``theta[d]`` is the other dart of d's edge, ``edge_of[d]``
-    that edge's index, and ``cover`` theta lifted to cover darts 2 * d +
-    sheet, where a -1 edge changes sheet.  Diagrams that differ only in
+    tables: ``edge_of[d]`` is the index of d's edge, and ``cover`` the
+    one pairing table, the edge involution lifted to cover darts 2 * d +
+    sheet, where a -1 edge changes sheet; so the other dart of d's edge
+    is ``cover[2 * d] >> 1``.  Diagrams that differ only in
     over flags share one shadow.  Every other derived table is a cached
     property: built on first use, shared by those diagrams, and freed
     with the shadow.  Shadows compare, hash and print by their edges alone.
@@ -250,11 +248,9 @@ class Shadow(Frozen):
     _fields = ("edges",)
 
     def __init__(self, edges: tuple[Edge, ...], orientable: bool,
-                 theta: tuple[int, ...], edge_of: tuple[int, ...],
-                 cover: tuple[int, ...]) -> None:
+                 edge_of: tuple[int, ...], cover: tuple[int, ...]) -> None:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "orientable", orientable)
-        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "edge_of", edge_of)
         object.__setattr__(self, "cover", cover)
 
@@ -319,22 +315,23 @@ class Shadow(Frozen):
     @cached_property
     def components(self) -> tuple[Component, ...]:
         """Link components, ordered by their least edge index."""
-        theta, edge_of = self.theta, self.edge_of
-        visited = [False] * len(theta)
+        # The sheet-0 lifts: dart d's edge partner is lift[d] >> 1.
+        lift, edge_of = self.cover[::2], self.edge_of
+        visited = [False] * len(lift)
         out = []
-        for start in range(len(theta)):
+        for start in range(len(lift)):
             if visited[start]:
                 continue
             walk = []
             crossings = []
             d = start
             while not visited[d]:
-                across = (d & ~3) | ((d + 2) & 3)
+                across = d ^ 2
                 visited[d] = True
                 visited[across] = True
                 crossings.append(d >> 2)
                 walk.append(edge_of[across])
-                d = theta[across]
+                d = lift[across] >> 1
             if d != start:
                 raise RuntimeError("component walk did not close at its starting dart")
             out.append(Component(tuple(walk), tuple(crossings)))
@@ -511,7 +508,7 @@ class EmbeddingScheme(Frozen):
 
     def theta(self, d: int) -> int:
         """The other dart of d's edge."""
-        return self.shadow.theta[d]
+        return self.shadow.cover[2 * d] >> 1
 
     def edge_of(self, d: int) -> int:
         """Index of the edge containing dart d."""
@@ -626,14 +623,13 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
     if len(kinds) > 1:
         raise DiagramFormatError("pd labels must be all integers or all strings")
     # One pass pairs the labels and fills the dart tables, numbering edges by
-    # first sighting; theta at a label's first dart shows if it is paired.
-    # Each int is held once: all tables take theirs from the cover, which
-    # starts as the identity and has each edge's lifts swapped into place.
+    # first sighting.  Each int is held once: all tables take theirs from
+    # the cover, which starts as the identity and has each edge's lifts
+    # swapped into place, so a label is paired once its first dart's lift moved.
     n_darts = 4 * len(code)
     cover = [*range(2 * n_darts)]
     darts = cover[:n_darts]
-    theta = [-1] * n_darts
-    edge_of = theta[:]
+    edge_of = [-1] * n_darts
     edges: list = []
     first_dart: dict[object, int] = {}
     setdefault = first_dart.setdefault
@@ -642,9 +638,8 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
         if first == dart:
             edge_of[dart] = darts[len(edges)]
             edges.append(None)
-        elif theta[first] < 0:
+        elif cover[2 * first] == 2 * first:
             k = edge_of[dart] = edge_of[first]
-            theta[first], theta[dart] = dart, first
             x, y = 2 * first, 2 * dart
             cover[x], cover[y], cover[x + 1], cover[y + 1] = (
                 cover[y], cover[x], cover[y + 1], cover[x + 1])
@@ -652,12 +647,13 @@ def import_pd(code: Sequence[Sequence]) -> EmbeddingScheme:
         else:
             raise DiagramFormatError(f"pd label {label!r} occurs more than twice")
     if 2 * len(edges) != n_darts:
-        missing = ", ".join(sorted(repr(l) for l, d in first_dart.items() if theta[d] < 0))
+        missing = ", ".join(sorted(repr(l) for l, d in first_dart.items()
+                                if cover[2 * d] == 2 * d))
         raise DiagramFormatError(f"pd labels occurring once: {missing}")
     del darts, first_dart, setdefault   # not to sit beside the cover's tuple
     cover = tuple(cover)
     # Distinct darts, each in one +1 edge: only connectivity is left to check.
-    return _on_shadow((1,) * len(code), _shadow(edges, theta, edge_of, cover, []))
+    return _on_shadow((1,) * len(code), _shadow(edges, edge_of, cover, []))
 
 
 _DOCUMENT_KEYS = {"crossings", "edges"}

@@ -287,7 +287,7 @@ def reference_validate(crossings, edges) -> EmbeddingScheme:
     found = [f"crossing {i}: over flag must be 0 or 1"
              for i, o in enumerate(overs) if o not in (0, 1) or type(o) is not int]
     n_darts = 4 * c
-    theta, edge_of, cover = [-1] * n_darts, [-1] * n_darts, [0] * (2 * n_darts)
+    edge_of, cover = [-1] * n_darts, [0] * (2 * n_darts)
     checked = []
     for j, edge in enumerate(edges):
         try:
@@ -301,7 +301,7 @@ def reference_validate(crossings, edges) -> EmbeddingScheme:
             found.append(f"edge {j}: sign must be +1 or -1")
         if a == b:
             found.append(f"edge {j}: self-paired dart {a}")
-        for d, other in (((a, b),) if a == b else ((a, b), (b, a))):
+        for d in ((a,) if a == b else (a, b)):
             if type(d) is not int:
                 found.append(f"edge {j}: dart {d!r} must be an integer")
             elif not 0 <= d < n_darts:
@@ -310,7 +310,6 @@ def reference_validate(crossings, edges) -> EmbeddingScheme:
                 found.append(f"dart {d} appears in edges {edge_of[d]} and {j}")
             else:
                 edge_of[d] = j
-                theta[d] = other
         if len(found) == sound:   # no fault named: lift the edge
             x, y = 2 * a, 2 * b + (sign < 0)
             cover[x], cover[y], cover[x + 1], cover[y ^ 1] = y, x, y ^ 1, x + 1
@@ -333,8 +332,8 @@ def reference_validate(crossings, edges) -> EmbeddingScheme:
     if problems or len(seen) != c:
         raise InvalidDiagramError(problems + ([] if len(seen) == c
                                               else ["diagram is disconnected"]))
-    return _on_shadow(overs, Shadow(tuple(checked), orientable, tuple(theta),
-                                    tuple(edge_of), tuple(cover)))
+    return _on_shadow(overs, Shadow(tuple(checked), orientable, tuple(edge_of),
+                                    tuple(cover)))
 
 
 def _require_keys(obj: dict, keys: set[str], what: str) -> None:
@@ -450,7 +449,8 @@ def parse_outcome(parse, text: str):
     except Exception as err:  # the class is part of the outcome
         return type(err), str(err), getattr(err, "violations", None)
     shadow = d.shadow
-    return (d.overs, tuple(map(type, d.edges)), d.edges, shadow.theta,
+    return (d.overs, tuple(map(type, d.edges)), d.edges,
+            tuple(map(d.theta, range(d.dart_count))),
             shadow.edge_of, shadow.cover, shadow.orientable)
 
 

@@ -549,8 +549,10 @@ class TestInternalChecks:
     On the trefoil (3 crossings, 5 regions, a sphere): edge sides that
     all name region 0 leave the dual tree one region, so the tree-cotree
     split keeps 4 edges where 2 - chi is 0; a sixth region makes chi odd
-    on an orientable surface; a theta taking every dart to dart 0's
-    partner ends the first component walk short of its start; a cover
+    on an orientable surface; a cover that maps edge 0's four lifts to
+    themselves keeps the deck laws, but its theta fixes edge 0's darts
+    and so ends the first component walk short of its start (info traces
+    the faces first and finds four regions there); a cover
     whose dart 0 is its own mirror stops the face trace, and one whose
     dart 0 has the partner 24, no dart, breaks the deck laws; a first
     component edge 1000000 or None is no cycle; and each ``TREE_FAULTS``
@@ -559,7 +561,8 @@ class TestInternalChecks:
     sides (0, 99) or None stop the dual tree's builder; a corner 1000000
     or 10**18 in region 0 stops the region masks (before the shift, which
     would not fit), and a cached mask that is None, has bit 3 set or is
-    -1 their readers.
+    -1 their readers.  A ``CHECKS`` entry holds the query and its
+    message, then info's message where info stops at another check.
     """
 
     COMPONENT_EDGES = {"component_range": 1000000, "component_type": None}
@@ -572,7 +575,8 @@ class TestInternalChecks:
         "edge_sides": (homology_context,
                        "tree-cotree leaves 4 edges, expected 2 - chi = 0"),
         "regions": (surface_info, "orientable surface with odd Euler characteristic"),
-        "theta": (components, "component walk did not close at its starting dart"),
+        "theta": (components, "component walk did not close at its starting dart",
+                  "orientable surface with odd Euler characteristic"),
         "mirror": (faces, "face 0 meets its own mirror"),
         "cover_range": (faces, "cover breaks the deck laws"),
         **{fault: (homology_context,
@@ -624,11 +628,15 @@ class TestInternalChecks:
             shadow.__dict__["faces"] = structure._replace(
                 regions=structure.regions + structure.regions[:1])
         else:
-            object.__setattr__(shadow, "theta", (shadow.theta[0],) * d.dart_count)
+            cover = list(shadow.cover)
+            (a, b), _ = d.edges[0]
+            for x in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
+                cover[x] = x
+            shadow.__dict__["cover"] = tuple(cover)
 
     @pytest.mark.parametrize("fault", sorted(CHECKS))
     def test_library_raises(self, fault):
-        query, message = self.CHECKS[fault]
+        query, message, *_ = self.CHECKS[fault]
         d = import_pd(TREFOIL_PD)
         self.corrupt(d, fault)
         with pytest.raises(RuntimeError) as caught:
@@ -648,7 +656,7 @@ class TestInternalChecks:
         self.load_corrupted(monkeypatch, fault)
         code, out, err = run(capsys, "info", trefoil_file)
         assert (code, out) == (4, "")
-        assert err == f"internal error: {self.CHECKS[fault][1]}\n"
+        assert err == f"internal error: {self.CHECKS[fault][-1]}\n"
 
     # Every command that reads the corrupted table, besides info.
     READERS = {**{fault: ["bicolor -c 0", "admissible -c 0"] for fault in EDGE_SIDES},

@@ -168,8 +168,8 @@ class TestValueClasses:
          "BitVector(length=3, bits=5)"),
         (lambda: BitMatrix(2, 3, (1, 6)), lambda: BitMatrix(2, 3, (1, 7)),
          "BitMatrix(rows=2, cols=3, row_bits=(1, 6))"),
-        (lambda: Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1), COVER),
-         lambda: Shadow(EDGES[::-1], True, (1, 0, 3, 2), (1, 1, 0, 0), COVER),
+        (lambda: Shadow(EDGES, True, (0, 0, 1, 1), COVER),
+         lambda: Shadow(EDGES[::-1], True, (1, 1, 0, 0), COVER),
          SHADOW_REPR),
         (lambda: EmbeddingScheme((1,), EDGES),
          lambda: EmbeddingScheme((0,), EDGES),
@@ -198,15 +198,15 @@ class TestValueClasses:
             BitMatrix(2, 1, (0,))
 
     def test_shadow_equality_ignores_the_derived_fields(self):
-        a = Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1), COVER)
-        b = Shadow(EDGES, False, (), (), ())
+        a = Shadow(EDGES, True, (0, 0, 1, 1), COVER)
+        b = Shadow(EDGES, False, (), ())
         assert a == b and hash(a) == hash(b)
         assert repr(b) == SHADOW_REPR
 
     @pytest.mark.parametrize("obj, field", [
         (BitVector(3, 5), "bits"),
         (BitMatrix(2, 3, (1, 6)), "row_bits"),
-        (Shadow(EDGES, True, (1, 0, 3, 2), (0, 0, 1, 1), COVER), "orientable"),
+        (Shadow(EDGES, True, (0, 0, 1, 1), COVER), "orientable"),
         (EmbeddingScheme((1,), EDGES), "overs"),
         (EmbeddingScheme((1,), EDGES), "shadow"),
     ])

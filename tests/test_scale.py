@@ -144,9 +144,9 @@ def test_pd_import_memory_at_8000_crossings():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One label pass fills the dart tables and the cover, all their ints
-    # drawn from one pool: about 5.7 MiB here.  Pairing the labels first
-    # and checking the pairs in a second pass took 7.2 without the cover.
+    # One label pass fills edge_of and the cover, all their ints drawn
+    # from one pool: about 5.45 MiB here.  Pairing the labels first and
+    # checking the pairs in a second pass took 7.2 without the cover.
     assert peak <= 6 * 2**20
     assert d.edge_count == 16000
 
@@ -159,9 +159,8 @@ def test_document_parse_memory_at_8000_crossings():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # About 14.6 MiB here, most of it the decoded JSON objects; the
-    # structural pass adds the dart tables and the cover, whose ints are
-    # its own.
+    # About 14.1 MiB here, most of it the decoded JSON objects; the
+    # structural pass adds edge_of and the cover, whose ints are its own.
     assert peak <= 16 * 2**20
     assert d.edge_count == 16000 and not d.shadow.orientable
 

@@ -21,10 +21,11 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       shift_switched)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
-                      InvalidDiagramError, apply_rcc, components, faces,
+                      InvalidDiagramError, R2Spec, apply_rcc, components, faces,
                       import_pd, orientation_double_cover, parse_diagram,
-                      random_diagram, serialize_diagram, surface_info,
-                      switch_crossing, validate, verify_rank_formula)
+                      poke_sites, random_diagram, reidemeister_two,
+                      serialize_diagram, surface_info, switch_crossing,
+                      validate, verify_rank_formula)
 
 
 class TestValidation:
@@ -145,10 +146,39 @@ class TestValidation:
         assert info.value.violations == expected
 
 
+def built_by_every_builder():
+    """(builder, diagram) pairs, a few from each way of building one; each is
+    yielded before anything queries it."""
+    for d in random_suite(9, 1, 9, (0.0, 0.5, 1.0), seed=17):
+        yield "random_diagram", d
+        yield "EmbeddingScheme", EmbeddingScheme(d.overs, d.edges)
+        crossings = [([4 * i + k for k in range(4)], o) for i, o in enumerate(d.overs)]
+        yield "validate", validate(crossings, d.edges)
+        yield "parse_diagram", parse_diagram(serialize_diagram(d))
+        yield "reidemeister_two", reidemeister_two(d, R2Spec(*poke_sites(d)[-1]))
+    for code in (cyclic_pd(5), braid_pd(3, 7, 1), [[1, 1, 2, 2]]):
+        yield "import_pd", import_pd(code)
+        yield "parse_diagram", parse_diagram(json.dumps({"pd": code}))
+
+
 class TestDartAlgebra:
     def test_tables(self, torus11):
         assert torus11.theta(0) == 2
         assert torus11.edge_of(3) == 1
+
+    def test_theta_is_the_other_dart_of_the_edge(self):
+        for _, d in built_by_every_builder():
+            for x in range(d.dart_count):
+                a, b = d.edges[d.edge_of(x)].darts
+                assert x in (a, b) and d.theta(x) == a + b - x
+
+    def test_shadows_store_only_the_pairing_tables(self):
+        # The cover is the one pairing table; every other table is derived
+        # on first use.  reidemeister_two counts its result's regions.
+        stored = {"edges", "orientable", "edge_of", "cover"}
+        for builder, d in built_by_every_builder():
+            extra = {"faces"} if builder == "reidemeister_two" else set()
+            assert vars(d.shadow).keys() == stored | extra
 
 
 def cover_is_connected(d: EmbeddingScheme) -> bool:
