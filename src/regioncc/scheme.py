@@ -28,7 +28,7 @@ import json
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import itemgetter, or_, xor
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .gf2 import Frozen, RowBasis
@@ -122,11 +122,12 @@ def _structural_violations(overs: tuple[int, ...], edges: Iterable,
 
     ``problems`` holds the caller's own findings; they come first.  The
     one pass over the ((dart, dart), sign) pairs makes each an Edge and
-    fills the dart tables; ``_shadow`` then checks connectivity.  The
-    pairs may be streamed: the pass drains them before it raises, so a
-    shape fault the stream raises comes first.
+    fills the dart tables; ``_shadow`` then checks connectivity.  A
+    diagram with no crossings is named alone.
     """
     c = len(overs)
+    if c == 0:
+        raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
     found = _over_violations(overs)
     n_darts = 4 * c
     edge_of = [-1] * n_darts
@@ -164,8 +165,6 @@ def _structural_violations(overs: tuple[int, ...], edges: Iterable,
                 found.append(f"dart {d} appears in edges {edge_of[d]} and {j}")
             else:
                 edge_of[d] = j
-    if c == 0:
-        raise InvalidDiagramError(problems + ["diagram must have at least one crossing"])
     if j + 1 != 2 * c:
         found.append(f"expected {2 * c} edges for {c} crossings, got {j + 1}")
     if found:
@@ -419,22 +418,16 @@ def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
     sides, r = shadow.faces.edge_sides, shadow.faces.region_count
     parent = list(range(r))
     tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    entries = enumerate(sides)
     missing = r - 1
     try:
         # j is bound before its entry is unpacked.
-        for j, (a, b) in entries:
+        for j, (a, b) in enumerate(sides):
             if not 0 <= a <= b < r:
                 raise ValueError
-            if a != b and _union(parent, a, b):
+            if a != b and missing and _union(parent, a, b):
                 tree[a].append((b, j))
                 tree[b].append((a, j))
                 missing -= 1
-                if not missing:
-                    break
-        for j, (a, b) in entries:
-            if not 0 <= a <= b < r:
-                raise ValueError
     except (TypeError, ValueError, IndexError):
         raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
                            "not a sorted pair of regions") from None
@@ -506,13 +499,21 @@ class EmbeddingScheme(Frozen):
     def dart_count(self) -> int:
         return 4 * len(self.overs)
 
+    def _dart(self, d: int) -> int:
+        """d, if it is exactly an int in range(dart_count); else TypeError or IndexError."""
+        if type(d) is not int:
+            raise TypeError(f"dart index {d!r} is not an int")
+        if not 0 <= d < 4 * len(self.overs):
+            raise IndexError(f"dart index {d} out of range")
+        return d
+
     def theta(self, d: int) -> int:
         """The other dart of d's edge."""
-        return self.shadow.cover[2 * d] >> 1
+        return self.shadow.cover[2 * self._dart(d)] >> 1
 
     def edge_of(self, d: int) -> int:
         """Index of the edge containing dart d."""
-        return self.shadow.edge_of[d]
+        return self.shadow.edge_of[self._dart(d)]
 
     def with_overs(self, overs: Iterable[int]) -> "EmbeddingScheme":
         """The same shadow under other over flags; only the flags are checked."""
@@ -538,26 +539,30 @@ def _rotation_violation(i: int) -> str:
     return f"crossing {i}: rotation must be {[4 * i + k for k in range(4)]}"
 
 
-def validate(crossings: Sequence, edges: Sequence) -> EmbeddingScheme:
-    """Check raw diagram data and build a scheme.
+def validate(crossings: Iterable, edges: Iterable) -> EmbeddingScheme:
+    """Check raw diagram data and build a scheme: the package's one crossing rule.
 
-    ``crossings`` holds (rotation, over) pairs and ``edges`` holds
-    ((dart, dart), sign) pairs.  Rotations must list the canonical dart
-    names 4i..4i+3 in order; everything else is a violation.  Raises
-    InvalidDiagramError carrying the full list of problems.
+    ``crossings`` yields (rotation, over) pairs and ``edges`` yields
+    ((dart, dart), sign) pairs; any iterables will do.  Rotation i must
+    unpack to exactly the ints 4i..4i+3, in order; everything else is a
+    violation.  Raises InvalidDiagramError carrying the full list of
+    problems.
     """
     problems = []
     overs = []
     for i, crossing in enumerate(crossings):
-        expected = [4 * i + k for k in range(4)]
         over = None
         try:
             rotation, over = crossing
-            fits = list(rotation) == expected and all(type(x) is int for x in rotation)
+            r0, r1, r2, r3 = rotation
         except (TypeError, ValueError):
-            fits = False
-        if not fits:
             problems.append(_rotation_violation(i))
+        else:
+            base = 4 * i
+            if not (type(r0) is int and type(r1) is int and type(r2) is int
+                    and type(r3) is int and r0 == base and r1 == base + 1
+                    and r2 == base + 2 and r3 == base + 3):
+                problems.append(_rotation_violation(i))
         overs.append(over)
     overs = tuple(overs)
     return _on_shadow(overs, _structural_violations(overs, edges, problems))
@@ -684,9 +689,9 @@ def parse_diagram(text: str) -> EmbeddingScheme:
        "edges": [{"darts": [a, b], "sign": 1|-1}, ...]}
     or {"pd": [[a, b, c, d], ...]}.
     A wrong shape, key set or value type raises DiagramFormatError at
-    the first entry that has one.  The crossing pass checks the
-    rotations; the edges stream through the structural pass behind
-    ``validate``, and InvalidDiagramError lists every violation.
+    the first entry that has one: the crossings are checked, then the
+    edges.  Only then are the entries handed to ``validate``, whose
+    InvalidDiagramError lists every violation.
     """
     doc = _decode_json(text)
     if not isinstance(doc, dict):
@@ -698,49 +703,32 @@ def parse_diagram(text: str) -> EmbeddingScheme:
     crossings, edges = doc["crossings"], doc["edges"]
     if not isinstance(crossings, list) or not isinstance(edges, list):
         raise DiagramFormatError("crossings and edges must be lists")
-    problems = []
-    overs = []
     for i, entry in enumerate(crossings):
         if not isinstance(entry, dict):
             raise DiagramFormatError(f"crossing {i} must be an object")
         if entry.keys() != _CROSSING_KEYS:
             raise _key_error(entry, _CROSSING_KEYS, f"crossing {i}")
         rot = entry["rotation"]
-        if not isinstance(rot, list) or len(rot) != 4:
+        if (not isinstance(rot, list) or len(rot) != 4 or type(rot[0]) is not int
+                or type(rot[1]) is not int or type(rot[2]) is not int
+                or type(rot[3]) is not int):
             raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
-        r0, r1, r2, r3 = rot
-        if not (type(r0) is int and type(r1) is int and type(r2) is int
-                and type(r3) is int):
-            raise DiagramFormatError(f"crossing {i}: rotation must be a list of 4 dart ids")
-        over = entry["over"]
-        if type(over) is not int:
+        if type(entry["over"]) is not int:
             raise DiagramFormatError(f"crossing {i}: over must be an integer")
-        base = 4 * i
-        if r0 != base or r1 != base + 1 or r2 != base + 2 or r3 != base + 3:
-            problems.append(_rotation_violation(i))
-        overs.append(over)
-    overs = tuple(overs)
-    return _on_shadow(overs, _structural_violations(overs, _document_edges(edges), problems))
-
-
-def _document_edges(edges: list) -> Iterator[tuple[tuple[int, int], int]]:
-    """A document's edges as ((dart, dart), sign) pairs, DiagramFormatError at
-    the first of the wrong shape."""
     for j, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise DiagramFormatError(f"edge {j} must be an object")
         if entry.keys() != _EDGE_KEYS:
             raise _key_error(entry, _EDGE_KEYS, f"edge {j}")
         darts = entry["darts"]
-        if not isinstance(darts, list) or len(darts) != 2:
+        if (not isinstance(darts, list) or len(darts) != 2
+                or type(darts[0]) is not int or type(darts[1]) is not int):
             raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
-        a, b = darts
-        if type(a) is not int or type(b) is not int:
-            raise DiagramFormatError(f"edge {j}: darts must be a list of 2 dart ids")
-        sign = entry["sign"]
-        if type(sign) is not int:
+        if type(entry["sign"]) is not int:
             raise DiagramFormatError(f"edge {j}: sign must be an integer")
-        yield (a, b), sign
+    return validate(
+        zip(map(itemgetter("rotation"), crossings), map(itemgetter("over"), crossings)),
+        zip(map(itemgetter("darts"), edges), map(itemgetter("sign"), edges)))
 
 
 # The layout json.dumps(doc, indent=2) gives, written directly: with an

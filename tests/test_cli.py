@@ -14,7 +14,7 @@ from conftest import (HOPF_PD, TREE_FAULTS, TREFOIL_PD, VALIDATE_VIOLATIONS,
                       make_rp2curl, make_torus11, mirror_fault, ones,
                       violation_document)
 from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
-                      components, faces, homology_context, homology_matrix,
+                      checkerboard, components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
                       random_diagram, serialize_diagram, surface_info)
 from regioncc.cli import _cmd_bicolor, _load, _parser, main
@@ -557,7 +557,9 @@ class TestInternalChecks:
     dart 0 has the partner 24, no dart, breaks the deck laws; a first
     component edge 1000000 or None is no cycle; and each ``TREE_FAULTS``
     entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4), (2, 1, 1),
-    (3, 2, 2))) fails the dual tree check at the entry named.  Edge 0's
+    (3, 2, 2))) fails the dual tree check at the entry named; without its
+    last entry the tree lists four regions, which checkerboard names and
+    the tree-cotree split of info counts as one edge too many.  Edge 0's
     sides (0, 99) or None stop the dual tree's builder; a corner 1000000
     or 10**18 in region 0 stops the region masks (before the shift, which
     would not fit), and a cached mask that is None, has bit 3 set or is
@@ -578,6 +580,8 @@ class TestInternalChecks:
         "theta": (components, "component walk did not close at its starting dart",
                   "orientable surface with odd Euler characteristic"),
         "mirror": (faces, "face 0 meets its own mirror"),
+        "tree_short": (checkerboard, "dual tree does not list every region",
+                       "tree-cotree leaves 1 edges, expected 2 - chi = 0"),
         "cover_range": (faces, "cover breaks the deck laws"),
         **{fault: (homology_context,
                    f"edge 0 has sides {sides}, not a sorted pair of regions")
@@ -618,6 +622,8 @@ class TestInternalChecks:
             shadow.__dict__["region_masks"] = (TestInternalChecks.MASKS[fault](first), *rest)
         elif fault == "mirror":
             shadow.__dict__["cover"] = mirror_fault(shadow.cover)
+        elif fault == "tree_short":
+            shadow.__dict__["dual_tree"] = shadow.dual_tree[:-1]
         elif fault == "cover_range":
             shadow.__dict__["cover"] = (len(shadow.cover),) + shadow.cover[1:]
         elif fault == "edge_sides":

@@ -166,6 +166,16 @@ class TestDartAlgebra:
         assert torus11.theta(0) == 2
         assert torus11.edge_of(3) == 1
 
+    def test_dart_queries_follow_the_index_rule(self, trefoil):
+        # A negative dart must not wrap round to the end of the tables.
+        for query in (trefoil.theta, trefoil.edge_of):
+            for bad in (-1, -12, 12):
+                with pytest.raises(IndexError, match=f"^dart index {bad} out of range"):
+                    query(bad)
+            for bad in (True, 1.0, "1", None):
+                with pytest.raises(TypeError, match="^dart index .* is not an int"):
+                    query(bad)
+
     def test_theta_is_the_other_dart_of_the_edge(self):
         for _, d in built_by_every_builder():
             for x in range(d.dart_count):
@@ -547,6 +557,27 @@ class TestDocuments:
         elif name == "no-crossings-then-bad-sign":
             assert outcome[1] == "edge 6: sign must be an integer"
 
+    def test_documents_and_raw_entries_meet_one_rule(self):
+        # Every document of a sound shape gives what validate gives on its
+        # entries: the same scheme, or the same violations.
+        d = random_diagram(12, 0.5, seed=21)
+        docs = list(self.VIOLATION_DOCUMENTS.values())
+        for name in self.ORDERING:
+            doc = json.loads(serialize_diagram(d))
+            self.edit(doc, name)
+            docs.append(doc)
+        compared = 0
+        for doc in docs:
+            text = json.dumps(doc)
+            outcome = parse_outcome(parse_diagram, text)
+            if outcome[0] is DiagramFormatError:
+                continue
+            crossings = [(c["rotation"], c["over"]) for c in doc["crossings"]]
+            edges = [(e["darts"], e["sign"]) for e in doc["edges"]]
+            assert outcome == parse_outcome(lambda _: validate(crossings, edges), text)
+            compared += 1
+        assert compared >= 13   # of 19: six documents have a format error
+
     def test_cover_is_the_lifted_theta(self):
         suite = (random_suite(40, 1, 30, (0.0, 0.5, 1.0), seed=22)
                  + [import_pd(cyclic_pd(9)), import_pd(braid_pd(4, 12, 1))])
@@ -645,14 +676,16 @@ class TestShadow:
         assert ref() is None
 
     def test_documents_are_validated_once(self, monkeypatch, curl):
-        # Every document, sound or faulty, streams its edges through the one
-        # structural pass, which builds the shadow or names the violations.
+        # Every document, sound or faulty, hands its entries to validate once,
+        # and validate to the one structural pass, which builds the shadow or
+        # names the violations.
         calls = []
-        check = regioncc.scheme._structural_violations
-        monkeypatch.setattr(regioncc.scheme, "_structural_violations",
-                            lambda *args: calls.append(1) or check(*args))
+        for name in ("validate", "_structural_violations"):
+            check = getattr(regioncc.scheme, name)
+            monkeypatch.setattr(regioncc.scheme, name, lambda *args, name=name, check=check:
+                                calls.append(name) or check(*args))
         assert parse_diagram(serialize_diagram(curl)) == curl
-        assert calls == [1]
+        assert calls == ["validate", "_structural_violations"]
         for entry, key, value, match in (("edges", "sign", 3, "^edge 1: sign must be"),
                                          ("crossings", "rotation", [0, 2, 1, 3],
                                           "^crossing 0: rotation must be")):
@@ -661,7 +694,7 @@ class TestShadow:
             doc[entry][-1][key] = value
             with pytest.raises(InvalidDiagramError, match=match):
                 parse_diagram(json.dumps(doc))
-            assert calls == [1]
+            assert calls == ["validate", "_structural_violations"]
 
     def test_large_cyclic_pd_face_trace(self):
         n = 2000
