@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
-from .scheme import EmbeddingScheme, Shadow, _union, checked_dual_tree
+from .scheme import EmbeddingScheme, Shadow, _index, _union, checked_dual_tree
 
 __all__ = _EXPORTS["homology"]
 
@@ -117,11 +117,7 @@ def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
     bits = 0
     odd = bytearray(shadow.crossing_count)
     for e in edges:
-        if type(e) is not int:
-            raise TypeError(f"edge index {e!r} is not an int")
-        if not 0 <= e < m:
-            raise IndexError(f"edge index {e} out of range")
-        bits ^= edge_classes[e]
+        bits ^= edge_classes[_index(e, m, "edge")]
         (a, b), _ = shadow_edges[e]
         odd[a >> 2] ^= 1
         odd[b >> 2] ^= 1

@@ -16,7 +16,7 @@ import sys
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .scheme import (Edge, EmbeddingScheme, InvalidDiagramError, _index_set,
+from .scheme import (Edge, EmbeddingScheme, InvalidDiagramError, _index,
                      _on_shadow, faces)
 
 __all__ = _EXPORTS["moves"]
@@ -103,7 +103,7 @@ def poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
 
 def switch_crossing(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
     """Swap which strand is on top at crossing i, on the same shadow."""
-    _index_set([i], d.crossing_count, "crossing")
+    _index(i, d.crossing_count, "crossing")
     overs = d.overs
     return _on_shadow(overs[:i] + (overs[i] ^ 1,) + overs[i + 1:], d.shadow)
 

@@ -68,17 +68,18 @@ def _over_violations(overs: Sequence[int]) -> list[str]:
             for i, o in enumerate(overs) if o not in (0, 1) or type(o) is not int]
 
 
+def _index(i: int, count: int, what: str) -> int:
+    """i, if it is exactly an int in range(count); else TypeError or IndexError."""
+    if type(i) is not int:
+        raise TypeError(f"{what} index {i!r} is not an int")
+    if not 0 <= i < count:
+        raise IndexError(f"{what} index {i} out of range")
+    return i
+
+
 def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
-    """The indices as a set, each exactly an int and in range(count)."""
-    chosen = set()
-    for i in indices:
-        if type(i) is not int:
-            raise TypeError(f"{what} index {i!r} is not an int")
-        chosen.add(i)
-    for i in chosen:
-        if not 0 <= i < count:
-            raise IndexError(f"{what} index {i} out of range")
-    return chosen
+    """The indices as a set, each checked by ``_index``, in input order."""
+    return {_index(i, count, what) for i in indices}
 
 
 def _cover_search(cover: list[int]) -> tuple[bool, bool]:
@@ -214,7 +215,7 @@ class FaceStructure(NamedTuple):
 
     def region_of_side(self, dart: int) -> int:
         """Region bordering the side of dart's edge named by the dart."""
-        return self.plus_face[dart] >> 1
+        return self.plus_face[_index(dart, len(self.plus_face), "dart")] >> 1
 
 
 class Component(NamedTuple):
@@ -339,8 +340,35 @@ class Shadow(Frozen):
 
     @cached_property
     def dual_tree(self) -> tuple[tuple[int, int, int], ...]:
-        """The regions' spanning tree F: (region, parent, edge) from (0, 0, -1)."""
-        return build_dual_tree(self)
+        """The regions' spanning tree F: (region, parent, edge) from (0, 0, -1).
+
+        Kruskal over the regions in ascending edge order, listed breadth-first:
+        the package's one search of the dual graph.  The forest spans once it
+        has r - 1 edges; the entries after that are only checked.
+        """
+        sides, r = self.faces.edge_sides, self.faces.region_count
+        parent = list(range(r))
+        tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+        missing = r - 1
+        try:
+            # j is bound before its entry is unpacked.
+            for j, (a, b) in enumerate(sides):
+                if not 0 <= a <= b < r:
+                    raise ValueError
+                if a != b and missing and _union(parent, a, b):
+                    tree[a].append((b, j))
+                    tree[b].append((a, j))
+                    missing -= 1
+        except (TypeError, ValueError, IndexError):
+            raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
+                               "not a sorted pair of regions") from None
+        # F has no loops or parallel edges: a region's children are its other neighbors.
+        order = [(0, 0, -1)]
+        for u, p, _ in order:
+            for v, j in tree[u]:
+                if v != p:
+                    order.append((v, u, j))
+        return tuple(order)
 
     @cached_property
     def homology_context(self) -> HomologyContext:
@@ -408,38 +436,6 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
-def build_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
-    """F as (region, parent, edge) from (0, 0, -1); Shadow.dual_tree caches it.
-
-    Kruskal over the regions in ascending edge order, listed breadth-first:
-    the package's one search of the dual graph.  The forest spans once it
-    has r - 1 edges; the entries after that are only checked.
-    """
-    sides, r = shadow.faces.edge_sides, shadow.faces.region_count
-    parent = list(range(r))
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    missing = r - 1
-    try:
-        # j is bound before its entry is unpacked.
-        for j, (a, b) in enumerate(sides):
-            if not 0 <= a <= b < r:
-                raise ValueError
-            if a != b and missing and _union(parent, a, b):
-                tree[a].append((b, j))
-                tree[b].append((a, j))
-                missing -= 1
-    except (TypeError, ValueError, IndexError):
-        raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
-                           "not a sorted pair of regions") from None
-    # F has no loops or parallel edges: a region's children are its other neighbors.
-    order = [(0, 0, -1)]
-    for u, p, _ in order:
-        for v, j in tree[u]:
-            if v != p:
-                order.append((v, u, j))
-    return tuple(order)
-
-
 def checked_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
     """Shadow.dual_tree, checked: RuntimeError unless it spans the regions.
 
@@ -499,21 +495,13 @@ class EmbeddingScheme(Frozen):
     def dart_count(self) -> int:
         return 4 * len(self.overs)
 
-    def _dart(self, d: int) -> int:
-        """d, if it is exactly an int in range(dart_count); else TypeError or IndexError."""
-        if type(d) is not int:
-            raise TypeError(f"dart index {d!r} is not an int")
-        if not 0 <= d < 4 * len(self.overs):
-            raise IndexError(f"dart index {d} out of range")
-        return d
-
     def theta(self, d: int) -> int:
         """The other dart of d's edge."""
-        return self.shadow.cover[2 * self._dart(d)] >> 1
+        return self.shadow.cover[2 * _index(d, 4 * len(self.overs), "dart")] >> 1
 
     def edge_of(self, d: int) -> int:
         """Index of the edge containing dart d."""
-        return self.shadow.edge_of[self._dart(d)]
+        return self.shadow.edge_of[_index(d, 4 * len(self.overs), "dart")]
 
     def with_overs(self, overs: Iterable[int]) -> "EmbeddingScheme":
         """The same shadow under other over flags; only the flags are checked."""

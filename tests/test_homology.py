@@ -70,6 +70,9 @@ class TestClassOf:
     def test_bad_edge_index(self, curl):
         with pytest.raises(IndexError):
             class_of(curl, [5])
+        # Python indexing would wrap -1 to the last edge.
+        with pytest.raises(IndexError, match="^edge index -1 out of range$"):
+            class_of(curl, [-1])
 
     @pytest.mark.parametrize("edge_set, named", [([1.5], "edge index 1.5"),
                                                  ([True], "edge index True"),

@@ -232,10 +232,11 @@ class TestValueClasses:
         cover = orientation_double_cover(d)
         assert type(cover) is tuple and cover is d.shadow.cover
         assert not hasattr(Region, "corner_bits")
-        # The dual tree and its check are the scheme's; homology only imports them.
+        # The dual tree, its check and the index rule are the scheme's;
+        # homology only imports them.
         defined = {name for name, value in vars(regioncc.homology).items()
                    if getattr(value, "__module__", None) == "regioncc.homology"}
-        assert not defined & {"_union", "build_dual_tree", "checked_dual_tree"}
+        assert not defined & {"_index", "_union", "checked_dual_tree"}
         assert {"build_context", "HomologyContext"} <= defined
 
     def test_cached_table_survives_on_the_shadow(self):

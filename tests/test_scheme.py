@@ -21,7 +21,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       shift_switched)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
-                      InvalidDiagramError, R2Spec, apply_rcc, components, faces,
+                      InvalidDiagramError, R2Spec, admissible, apply_rcc,
+                      bicoloring, components, faces,
                       import_pd, orientation_double_cover, parse_diagram,
                       poke_sites, random_diagram, reidemeister_two,
                       serialize_diagram, surface_info, switch_crossing,
@@ -168,7 +169,7 @@ class TestDartAlgebra:
 
     def test_dart_queries_follow_the_index_rule(self, trefoil):
         # A negative dart must not wrap round to the end of the tables.
-        for query in (trefoil.theta, trefoil.edge_of):
+        for query in (trefoil.theta, trefoil.edge_of, faces(trefoil).region_of_side):
             for bad in (-1, -12, 12):
                 with pytest.raises(IndexError, match=f"^dart index {bad} out of range"):
                     query(bad)
@@ -189,6 +190,19 @@ class TestDartAlgebra:
         for builder, d in built_by_every_builder():
             extra = {"faces"} if builder == "reidemeister_two" else set()
             assert vars(d.shadow).keys() == stored | extra
+
+
+# One check per index, in input order: the first bad index is named,
+# whatever its fault.
+@pytest.mark.parametrize("query, what", [(admissible, "crossing"),
+                                         (bicoloring, "crossing"),
+                                         (apply_rcc, "region")],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_index_sets_report_the_first_bad_index(trefoil, query, what):
+    with pytest.raises(IndexError, match=f"^{what} index 9 out of range$"):
+        query(trefoil, [9, 1.5])
+    with pytest.raises(TypeError, match=rf"^{what} index 1\.5 is not an int$"):
+        query(trefoil, [1.5, 9])
 
 
 def cover_is_connected(d: EmbeddingScheme) -> bool:
