@@ -12,7 +12,7 @@ can depend on it.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 
@@ -30,14 +30,35 @@ def bit_flags(mask: int, length: int) -> bytes:
 def set_bits(mask: int) -> list[int]:
     """Indices of the set bits of a nonnegative mask, ascending.
 
-    The mask's bit flags select from a range in one C-level compress.
+    A dense mask's bit flags select from a range in one C-level
+    compress, whose cost follows the length.  A mask with fewer set bits
+    than one in eight, and fewer than 192, is read by a lowest-bit loop
+    instead: its cost follows the set bits, though each step is a pass
+    over the mask's digits, which is why the count is capped.
     """
     length = mask.bit_length()
-    return list(compress(range(length), bit_flags(mask, length)))
+    if mask.bit_count() >= min(length >> 3, 192):
+        return list(compress(range(length), bit_flags(mask, length)))
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
-def mask_of(indices: Iterable[int], count: int) -> int:
-    """set_bits inverted, for indices below count: packed bytes, made an int once."""
+def mask_of(indices: Collection[int], count: int) -> int:
+    """set_bits inverted, for indices below count.
+
+    While the shifts' total width, len(indices) * count bits, stays under
+    2**16, the indices are shifted in one by one; beyond that, each shift
+    would copy a growing mask, so they fill packed bytes, made an int once.
+    """
+    if len(indices) * count < 1 << 16:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
     packed = bytearray((count + 7) >> 3)
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
@@ -179,15 +200,17 @@ class RowBasis(NamedTuple):
     def rank(self) -> int:
         return len(self.rows)
 
-    def expression(self, target: int) -> int | None:
-        """Tag bits of the rows summing to target, or None.
+    def expression(self, columns: Collection[int]) -> int | None:
+        """Tag bits of the rows summing to the target, or None.
 
-        A reduced row has no pivot bit but its own, so only the target's
-        own bits pick rows; what is left below ``width`` is outside.
+        The target is given by its set columns, each below ``width`` and
+        named once.  A reduced row has no pivot bit but its own, so only
+        the target's own columns pick rows; what is left below ``width``
+        is outside.
         """
         rows = self.rows
-        rest = target
-        for p in set_bits(target):
+        rest = mask_of(columns, self.width)
+        for p in columns:
             rest ^= rows.get(p, 0)
         return None if rest & ((1 << self.width) - 1) else rest >> self.width
 

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
-from .scheme import EmbeddingScheme, Shadow, _index, _union, checked_dual_tree
+from .scheme import EmbeddingScheme, Shadow, _index_list, _union, checked_dual_tree
 
 __all__ = _EXPORTS["homology"]
 
@@ -101,12 +101,13 @@ def homology_context(d: EmbeddingScheme) -> HomologyContext:
 
 
 def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
-    """Class bits of an edge cycle, read in one pass over its edge indices.
+    """Class bits of an edge cycle, read off its edge indices.
 
-    Each index is checked, its class XORed in and the parities of its
-    end crossings toggled (a loop's two ends cancel); indices are taken
-    mod 2.  ValueError names the crossings with odd incidence if the
-    edges do not form a cycle of the graph.
+    The indices are checked as one list by ``_index_list``; then each
+    one's class is XORed in and the parities of its end crossings
+    toggled (a loop's two ends cancel); indices are taken mod 2.
+    ValueError names the crossings with odd incidence if the edges do
+    not form a cycle of the graph.
     """
     try:
         edges = iter(edges)
@@ -116,8 +117,8 @@ def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
     m = len(shadow_edges)
     bits = 0
     odd = bytearray(shadow.crossing_count)
-    for e in edges:
-        bits ^= edge_classes[_index(e, m, "edge")]
+    for e in _index_list(edges, m, "edge"):
+        bits ^= edge_classes[e]
         (a, b), _ = shadow_edges[e]
         odd[a >> 2] ^= 1
         odd[b >> 2] ^= 1

@@ -21,7 +21,7 @@ from operator import xor
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, BitVector, bit_flags, mask_of, set_bits
+from .gf2 import BitMatrix, BitVector, mask_of, set_bits
 from .scheme import (EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree,
                      checked_masks)
 
@@ -85,12 +85,16 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     switching check raises RuntimeError.
     """
     c = d.crossing_count
-    target = mask_of(_index_set(crossings, c, "crossing"), c)
-    regions = d.shadow.incidence_factor.expression(target)
+    chosen = _index_set(crossings, c, "crossing")
+    regions = d.shadow.incidence_factor.expression(chosen)
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
-    if reduce(xor, map(d.shadow.region_masks.__getitem__, cert), 0) != target:
+    rest = mask_of(chosen, c)
+    masks = d.shadow.region_masks
+    for k in cert:
+        rest ^= masks[k]
+    if rest:
         raise RuntimeError("region certificate does not switch the target crossings")
     return cert
 
@@ -106,9 +110,12 @@ def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
     c = d.crossing_count
     masks = checked_masks([d.shadow.region_masks[k] for k in chosen], c)
-    flips = bit_flags(reduce(xor, masks, 0), c)
-    # A checked 0/1 flag XOR a 0/1 parity is a 0/1 flag: no second check.
-    return _on_shadow(tuple(map(xor, d.overs, flips)), d.shadow)
+    overs = list(d.overs)
+    # Checked masks set no bit at or above c, and a checked 0/1 flag
+    # XOR 1 is a 0/1 flag: no second check.
+    for i in set_bits(reduce(xor, masks, 0)):
+        overs[i] ^= 1
+    return _on_shadow(tuple(overs), d.shadow)
 
 
 def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] | None:

@@ -77,9 +77,23 @@ def _index(i: int, count: int, what: str) -> int:
     return i
 
 
+def _index_list(indices: Iterable[int], count: int, what: str) -> list[int]:
+    """The indices as a list, in input order, each checked as ``_index`` checks it.
+
+    One C-level test of the whole list comes first; only when it fails are
+    the indices walked with ``_index``, which raises for the first bad one.
+    """
+    items = list(indices)
+    if items and not ({*map(type, items)} <= {int}
+                      and 0 <= min(items) and max(items) < count):
+        for i in items:
+            _index(i, count, what)
+    return items
+
+
 def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
-    """The indices as a set, each checked by ``_index``, in input order."""
-    return {_index(i, count, what) for i in indices}
+    """The indices as a set, checked by ``_index_list``."""
+    return set(_index_list(indices, count, what))
 
 
 def _cover_search(cover: list[int]) -> tuple[bool, bool]:

@@ -905,6 +905,19 @@ def reference_set_bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
+def reference_index_set(indices, count: int, what: str) -> set[int]:
+    """The index rule, one check per index in input order: TypeError for a
+    non-int (True included), IndexError for an int outside range(count)."""
+    found = set()
+    for i in indices:
+        if type(i) is not int:
+            raise TypeError(f"{what} index {i!r} is not an int")
+        if not 0 <= i < count:
+            raise IndexError(f"{what} index {i} out of range")
+        found.add(i)
+    return found
+
+
 def reference_switched(d: EmbeddingScheme, regions) -> bytearray:
     """Byte i is the parity of the regions' corners at crossing i."""
     flags = bytearray(d.crossing_count)
@@ -944,7 +957,7 @@ def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
     if base is None:
         return False, None
     phi = class_of(d, [e for e, color in enumerate(base) if color]).bits
-    coeffs = homology_matrix(d).basis.expression(phi)
+    coeffs = homology_matrix(d).basis.expression(ones(phi))
     if coeffs is None:
         return False, None
     colors = list(base)

@@ -17,7 +17,7 @@ from conftest import (KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       brute_rank, dense_in_rowspace, dense_nullspace,
                       dense_rank, dense_rref, dense_solve, mul_vector, ones,
                       reference_set_bits, row_span, transpose)
-from regioncc.gf2 import BitMatrix, BitVector, RowBasis, bit_flags, set_bits
+from regioncc.gf2 import BitMatrix, BitVector, RowBasis, bit_flags, mask_of, set_bits
 
 
 @st.composite
@@ -194,7 +194,7 @@ def test_row_basis_expression_is_the_dense_pivot_solution(m, picks):
             image ^= row
     for target in (image, picks & ((1 << m.cols) - 1)):
         dense = dense_in_rowspace(m, BitVector(m.cols, target))
-        assert basis.expression(target) == (None if dense is None else dense.bits)
+        assert basis.expression(ones(target)) == (None if dense is None else dense.bits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,7 +212,8 @@ def test_row_basis_rank_is_the_dense_rank(m):
 
 
 def _masks_of_every_shape():
-    """0, single bits, dense masks and masks past 10**4 bits."""
+    """0, single bits, dense masks, masks past 10**4 bits, and masks on
+    both sides of set_bits' switch from compress to the lowest-bit loop."""
     yield 0
     yield from (1 << k for k in (0, 1, 7, 8, 63, 64, 10**4, 3 * 10**4 + 5))
     yield from ((1 << k) - 1 for k in (1, 2, 9, 64, 10**4 + 1))
@@ -220,6 +221,11 @@ def _masks_of_every_shape():
     for bits in (3, 40, 512, 10**4 + 3, 5 * 10**4):
         yield rng.getrandbits(bits) | 1 << (bits - 1)
         yield 1 << bits | 1  # two bits far apart
+    # The loop reads masks with fewer than min(length // 8, 192) set bits.
+    for bits in (40, 512, 10**4 + 3):
+        limit = min(bits // 8, 192)
+        for count in (limit - 1, limit, limit + 1):
+            yield 1 << (bits - 1) | sum(1 << i for i in rng.sample(range(bits - 1), count - 1))
 
 
 def test_set_bits_matches_the_digit_scan():
@@ -230,6 +236,16 @@ def test_set_bits_matches_the_digit_scan():
         assert found == reference_set_bits(mask) == ones(mask)
         length = mask.bit_length() + 3
         assert list(bit_flags(mask, length)) == [mask >> i & 1 for i in range(length)]
+
+
+def test_mask_of_inverts_set_bits():
+    # Shapes on both sides of mask_of's switch: len(indices) * count
+    # under 2**16 shifts the indices in, more fills packed bytes.
+    for mask in _masks_of_every_shape():
+        found = ones(mask)
+        count = mask.bit_length() + 5
+        assert mask_of(found, count) == mask
+        assert mask_of(found + found[:3], count) == mask  # repeats merge
 
 
 @settings(max_examples=300, deadline=None)

@@ -236,7 +236,7 @@ class TestValueClasses:
         # homology only imports them.
         defined = {name for name, value in vars(regioncc.homology).items()
                    if getattr(value, "__module__", None) == "regioncc.homology"}
-        assert not defined & {"_index", "_union", "checked_dual_tree"}
+        assert not defined & {"_index", "_index_list", "_union", "checked_dual_tree"}
         assert {"build_context", "HomologyContext"} <= defined
 
     def test_cached_table_survives_on_the_shadow(self):

@@ -90,8 +90,10 @@ def test_region_routes_match_the_corner_walk():
             if cert is not None:
                 flags = reference_switched(d, cert)
                 assert [i for i, flip in enumerate(flags) if flip] == sorted(set(target))
-        for _ in range(3):
-            regions = [rid for rid in range(r) if rng.random() < 0.5]
+        # Random half-region sets flip densely; no region and single
+        # regions flip sparsely.
+        halves = [[rid for rid in range(r) if rng.random() < 0.5] for _ in range(3)]
+        for regions in halves + [[]] + [[rid] for rid in range(r)]:
             moved = apply_rcc(d, regions)
             assert moved.overs == tuple(map(xor, d.overs, reference_switched(d, regions)))
             assert rcc_equivalent(d, moved) == dense_admissible(

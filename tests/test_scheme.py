@@ -3,10 +3,13 @@
 import gc
 import json
 import random
+import re
 import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       MALFORMED_SCHEME_VIOLATIONS, MALFORMED_VALIDATE_VIOLATIONS,
@@ -15,7 +18,7 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       invariant_profile, json_shaped, make_torus11, mirror_fault,
                       monodromy_orientable, parse_outcome, random_suite,
                       reference_components, reference_cover, reference_import_pd,
-                      reference_parse_diagram,
+                      reference_index_set, reference_parse_diagram,
                       reference_serialize_diagram, region_parities,
                       region_walks, relabeled, rotation_step,
                       shift_switched)
@@ -27,6 +30,7 @@ from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       poke_sites, random_diagram, reidemeister_two,
                       serialize_diagram, surface_info, switch_crossing,
                       validate, verify_rank_formula)
+from regioncc.scheme import _index_list, _index_set
 
 
 class TestValidation:
@@ -199,10 +203,30 @@ class TestDartAlgebra:
                                          (apply_rcc, "region")],
                          ids=lambda v: getattr(v, "__name__", v))
 def test_index_sets_report_the_first_bad_index(trefoil, query, what):
-    with pytest.raises(IndexError, match=f"^{what} index 9 out of range$"):
-        query(trefoil, [9, 1.5])
-    with pytest.raises(TypeError, match=rf"^{what} index 1\.5 is not an int$"):
-        query(trefoil, [1.5, 9])
+    for indices, error, message in [([9, 1.5], IndexError, f"{what} index 9 out of range"),
+                                    ([1.5, 9], TypeError, f"{what} index 1.5 is not an int"),
+                                    (5, TypeError, "'int' object is not iterable")]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            query(trefoil, indices)
+
+
+# The whole-list test must answer as the per-index walk does: the same
+# set, or the same exception for the same first bad index.
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-3, 12) | st.sampled_from([True, False, 1.5, "1", 10**30, -10**30]),
+                max_size=8),
+       st.integers(0, 10), st.booleans())
+def test_index_set_matches_the_per_index_rule(items, count, as_generator):
+    def outcome(check):
+        try:
+            return check((i for i in items) if as_generator else items, count, "crossing")
+        except (TypeError, IndexError) as e:
+            return type(e), str(e)
+
+    expected = outcome(reference_index_set)
+    assert outcome(_index_set) == expected
+    if isinstance(expected, set):
+        assert outcome(_index_list) == items
 
 
 def cover_is_connected(d: EmbeddingScheme) -> bool:
