@@ -12,7 +12,7 @@ can depend on it.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 
@@ -47,18 +47,8 @@ def set_bits(mask: int) -> list[int]:
     return found
 
 
-def mask_of(indices: Collection[int], count: int) -> int:
-    """set_bits inverted, for indices below count.
-
-    While the shifts' total width, len(indices) * count bits, stays under
-    2**16, the indices are shifted in one by one; beyond that, each shift
-    would copy a growing mask, so they fill packed bytes, made an int once.
-    """
-    if len(indices) * count < 1 << 16:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return mask
+def mask_of(indices: Iterable[int], count: int) -> int:
+    """set_bits inverted, for indices below count: packed bytes, made an int once."""
     packed = bytearray((count + 7) >> 3)
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
@@ -200,14 +190,15 @@ class RowBasis(NamedTuple):
     def rank(self) -> int:
         return len(self.rows)
 
-    def expression(self, columns: Collection[int]) -> int | None:
+    def expression(self, columns: Iterable[int]) -> int | None:
         """Tag bits of the rows summing to the target, or None.
 
-        The target is given by its set columns, each below ``width`` and
-        named once.  A reduced row has no pivot bit but its own, so only
-        the target's own columns pick rows; what is left below ``width``
-        is outside.
+        The target is given by its set columns, each below ``width``; a
+        column named twice is set once.  A reduced row has no pivot bit
+        but its own, so only the target's own columns pick rows; what is
+        left below ``width`` is outside.
         """
+        columns = set(columns)
         rows = self.rows
         rest = mask_of(columns, self.width)
         for p in columns:

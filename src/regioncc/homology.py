@@ -110,7 +110,7 @@ def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
     not form a cycle of the graph.
     """
     try:
-        edges = iter(edges)
+        iter(edges)
     except TypeError:
         raise TypeError(f"edge set {edges!r} is not an iterable") from None
     shadow_edges, edge_classes = shadow.edges, shadow.homology_context.edge_classes

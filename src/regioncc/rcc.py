@@ -21,7 +21,7 @@ from operator import xor
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, BitVector, mask_of, set_bits
+from .gf2 import BitMatrix, BitVector, set_bits
 from .scheme import (EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree,
                      checked_masks)
 
@@ -90,11 +90,8 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
-    rest = mask_of(chosen, c)
-    masks = d.shadow.region_masks
-    for k in cert:
-        rest ^= masks[k]
-    if rest:
+    switched = reduce(xor, map(d.shadow.region_masks.__getitem__, cert), 0)
+    if set(set_bits(switched)) != chosen:
         raise RuntimeError("region certificate does not switch the target crossings")
     return cert
 

@@ -80,9 +80,13 @@ def _index(i: int, count: int, what: str) -> int:
 def _index_list(indices: Iterable[int], count: int, what: str) -> list[int]:
     """The indices as a list, in input order, each checked as ``_index`` checks it.
 
-    One C-level test of the whole list comes first; only when it fails are
-    the indices walked with ``_index``, which raises for the first bad one.
+    A list, tuple or set is tested whole at C level first, and walked with
+    ``_index``, which raises for the first bad index, only when that test
+    fails.  Any other iterable is walked with ``_index`` as it is read, so
+    an endless one still stops at its first bad index.
     """
+    if not isinstance(indices, (list, tuple, set, frozenset)):
+        return [_index(i, count, what) for i in indices]
     items = list(indices)
     if items and not ({*map(type, items)} <= {int}
                       and 0 <= min(items) and max(items) < count):

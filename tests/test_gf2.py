@@ -195,6 +195,7 @@ def test_row_basis_expression_is_the_dense_pivot_solution(m, picks):
     for target in (image, picks & ((1 << m.cols) - 1)):
         dense = dense_in_rowspace(m, BitVector(m.cols, target))
         assert basis.expression(ones(target)) == (None if dense is None else dense.bits)
+        assert basis.expression(ones(target) * 2) == basis.expression(ones(target))
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,8 +240,6 @@ def test_set_bits_matches_the_digit_scan():
 
 
 def test_mask_of_inverts_set_bits():
-    # Shapes on both sides of mask_of's switch: len(indices) * count
-    # under 2**16 shifts the indices in, more fills packed bytes.
     for mask in _masks_of_every_shape():
         found = ones(mask)
         count = mask.bit_length() + 5

@@ -1,5 +1,6 @@
 """Mod-2 homology of the carrier surface."""
 
+import itertools
 import random
 
 import pytest
@@ -66,6 +67,10 @@ class TestClassOf:
         # A bad index stops the one pass before the cycle check.
         with pytest.raises(IndexError, match="edge index 6 out of range"):
             class_of(trefoil, iter([0, 6]))
+
+    def test_endless_edge_set_stops_at_the_first_bad_index(self, trefoil):
+        with pytest.raises(IndexError, match="^edge index 6 out of range$"):
+            class_of(trefoil, itertools.count())
 
     def test_bad_edge_index(self, curl):
         with pytest.raises(IndexError):

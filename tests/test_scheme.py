@@ -1,6 +1,7 @@
 """Diagram structure: validation, cover, faces, components, formats."""
 
 import gc
+import itertools
 import json
 import random
 import re
@@ -203,9 +204,13 @@ class TestDartAlgebra:
                                          (apply_rcc, "region")],
                          ids=lambda v: getattr(v, "__name__", v))
 def test_index_sets_report_the_first_bad_index(trefoil, query, what):
+    count = trefoil.crossing_count if what == "crossing" else trefoil.shadow.faces.region_count
     for indices, error, message in [([9, 1.5], IndexError, f"{what} index 9 out of range"),
                                     ([1.5, 9], TypeError, f"{what} index 1.5 is not an int"),
-                                    (5, TypeError, "'int' object is not iterable")]:
+                                    (5, TypeError, "'int' object is not iterable"),
+                                    # An endless iterable is read only up to its first bad index.
+                                    (itertools.count(), IndexError,
+                                     f"{what} index {count} out of range")]:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             query(trefoil, indices)
 
@@ -215,18 +220,18 @@ def test_index_sets_report_the_first_bad_index(trefoil, query, what):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.integers(-3, 12) | st.sampled_from([True, False, 1.5, "1", 10**30, -10**30]),
                 max_size=8),
-       st.integers(0, 10), st.booleans())
-def test_index_set_matches_the_per_index_rule(items, count, as_generator):
+       st.integers(0, 10), st.sampled_from([list, tuple, set, iter]))
+def test_index_set_matches_the_per_index_rule(items, count, container):
     def outcome(check):
         try:
-            return check((i for i in items) if as_generator else items, count, "crossing")
+            return check(container(items), count, "crossing")
         except (TypeError, IndexError) as e:
             return type(e), str(e)
 
     expected = outcome(reference_index_set)
     assert outcome(_index_set) == expected
     if isinstance(expected, set):
-        assert outcome(_index_list) == items
+        assert outcome(_index_list) == list(container(items))
 
 
 def cover_is_connected(d: EmbeddingScheme) -> bool:
