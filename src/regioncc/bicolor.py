@@ -210,7 +210,7 @@ def admissible_by_bicoloring(
     classes = shadow.homology_context.edge_classes
     colors = table.to_edges(bit_flags(bits, m))
     phi = reduce(xor, compress(classes, colors), 0)
-    coeffs = shadow.homology_matrix.basis.expression(set_bits(phi))
+    coeffs = shadow.homology_matrix.basis.expression(phi, set_bits(phi))
     if coeffs is None:
         _check_switching(d, colors, chosen)
         return False, None

@@ -190,17 +190,16 @@ class RowBasis(NamedTuple):
     def rank(self) -> int:
         return len(self.rows)
 
-    def expression(self, columns: Iterable[int]) -> int | None:
-        """Tag bits of the rows summing to the target, or None.
+    def expression(self, target: int, columns: Iterable[int]) -> int | None:
+        """Tag bits of the rows summing to target, or None.
 
-        The target is given by its set columns, each below ``width``; a
-        column named twice is set once.  A reduced row has no pivot bit
+        ``columns`` are target's set bits, each once, passed beside the
+        mask by a caller that holds both.  A reduced row has no pivot bit
         but its own, so only the target's own columns pick rows; what is
         left below ``width`` is outside.
         """
-        columns = set(columns)
         rows = self.rows
-        rest = mask_of(columns, self.width)
+        rest = target
         for p in columns:
             rest ^= rows.get(p, 0)
         return None if rest & ((1 << self.width) - 1) else rest >> self.width

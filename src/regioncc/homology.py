@@ -103,11 +103,10 @@ def homology_context(d: EmbeddingScheme) -> HomologyContext:
 def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
     """Class bits of an edge cycle, read off its edge indices.
 
-    The indices are checked as one list by ``_index_list``; then each
-    one's class is XORed in and the parities of its end crossings
-    toggled (a loop's two ends cancel); indices are taken mod 2.
-    ValueError names the crossings with odd incidence if the edges do
-    not form a cycle of the graph.
+    The indices are checked by ``_index_list``; then each one's class is
+    XORed in and the parities of its end crossings toggled (a loop's two
+    ends cancel); indices are taken mod 2.  ValueError names the crossings
+    with odd incidence if the edges do not form a cycle of the graph.
     """
     try:
         iter(edges)

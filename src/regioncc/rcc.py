@@ -21,7 +21,7 @@ from operator import xor
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, BitVector, set_bits
+from .gf2 import BitMatrix, BitVector, mask_of, set_bits
 from .scheme import (EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree,
                      checked_masks)
 
@@ -86,12 +86,16 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     """
     c = d.crossing_count
     chosen = _index_set(crossings, c, "crossing")
-    regions = d.shadow.incidence_factor.expression(chosen)
+    target = mask_of(chosen, c)
+    regions = d.shadow.incidence_factor.expression(target, chosen)
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
-    switched = reduce(xor, map(d.shadow.region_masks.__getitem__, cert), 0)
-    if set(set_bits(switched)) != chosen:
+    rest = target
+    masks = d.shadow.region_masks
+    for k in cert:
+        rest ^= masks[k]
+    if rest:
         raise RuntimeError("region certificate does not switch the target crossings")
     return cert
 
@@ -123,7 +127,7 @@ def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] 
     """
     if d1.edges != d2.edges:
         raise ValueError("diagrams have different shadows")
-    return admissible(d1, compress(range(d1.crossing_count), map(xor, d1.overs, d2.overs)))
+    return admissible(d1, list(compress(range(d1.crossing_count), map(xor, d1.overs, d2.overs))))
 
 
 def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:

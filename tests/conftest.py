@@ -957,7 +957,7 @@ def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
     if base is None:
         return False, None
     phi = class_of(d, [e for e, color in enumerate(base) if color]).bits
-    coeffs = homology_matrix(d).basis.expression(ones(phi))
+    coeffs = homology_matrix(d).basis.expression(phi, ones(phi))
     if coeffs is None:
         return False, None
     colors = list(base)

@@ -194,8 +194,7 @@ def test_row_basis_expression_is_the_dense_pivot_solution(m, picks):
             image ^= row
     for target in (image, picks & ((1 << m.cols) - 1)):
         dense = dense_in_rowspace(m, BitVector(m.cols, target))
-        assert basis.expression(ones(target)) == (None if dense is None else dense.bits)
-        assert basis.expression(ones(target) * 2) == basis.expression(ones(target))
+        assert basis.expression(target, ones(target)) == (None if dense is None else dense.bits)
 
 
 @settings(max_examples=200, deadline=None)
