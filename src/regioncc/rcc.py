@@ -122,12 +122,12 @@ def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
 def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] | None:
     """Region certificate transforming d1 into d2, or None.
 
-    Both diagrams must share the same shadow (identical edge lists);
+    Both diagrams must share the same shadow (equal edge lists);
     otherwise the question is not well posed and ValueError is raised.
     """
-    if d1.edges != d2.edges:
+    if d1.shadow != d2.shadow:
         raise ValueError("diagrams have different shadows")
-    return admissible(d1, list(compress(range(d1.crossing_count), map(xor, d1.overs, d2.overs))))
+    return admissible(d1, compress(range(d1.crossing_count), map(xor, d1.overs, d2.overs)))
 
 
 def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:

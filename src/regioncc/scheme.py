@@ -80,23 +80,24 @@ def _index(i: int, count: int, what: str) -> int:
 def _index_list(indices: Iterable[int], count: int, what: str) -> list[int]:
     """The indices as a list, in input order, each checked as ``_index`` checks it.
 
-    A list, tuple or set is tested whole at C level first, and walked with
-    ``_index``, which raises for the first bad index, only when that test
-    fails.  Any other iterable is walked with ``_index`` as it is read, so
-    an endless one still stops at its first bad index.
+    One lazy pass reads any iterable: each index is tested in line, and
+    ``_index`` is called only to raise for the first bad one, so an
+    endless iterable stops there.  TypeError if indices is no iterable.
     """
-    if not isinstance(indices, (list, tuple, set, frozenset)):
-        return [_index(i, count, what) for i in indices]
-    items = list(indices)
-    if items and not ({*map(type, items)} <= {int}
-                      and 0 <= min(items) and max(items) < count):
-        for i in items:
+    try:
+        items = iter(indices)
+    except TypeError:
+        raise TypeError(f"{what} set {indices!r} is not an iterable") from None
+    found = []
+    for i in items:
+        if type(i) is not int or not 0 <= i < count:
             _index(i, count, what)
-    return items
+        found.append(i)
+    return found
 
 
 def _index_set(indices: Iterable[int], count: int, what: str) -> set[int]:
-    """The indices as a set, checked by ``_index_list``."""
+    """The indices as a set: ``_index_list`` checks each one before repeats merge."""
     return set(_index_list(indices, count, what))
 
 

@@ -513,26 +513,36 @@ def cyclic_pd(n: int) -> list[tuple[int, int, int, int]]:
             for i in range(1, n + 1)]
 
 
-def braid_pd(strands: int, length: int, seed: int) -> list[tuple[int, int, int, int]]:
-    """A random closed braid: a planar diagram with regions = crossings + 2.
+def closure_pd(strands: int, word: list[int]) -> list[tuple[int, int, int, int]]:
+    """The closure of a braid word: a planar diagram with regions = crossings + 2.
 
     Letter i takes the labels a = pos[i] and b = pos[i + 1] to two fresh
     labels and adds the crossing (b, new(i + 1), new(i), a); the final
     labels are then renamed to the starting ones.  The closure is
-    connected when every letter occurs.
+    connected when every letter in range(strands - 1) occurs.
     """
-    rng = random.Random(seed)
     pos = list(range(1, strands + 1))
     fresh = strands
     code = []
-    for _ in range(length):
-        i = rng.randrange(strands - 1)
+    for i in word:
         a, b = pos[i], pos[i + 1]
         pos[i], pos[i + 1] = fresh + 1, fresh + 2
         fresh += 2
         code.append((b, pos[i + 1], pos[i], a))
     rename = dict(zip(pos, range(1, strands + 1)))
     return [tuple(rename.get(label, label) for label in x) for x in code]
+
+
+def braid_pd(strands: int, length: int, seed: int) -> list[tuple[int, int, int, int]]:
+    """The closure of a random braid word of the given length."""
+    rng = random.Random(seed)
+    return closure_pd(strands, [rng.randrange(strands - 1) for _ in range(length)])
+
+
+def chain_pd(strands: int) -> list[tuple[int, int, int, int]]:
+    """The closure of sigma_1^2 ... sigma_{strands-1}^2: a chain of `strands`
+    unknotted components, each linked to the next, on 2 * (strands - 1) crossings."""
+    return closure_pd(strands, [i for i in range(strands - 1) for _ in range(2)])
 
 
 def planar_knot_pds() -> list[list[tuple[int, int, int, int]]]:

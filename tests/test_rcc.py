@@ -16,9 +16,9 @@ from conftest import (CHAIN3_PD, FIXTURE_MAKERS, FIXTURE_PROFILES, HOPF_PD,
 from regioncc import (Edge, EmbeddingScheme, R2Spec, admissible, apply_rcc,
                       checkerboard, class_of, components, count_classes, faces,
                       import_pd, incidence_matrix, ineffective_basis,
-                      poke_sites, random_diagram, rcc_equivalent,
-                      reidemeister_two, surface_info, switch_crossing,
-                      verify_rank_formula)
+                      parse_diagram, poke_sites, random_diagram, rcc_equivalent,
+                      reidemeister_two, serialize_diagram, surface_info,
+                      switch_crossing, verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector
 
 
@@ -344,6 +344,19 @@ class TestEquivalent:
     def test_shadow_mismatch(self, curl, rp2curl):
         with pytest.raises(ValueError, match="shadow"):
             rcc_equivalent(curl, rp2curl)
+
+    def test_equal_shadows_need_not_be_one_object(self, trefoil):
+        # A parsed copy holds its own, equal shadow; one flipped edge sign
+        # makes the shadows differ.
+        moved = switch_crossing(trefoil, 0)
+        copy = parse_diagram(serialize_diagram(moved))
+        assert copy.shadow is not trefoil.shadow
+        cert = rcc_equivalent(trefoil, copy)
+        assert cert is not None and cert == rcc_equivalent(trefoil, moved)
+        edges = list(trefoil.edges)
+        edges[0] = Edge(edges[0].darts, -edges[0].sign)
+        with pytest.raises(ValueError, match="^diagrams have different shadows$"):
+            rcc_equivalent(trefoil, EmbeddingScheme(trefoil.overs, edges))
 
     def test_symmetric_on_random_pairs(self):
         rng = random.Random(41)

@@ -2,8 +2,10 @@
 
 One diagram of each family: the cyclic PD torus code (many regions,
 h1 = 2), a random pairing with neg_prob 0.5 (few regions, h1 near the
-crossing count) and a closed random braid on 200 strands (planar, with
-r = c + 2 and many components).  Each property is checked end to end from a cold
+crossing count), a closed random braid on 200 strands (planar, with
+r = c + 2 and many components) and the chain, the closure of
+sigma_1^2 ... sigma_{S-1}^2 (planar, with S = c / 2 + 1 short
+components, so the kernel has dimension S + 1).  Each property is checked end to end from a cold
 shadow, within a time bound far above what the graph walks and the one
 factorisation need.  At 8000 crossings the face trace and the homology
 tables must stay linear in size, and the warm routes must agree on
@@ -16,10 +18,10 @@ import tracemalloc
 
 import pytest
 
-from conftest import braid_pd, cyclic_pd, even_target, reference_switched
+from conftest import braid_pd, chain_pd, cyclic_pd, even_target, reference_switched
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
-                      incidence_matrix, parse_diagram, poke_sites,
+                      incidence_matrix, ineffective_basis, parse_diagram, poke_sites,
                       random_diagram, reidemeister_two, serialize_diagram,
                       verify_rank_formula)
 
@@ -31,6 +33,8 @@ def make(family: str, n: int):
         return import_pd(cyclic_pd(n))
     if family == "braid":
         return import_pd(braid_pd(200, n, 1))
+    if family == "chain":
+        return import_pd(chain_pd(n // 2 + 1))
     return random_diagram(n, 0.5, seed=5)
 
 
@@ -39,7 +43,7 @@ def switched(d, cert) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(d.overs, after.overs)) if a != b]
 
 
-@pytest.mark.parametrize("family", ["torus", "genus", "braid"])
+@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain"])
 def test_acceptance_properties_at_2000_crossings(family):
     start = time.perf_counter()
     d = make(family, N)
@@ -48,9 +52,13 @@ def test_acceptance_properties_at_2000_crossings(family):
     if family == "torus":
         assert report.incidence_rank == N - 1
         assert homology_context(d).h1_dim == 2
-    elif family == "braid":
+    elif family in ("braid", "chain"):
         assert report.region_count == N + 2
         assert homology_context(d).h1_dim == 0
+    if family == "chain":
+        assert report.component_count == N // 2 + 1
+        assert report.incidence_rank == N // 2
+        assert len(ineffective_basis(d)) == N // 2 + 2
 
     rng = random.Random(7)
     even = even_target(d, rng)
@@ -182,7 +190,7 @@ def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
     assert peak <= bound_mib * 2**20
 
 
-@pytest.mark.parametrize("family", ["torus", "genus", "braid"])
+@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain"])
 def test_warm_routes_agree_at_8000_crossings(family):
     n = 8000
     d = make(family, n)

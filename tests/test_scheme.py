@@ -25,7 +25,8 @@ from conftest import (FIXTURE_MAKERS, FIXTURE_PROFILES,
                       shift_switched)
 import regioncc.scheme
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
-                      InvalidDiagramError, R2Spec, admissible, apply_rcc,
+                      InvalidDiagramError, R2Spec, admissible,
+                      admissible_by_bicoloring, apply_rcc,
                       bicoloring, components, faces,
                       import_pd, orientation_double_cover, parse_diagram,
                       poke_sites, random_diagram, reidemeister_two,
@@ -200,6 +201,7 @@ class TestDartAlgebra:
 # One check per index, in input order: the first bad index is named,
 # whatever its fault.
 @pytest.mark.parametrize("query, what", [(admissible, "crossing"),
+                                         (admissible_by_bicoloring, "crossing"),
                                          (bicoloring, "crossing"),
                                          (apply_rcc, "region")],
                          ids=lambda v: getattr(v, "__name__", v))
@@ -207,7 +209,7 @@ def test_index_sets_report_the_first_bad_index(trefoil, query, what):
     count = trefoil.crossing_count if what == "crossing" else trefoil.shadow.faces.region_count
     for indices, error, message in [([9, 1.5], IndexError, f"{what} index 9 out of range"),
                                     ([1.5, 9], TypeError, f"{what} index 1.5 is not an int"),
-                                    (5, TypeError, "'int' object is not iterable"),
+                                    (5, TypeError, f"{what} set 5 is not an iterable"),
                                     # An endless iterable is read only up to its first bad index.
                                     (itertools.count(), IndexError,
                                      f"{what} index {count} out of range")]:
@@ -215,12 +217,14 @@ def test_index_sets_report_the_first_bad_index(trefoil, query, what):
             query(trefoil, indices)
 
 
-# The whole-list test must answer as the per-index walk does: the same
-# set, or the same exception for the same first bad index.
+# The index pass must answer as the per-index rule does, whatever the
+# container: the same set, or the same exception for the same first bad
+# index; the list keeps input order and repeats.
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.integers(-3, 12) | st.sampled_from([True, False, 1.5, "1", 10**30, -10**30]),
                 max_size=8),
-       st.integers(0, 10), st.sampled_from([list, tuple, set, iter]))
+       st.integers(0, 10),
+       st.sampled_from([list, tuple, set, frozenset, iter, lambda items: (i for i in items)]))
 def test_index_set_matches_the_per_index_rule(items, count, container):
     def outcome(check):
         try:
