@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
-from .scheme import EmbeddingScheme, Shadow, _index_list, _union, checked_dual_tree
+from .scheme import EmbeddingScheme, Shadow, _index_list, _union, dual_tree
 
 __all__ = _EXPORTS["homology"]
 
@@ -46,10 +46,10 @@ def build_context(shadow: Shadow) -> HomologyContext:
     orders (Erickson and Whittlesey, SODA 2005) picks the pivots of the
     unique RREFs without eliminating:
 
-    - F, the shadow's dual tree (Kruskal over regions in ascending edge
-      order), is the min-index basis of the dual graph's graphic
-      matroid, which the region masks represent: the pivots of their
-      RREF.  The RREF row with pivot f is the fundamental cut of f in F.
+    - F, the dual tree (``scheme.dual_tree``: Kruskal over regions in
+      ascending edge order), is the min-index basis of the dual graph's
+      graphic matroid, which the region masks represent: the pivots of
+      their RREF.  The RREF row with pivot f is the fundamental cut of f in F.
     - Kruskal over crossings on the other edges in descending order
       keeps a max-index spanning tree of G minus F.  The edges it
       rejects, L, form the min-index basis of its dual, the cycle
@@ -63,14 +63,8 @@ def build_context(shadow: Shadow) -> HomologyContext:
     edges = shadow.edges
     c, m = shadow.crossing_count, len(edges)
     sides, r = shadow.faces.edge_sides, shadow.faces.region_count
-
-    # The root's -1 names no edge.  The count check comes before the tree
-    # check: edge sides that cut the dual graph apart show there first.
-    try:
-        in_f = {j for _, _, j in shadow.dual_tree}
-    except (TypeError, ValueError):
-        checked_dual_tree(shadow)   # names the entry that is no triple
-        raise
+    tree = dual_tree(shadow)
+    in_f = {j for _, _, j in tree}   # the root's -1 names no edge
     parent = list(range(c))
     cotree = []
     for j in range(m - 1, -1, -1):
@@ -90,7 +84,7 @@ def build_context(shadow: Shadow) -> HomologyContext:
         below[b] ^= 1 << k
     # Read backwards, F's breadth-first order puts every region before its
     # parent, so below[v] has gathered v's subtree when v's edge is reached.
-    for v, u, j in reversed(checked_dual_tree(shadow)[1:]):
+    for v, u, j in reversed(tree[1:]):
         classes[j] = below[v]
         below[u] ^= below[v]
     return HomologyContext(tuple(cotree), tuple(classes))

@@ -22,8 +22,7 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, mask_of, set_bits
-from .scheme import (EmbeddingScheme, _index_set, _on_shadow, checked_dual_tree,
-                     checked_masks)
+from .scheme import EmbeddingScheme, _index_set, _on_shadow, checked_masks, dual_tree
 
 __all__ = _EXPORTS["rcc"]
 
@@ -133,12 +132,12 @@ def rcc_equivalent(d1: EmbeddingScheme, d2: EmbeddingScheme) -> tuple[int, ...] 
 def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
     """Two-coloring of the regions with opposite colors across every edge.
 
-    Returns one color per region, alternating down the shadow's dual tree
-    from color 0 at region 0, or None when some edge (a loop, say) then
+    Returns one color per region, alternating down the dual tree from
+    color 0 at region 0, or None when some edge (a loop, say) then
     has one color on both sides.  Both color classes of a coloring are
     ineffective region sets; that is rechecked here before returning.
     """
-    tree = checked_dual_tree(d.shadow)
+    tree = dual_tree(d.shadow)
     colors = [0] * len(tree)
     for v, u, _ in tree[1:]:
         colors[v] = colors[u] ^ 1

@@ -259,9 +259,11 @@ class Shadow(Frozen):
     one pairing table, the edge involution lifted to cover darts 2 * d +
     sheet, where a -1 edge changes sheet; so the other dart of d's edge
     is ``cover[2 * d] >> 1``.  Diagrams that differ only in
-    over flags share one shadow.  Every other derived table is a cached
-    property: built on first use, shared by those diagrams, and freed
-    with the shadow.  Shadows compare, hash and print by their edges alone.
+    over flags share one shadow.  Every other derived table but the dual
+    tree is a cached property: built on first use, shared by those
+    diagrams, and freed with the shadow.  The dual tree is not kept:
+    ``dual_tree`` builds it where it is read, by the homology context and
+    ``checkerboard``.  Shadows compare, hash and print by their edges alone.
     """
 
     _fields = ("edges",)
@@ -358,38 +360,6 @@ class Shadow(Frozen):
         return tuple(out)
 
     @cached_property
-    def dual_tree(self) -> tuple[tuple[int, int, int], ...]:
-        """The regions' spanning tree F: (region, parent, edge) from (0, 0, -1).
-
-        Kruskal over the regions in ascending edge order, listed breadth-first:
-        the package's one search of the dual graph.  The forest spans once it
-        has r - 1 edges; the entries after that are only checked.
-        """
-        sides, r = self.faces.edge_sides, self.faces.region_count
-        parent = list(range(r))
-        tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-        missing = r - 1
-        try:
-            # j is bound before its entry is unpacked.
-            for j, (a, b) in enumerate(sides):
-                if not 0 <= a <= b < r:
-                    raise ValueError
-                if a != b and missing and _union(parent, a, b):
-                    tree[a].append((b, j))
-                    tree[b].append((a, j))
-                    missing -= 1
-        except (TypeError, ValueError, IndexError):
-            raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
-                               "not a sorted pair of regions") from None
-        # F has no loops or parallel edges: a region's children are its other neighbors.
-        order = [(0, 0, -1)]
-        for u, p, _ in order:
-            for v, j in tree[u]:
-                if v != p:
-                    order.append((v, u, j))
-        return tuple(order)
-
-    @cached_property
     def homology_context(self) -> HomologyContext:
         # Imported here, so commands that never ask for homology skip it.
         from .homology import build_context
@@ -455,30 +425,40 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
-def checked_dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
-    """Shadow.dual_tree, checked: RuntimeError unless it spans the regions.
+def dual_tree(shadow: Shadow) -> tuple[tuple[int, int, int], ...]:
+    """The regions' spanning tree F: (region, parent, edge) from (0, 0, -1).
 
-    Entry 0 is (0, 0, -1); each later entry joins a region not listed
-    before to a listed parent by an edge whose ``edge_sides`` entry is
-    exactly that pair; every region is listed.
+    Kruskal over the regions in ascending edge order, listed breadth-first:
+    the package's one search of the dual graph, built where it is read.
+    The forest spans once it has r - 1 edges; the entries after that are
+    only checked.  RuntimeError names the first edge whose ``edge_sides``
+    entry is not a sorted pair of regions, or says that F misses a region.
     """
-    tree, sides, m = shadow.dual_tree, shadow.faces.edge_sides, len(shadow.edges)
-    listed = bytearray(shadow.faces.region_count)
-    listed[0] = tree[:1] == ((0, 0, -1),)
-    for entry in tree[1:]:
-        try:
-            v, u, j = entry
-            hangs = (0 <= j < m and sides[j] == ((u, v) if u < v else (v, u))
-                     and listed[u] and not listed[v])
-        except (TypeError, ValueError):
-            hangs = False
-        if not hangs:
-            raise RuntimeError(f"dual tree entry {entry!r} hangs no new region "
-                               "on a listed one")
-        listed[v] = 1
-    if 0 in listed:
+    sides, r = shadow.faces.edge_sides, shadow.faces.region_count
+    parent = list(range(r))
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    missing = r - 1
+    try:
+        # j is bound before its entry is unpacked.
+        for j, (a, b) in enumerate(sides):
+            if not 0 <= a <= b < r:
+                raise ValueError
+            if a != b and missing and _union(parent, a, b):
+                tree[a].append((b, j))
+                tree[b].append((a, j))
+                missing -= 1
+    except (TypeError, ValueError, IndexError):
+        raise RuntimeError(f"edge {j} has sides {sides[j]!r}, "
+                           "not a sorted pair of regions") from None
+    # F has no loops or parallel edges: a region's children are its other neighbors.
+    order = [(0, 0, -1)]
+    for u, p, _ in order:
+        for v, j in tree[u]:
+            if v != p:
+                order.append((v, u, j))
+    if len(order) != r:
         raise RuntimeError("dual tree does not list every region")
-    return tree
+    return tuple(order)
 
 
 class EmbeddingScheme(Frozen):

@@ -545,6 +545,15 @@ def chain_pd(strands: int) -> list[tuple[int, int, int, int]]:
     return closure_pd(strands, [i for i in range(strands - 1) for _ in range(2)])
 
 
+def twisted_chain(n: int, seed: int) -> EmbeddingScheme:
+    """The chain on n crossings with each edge, in edge order, signed -1 by a
+    coin flip: a nonorientable diagram with many components."""
+    d = import_pd(chain_pd(n // 2 + 1))
+    rng = random.Random(seed)
+    edges = tuple(Edge(e.darts, -1 if rng.random() < 0.5 else 1) for e in d.edges)
+    return EmbeddingScheme(d.overs, edges)
+
+
 def planar_knot_pds() -> list[list[tuple[int, int, int, int]]]:
     codes = []
     for n in range(3, 23, 2):
@@ -873,6 +882,22 @@ def relabeled(d: EmbeddingScheme, rng: random.Random) -> EmbeddingScheme:
     return EmbeddingScheme(tuple(overs), tuple(edges))
 
 
+def local_switch(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
+    """Same diagram with the rotation at crossing i reversed.
+
+    Dart 4i + k becomes 4i + (-k mod 4), and each edge with exactly one
+    end at crossing i flips its sign.  The strand pairs {0, 2} and
+    {1, 3} keep their positions, so the over flags stay as they are.
+    """
+    move = lambda dart: dart & ~3 | -dart & 3 if dart >> 2 == i else dart
+    edges = []
+    for (a, b), sign in d.edges:
+        flip = (a >> 2 == i) != (b >> 2 == i)
+        a, b = move(a), move(b)
+        edges.append(Edge((min(a, b), max(a, b)), -sign if flip else sign))
+    return EmbeddingScheme(d.overs, tuple(edges))
+
+
 def random_suite(count: int, cmin: int, cmax: int, probs, seed: int):
     """Deterministic list of random diagrams spanning the given sizes."""
     rng = random.Random(seed)
@@ -1005,48 +1030,6 @@ def shift_bounds(table):
 
 WALK_FAULTS = {"crossing_positions": swap_crossings, "to_edges": swap_edges,
                "ends": drop_ends, "bounds": shift_bounds}
-
-
-# Faults for a shadow's dual tree (Shadow.dual_tree).  Each keeps the set
-# of tree edges or stops the tree-cotree count at an entry that is no
-# triple, so only the tree check can name the fault.  All need a tree
-# whose last entry's parent is not region 0.
-
-def swap_tree_edges(tree):
-    """The last two entries trade edges, so neither joins its region and parent."""
-    (v1, u1, j1), (v2, u2, j2) = tree[-2:]
-    return tree[:-2] + ((v1, u1, j2), (v2, u2, j1))
-
-
-def repeat_region(tree):
-    """The first child is listed a second time, at the end."""
-    return tree + tree[1:2]
-
-
-def child_first(tree):
-    """The last entry moves up to just after the root, ahead of its parent."""
-    return tree[:1] + tree[-1:] + tree[1:-1]
-
-
-def short_entry(tree):
-    """The first child's entry loses its edge: a pair, not a triple."""
-    return tree[:1] + (tree[1][:2],) + tree[2:]
-
-
-def int_entry(tree):
-    """The first child's entry is the int 5."""
-    return tree[:1] + (5,) + tree[2:]
-
-
-def float_region(tree):
-    """The first child's region is a float, equal to the int but no index."""
-    v, u, j = tree[1]
-    return tree[:1] + ((float(v), u, j),) + tree[2:]
-
-
-TREE_FAULTS = {"tree_edge": swap_tree_edges, "repeated_region": repeat_region,
-               "parent_after_child": child_first, "short_entry": short_entry,
-               "int_entry": int_entry, "float_region": float_region}
 
 
 def reference_checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:

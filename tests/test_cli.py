@@ -9,15 +9,16 @@ import sys
 
 import pytest
 
-from conftest import (HOPF_PD, TREE_FAULTS, TREFOIL_PD, VALIDATE_VIOLATIONS,
+from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS,
                       WALK_FAULTS, cyclic_pd, even_target, make_curl,
                       make_rp2curl, make_torus11, mirror_fault, ones,
                       violation_document)
-from regioncc import (admissible, admissible_by_bicoloring, bicoloring,
-                      checkerboard, components, faces, homology_context, homology_matrix,
+from regioncc import (Edge, admissible, admissible_by_bicoloring, bicoloring,
+                      components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
                       random_diagram, serialize_diagram, surface_info)
 from regioncc.cli import _cmd_bicolor, _load, _parser, main
+from regioncc.scheme import dual_tree
 
 
 @pytest.fixture
@@ -547,23 +548,22 @@ class TestInternalChecks:
     """Checks that only a corrupted table fires, each reached by info.
 
     On the trefoil (3 crossings, 5 regions, a sphere): edge sides that
-    all name region 0 leave the dual tree one region, so the tree-cotree
-    split keeps 4 edges where 2 - chi is 0; a sixth region makes chi odd
+    all name region 0 leave the dual tree one region, which its span
+    check names; edge 5, outside the dual tree ((0, 0, -1), (1, 0, 0),
+    (4, 0, 4), (2, 1, 1), (3, 2, 2)), rewritten after the face trace to
+    have both darts at crossing 0, is a loop there, so the tree-cotree
+    split leaves 1 edge where 2 - chi is 0; a sixth region makes chi odd
     on an orientable surface; a cover that maps edge 0's four lifts to
     themselves keeps the deck laws, but its theta fixes edge 0's darts
     and so ends the first component walk short of its start (info traces
     the faces first and finds four regions there); a cover
     whose dart 0 is its own mirror stops the face trace, and one whose
     dart 0 has the partner 24, no dart, breaks the deck laws; a first
-    component edge 1000000 or None is no cycle; and each ``TREE_FAULTS``
-    entry (dual tree ((0, 0, -1), (1, 0, 0), (4, 0, 4), (2, 1, 1),
-    (3, 2, 2))) fails the dual tree check at the entry named; without its
-    last entry the tree lists four regions, which checkerboard names and
-    the tree-cotree split of info counts as one edge too many.  Edge 0's
-    sides (0, 99) or None stop the dual tree's builder; a corner 1000000
-    or 10**18 in region 0 stops the region masks (before the shift, which
-    would not fit), and a cached mask that is None, has bit 3 set or is
-    -1 their readers.  A ``CHECKS`` entry holds the query and its
+    component edge 1000000 or None is no cycle.  Edge 0's sides (0, 99)
+    or None stop the dual tree's builder; a corner 1000000 or 10**18 in
+    region 0 stops the region masks (before the shift, which would not
+    fit), and a cached mask that is None, has bit 3 set or is -1 their
+    readers.  A ``CHECKS`` entry holds the query and its
     message, then info's message where info stops at another check.
     """
 
@@ -574,14 +574,12 @@ class TestInternalChecks:
              "mask_negative": lambda mask: -1}
 
     CHECKS = {
-        "edge_sides": (homology_context,
-                       "tree-cotree leaves 4 edges, expected 2 - chi = 0"),
+        "edge_sides": (homology_context, "dual tree does not list every region"),
+        "edge_ends": (homology_context, "tree-cotree leaves 1 edges, expected 2 - chi = 0"),
         "regions": (surface_info, "orientable surface with odd Euler characteristic"),
         "theta": (components, "component walk did not close at its starting dart",
                   "orientable surface with odd Euler characteristic"),
         "mirror": (faces, "face 0 meets its own mirror"),
-        "tree_short": (checkerboard, "dual tree does not list every region",
-                       "tree-cotree leaves 1 edges, expected 2 - chi = 0"),
         "cover_range": (faces, "cover breaks the deck laws"),
         **{fault: (homology_context,
                    f"edge 0 has sides {sides}, not a sorted pair of regions")
@@ -592,20 +590,12 @@ class TestInternalChecks:
            for fault in MASKS},
         **{fault: (homology_matrix, "component trace is not a cycle")
            for fault in COMPONENT_EDGES},
-        **{fault: (homology_context,
-                   f"dual tree entry {entry} hangs no new region on a listed one")
-           for fault, entry in (("tree_edge", (2, 1, 2)), ("repeated_region", (1, 0, 0)),
-                                ("parent_after_child", (3, 2, 2)),
-                                ("short_entry", (1, 0)), ("int_entry", 5),
-                                ("float_region", (1.0, 0, 0)))},
     }
 
     @staticmethod
     def corrupt(d, fault: str) -> None:
         shadow = d.shadow
-        if fault in TREE_FAULTS:
-            shadow.__dict__["dual_tree"] = TREE_FAULTS[fault](shadow.dual_tree)
-        elif fault in TestInternalChecks.COMPONENT_EDGES:
+        if fault in TestInternalChecks.COMPONENT_EDGES:
             first, *rest = shadow.components
             edges = (TestInternalChecks.COMPONENT_EDGES[fault],) + first.edges[1:]
             shadow.__dict__["components"] = (first._replace(edges=edges), *rest)
@@ -622,8 +612,11 @@ class TestInternalChecks:
             shadow.__dict__["region_masks"] = (TestInternalChecks.MASKS[fault](first), *rest)
         elif fault == "mirror":
             shadow.__dict__["cover"] = mirror_fault(shadow.cover)
-        elif fault == "tree_short":
-            shadow.__dict__["dual_tree"] = shadow.dual_tree[:-1]
+        elif fault == "edge_ends":
+            shadow.faces
+            edges = list(shadow.edges)
+            edges[5] = Edge((0, 1), edges[5].sign)
+            object.__setattr__(shadow, "edges", tuple(edges))
         elif fault == "cover_range":
             shadow.__dict__["cover"] = (len(shadow.cover),) + shadow.cover[1:]
         elif fault == "edge_sides":
@@ -684,7 +677,7 @@ class TestInternalChecks:
         d = random_diagram(40, 0.5, seed=3)
         last = d.edge_count - 1
         assert d.shadow.faces.region_count <= 8
-        assert max(j for _, _, j in d.shadow.dual_tree) < last
+        assert max(j for _, _, j in dual_tree(d.shadow)) < last
         path = tmp_path / "genus.json"
         path.write_text(serialize_diagram(d) + "\n", encoding="utf-8")
 

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from conftest import (TREE_FAULTS, dense_rank, dense_rref, make_trefoil,
-                      random_suite, region_parities, region_walks, relabeled)
-from regioncc import (EmbeddingScheme, checkerboard, class_of, components,
-                      homology_context, homology_matrix, surface_info)
+from conftest import (dense_rank, dense_rref, random_suite, region_parities,
+                      region_walks, relabeled)
+from regioncc import (checkerboard, class_of, components, homology_context,
+                      homology_matrix, surface_info)
+from regioncc.scheme import dual_tree
 
 
 class TestContext:
@@ -24,32 +25,23 @@ class TestContext:
 
 
 class TestDualTree:
-    """The shadow's dual tree F, which the homology classes and checkerboard share."""
+    """The dual tree F, built where it is read: by the homology context and checkerboard."""
 
     def test_edges_are_the_face_rref_pivots(self):
         # Kruskal in ascending edge order keeps the min-index basis of the
         # dual graph's matroid: the pivots of the region boundary masks' RREF.
         for d in random_suite(80, 1, 8, (0.0, 0.5, 1.0), seed=28):
-            tree = d.shadow.dual_tree
+            tree = dual_tree(d.shadow)
             assert tree[0] == (0, 0, -1)
             assert len(tree) == len(region_walks(d))
             pivots, _ = dense_rref(region_parities(d), d.edge_count)
             assert sorted(j for _, _, j in tree[1:]) == list(pivots)
 
-    @pytest.mark.parametrize("fault", sorted(TREE_FAULTS))
-    def test_corrupted_tree_stops_both_readers(self, fault):
-        checked = 0
-        for d in [make_trefoil()] + random_suite(60, 2, 8, (0.0, 0.5, 1.0), seed=29):
-            if d.shadow.dual_tree[-1][1] == 0:
-                continue
-            for reader in (checkerboard, homology_context):
-                fresh = EmbeddingScheme(d.overs, d.edges)
-                fresh.shadow.__dict__["dual_tree"] = \
-                    TREE_FAULTS[fault](fresh.shadow.dual_tree)
-                with pytest.raises(RuntimeError, match="^dual tree entry "):
-                    reader(fresh)
-            checked += 1
-        assert checked >= 10
+    def test_no_reader_keeps_the_tree(self, trefoil):
+        homology_context(trefoil)
+        assert "dual_tree" not in vars(trefoil.shadow)
+        checkerboard(trefoil)
+        assert "dual_tree" not in vars(trefoil.shadow)
 
 
 class TestClassOf:

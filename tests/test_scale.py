@@ -5,8 +5,10 @@ h1 = 2), a random pairing with neg_prob 0.5 (few regions, h1 near the
 crossing count), a closed random braid on 200 strands (planar, with
 r = c + 2 and many components) and the chain, the closure of
 sigma_1^2 ... sigma_{S-1}^2 (planar, with S = c / 2 + 1 short
-components, so the kernel has dimension S + 1).  Each property is checked end to end from a cold
-shadow, within a time bound far above what the graph walks and the one
+components, so the kernel has dimension S + 1), and the twisted chain,
+the chain with random edge signs (nonorientable, with as many
+components).  Each property is checked end to end from a cold shadow,
+within a time bound far above what the graph walks and the one
 factorisation need.  At 8000 crossings the face trace and the homology
 tables must stay linear in size, and the warm routes must agree on
 targets of every kind.
@@ -18,12 +20,13 @@ import tracemalloc
 
 import pytest
 
-from conftest import braid_pd, chain_pd, cyclic_pd, even_target, reference_switched
+from conftest import (braid_pd, chain_pd, cyclic_pd, even_target, reference_switched,
+                      twisted_chain)
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, parse_diagram, poke_sites,
                       random_diagram, reidemeister_two, serialize_diagram,
-                      verify_rank_formula)
+                      surface_info, verify_rank_formula)
 
 N = 2000
 
@@ -35,6 +38,8 @@ def make(family: str, n: int):
         return import_pd(braid_pd(200, n, 1))
     if family == "chain":
         return import_pd(chain_pd(n // 2 + 1))
+    if family == "twisted":
+        return twisted_chain(n, 1)
     return random_diagram(n, 0.5, seed=5)
 
 
@@ -43,7 +48,7 @@ def switched(d, cert) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(d.overs, after.overs)) if a != b]
 
 
-@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain"])
+@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain", "twisted"])
 def test_acceptance_properties_at_2000_crossings(family):
     start = time.perf_counter()
     d = make(family, N)
@@ -59,6 +64,14 @@ def test_acceptance_properties_at_2000_crossings(family):
         assert report.component_count == N // 2 + 1
         assert report.incidence_rank == N // 2
         assert len(ineffective_basis(d)) == N // 2 + 2
+    if family == "twisted":
+        # Measured: r = 605, n = 1001, h1 = 1397 and rank N = 872, so the
+        # kernel has dimension n + 1 - rank N = 130.
+        assert not surface_info(d).orientable
+        assert (report.region_count, report.component_count, report.homology_rank,
+                report.incidence_rank) == (605, 1001, 872, 475)
+        assert homology_context(d).h1_dim == 1397
+        assert len(ineffective_basis(d)) == 130
 
     rng = random.Random(7)
     even = even_target(d, rng)
@@ -190,7 +203,7 @@ def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
     assert peak <= bound_mib * 2**20
 
 
-@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain"])
+@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain", "twisted"])
 def test_warm_routes_agree_at_8000_crossings(family):
     n = 8000
     d = make(family, n)
