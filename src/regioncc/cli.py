@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .gf2 import _BIT_VALUES, BitVector
+from .gf2 import BitVector, bit_flags
 from .scheme import (DiagramFormatError, EmbeddingScheme, InvalidDiagramError,
                      _decode_json, components, faces, import_pd, parse_diagram,
                      serialize_diagram, surface_info)
@@ -52,46 +52,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
-def _bit_list(text: str) -> list[int]:
-    """The 0/1 list of a vector's bit text, for JSON."""
-    return list(text.encode().translate(_BIT_VALUES))
-
-
-def _bit_lists(texts: list[str], args) -> list[list[int]] | None:
-    """The texts' 0/1 lists when the answer is printed as JSON; text never reads them."""
-    return [_bit_list(text) for text in texts] if args.json else None
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _json_text(value, pad: str = "") -> str:
-    """The text ``json.dumps(value, indent=2)`` writes, nested ``pad`` deep.
-
-    Containers are laid out here and scalars left to ``json.dumps``;
-    with an indent the standard library would run its pure-Python
-    encoder over every item.  The JSON of an exact int is its repr, so
-    a list of them is one join, and a list of 0/1 ints, as a bit row
-    is, one translate.  Dict keys must be str.
-    """
-    if isinstance(value, dict):
-        items = [json.dumps(key) + ": " + _json_text(item, pad + "  ")
-                 for key, item in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if {*map(type, value)} != {int}:
-            items = [_json_text(item, pad + "  ") for item in value]
-        elif {*value} <= {0, 1}:
-            items = bytes(value).translate(_DIGITS).decode()
-        else:
-            items = map(repr, value)
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not value:
-        return brackets
-    inner = "\n" + pad + "  "
-    return "".join((brackets[0], inner, ("," + inner).join(items), "\n", pad, brackets[1]))
+def _bit_rows(m, args) -> list[list[int]] | None:
+    """A BitMatrix's rows as 0/1 lists for a JSON answer; text never reads them."""
+    return [list(bit_flags(bits, m.cols)) for bits in m.row_bits] if args.json else None
 
 
 def _row_texts(m) -> list[str]:
@@ -147,18 +110,17 @@ def _cmd_verify(args):
 def _cmd_matrix(args):
     from .rcc import incidence_matrix
     d = _load(args.file)
-    lines = _row_texts(incidence_matrix(d))
+    m = incidence_matrix(d)
     rank = d.shadow.incidence_factor.rank
-    data = {"rows": _bit_lists(lines, args), "rank": rank}
-    return data, lines + [f"rank: {rank}"]
+    data = {"rows": _bit_rows(m, args), "rank": rank}
+    return data, _row_texts(m) + [f"rank: {rank}"]
 
 
 def _cmd_homology(args):
     from .homology import homology_matrix
     hm = homology_matrix(_load(args.file))
-    lines = _row_texts(hm.matrix)
-    data = {"rows": _bit_lists(lines, args), "rank": hm.rank, "h1_dim": hm.matrix.cols}
-    return data, lines + [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
+    data = {"rows": _bit_rows(hm.matrix, args), "rank": hm.rank, "h1_dim": hm.matrix.cols}
+    return data, _row_texts(hm.matrix) + [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
 
 
 def _cmd_admissible(args):
@@ -201,14 +163,14 @@ def _cmd_bicolor(args):
         data = {"admissible": False, "colors": None, "phi_class": None}
         return data, ["infeasible: no bi-coloring for those crossings"]
     # The witness's class is zero by construction, and already checked.
-    text = str(BitVector(d.shadow.homology_context.h1_dim) if ok
-               else phi_class(d, shown))
-    data = {"admissible": ok, "colors": list(shown.colors), "phi_class": _bit_list(text)}
+    phi = BitVector(d.shadow.homology_context.h1_dim) if ok else phi_class(d, shown)
+    data = {"admissible": ok, "colors": list(shown.colors),
+            "phi_class": list(bit_flags(phi.bits, phi.length))}
     verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"
     return data, [
         verdict,
         "colors: " + "".join(map(str, shown.colors)),
-        "class: " + (text or "(trivial)"),
+        "class: " + (str(phi) or "(trivial)"),
     ]
 
 
@@ -355,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         answer = _COMMANDS[args.command][0](args)
         if not isinstance(answer, EmbeddingScheme):
             data, lines = answer
-            print(_json_text(data) if args.json else "\n".join(lines))
+            print(json.dumps(data, indent=2) if args.json else "\n".join(lines))
         elif args.output and args.output != "-":
             try:
                 with open(args.output, "w", encoding="utf-8") as handle:

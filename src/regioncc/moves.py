@@ -93,7 +93,7 @@ def poke_sites(d: EmbeddingScheme) -> tuple[tuple[int, int], ...]:
     """
     structure = faces(d)
     edge_of = d.shadow.edge_of
-    side = [structure.region_of_side(x) for x in range(d.dart_count)]
+    side = [f >> 1 for f in structure.plus_face]
     groups: list[list[int]] = [[] for _ in range(structure.region_count)]
     for x, rid in enumerate(side):
         groups[rid].append(x)

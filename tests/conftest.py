@@ -898,6 +898,29 @@ def local_switch(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
     return EmbeddingScheme(d.overs, tuple(edges))
 
 
+def rotation_shift(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
+    """Same diagram with the rotation at crossing i started one dart later.
+
+    Dart 4i + k becomes 4i + (k - 1 mod 4) and the signs stay.  The
+    strand pairs {0, 2} and {1, 3} trade names, so over flag i flips.
+    """
+    move = lambda dart: dart & ~3 | (dart - 1) & 3 if dart >> 2 == i else dart
+    edges = []
+    for (a, b), sign in d.edges:
+        a, b = move(a), move(b)
+        edges.append(Edge((min(a, b), max(a, b)), sign))
+    overs = list(d.overs)
+    overs[i] ^= 1
+    return EmbeddingScheme(tuple(overs), tuple(edges))
+
+
+def reversed_darts(d: EmbeddingScheme, rng: random.Random) -> EmbeddingScheme:
+    """Same diagram with each edge listing its darts the other way round, with probability 1/2."""
+    edges = tuple(Edge((b, a) if rng.random() < 0.5 else (a, b), sign)
+                  for (a, b), sign in d.edges)
+    return EmbeddingScheme(d.overs, edges)
+
+
 def random_suite(count: int, cmin: int, cmax: int, probs, seed: int):
     """Deterministic list of random diagrams spanning the given sizes."""
     rng = random.Random(seed)

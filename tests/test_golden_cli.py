@@ -28,8 +28,6 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -90,41 +88,16 @@ def test_cli_stdout_matches_golden(golden):
 def test_text_rows_build_no_json_lists(golden, monkeypatch):
     import regioncc.cli
 
-    def refuse(text):
+    def refuse(mask, length):
         raise AssertionError("text output built a JSON bit list")
 
-    monkeypatch.setattr(regioncc.cli, "_bit_list", refuse)
+    monkeypatch.setattr(regioncc.cli, "bit_flags", refuse)
     data, paths = golden
     cases = [case for case in data["cases"]
              if case["argv"][0] in ("matrix", "homology") and "--json" not in case["argv"]]
     assert len(cases) > 20
     for case in cases:
         assert _run(case["argv"], paths) == (case["exit"], case["stdout"])
-
-
-def test_json_writer_matches_the_indenting_encoder(golden):
-    from regioncc.cli import _json_text
-    data, _ = golden
-    cases = [case for case in data["cases"] if "--json" in case["argv"] and case["exit"] == 0]
-    assert len(cases) > 100
-    for case in cases:
-        value = json.loads(case["stdout"])
-        assert _json_text(value) + "\n" == json.dumps(value, indent=2) + "\n" == case["stdout"]
-
-
-_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
-                 | st.integers(0, 1) | st.floats(allow_nan=False) | st.text(max_size=6))
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.recursive(_JSON_SCALARS,
-                    lambda inner: (st.lists(inner, max_size=5)
-                                   | st.lists(st.integers(0, 1), max_size=5)
-                                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-                    max_leaves=30))
-def test_json_writer_matches_on_nested_values(value):
-    from regioncc.cli import _json_text
-    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 # ---------------------------------------------------------------------------
