@@ -190,15 +190,15 @@ def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
 def admissible_by_bicoloring(
     d: EmbeddingScheme, crossings: Iterable[int]
 ) -> tuple[bool, Bicoloring | None]:
-    """Admissibility via bi-colorings, with a class-zero witness.
+    """Admissibility via bi-colorings, with the coloring that shows it.
 
-    Returns (True, witness) where the witness is a bi-coloring for the
-    crossing set whose 1-colored edges bound, or (False, None).  The
-    witness is checked from its own colors, in edge order: it must
-    switch exactly the given crossings, which makes it a cycle, and have
-    class zero, or RuntimeError is raised.  A no is checked as far as
-    the walk goes: the component parity, or the bi-coloring whose class
-    lies outside the component classes.
+    Returns (True, w) with w a bi-coloring whose 1-colored edges bound;
+    (False, w) with w the pivot ``bicoloring``, whose class lies outside
+    the component classes; or (False, None) if no bi-coloring exists.
+    Either w is checked from its own colors, in edge order: it must
+    switch exactly the given crossings, which makes it a cycle, and a
+    yes must have class zero, or RuntimeError is raised.  None needs a
+    component passing the crossings an odd number of times.
     """
     chosen = _index_set(crossings, d.crossing_count, "crossing")
     shadow = d.shadow
@@ -211,16 +211,13 @@ def admissible_by_bicoloring(
     colors = table.to_edges(bit_flags(bits, m))
     phi = reduce(xor, compress(classes, colors), 0)
     coeffs = shadow.homology_matrix.basis.expression(phi, set_bits(phi))
-    if coeffs is None:
-        _check_switching(d, colors, chosen)
-        return False, None
     if coeffs:
         bounds = table.bounds
         for k in set_bits(coeffs):
             bits ^= (1 << bounds[k + 1]) - (1 << bounds[k])
         colors = table.to_edges(bit_flags(bits, m))
         phi = reduce(xor, compress(classes, colors), 0)
-    if phi:
+    if coeffs is not None and phi:
         raise RuntimeError("component flips did not cancel the class")
     _check_switching(d, colors, chosen)
-    return True, Bicoloring(colors)
+    return coeffs is not None, Bicoloring(colors)

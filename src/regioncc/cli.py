@@ -151,14 +151,12 @@ def _cmd_ineffective(args):
 
 
 def _cmd_bicolor(args):
-    from .bicolor import admissible_by_bicoloring, bicoloring, phi_class
+    from .bicolor import admissible_by_bicoloring, phi_class
     from .rcc import admissible
     d = _load(args.file)
     ok, shown = admissible_by_bicoloring(d, args.crossings)
-    if not ok:
-        if admissible(d, args.crossings) is not None:
-            raise RuntimeError("matrix and bi-coloring methods disagree")
-        shown = bicoloring(d, args.crossings)  # nonzero class, or None
+    if not ok and admissible(d, args.crossings) is not None:
+        raise RuntimeError("matrix and bi-coloring methods disagree")
     if shown is None:
         data = {"admissible": False, "colors": None, "phi_class": None}
         return data, ["infeasible: no bi-coloring for those crossings"]

@@ -232,10 +232,6 @@ class FaceStructure(NamedTuple):
     def region_count(self) -> int:
         return len(self.regions)
 
-    def region_of_side(self, dart: int) -> int:
-        """Region bordering the side of dart's edge named by the dart."""
-        return self.plus_face[_index(dart, len(self.plus_face), "dart")] >> 1
-
 
 class Component(NamedTuple):
     """A link component: the edges it traverses and the crossings it passes.

@@ -15,8 +15,9 @@ from operator import itemgetter
 import pytest
 
 from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
-                      InvalidDiagramError, Shadow, class_of, components, faces,
-                      homology_matrix, incidence_matrix, import_pd,
+                      InvalidDiagramError, Shadow, admissible, admissible_by_bicoloring,
+                      apply_rcc, class_of, components, count_classes, faces,
+                      homology_matrix, incidence_matrix, import_pd, ineffective_basis,
                       orientation_double_cover, random_diagram, surface_info,
                       verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector
@@ -866,8 +867,9 @@ def invariant_profile(d: EmbeddingScheme):
             d.crossing_count - rep.incidence_rank)
 
 
-def relabeled(d: EmbeddingScheme, rng: random.Random) -> EmbeddingScheme:
-    """Same diagram with crossings renumbered and edges reshuffled."""
+def relabeled(d: EmbeddingScheme, rng: random.Random) -> tuple[list[int], EmbeddingScheme]:
+    """(perm, copy): the same diagram with crossing i renumbered perm[i]
+    and the edges reshuffled."""
     perm = list(range(d.crossing_count))
     rng.shuffle(perm)
     move = lambda dart: 4 * perm[dart >> 2] | (dart & 3)
@@ -879,7 +881,7 @@ def relabeled(d: EmbeddingScheme, rng: random.Random) -> EmbeddingScheme:
     overs = [0] * d.crossing_count
     for i, o in enumerate(d.overs):
         overs[perm[i]] = o
-    return EmbeddingScheme(tuple(overs), tuple(edges))
+    return perm, EmbeddingScheme(tuple(overs), tuple(edges))
 
 
 def local_switch(d: EmbeddingScheme, i: int) -> EmbeddingScheme:
@@ -919,6 +921,49 @@ def reversed_darts(d: EmbeddingScheme, rng: random.Random) -> EmbeddingScheme:
     edges = tuple(Edge((b, a) if rng.random() < 0.5 else (a, b), sign)
                   for (a, b), sign in d.edges)
     return EmbeddingScheme(d.overs, edges)
+
+
+def presentation(d: EmbeddingScheme, rng: random.Random) -> tuple[list[int], EmbeddingScheme]:
+    """(perm, copy): d renumbered by ``relabeled``, then three local
+    switches and three rotation shifts at random crossings of the copy."""
+    perm, copy = relabeled(d, rng)
+    for _ in range(3):
+        copy = local_switch(copy, rng.randrange(d.crossing_count))
+        copy = rotation_shift(copy, rng.randrange(d.crossing_count))
+    return perm, copy
+
+
+def presentation_profile(d: EmbeddingScheme, perm=None):
+    """The surface, the ranks, the class count and each region's corners,
+    with crossing i read as perm[i]."""
+    perm = perm or range(d.crossing_count)
+    return (surface_info(d), verify_rank_formula(d), count_classes(d),
+            len(components(d)), len(ineffective_basis(d)),
+            sorted(sorted(perm[v] for v in region.corners) for region in faces(d).regions))
+
+
+def same_answers(d: EmbeddingScheme, copy: EmbeddingScheme, rng: random.Random,
+                 perm=None) -> list[list[int]]:
+    """Assert the relations between d and a presentation of it, whose
+    crossing perm[i] is d's crossing i; return the targets, numbered as in d."""
+    c = d.crossing_count
+    perm = perm or range(c)
+    assert presentation_profile(copy) == presentation_profile(d, perm)
+    # Two random crossing sets, then two that some region set of d switches.
+    targets = [sorted(rng.sample(range(c), rng.randrange(c + 1))) for _ in range(2)]
+    for _ in range(2):
+        regions = [k for k in range(faces(d).region_count) if rng.random() < 0.5]
+        targets.append([i for i, flip in enumerate(reference_switched(d, regions)) if flip])
+    for target in targets:
+        moved = sorted(perm[i] for i in target)
+        cert = admissible(copy, moved)
+        assert (cert is not None) == (admissible(d, target) is not None)
+        assert admissible_by_bicoloring(copy, moved)[0] == (cert is not None)
+        assert admissible_by_bicoloring(d, target)[0] == (cert is not None)
+        if cert is not None:
+            after = apply_rcc(copy, cert)
+            assert [i for i in range(c) if after.overs[i] != copy.overs[i]] == moved
+    return targets
 
 
 def random_suite(count: int, cmin: int, cmax: int, probs, seed: int):
@@ -1009,15 +1054,15 @@ def reference_bicoloring(d: EmbeddingScheme, crossings) -> tuple[int, ...] | Non
 
 
 def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
-    """(verdict, witness colors): the pivot bi-coloring plus the component
-    flips that the component-class basis says cancel its class."""
+    """(verdict, witness colors): the pivot bi-coloring, plus on a yes the
+    component flips that the component-class basis says cancel its class."""
     base = reference_bicoloring(d, crossings)
     if base is None:
         return False, None
     phi = class_of(d, [e for e, color in enumerate(base) if color]).bits
     coeffs = homology_matrix(d).basis.expression(phi, ones(phi))
     if coeffs is None:
-        return False, None
+        return False, base
     colors = list(base)
     comps = components(d)
     for k in ones(coeffs):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import (bicolor_system, dense_in_rowspace, dense_nullspace,
-                      random_suite)
+                      even_target, random_suite)
 from regioncc import (Bicoloring, admissible, admissible_by_bicoloring,
-                      bicoloring, components, phi_class)
+                      bicoloring, components, homology_matrix, phi_class)
 from regioncc.gf2 import BitMatrix, BitVector
 
 
@@ -150,3 +150,27 @@ class TestAdmissibleByBicoloring:
             if ok:
                 assert phi_class(d, phi).bits == 0
                 assert phi.switched(d) == tuple(sorted(chosen))
+
+    def test_a_homology_no_returns_the_pivot_coloring(self):
+        rng = random.Random(43)
+        seen = {"yes": 0, "odd": 0, "nonzero": 0}
+        for d in random_suite(300, 1, 14, (0.0, 0.5, 1.0), seed=43):
+            c = d.crossing_count
+            chosen = [even_target(d, rng)]
+            chosen += [[i for i in range(c) if rng.random() < 0.5] for _ in range(3)]
+            for target in chosen:
+                ok, witness = admissible_by_bicoloring(d, target)
+                pivot = bicoloring(d, target)
+                assert (witness is None) == (pivot is None)
+                if ok:
+                    seen["yes"] += 1
+                elif witness is None:
+                    seen["odd"] += 1
+                else:
+                    seen["nonzero"] += 1
+                    assert witness == pivot
+                    assert witness.switched(d) == tuple(target)
+                    phi = phi_class(d, witness)
+                    assert phi.bits
+                    assert dense_in_rowspace(homology_matrix(d).matrix, phi) is None
+        assert min(seen.values()) >= 100, seen

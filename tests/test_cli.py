@@ -17,7 +17,7 @@ from regioncc import (Edge, admissible, admissible_by_bicoloring, bicoloring,
                       components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
                       random_diagram, serialize_diagram, surface_info)
-from regioncc.cli import _cmd_bicolor, _load, _parser, main
+from regioncc.cli import _load, _parser, main
 from regioncc.scheme import dual_tree
 
 
@@ -120,29 +120,22 @@ class TestQueries:
         assert data["phi_class"] == [0]
         assert data["colors"] == [0, 1]
 
-    def test_bicolor_walks_the_base_only_when_infeasible(self, capsys, monkeypatch,
-                                                          tmp_path, trefoil_file):
-        calls = []
+    def test_bicolor_walks_the_target_once(self, capsys, monkeypatch, tmp_path,
+                                           trefoil_file):
         class_calls = []
-        # The handler looks both names up in regioncc.bicolor, where
-        # admissible_by_bicoloring calls them too: count the handler's own calls.
-        handler = _cmd_bicolor.__code__
 
-        def counted(d, crossings):
-            if sys._getframe(1).f_code is handler:
-                calls.append(crossings)
-            return bicoloring(d, crossings)
+        def second_walk(d, crossings):
+            raise AssertionError("bicolor walked its target a second time")
 
         def counted_class(d, coloring):
-            if sys._getframe(1).f_code is handler:
-                class_calls.append(coloring)
+            class_calls.append(coloring)
             return phi_class(d, coloring)
 
-        monkeypatch.setattr("regioncc.bicolor.bicoloring", counted)
+        # The handler shows the coloring admissible_by_bicoloring returned.
+        monkeypatch.setattr("regioncc.bicolor.bicoloring", second_walk)
         monkeypatch.setattr("regioncc.bicolor.phi_class", counted_class)
         code, out, _ = run(capsys, "bicolor", trefoil_file, "-c", "1")
-        assert (code, out.splitlines()[0], len(calls)) == (0, "admissible", 0)
-        assert len(class_calls) == 0
+        assert (code, out.splitlines()[0], len(class_calls)) == (0, "admissible", 0)
         nonzero = tmp_path / "nonzero.json"
         nonzero.write_text(serialize_diagram(random_diagram(2, 0.5, seed=0)),
                            encoding="utf-8")
@@ -150,7 +143,6 @@ class TestQueries:
         assert code == 0
         assert out == ("infeasible: every bi-coloring has nonzero class\n"
                        "colors: 1000\nclass: 100\n")
-        assert len(calls) == 1
         assert len(class_calls) == 1
 
     def test_bicolor_checks_every_no_with_the_region_route(self, capsys, monkeypatch,

@@ -130,5 +130,5 @@ class TestHomologyMatrix:
     def test_rank_is_label_free(self):
         rng = random.Random(26)
         for d in random_suite(40, 1, 8, (0.0, 0.5, 1.0), seed=27):
-            assert homology_matrix(relabeled(d, rng)).rank \
+            assert homology_matrix(relabeled(d, rng)[1]).rank \
                 == homology_matrix(d).rank

@@ -9,7 +9,8 @@ components, so the kernel has dimension S + 1), and the twisted chain,
 the chain with random edge signs (nonorientable, with as many
 components).  Each property is checked end to end from a cold shadow,
 within a time bound far above what the graph walks and the one
-factorisation need.  At 8000 crossings the face trace and the homology
+factorisation need; every ineffective set must switch no crossing, and
+a renumbered presentation of each diagram must give the mapped answers.  At 8000 crossings the face trace and the homology
 tables must stay linear in size, and the warm routes must agree on
 targets of every kind.
 """
@@ -17,11 +18,13 @@ targets of every kind.
 import random
 import time
 import tracemalloc
+from functools import reduce
+from operator import xor
 
 import pytest
 
-from conftest import (braid_pd, chain_pd, cyclic_pd, even_target, reference_switched,
-                      twisted_chain)
+from conftest import (braid_pd, chain_pd, cyclic_pd, even_target, presentation,
+                      reference_switched, same_answers, twisted_chain)
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, parse_diagram, poke_sites,
@@ -29,6 +32,9 @@ from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       surface_info, verify_rank_formula)
 
 N = 2000
+FAMILIES = ["torus", "genus", "braid", "chain", "twisted"]
+# Measured dimensions of the ineffective region sets at N crossings.
+KERNEL_SIZES = {"torus": 1, "genus": 1, "braid": 45, "chain": N // 2 + 2, "twisted": 130}
 
 
 def make(family: str, n: int):
@@ -48,7 +54,7 @@ def switched(d, cert) -> list[int]:
     return [i for i, (a, b) in enumerate(zip(d.overs, after.overs)) if a != b]
 
 
-@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain", "twisted"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_acceptance_properties_at_2000_crossings(family):
     start = time.perf_counter()
     d = make(family, N)
@@ -63,15 +69,20 @@ def test_acceptance_properties_at_2000_crossings(family):
     if family == "chain":
         assert report.component_count == N // 2 + 1
         assert report.incidence_rank == N // 2
-        assert len(ineffective_basis(d)) == N // 2 + 2
     if family == "twisted":
-        # Measured: r = 605, n = 1001, h1 = 1397 and rank N = 872, so the
-        # kernel has dimension n + 1 - rank N = 130.
+        # Measured: r = 605, n = 1001, h1 = 1397 and rank N = 872.
         assert not surface_info(d).orientable
         assert (report.region_count, report.component_count, report.homology_rank,
                 report.incidence_rank) == (605, 1001, 872, 475)
         assert homology_context(d).h1_dim == 1397
-        assert len(ineffective_basis(d)) == 130
+    # Each ineffective set switches no crossing: its incidence rows XOR
+    # to 0.  The kernel has dimension n + 1 - rank N (chain: S + 1).
+    basis = ineffective_basis(d)
+    assert len(basis) == report.component_count + 1 - report.homology_rank
+    assert len(basis) == KERNEL_SIZES[family]
+    rows = incidence_matrix(d).row_bits
+    for v in basis:
+        assert reduce(xor, map(rows.__getitem__, v.support()), 0) == 0
 
     rng = random.Random(7)
     even = even_target(d, rng)
@@ -93,6 +104,14 @@ def test_acceptance_properties_at_2000_crossings(family):
         verdicts.append(by_colors)
     assert verdicts[2]
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_renumbering_maps_every_answer_at_2000_crossings(family):
+    d = make(family, N)
+    rng = random.Random(13)
+    perm, copy = presentation(d, rng)
+    same_answers(d, copy, rng, perm)
 
 
 @pytest.mark.parametrize("family", ["torus", "genus", "braid"])
@@ -127,12 +146,12 @@ def test_poke_sites_at_2000_crossings():
     elapsed = time.perf_counter() - start
     # Every dart pairs with the other darts of its region, less its edge mate.
     fs = faces(d)
+    region = [f >> 1 for f in fs.plus_face]
     sizes = [0] * fs.region_count
     for x in range(d.dart_count):
-        sizes[fs.region_of_side(x)] += 1
+        sizes[region[x]] += 1
     assert len(sites) == sum(
-        sizes[fs.region_of_side(da)] - 1
-        - (fs.region_of_side(d.theta(da)) == fs.region_of_side(da))
+        sizes[region[da]] - 1 - (region[d.theta(da)] == region[da])
         for da in range(d.dart_count))
     assert all(a < b for a, b in zip(sites, sites[1:]))
     # Comparing every dart with every dart takes tens of seconds here.
@@ -203,7 +222,7 @@ def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
     assert peak <= bound_mib * 2**20
 
 
-@pytest.mark.parametrize("family", ["torus", "genus", "braid", "chain", "twisted"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_warm_routes_agree_at_8000_crossings(family):
     n = 8000
     d = make(family, n)
