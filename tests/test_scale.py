@@ -10,9 +10,10 @@ the chain with random edge signs (nonorientable, with as many
 components).  Each property is checked end to end from a cold shadow,
 within a time bound far above what the graph walks and the one
 factorisation need; every ineffective set must switch no crossing, and
-a renumbered presentation of each diagram must give the mapped answers.  At 8000 crossings the face trace and the homology
-tables must stay linear in size, and the warm routes must agree on
-targets of every kind.
+a renumbered presentation of each diagram must give the mapped
+answers.  At 8000 crossings the face trace and the homology tables must
+stay linear in size, and the warm routes must agree on targets of every
+kind.
 """
 
 import random
