@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IndexError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
+    except (RuntimeError, TypeError) as err:   # no user input reaches a TypeError
         print(f"internal error: {err}", file=sys.stderr)
         return 4
     except MemoryError:

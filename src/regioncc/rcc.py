@@ -33,6 +33,12 @@ def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
     return BitMatrix.from_bitrows(checked_masks(d.shadow.region_masks, c), c)
 
 
+def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
+    """Mask of the crossings a region set switches: the XOR of its checked masks."""
+    masks = d.shadow.region_masks
+    return reduce(xor, checked_masks([masks[k] for k in regions], d.crossing_count), 0)
+
+
 class RankReport(NamedTuple):
     """Measured incidence rank against its predicted value.
 
@@ -90,11 +96,7 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
-    rest = target
-    masks = d.shadow.region_masks
-    for k in cert:
-        rest ^= masks[k]
-    if rest:
+    if _switched(d, cert) != target:
         raise RuntimeError("region certificate does not switch the target crossings")
     return cert
 
@@ -108,12 +110,10 @@ def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
-    c = d.crossing_count
-    masks = checked_masks([d.shadow.region_masks[k] for k in chosen], c)
     overs = list(d.overs)
     # Checked masks set no bit at or above c, and a checked 0/1 flag
     # XOR 1 is a 0/1 flag: no second check.
-    for i in set_bits(reduce(xor, masks, 0)):
+    for i in set_bits(_switched(d, chosen)):
         overs[i] ^= 1
     return _on_shadow(tuple(overs), d.shadow)
 
@@ -143,7 +143,7 @@ def checkerboard(d: EmbeddingScheme) -> tuple[int, ...] | None:
         colors[v] = colors[u] ^ 1
     if any(colors[u] == colors[v] for u, v in d.shadow.faces.edge_sides):
         return None
-    masks = checked_masks(d.shadow.region_masks, d.crossing_count)
-    if reduce(xor, masks) or reduce(xor, compress(masks, colors), 0):
+    regions = range(len(colors))
+    if _switched(d, regions) or _switched(d, compress(regions, colors)):
         raise RuntimeError("checkerboard color class is not ineffective")
     return tuple(colors)

@@ -398,8 +398,7 @@ class Shadow(Frozen):
 
 def checked_masks(masks: Sequence[int], c: int) -> Sequence[int]:
     """Masks read from Shadow.region_masks, checked: RuntimeError unless
-    each is an int in range(1 << c).  Every reader of the masks calls it
-    but ``admissible``, whose certificate check follows the row basis's."""
+    each is an int in range(1 << c).  Every reader of the masks calls it."""
     try:   # their union is negative or too wide exactly when some mask is
         fits = not reduce(or_, masks, 0) >> c
     except TypeError:   # a mask that is no int

@@ -663,6 +663,35 @@ class TestInternalChecks:
         assert (code, out) == (4, "")
         assert err == f"internal error: {self.CHECKS[fault][1]}\n"
 
+    @staticmethod
+    def corrupt_after_the_basis(d, fault: str) -> None:
+        # The row basis checks the sound masks first; mask 1 is the
+        # certificate of {0, 1}, so only the certificate check reads it.
+        assert admissible(d, [0, 1]) == (1,)
+        masks = list(d.shadow.region_masks)
+        masks[1] = TestInternalChecks.MASKS[fault](masks[1])
+        d.shadow.__dict__["region_masks"] = tuple(masks)
+
+    @pytest.mark.parametrize("fault", sorted(MASKS))
+    def test_certificate_check_reads_checked_masks(self, fault):
+        d = import_pd(TREFOIL_PD)
+        self.corrupt_after_the_basis(d, fault)
+        with pytest.raises(RuntimeError) as caught:
+            admissible(d, [0, 1])
+        assert str(caught.value) == "region masks are not crossing sets"
+
+    @pytest.mark.parametrize("fault", sorted(MASKS))
+    def test_certificate_check_exits_4(self, capsys, monkeypatch, trefoil_file, fault):
+        def corrupted_load(path):
+            d = _load(path)
+            self.corrupt_after_the_basis(d, fault)
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        code, out, err = run(capsys, "admissible", trefoil_file, "-c", "0,1")
+        assert (code, out) == (4, "")
+        assert err == "internal error: region masks are not crossing sets\n"
+
     def test_sides_past_the_spanning_tree_exit_4(self, capsys, monkeypatch, tmp_path):
         # F spans the few regions of a genus diagram long before the last
         # edge; that edge's entry is still checked.
@@ -807,6 +836,50 @@ class TestCorruptedTables:
                 assert (code, out, err) == answer
         assert failed == ({"admissible"} if fault == "region_masks"
                           else {"admissible", "bicolor"})
+
+
+class TestNulledTables:
+    """A warm table whose entries are all None never reaches a traceback.
+
+    Every table of the trefoil is built, then one table field's entries
+    (or the int itself) are replaced with None.  The commands that read
+    that field hit a TypeError, which ``main`` reports as an internal
+    error: argparse types every argument, so no user input reaches one.
+    """
+
+    # field: (its table, the commands that read it)
+    READERS = {"edge_classes": ("homology_context", ["admissible", "bicolor"]),
+               **{field: ("walk_table", ["admissible", "bicolor"])
+                  for field in ("crossing_positions", "bounds", "ends")},
+               "rows": ("incidence_factor", ["admissible"]),
+               "kernel": ("incidence_factor", ["ineffective"])}
+
+    @staticmethod
+    def nulled(value):
+        if isinstance(value, dict):
+            return dict.fromkeys(value)
+        return None if isinstance(value, int) else (None,) * len(value)
+
+    @pytest.mark.parametrize("field, command",
+                             [(f, c) for f, (_, cs) in READERS.items() for c in cs])
+    def test_commands_exit_4(self, capsys, monkeypatch, trefoil_file, field, command):
+        def corrupted_load(path):
+            d = _load(path)
+            shadow = d.shadow
+            for table in ("faces", "components", "homology_context", "homology_matrix",
+                          "walk_table", "region_masks", "incidence_factor"):
+                getattr(shadow, table)
+            table = self.READERS[field][0]
+            value = getattr(shadow, table)
+            shadow.__dict__[table] = value._replace(
+                **{field: self.nulled(getattr(value, field))})
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        flags = ["-c", "0,1"] if command != "ineffective" else []
+        code, out, err = run(capsys, command, trefoil_file, *flags)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestStdinAndScript:
