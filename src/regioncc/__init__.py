@@ -23,8 +23,7 @@ _EXPORTS = {
                "orientation_double_cover", "faces", "surface_info",
                "components", "import_pd", "parse_diagram",
                "serialize_diagram"),
-    "homology": ("HomologyContext", "HomologyMatrix", "homology_context",
-                 "class_of", "homology_matrix"),
+    "homology": ("Homology", "homology_context", "class_of", "homology_matrix"),
     "rcc": ("incidence_matrix", "RankReport", "verify_rank_formula",
             "count_classes", "admissible", "ineffective_basis", "apply_rcc",
             "rcc_equivalent", "checkerboard"),

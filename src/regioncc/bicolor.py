@@ -207,16 +207,16 @@ def admissible_by_bicoloring(
     if bits is None:
         return False, None
     m = d.edge_count
-    classes = shadow.homology_context.edge_classes
+    hom = shadow.homology
     colors = table.to_edges(bit_flags(bits, m))
-    phi = reduce(xor, compress(classes, colors), 0)
-    coeffs = shadow.homology_matrix.basis.expression(phi, set_bits(phi))
+    phi = reduce(xor, compress(hom.edge_classes, colors), 0)
+    coeffs = hom.basis.expression(phi, set_bits(phi))
     if coeffs:
         bounds = table.bounds
         for k in set_bits(coeffs):
             bits ^= (1 << bounds[k + 1]) - (1 << bounds[k])
         colors = table.to_edges(bit_flags(bits, m))
-        phi = reduce(xor, compress(classes, colors), 0)
+        phi = reduce(xor, compress(hom.edge_classes, colors), 0)
     if coeffs is not None and phi:
         raise RuntimeError("component flips did not cancel the class")
     _check_switching(d, colors, chosen)

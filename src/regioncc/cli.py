@@ -117,10 +117,9 @@ def _cmd_matrix(args):
 
 
 def _cmd_homology(args):
-    from .homology import homology_matrix
-    hm = homology_matrix(_load(args.file))
-    data = {"rows": _bit_rows(hm.matrix, args), "rank": hm.rank, "h1_dim": hm.matrix.cols}
-    return data, _row_texts(hm.matrix) + [f"rank: {hm.rank}", f"h1 dim: {hm.matrix.cols}"]
+    hom = _load(args.file).shadow.homology
+    data = {"rows": _bit_rows(hom.matrix, args), "rank": hom.rank, "h1_dim": hom.h1_dim}
+    return data, _row_texts(hom.matrix) + [f"rank: {hom.rank}", f"h1 dim: {hom.h1_dim}"]
 
 
 def _cmd_admissible(args):
@@ -161,7 +160,7 @@ def _cmd_bicolor(args):
         data = {"admissible": False, "colors": None, "phi_class": None}
         return data, ["infeasible: no bi-coloring for those crossings"]
     # The witness's class is zero by construction, and already checked.
-    phi = BitVector(d.shadow.homology_context.h1_dim) if ok else phi_class(d, shown)
+    phi = BitVector(d.shadow.homology.h1_dim) if ok else phi_class(d, shown)
     data = {"admissible": ok, "colors": list(shown.colors),
             "phi_class": list(bit_flags(phi.bits, phi.length))}
     verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"

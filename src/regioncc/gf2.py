@@ -11,7 +11,9 @@ can depend on it.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -53,6 +55,13 @@ def mask_of(indices: Iterable[int], count: int) -> int:
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(packed, "little")
+
+
+def fits_width(rows: Iterable[int], width: int) -> bool:
+    """Whether each row is a nonnegative int below ``1 << width``, by one
+    C-level union, negative or too wide exactly when some row is.  A row
+    that is no int raises TypeError."""
+    return not reduce(or_, rows, 0) >> width
 
 
 class Frozen:
@@ -121,9 +130,8 @@ class BitMatrix(Frozen):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(row_bits) != rows:
             raise ValueError("row count does not match row data")
-        for m in row_bits:
-            if m < 0 or m >> cols:
-                raise ValueError("row bits set outside declared width")
+        if not fits_width(row_bits, cols):
+            raise ValueError("row bits set outside declared width")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_bits", row_bits)

@@ -11,36 +11,43 @@ basis element k), matching the gf2 row convention.
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
-from .scheme import EmbeddingScheme, Shadow, _index_list, _union, dual_tree
+from .scheme import Edge, EmbeddingScheme, Shadow, _index_list, _union, dual_tree
 
 __all__ = _EXPORTS["homology"]
 
 
-class HomologyContext(NamedTuple):
-    """Per-edge tables that read the homology class of an edge cycle.
+class Homology(NamedTuple):
+    """H_1 of the surface and the link components' classes in it.
 
     H_1 has one basis element per edge in ``quotient_pivots``: the pivots
     of the reduced row echelon form of the cycle space modulo region
     boundaries, with edges as columns.  The class of a cycle z is the
     XOR of ``edge_classes[e]`` over its edges; its bit k is bit
     quotient_pivots[k] of z reduced by the RREF of the region boundary
-    masks.
+    masks.  Row i of ``matrix`` is component i's class, and ``basis``
+    is the row basis of those rows.
     """
 
     quotient_pivots: tuple[int, ...]
     edge_classes: tuple[int, ...]
+    matrix: BitMatrix
+    basis: RowBasis
 
     @property
     def h1_dim(self) -> int:
         return len(self.quotient_pivots)
 
+    @property
+    def rank(self) -> int:
+        return self.basis.rank
 
-def build_context(shadow: Shadow) -> HomologyContext:
-    """The homology context of a shadow; Shadow.homology_context caches it.
+
+def build_homology(shadow: Shadow) -> Homology:
+    """The homology table of a shadow; Shadow.homology caches it.
 
     A tree-cotree decomposition (Eppstein, SODA 2003) with greedy edge
     orders (Erickson and Whittlesey, SODA 2005) picks the pivots of the
@@ -59,6 +66,8 @@ def build_context(shadow: Shadow) -> HomologyContext:
       parity against them is bit l_k of the cycle reduced by the face
       RREF.  So l_k gets class bit k, and an edge of F gets bit k when
       exactly one of l_k's regions lies below it in F.
+
+    Each component's class is then read off the edge classes just built.
     """
     edges = shadow.edges
     c, m = shadow.crossing_count, len(edges)
@@ -87,15 +96,28 @@ def build_context(shadow: Shadow) -> HomologyContext:
     for v, u, j in reversed(tree[1:]):
         classes[j] = below[v]
         below[u] ^= below[v]
-    return HomologyContext(tuple(cotree), tuple(classes))
+    classes = tuple(classes)
+    try:
+        rows = [_cycle_class(edges, classes, c, comp.edges) for comp in shadow.components]
+    except (IndexError, TypeError, ValueError):
+        raise RuntimeError("component trace is not a cycle") from None
+    h1 = len(cotree)
+    return Homology(tuple(cotree), classes, BitMatrix.from_bitrows(rows, h1),
+                    RowBasis.of(rows, h1))
 
 
-def homology_context(d: EmbeddingScheme) -> HomologyContext:
-    return d.shadow.homology_context
+def homology_matrix(d: EmbeddingScheme) -> Homology:
+    """The diagram's homology table: H_1 and its component-class matrix."""
+    return d.shadow.homology
 
 
-def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
-    """Class bits of an edge cycle, read off its edge indices.
+homology_context = homology_matrix   # one table, both public names
+
+
+def _cycle_class(edges: Sequence[Edge], classes: Sequence[int], c: int,
+                 indices: Iterable[int]) -> int:
+    """Class bits of an edge cycle over a shadow's ``edges``, their
+    ``classes`` and its crossing count ``c``.
 
     The indices are checked by ``_index_list``, which also rejects a
     non-iterable; then each one's class is XORed in and the parities of
@@ -103,13 +125,11 @@ def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
     taken mod 2.  ValueError names the crossings with odd incidence if
     the edges do not form a cycle of the graph.
     """
-    shadow_edges, edge_classes = shadow.edges, shadow.homology_context.edge_classes
-    m = len(shadow_edges)
     bits = 0
-    odd = bytearray(shadow.crossing_count)
-    for e in _index_list(edges, m, "edge"):
-        bits ^= edge_classes[e]
-        (a, b), _ = shadow_edges[e]
+    odd = bytearray(c)
+    for e in _index_list(indices, len(edges), "edge"):
+        bits ^= classes[e]
+        (a, b), _ = edges[e]
         odd[a >> 2] ^= 1
         odd[b >> 2] ^= 1
     if 1 in odd:
@@ -119,37 +139,12 @@ def _cycle_class(shadow: Shadow, edges: Iterable[int]) -> int:
 
 
 def class_of(d: EmbeddingScheme, edges: Iterable[int]) -> BitVector:
-    """Homology class of an edge cycle, in the context's quotient basis.
+    """Homology class of an edge cycle, in the table's quotient basis.
 
     ``edges`` is an iterable of int edge indices, taken mod 2.  Raises
     ValueError naming the crossings with odd incidence if they do not
     form a cycle of the graph.
     """
-    return BitVector(d.shadow.homology_context.h1_dim, _cycle_class(d.shadow, edges))
-
-
-class HomologyMatrix(NamedTuple):
-    """Rows are the homology classes of the link components, with their row basis."""
-
-    matrix: BitMatrix
-    basis: RowBasis
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
-
-
-def build_homology_matrix(shadow: Shadow) -> HomologyMatrix:
-    """The component-class matrix of a shadow; Shadow.homology_matrix caches it."""
-    ctx = shadow.homology_context
-    try:
-        rows = [_cycle_class(shadow, comp.edges) for comp in shadow.components]
-    except (IndexError, TypeError, ValueError):
-        raise RuntimeError("component trace is not a cycle") from None
-    return HomologyMatrix(BitMatrix.from_bitrows(rows, ctx.h1_dim),
-                          RowBasis.of(rows, ctx.h1_dim))
-
-
-def homology_matrix(d: EmbeddingScheme) -> HomologyMatrix:
-    """Component-class matrix of the diagram (n rows, dim H_1 columns)."""
-    return d.shadow.homology_matrix
+    hom = d.shadow.homology
+    return BitVector(hom.h1_dim,
+                     _cycle_class(d.edges, hom.edge_classes, d.crossing_count, edges))

@@ -66,7 +66,7 @@ def verify_rank_formula(d: EmbeddingScheme) -> RankReport:
         incidence_rank=shadow.incidence_factor.rank,
         region_count=shadow.faces.region_count,
         component_count=len(shadow.components),
-        homology_rank=shadow.homology_matrix.rank,
+        homology_rank=shadow.homology.rank,
     )
 
 

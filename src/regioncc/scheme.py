@@ -25,17 +25,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter, or_, xor
+from operator import itemgetter, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .gf2 import Frozen, RowBasis
+from .gf2 import Frozen, RowBasis, fits_width
 
 if TYPE_CHECKING:
     from .bicolor import WalkTable
-    from .homology import HomologyContext, HomologyMatrix
+    from .homology import Homology
 
 __all__ = _EXPORTS["scheme"]
 
@@ -356,15 +356,11 @@ class Shadow(Frozen):
         return tuple(out)
 
     @cached_property
-    def homology_context(self) -> HomologyContext:
+    def homology(self) -> Homology:
+        """H_1 and the components' classes in it, from one build."""
         # Imported here, so commands that never ask for homology skip it.
-        from .homology import build_context
-        return build_context(self)
-
-    @cached_property
-    def homology_matrix(self) -> HomologyMatrix:
-        from .homology import build_homology_matrix
-        return build_homology_matrix(self)
+        from .homology import build_homology
+        return build_homology(self)
 
     @cached_property
     def walk_table(self) -> WalkTable:
@@ -399,8 +395,8 @@ class Shadow(Frozen):
 def checked_masks(masks: Sequence[int], c: int) -> Sequence[int]:
     """Masks read from Shadow.region_masks, checked: RuntimeError unless
     each is an int in range(1 << c).  Every reader of the masks calls it."""
-    try:   # their union is negative or too wide exactly when some mask is
-        fits = not reduce(or_, masks, 0) >> c
+    try:
+        fits = fits_width(masks, c)
     except TypeError:   # a mask that is no int
         fits = False
     if not fits:

@@ -14,7 +14,7 @@ from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS,
                       make_rp2curl, make_torus11, mirror_fault, ones,
                       violation_document)
 from regioncc import (Edge, admissible, admissible_by_bicoloring, bicoloring,
-                      components, faces, homology_context, homology_matrix,
+                      class_of, components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
                       random_diagram, serialize_diagram, surface_info)
 from regioncc.cli import _load, _parser, main
@@ -663,6 +663,31 @@ class TestInternalChecks:
         assert (code, out) == (4, "")
         assert err == f"internal error: {self.CHECKS[fault][1]}\n"
 
+    HOMOLOGY_FAULTS = [fault for fault, (query, *_) in CHECKS.items()
+                       if query in (homology_context, homology_matrix)]
+
+    @pytest.mark.parametrize("fault", sorted(HOMOLOGY_FAULTS))
+    def test_both_accessors_keep_the_message(self, fault):
+        # A failed build caches nothing, so each read builds and fails again.
+        d = import_pd(TREFOIL_PD)
+        self.corrupt(d, fault)
+        for query in (homology_context, homology_matrix, homology_context):
+            with pytest.raises(RuntimeError) as caught:
+                query(d)
+            assert str(caught.value) == self.CHECKS[fault][1]
+        assert "homology" not in vars(d.shadow)
+
+    @pytest.mark.parametrize("fault", sorted(COMPONENT_EDGES))
+    def test_class_of_builds_the_component_rows(self, fault):
+        # The edge classes and the component rows are one table, so a
+        # component table corrupted before the first build stops class_of too.
+        d = import_pd(TREFOIL_PD)
+        cycle = components(d)[0].edges
+        self.corrupt(d, fault)
+        with pytest.raises(RuntimeError) as caught:
+            class_of(d, cycle)
+        assert str(caught.value) == "component trace is not a cycle"
+
     @staticmethod
     def corrupt_after_the_basis(d, fault: str) -> None:
         # The row basis checks the sound masks first; mask 1 is the
@@ -735,7 +760,7 @@ class TestCorruptedBases:
             attr, basis = "incidence_factor", d.shadow.incidence_factor
             target = sum(1 << i for i in TestCorruptedBases.TARGET)
         else:
-            attr, basis = "homology_matrix", d.shadow.homology_matrix.basis
+            attr, basis = "homology", d.shadow.homology.basis
             target = phi_class(d, bicoloring(d, TestCorruptedBases.TARGET)).bits
         p = min(p for p in ones(target) if p in basis.rows)
         rows = dict(basis.rows)
@@ -746,7 +771,7 @@ class TestCorruptedBases:
             del rows[p]
         basis = basis._replace(rows=rows)
         if route == "homology":
-            basis = d.shadow.homology_matrix._replace(basis=basis)
+            basis = d.shadow.homology._replace(basis=basis)
         d.shadow.__dict__[attr] = basis
 
     @pytest.fixture
@@ -848,7 +873,7 @@ class TestNulledTables:
     """
 
     # field: (its table, the commands that read it)
-    READERS = {"edge_classes": ("homology_context", ["admissible", "bicolor"]),
+    READERS = {"edge_classes": ("homology", ["admissible", "bicolor"]),
                **{field: ("walk_table", ["admissible", "bicolor"])
                   for field in ("crossing_positions", "bounds", "ends")},
                "rows": ("incidence_factor", ["admissible"]),
@@ -866,8 +891,8 @@ class TestNulledTables:
         def corrupted_load(path):
             d = _load(path)
             shadow = d.shadow
-            for table in ("faces", "components", "homology_context", "homology_matrix",
-                          "walk_table", "region_masks", "incidence_factor"):
+            for table in ("faces", "components", "homology", "walk_table",
+                          "region_masks", "incidence_factor"):
                 getattr(shadow, table)
             table = self.READERS[field][0]
             value = getattr(shadow, table)
@@ -880,6 +905,33 @@ class TestNulledTables:
         code, out, err = run(capsys, command, trefoil_file, *flags)
         assert (code, out) == (4, "")
         assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+class TestOneHomologyTable:
+    """A command leaves one homology table on each shadow it loads, and
+    none when it never reads homology."""
+
+    READERS = {"info", "verify", "homology", "admissible", "bicolor"}
+
+    @pytest.mark.parametrize("argv", [
+        ["info"], ["verify"], ["matrix"], ["homology"], ["admissible", "-c", "0,1"],
+        ["ineffective"], ["bicolor", "-c", "0,1"], ["apply", "-r", "0"],
+        ["equivalent", "@"], ["switch", "-i", "1"], ["move-r2", "-d", "0,4"]],
+        ids=lambda argv: argv[0])
+    def test_one_homology_key(self, capsys, monkeypatch, trefoil_file, argv):
+        loaded = []
+
+        def recording_load(path):
+            loaded.append(_load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr("regioncc.cli._load", recording_load)
+        name, *flags = [trefoil_file if arg == "@" else arg for arg in argv]
+        assert run(capsys, name, trefoil_file, *flags)[0] == 0
+        want = ["homology"] if name in self.READERS else []
+        assert loaded
+        for d in loaded:
+            assert [key for key in vars(d.shadow) if "homology" in key] == want
 
 
 class TestStdinAndScript:

@@ -19,17 +19,20 @@ Regenerate the file only when an output change is intended:
 
 from __future__ import annotations
 
-import io
 import json
 import random
+import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from golden_run import _run, _write_docs, replay
+
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+RUNNER = Path(__file__).with_name("golden_run.py")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 QUERIES = ("info", "verify", "matrix", "homology", "ineffective")
 TARGETED = ("admissible", "bicolor")
@@ -38,24 +41,6 @@ WRITERS = ("apply", "switch", "move-r2", "random", "import-pd")
 
 def _load_golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-def _run(argv: list[str], paths: dict[str, str]) -> tuple[int, str]:
-    from regioncc.cli import main
-    real = [paths.get(arg, arg) for arg in argv]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(real)
-    return code, out.getvalue()
-
-
-def _write_docs(docs: dict[str, str], root: Path) -> dict[str, str]:
-    paths = {}
-    for name, text in docs.items():
-        path = root / f"{name}.json"
-        path.write_text(text + "\n", encoding="utf-8")
-        paths["@" + name] = str(path)
-    return paths
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +59,21 @@ def test_golden_covers_every_query():
         assert (command, False) in seen
 
 
-def test_cli_stdout_matches_golden(golden):
-    data, paths = golden
-    mismatches = []
-    for case in data["cases"]:
-        code, out = _run(case["argv"], paths)
-        if code != case["exit"] or out != case["stdout"]:
-            mismatches.append(" ".join(case["argv"]))
-    assert not mismatches, (f"{len(mismatches)} of {len(data['cases'])} "
+def test_cli_stdout_matches_golden():
+    total, mismatches = replay(GOLDEN)
+    assert not mismatches, (f"{len(mismatches)} of {total} "
                             f"commands differ, first: {mismatches[:5]}")
+
+
+def test_runner_script_matches_every_case():
+    # The stand-alone runner, as it is run under each supported Python.
+    total = len(_load_golden()["cases"])
+    child = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(RUNNER),
+                            str(SRC), str(GOLDEN)],
+                           capture_output=True, encoding="utf-8")
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith(f"{total}/{total} golden cases match on Python ")
+    assert child.stdout.count("\n") == 1
 
 
 def test_text_rows_build_no_json_lists(golden, monkeypatch):

@@ -121,6 +121,13 @@ class TestHomologyMatrix:
                 assert class_of(d, comp.edges).bits == row
             assert hm.rank == dense_rank(hm.matrix)
 
+    def test_one_table_behind_both_names(self):
+        for d in random_suite(20, 1, 8, (0.0, 0.5, 1.0), seed=29):
+            hom = homology_context(d)
+            assert homology_matrix(d) is hom is d.shadow.homology
+            assert (hom.h1_dim, hom.rank) == (hom.matrix.cols, hom.basis.rank)
+            assert hom.matrix.rows == len(components(d))
+
     def test_broken_component_trace_is_caught(self, trefoil):
         comp = components(trefoil)[0]
         trefoil.shadow.__dict__["components"] = (comp._replace(edges=comp.edges[1:]),)

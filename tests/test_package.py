@@ -11,13 +11,13 @@ import pytest
 import regioncc
 from conftest import TREFOIL_PD
 from regioncc import (BitMatrix, BitVector, Component, Edge, EmbeddingScheme,
-                      FaceStructure, HomologyContext, Region, Shadow, import_pd,
+                      FaceStructure, Homology, Region, Shadow, import_pd,
                       orientation_double_cover, serialize_diagram)
 
 EXPORTS = [
     "Bicoloring", "BitMatrix", "BitVector", "Component", "DiagramFormatError",
-    "Edge", "EmbeddingScheme", "FaceStructure", "HomologyContext",
-    "HomologyMatrix", "InvalidDiagramError", "R2Spec", "RankReport", "Region",
+    "Edge", "EmbeddingScheme", "FaceStructure", "Homology",
+    "InvalidDiagramError", "R2Spec", "RankReport", "Region",
     "Shadow", "SurfaceInfo", "__version__",
     "admissible", "admissible_by_bicoloring", "apply_rcc", "bicoloring",
     "checkerboard", "class_of", "components", "count_classes", "faces",
@@ -189,8 +189,11 @@ class TestValueClasses:
             BitVector(2, 4)
         with pytest.raises(ValueError, match="nonnegative"):
             BitVector(-1)
-        with pytest.raises(ValueError, match="outside declared width"):
-            BitMatrix(1, 1, (2,))
+        for row_bits in ((2,), (0, -1)):
+            with pytest.raises(ValueError, match="outside declared width"):
+                BitMatrix(len(row_bits), 1, row_bits)
+        with pytest.raises(TypeError):
+            BitMatrix(2, 1, (1, None))
         for rows, cols in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="dimensions must be nonnegative"):
                 BitMatrix(rows, cols, ())
@@ -223,7 +226,7 @@ class TestValueClasses:
     def test_derived_records_keep_only_what_is_read(self):
         assert Region._fields == ("corners", "crossing_count")
         assert Component._fields == ("edges", "crossings")
-        assert HomologyContext._fields == ("quotient_pivots", "edge_classes")
+        assert Homology._fields == ("quotient_pivots", "edge_classes", "matrix", "basis")
         assert FaceStructure._fields == ("regions", "face_partner", "plus_face",
                                          "edge_sides")
 
@@ -237,7 +240,7 @@ class TestValueClasses:
         defined = {name for name, value in vars(regioncc.homology).items()
                    if getattr(value, "__module__", None) == "regioncc.homology"}
         assert not defined & {"_index", "_index_list", "_union", "dual_tree"}
-        assert {"build_context", "HomologyContext"} <= defined
+        assert {"build_homology", "Homology"} <= defined
 
     def test_cached_table_survives_on_the_shadow(self):
         d = EmbeddingScheme((1,), EDGES)

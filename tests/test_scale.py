@@ -167,8 +167,7 @@ def test_tables_linear_at_8000_crossings(family):
     tracemalloc.start()
     try:
         shadow.faces
-        shadow.homology_context
-        shadow.homology_matrix
+        shadow.homology
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -211,7 +210,7 @@ def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
     d = make(family, 8000)
     shadow = d.shadow
     shadow.faces
-    shadow.homology_matrix
+    shadow.homology
     tracemalloc.start()
     try:
         shadow.incidence_factor
