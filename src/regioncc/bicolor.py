@@ -32,7 +32,6 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitVector, bit_flags, mask_of, set_bits
-from .homology import class_of
 from .scheme import EmbeddingScheme, Shadow, _index_set
 
 __all__ = _EXPORTS["bicolor"]
@@ -46,27 +45,22 @@ class Bicoloring(NamedTuple):
     def switched(self, d: EmbeddingScheme) -> tuple[int, ...]:
         """Crossings whose through strands change color, sorted.
 
-        For a valid bi-coloring both strands of a crossing agree on
-        whether they change; ValueError flags a mismatch.
+        For a valid bi-coloring, one int 0 or 1 per edge, both strands of
+        a crossing agree on whether they change; ValueError flags a mismatch.
         """
-        first, second = _strand_changes(d, _checked_colors(d, self))
+        colors = self.colors
+        if len(colors) != d.edge_count:
+            raise ValueError("coloring length does not match the edge count")
+        # Set tests run in C: True == 1 and 1.0 == 1, so types are tested too.
+        if not ({*map(type, colors)} <= {int} and {*colors} <= {0, 1}):
+            raise ValueError("coloring colors must be 0 or 1")
+        first, second = _strand_changes(d, colors)
         if first != second:
             low = first ^ second
             raise ValueError(
                 f"strands disagree at crossing {(low & -low).bit_length() - 1 >> 3}")
         c = d.crossing_count
         return tuple(compress(range(c), first.to_bytes(c, "little")))
-
-
-def _checked_colors(d: EmbeddingScheme, coloring: Bicoloring) -> tuple[int, ...]:
-    """The colors, one per edge of d and each exactly the int 0 or 1."""
-    colors = coloring.colors
-    if len(colors) != d.edge_count:
-        raise ValueError("coloring length does not match the edge count")
-    # Set tests run in C: True == 1 and 1.0 == 1, so types are tested too.
-    if not ({*map(type, colors)} <= {int} and {*colors} <= {0, 1}):
-        raise ValueError("coloring colors must be 0 or 1")
-    return colors
 
 
 def _strand_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> tuple[int, int]:
@@ -182,9 +176,14 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
 
 
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
-    """Homology class of the 1-colored edge set."""
-    colors = _checked_colors(d, coloring)
-    return class_of(d, compress(range(len(colors)), colors))
+    """Homology class of the 1-colored edge set.
+
+    ``Bicoloring.switched`` checks that those edges form a cycle: strands
+    agree exactly at even incidence.  Its class XORs their edge classes.
+    """
+    coloring.switched(d)
+    hom = d.shadow.homology
+    return BitVector(hom.h1_dim, reduce(xor, compress(hom.edge_classes, coloring.colors), 0))
 
 
 def admissible_by_bicoloring(

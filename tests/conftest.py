@@ -18,8 +18,8 @@ from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       InvalidDiagramError, Shadow, admissible, admissible_by_bicoloring,
                       apply_rcc, class_of, components, count_classes, faces,
                       homology_matrix, incidence_matrix, import_pd, ineffective_basis,
-                      orientation_double_cover, random_diagram, surface_info,
-                      verify_rank_formula)
+                      orientation_double_cover, phi_class, random_diagram,
+                      surface_info, verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector
 from regioncc.scheme import _decode_json, _on_shadow
 
@@ -995,6 +995,32 @@ def even_target(d: EmbeddingScheme, rng: random.Random) -> list[int]:
         picked = [i for i in members if rng.random() < 0.5]
         chosen += picked[:len(picked) & ~1]
     return sorted(chosen)
+
+
+def phi_class_matches_class_of(cases) -> int:
+    """Check phi_class on every coloring admissible_by_bicoloring returns.
+
+    ``cases`` holds (diagram, crossing set) pairs.  Each returned coloring's
+    class is read first by class_of over its 1-colored edge indices; then
+    phi_class must give the same bits with ``homology._cycle_class``
+    raising, so it reads the class from the colors as the route does.
+    Returns the number of nonzero classes seen.
+    """
+    expected = []
+    for d, target in cases:
+        _, witness = admissible_by_bicoloring(d, target)
+        if witness is not None:
+            ones = [e for e, x in enumerate(witness.colors) if x]
+            expected.append((d, witness, class_of(d, ones).bits))
+
+    def walked(*args):
+        raise AssertionError("phi_class walked the edges through _cycle_class")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("regioncc.homology._cycle_class", walked)
+        for d, witness, bits in expected:
+            assert phi_class(d, witness).bits == bits
+    return sum(1 for *_, bits in expected if bits)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (bicolor_system, dense_in_rowspace, dense_nullspace,
-                      even_target, random_suite)
+                      even_target, phi_class_matches_class_of, random_suite)
 from regioncc import (Bicoloring, admissible, admissible_by_bicoloring,
                       bicoloring, components, homology_matrix, phi_class)
 from regioncc.gf2 import BitMatrix, BitVector
@@ -116,6 +116,35 @@ class TestPhiClass:
     def test_length_check(self, curl):
         with pytest.raises(ValueError, match="length"):
             phi_class(curl, Bicoloring((1, 0, 0)))
+
+    def test_class_is_read_as_the_route_reads_it(self):
+        rng = random.Random(47)
+        cases = []
+        for d in random_suite(150, 1, 14, (0.0, 0.5, 1.0), seed=47):
+            c = d.crossing_count
+            cases.append((d, even_target(d, rng)))
+            cases += [(d, [i for i in range(c) if rng.random() < 0.5]) for _ in range(2)]
+        assert phi_class_matches_class_of(cases) >= 50
+
+    def test_a_flipped_edge_fails_as_switched_fails(self):
+        # A loop's two darts sit at one crossing, so flipping it keeps
+        # every incidence even; an edge between two crossings makes both odd.
+        rng = random.Random(48)
+        seen = 0
+        for d in random_suite(60, 1, 14, (0.0, 0.5, 1.0), seed=48):
+            links = [j for j, e in enumerate(d.edges) if e.darts[0] >> 2 != e.darts[1] >> 2]
+            if not links:
+                continue
+            colors = list(bicoloring(d, even_target(d, rng)).colors)
+            colors[rng.choice(links)] ^= 1
+            flipped = Bicoloring(tuple(colors))
+            with pytest.raises(ValueError, match="strands disagree at crossing") as by_switched:
+                flipped.switched(d)
+            with pytest.raises(ValueError) as by_class:
+                phi_class(d, flipped)
+            assert str(by_class.value) == str(by_switched.value)
+            seen += 1
+        assert seen >= 40
 
 
 class TestAdmissibleByBicoloring:

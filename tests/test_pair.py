@@ -1,0 +1,127 @@
+"""The paired-run driver ``tools/pair.py``, with a stub in place of bench/run.py."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("pair", ROOT / "tools" / "pair.py")
+pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pair)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+NAMES = [spec["name"] for spec in END_TO_END]
+
+
+class Stub:
+    """Records each run; every metric of tree T in pair k reads values[T](k)."""
+
+    def __init__(self, values=None, correct=lambda side, seed: True):
+        self.calls = []
+        self.values = values or {"parent": lambda k: 1.0, "change": lambda k: 1.0}
+        self.correct = correct
+
+    def __call__(self, tree, workload, seed, seconds):
+        self.calls.append((tree, workload, seed, seconds))
+        side = Path(tree).name
+        details = {"commit": f"{side}-commit", "src_sha256": f"{side}-digest",
+                   "python": "3.11.7", "failures": [], "problems": []}
+        metrics = {name: {"value": self.values[side](seed), "unit": "x"} for name in NAMES}
+        return details, {"correct": self.correct(side, seed), "metrics": metrics}
+
+
+@pytest.fixture
+def trees(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change" / "BENCHMARK.json")
+    return tmp_path
+
+
+def drive(trees, stub, *extra):
+    out = trees / "BENCH_test.json"
+    argv = ["--parent", str(trees / "parent"), "--change", str(trees / "change"),
+            "--workload", "torus_solve", "--out", str(out), *extra]
+    assert pair.main(argv, runner=stub) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_parent_runs_first_in_odd_pairs(trees):
+    stub = Stub()
+    drive(trees, stub, "--pairs", "4", "--seconds", "3")
+    order = [(Path(tree).name, seed) for tree, _, seed, _ in stub.calls]
+    assert order == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
+    assert {call[1:2] + call[3:] for call in stub.calls} == {("torus_solve", 3)}
+
+
+def test_report_shape(trees):
+    stub = Stub({"parent": lambda k: float(k), "change": lambda k: float(k + 1)})
+    doc = drive(trees, stub, "--pairs", "2", "--workload", "genus_solve")
+    assert set(doc) == {"python", "seconds", "pairs", "trees", "workloads"}
+    assert (doc["python"], doc["seconds"], doc["pairs"]) == ("3.11.7", 25, 2)
+    assert doc["trees"] == {side: {"commit": f"{side}-commit", "src_sha256": f"{side}-digest"}
+                            for side in ("parent", "change")}
+    assert list(doc["workloads"]) == ["torus_solve", "genus_solve"]
+    for entry in doc["workloads"].values():
+        assert list(entry["metrics"]) == NAMES
+        assert entry["runs"] == [
+            {"pair": 1, "seed": 1, "order": ["parent", "change"],
+             "parent": dict.fromkeys(NAMES, 1.0), "change": dict.fromkeys(NAMES, 2.0)},
+            {"pair": 2, "seed": 2, "order": ["change", "parent"],
+             "parent": dict.fromkeys(NAMES, 2.0), "change": dict.fromkeys(NAMES, 3.0)}]
+        setup = entry["metrics"]["setup_s"]
+        assert set(setup) == {"better", "bound", "parent_median", "change_median", "wins",
+                              "pairs", "parent_iqr", "parent_iqr_rel", "worse_by", "verdict"}
+        assert (setup["parent_median"], setup["change_median"], setup["wins"]) == (1.5, 2.5, 0)
+
+
+def rows(parent, change):
+    return [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("better, parent, change, wins, worse_by, verdict", [
+    # A steady parent: the change's median decides against the bound.
+    ("lower", [1.0] * 4, [1.2] * 4, 0, 0.2, "within"),
+    ("lower", [1.0] * 4, [1.3] * 4, 0, 0.3, "worse"),
+    ("lower", [1.0] * 4, [0.5] * 4, 4, -0.5, "within"),
+    ("higher", [10.0] * 4, [7.0] * 4, 0, 0.3, "worse"),
+    ("higher", [10.0] * 4, [12.0] * 4, 4, -0.2, "within"),
+    # Quartiles 1.5 and 4.5 about a median of 3: the spread is the median.
+    ("lower", [1.0, 2.0, 3.0, 4.0, 5.0], [3.0] * 5, 2, 0.0, "unresolved"),
+    ("lower", [0.0] * 3, [0.0] * 3, 0, None, "unresolved"),
+])
+def test_verdicts_on_fixed_numbers(better, parent, change, wins, worse_by, verdict):
+    got = pair.compare(rows(parent, change), {"name": "m", "better": better, "bound": 0.25})
+    assert (got["wins"], got["verdict"]) == (wins, verdict)
+    assert got["worse_by"] == pytest.approx(worse_by)
+
+
+def test_one_pair_has_no_spread():
+    got = pair.compare(rows([2.0], [2.4]), {"name": "m", "better": "lower", "bound": 0.25})
+    assert (got["parent_iqr"], got["worse_by"], got["verdict"]) == (0.0, pytest.approx(0.2),
+                                                                     "within")
+
+
+def test_an_incorrect_run_is_refused(trees):
+    stub = Stub(correct=lambda side, seed: not (side == "change" and seed == 2))
+    with pytest.raises(SystemExit, match="change tree: torus_solve seed 2 is not correct"):
+        drive(trees, stub, "--pairs", "3")
+    assert len(stub.calls) == 3
+
+
+def test_a_tree_that_changes_is_refused(trees):
+    stub = Stub()
+    real = stub.__call__
+
+    def edited(tree, workload, seed, seconds):
+        details, result = real(tree, workload, seed, seconds)
+        if seed == 2:
+            details["src_sha256"] = "edited"
+        return details, result
+
+    with pytest.raises(SystemExit, match="changed between runs"):
+        drive(trees, edited, "--pairs", "2")

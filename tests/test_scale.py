@@ -24,8 +24,9 @@ from operator import xor
 
 import pytest
 
-from conftest import (braid_pd, chain_pd, cyclic_pd, even_target, presentation,
-                      reference_switched, same_answers, twisted_chain)
+from conftest import (braid_pd, chain_pd, cyclic_pd, even_target,
+                      phi_class_matches_class_of, presentation, reference_switched,
+                      same_answers, twisted_chain)
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, parse_diagram, poke_sites,
@@ -105,6 +106,18 @@ def test_acceptance_properties_at_2000_crossings(family):
         verdicts.append(by_colors)
     assert verdicts[2]
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_phi_class_reads_the_route_class_at_2000_crossings(family):
+    d = make(family, N)
+    rng = random.Random(8)
+    even = even_target(d, rng)
+    targets = [even, sorted(set(even) ^ {rng.randrange(N)}),
+               [i for i in range(N) if rng.random() < 0.5]]
+    nonzero = phi_class_matches_class_of([(d, target) for target in targets])
+    # Only the planar families, with h1 = 0, give every coloring class zero.
+    assert (nonzero > 0) == (family not in ("braid", "chain"))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
