@@ -10,12 +10,13 @@ basis element k), matching the gf2 row convention.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from typing import Iterable, NamedTuple, Sequence
+from functools import reduce
+from operator import itemgetter, xor
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, RowBasis
-from .scheme import Edge, EmbeddingScheme, Shadow, _index_list, _union, dual_tree
+from .scheme import EmbeddingScheme, Shadow, _index_list, _union, dual_tree
 
 __all__ = _EXPORTS["homology"]
 
@@ -97,10 +98,24 @@ def build_homology(shadow: Shadow) -> Homology:
         classes[j] = below[v]
         below[u] ^= below[v]
     classes = tuple(classes)
+    # The component table's own invariant, checked once: laid end to end
+    # its edge lists are range(m), each index an exact int, and one gather
+    # of the edges' component labels through edge_of gives both edges of
+    # every strand one label, so each list is a union of strands: a cycle.
+    label = [-1] * m
     try:
-        rows = [_cycle_class(edges, classes, c, comp.edges) for comp in shadow.components]
-    except (IndexError, TypeError, ValueError):
+        for k, comp in enumerate(shadow.components):
+            for e in comp.edges:
+                if type(e) is not int or not 0 <= e < m or label[e] >= 0:
+                    raise ValueError
+                label[e] = k
+        at = itemgetter(*shadow.edge_of)(label)
+        if -1 in label or at[0::4] != at[2::4] or at[1::4] != at[3::4]:
+            raise ValueError
+    except (TypeError, ValueError):   # TypeError: an edge list that is no iterable
         raise RuntimeError("component trace is not a cycle") from None
+    rows = [reduce(xor, map(classes.__getitem__, comp.edges), 0)
+            for comp in shadow.components]
     h1 = len(cotree)
     return Homology(tuple(cotree), classes, BitMatrix.from_bitrows(rows, h1),
                     RowBasis.of(rows, h1))
@@ -114,37 +129,19 @@ def homology_matrix(d: EmbeddingScheme) -> Homology:
 homology_context = homology_matrix   # one table, both public names
 
 
-def _cycle_class(edges: Sequence[Edge], classes: Sequence[int], c: int,
-                 indices: Iterable[int]) -> int:
-    """Class bits of an edge cycle over a shadow's ``edges``, their
-    ``classes`` and its crossing count ``c``.
-
-    The indices are checked by ``_index_list``, which also rejects a
-    non-iterable; then each one's class is XORed in and the parities of
-    its end crossings toggled (a loop's two ends cancel); indices are
-    taken mod 2.  ValueError names the crossings with odd incidence if
-    the edges do not form a cycle of the graph.
-    """
-    bits = 0
-    odd = bytearray(c)
-    for e in _index_list(indices, len(edges), "edge"):
-        bits ^= classes[e]
-        (a, b), _ = edges[e]
-        odd[a >> 2] ^= 1
-        odd[b >> 2] ^= 1
-    if 1 in odd:
-        raise ValueError("edge set is not a cycle: odd incidence at "
-                         f"crossing {', '.join(map(str, compress(count(), odd)))}")
-    return bits
-
-
 def class_of(d: EmbeddingScheme, edges: Iterable[int]) -> BitVector:
     """Homology class of an edge cycle, in the table's quotient basis.
 
-    ``edges`` is an iterable of int edge indices, taken mod 2.  Raises
-    ValueError naming the crossings with odd incidence if they do not
-    form a cycle of the graph.
+    ``edges`` is an iterable of int edge indices, checked by
+    ``_index_list`` and taken mod 2 into the coloring whose 1-colored
+    edges they are; ``phi_class`` reads its class.  Raises ValueError
+    naming the lowest crossing where the strands disagree if the edges do
+    not form a cycle of the graph.
     """
-    hom = d.shadow.homology
-    return BitVector(hom.h1_dim,
-                     _cycle_class(d.edges, hom.edge_classes, d.crossing_count, edges))
+    # Imported here, so importing this module loads no bi-coloring code.
+    from .bicolor import Bicoloring, phi_class
+    m = d.edge_count
+    parity = [0] * m
+    for e in _index_list(edges, m, "edge"):
+        parity[e] ^= 1
+    return phi_class(d, Bicoloring(tuple(parity)))

@@ -998,36 +998,30 @@ def even_target(d: EmbeddingScheme, rng: random.Random) -> list[int]:
 
 
 def phi_class_matches_class_of(cases) -> int:
-    """Check phi_class on every coloring admissible_by_bicoloring returns.
+    """Check phi_class and class_of on every coloring admissible_by_bicoloring returns.
 
     ``cases`` holds (diagram, crossing set) pairs.  Each returned coloring's
-    class is read first by class_of over its 1-colored edge indices; then
-    phi_class must give the same bits with ``homology._cycle_class``
-    raising, so it reads the class from the colors as the route does.
-    Returns the number of nonzero classes seen.
+    class is read by the edge walk ``reference_cycle_class`` over its
+    1-colored edge indices; phi_class on the coloring and class_of on
+    those indices must both give the same bits.  Returns the number of
+    nonzero classes seen.
     """
-    expected = []
+    nonzero = 0
     for d, target in cases:
         _, witness = admissible_by_bicoloring(d, target)
         if witness is not None:
-            ones = [e for e, x in enumerate(witness.colors) if x]
-            expected.append((d, witness, class_of(d, ones).bits))
-
-    def walked(*args):
-        raise AssertionError("phi_class walked the edges through _cycle_class")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("regioncc.homology._cycle_class", walked)
-        for d, witness, bits in expected:
-            assert phi_class(d, witness).bits == bits
-    return sum(1 for *_, bits in expected if bits)
+            lit = [e for e, x in enumerate(witness.colors) if x]
+            bits = reference_cycle_class(d, lit)
+            assert phi_class(d, witness).bits == class_of(d, lit).bits == bits
+            nonzero += bits != 0
+    return nonzero
 
 
 # ---------------------------------------------------------------------------
 # The element-at-a-time loops that the package's whole-int queries
-# replaced: a bi-coloring walked passage by passage, its class read by
-# class_of, region effects toggled corner by corner, and set bits read
-# off the binary text one digit at a time.
+# replaced: a bi-coloring walked passage by passage, a cycle's class read
+# edge by edge, region effects toggled corner by corner, and set bits
+# read off the binary text one digit at a time.
 
 def reference_set_bits(mask: int) -> list[int]:
     """Indices of the set bits of a nonnegative mask, ascending."""
@@ -1045,6 +1039,32 @@ def reference_index_set(indices, count: int, what: str) -> set[int]:
             raise IndexError(f"{what} index {i} out of range")
         found.add(i)
     return found
+
+
+def reference_cycle_class(d: EmbeddingScheme, edges) -> int:
+    """Class bits of an edge cycle, walked edge by edge.
+
+    Each index is checked as the index rule checks it, its class is
+    XORed in and the parities of its end crossings toggled (a loop's two
+    ends cancel), so indices are taken mod 2.  ValueError names the
+    crossings with odd incidence if the edges form no cycle of the graph.
+    """
+    classes = homology_matrix(d).edge_classes
+    bits = 0
+    odd = bytearray(d.crossing_count)
+    for e in edges:
+        if type(e) is not int:
+            raise TypeError(f"edge index {e!r} is not an int")
+        if not 0 <= e < d.edge_count:
+            raise IndexError(f"edge index {e} out of range")
+        bits ^= classes[e]
+        (a, b), _ = d.edges[e]
+        odd[a >> 2] ^= 1
+        odd[b >> 2] ^= 1
+    if 1 in odd:
+        raise ValueError("edge set is not a cycle: odd incidence at crossing "
+                         + ", ".join(str(i) for i, x in enumerate(odd) if x))
+    return bits
 
 
 def reference_switched(d: EmbeddingScheme, regions) -> bytearray:
@@ -1085,7 +1105,7 @@ def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
     base = reference_bicoloring(d, crossings)
     if base is None:
         return False, None
-    phi = class_of(d, [e for e, color in enumerate(base) if color]).bits
+    phi = reference_cycle_class(d, [e for e, color in enumerate(base) if color])
     coeffs = homology_matrix(d).basis.expression(phi, ones(phi))
     if coeffs is None:
         return False, base
@@ -1094,7 +1114,7 @@ def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
     for k in ones(coeffs):
         for e in comps[k].edges:
             colors[e] ^= 1
-    assert class_of(d, [e for e, color in enumerate(colors) if color]).bits == 0
+    assert reference_cycle_class(d, [e for e, color in enumerate(colors) if color]) == 0
     return True, tuple(colors)
 
 

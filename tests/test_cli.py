@@ -688,6 +688,46 @@ class TestInternalChecks:
             class_of(d, cycle)
         assert str(caught.value) == "component trace is not a cycle"
 
+    # Component faults on the torus diagram, whose components are edge 0
+    # and edge 1, with h1 = 2; each breaks one clause of the check alone.
+    # Component 0 extended by component 1's edge repeats edge 1, yet is a
+    # cycle, so a per-component cycle check passes it and the rows change
+    # silently; edge 0 written as -2 is out of range but wraps to itself
+    # under Python indexing, and written as False equals it but is no int.
+    TRACE_FAULTS = {"component_merged": lambda first, rest: first.edges + rest[0].edges,
+                    "component_negative": lambda first, rest: (first.edges[0] - 2,),
+                    "component_bool": lambda first, rest: (False,)}
+
+    @staticmethod
+    def corrupt_trace(d, fault: str) -> None:
+        first, *rest = d.shadow.components
+        assert (first.edges, rest[0].edges) == ((0,), (1,))
+        edges = TestInternalChecks.TRACE_FAULTS[fault](first, rest)
+        d.shadow.__dict__["components"] = (first._replace(edges=edges), *rest)
+
+    @pytest.mark.parametrize("fault", sorted(TRACE_FAULTS))
+    def test_trace_faults_stop_every_reader(self, fault):
+        for query in (homology_context, homology_matrix,
+                      lambda d: class_of(d, components(d)[1].edges)):
+            d = make_torus11()
+            self.corrupt_trace(d, fault)
+            with pytest.raises(RuntimeError) as caught:
+                query(d)
+            assert str(caught.value) == "component trace is not a cycle"
+
+    @pytest.mark.parametrize("fault", sorted(TRACE_FAULTS))
+    def test_trace_faults_exit_4(self, capsys, monkeypatch, torus_file, fault):
+        def corrupted_load(path):
+            d = _load(path)
+            self.corrupt_trace(d, fault)
+            return d
+
+        monkeypatch.setattr("regioncc.cli._load", corrupted_load)
+        for command in ("info", "homology"):
+            code, out, err = run(capsys, command, torus_file)
+            assert (code, out) == (4, "")
+            assert err == "internal error: component trace is not a cycle\n"
+
     @staticmethod
     def corrupt_after_the_basis(d, fault: str) -> None:
         # The row basis checks the sound masks first; mask 1 is the

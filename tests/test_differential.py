@@ -153,12 +153,14 @@ def test_tree_cycle_context_matches_nullspace_context(index):
         masks.append(mask)
     for mask in masks:
         assert class_of(d, ones(mask)).bits == dense_class(mask)
-    # A lone edge between two crossings has odd ends at both.
+    # A lone edge between two crossings has odd ends at both; class_of
+    # names the lower one, where the strands first disagree.
     for j, e in enumerate(d.edges):
-        if e.darts[0] >> 2 != e.darts[1] >> 2:
+        low, high = sorted(x >> 2 for x in e.darts)
+        if low != high:
             with pytest.raises(ValueError, match="not a cycle"):
                 dense_class(1 << j)
-            with pytest.raises(ValueError, match="not a cycle: odd incidence at crossing"):
+            with pytest.raises(ValueError, match=f"^strands disagree at crossing {low}$"):
                 class_of(d, [j])
             break
 

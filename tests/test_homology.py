@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import (dense_rank, dense_rref, random_suite, region_parities,
-                      region_walks, relabeled)
+from conftest import (dense_rank, dense_rref, random_suite, reference_cycle_class,
+                      region_parities, region_walks, relabeled)
 from regioncc import (checkerboard, class_of, components, homology_context,
                       homology_matrix, surface_info)
 from regioncc.scheme import dual_tree
@@ -54,7 +54,8 @@ class TestClassOf:
             assert class_of(trefoil, comp.edges).bits == 0
 
     def test_non_cycle_rejected_naming_crossings(self, trefoil):
-        with pytest.raises(ValueError, match="cycle.*crossing"):
+        # Edge 0 joins crossings 0 and 1: the lower one is named.
+        with pytest.raises(ValueError, match="^strands disagree at crossing 0$"):
             class_of(trefoil, [0])
         # A bad index stops the one pass before the cycle check.
         with pytest.raises(IndexError, match="edge index 6 out of range"):
@@ -95,6 +96,35 @@ class TestClassOf:
             # Indices are taken mod 2: a repeated edge cancels.
             edges = [e for comp in picks for e in comp.edges]
             assert class_of(d, edges + edges[:1] * 2).bits == acc
+
+    def test_agrees_with_the_edge_walk(self):
+        # Edge multisets built from component and region cycles, half of
+        # them with one or two stray edges: the same bits as the edge walk,
+        # or ValueError exactly when it finds odd incidence, naming the
+        # lowest odd crossing.
+        rng = random.Random(30)
+        outcomes = {"cycle": 0, "odd": 0}
+        for d in random_suite(60, 1, 10, (0.0, 0.3, 0.5, 1.0), seed=31):
+            cycles = [comp.edges for comp in components(d)]
+            cycles += [edges for _, edges in region_walks(d)]
+            for _ in range(20):
+                edges = [e for z in rng.sample(cycles, rng.randint(0, len(cycles)))
+                         for e in z]
+                if rng.random() < 0.5:
+                    edges += rng.choices(range(d.edge_count), k=rng.randint(1, 2))
+                edges += edges[:1] * 2
+                rng.shuffle(edges)
+                try:
+                    expected = reference_cycle_class(d, edges)
+                except ValueError as odd:
+                    low = str(odd).split("crossing ")[1].split(",")[0]
+                    with pytest.raises(ValueError, match=f"^strands disagree at crossing {low}$"):
+                        class_of(d, edges)
+                    outcomes["odd"] += 1
+                else:
+                    assert class_of(d, edges).bits == expected
+                    outcomes["cycle"] += 1
+        assert min(outcomes.values()) >= 300
 
 
 class TestHomologyMatrix:

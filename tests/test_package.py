@@ -108,6 +108,12 @@ def test_bicolor_import_loads_no_region_route():
     assert "regioncc.bicolor" in loaded and "regioncc.rcc" not in loaded
 
 
+def test_homology_import_loads_no_bicoloring():
+    # class_of imports the bi-coloring code where it reads a class.
+    loaded = loaded_modules("import regioncc.homology")
+    assert "regioncc.homology" in loaded and "regioncc.bicolor" not in loaded
+
+
 def test_moves_import_loads_only_the_scheme():
     loaded = loaded_modules("import regioncc.moves")
     assert {name for name in loaded if name.startswith("regioncc.")} == {

@@ -75,7 +75,8 @@ def test_report_shape(trees):
              "parent": dict.fromkeys(NAMES, 2.0), "change": dict.fromkeys(NAMES, 3.0)}]
         setup = entry["metrics"]["setup_s"]
         assert set(setup) == {"better", "bound", "parent_median", "change_median", "wins",
-                              "pairs", "parent_iqr", "parent_iqr_rel", "worse_by", "verdict"}
+                              "pairs", "parent_iqr", "parent_iqr_rel", "worse_by", "verdict",
+                              "sign_p", "gain"}
         assert (setup["parent_median"], setup["change_median"], setup["wins"]) == (1.5, 2.5, 0)
 
 
@@ -125,3 +126,55 @@ def test_a_tree_that_changes_is_refused(trees):
 
     with pytest.raises(SystemExit, match="changed between runs"):
         drive(trees, edited, "--pairs", "2")
+
+
+@pytest.mark.parametrize("change, sign_p", [
+    ([0.5] * 10, 2 / 1024),
+    ([0.5] * 9 + [1.5], 22 / 1024),
+    ([0.5] * 5 + [1.5] * 5, 1.0),
+    # Ties are dropped: 9 wins and no loss is a sign test over 9 pairs.
+    ([0.5] * 9 + [1.0], 2 / 512),
+    ([1.0] * 10, 1.0),
+])
+def test_sign_p_is_the_exact_two_sided_sign_test(change, sign_p):
+    got = pair.compare(rows([1.0] * 10, change), {"name": "m", "better": "lower", "bound": 0.25})
+    assert got["sign_p"] == pytest.approx(sign_p, rel=1e-12)
+
+
+# Parent quartiles 0.9 and 1.1 about a median of 1.0: an IQR of 0.2.
+SPREAD_PARENT = [0.8, 0.9, 0.9, 0.9, 1.0, 1.0, 1.1, 1.1, 1.1, 1.2]
+
+
+@pytest.mark.parametrize("better, change, gain", [
+    # 10/10 and 9/10 wins, medians 0.3 below the parent's: a gain.
+    ("lower", [x - 0.3 for x in SPREAD_PARENT], True),
+    ("lower", [x - 0.3 for x in SPREAD_PARENT[:9]] + [1.3], True),
+    # 8/10 wins do not make a gain, however far the median moves.
+    ("lower", [x - 0.6 for x in SPREAD_PARENT[:8]] + [1.3, 1.3], False),
+    # A tie counts for neither tree: 9 wins and a tie of 10 pairs is a gain,
+    # 8 wins and two ties is not.
+    ("lower", [x - 0.3 for x in SPREAD_PARENT[:9]] + [1.2], True),
+    ("lower", [x - 0.3 for x in SPREAD_PARENT[:8]] + [1.1, 1.2], False),
+    # Every pair won, the median 0.25 or 0.1 below: above and below the IQR.
+    ("lower", [x - 0.25 for x in SPREAD_PARENT], True),
+    ("lower", [x - 0.1 for x in SPREAD_PARENT], False),
+    # The same rules where higher is better.
+    ("higher", [x + 0.25 for x in SPREAD_PARENT], True),
+    ("higher", [x + 0.1 for x in SPREAD_PARENT], False),
+    ("higher", [x + 0.6 for x in SPREAD_PARENT[:8]] + [0.7, 0.7], False),
+])
+def test_gain_needs_nine_wins_in_ten_and_a_median_past_the_iqr(better, change, gain):
+    got = pair.compare(rows(SPREAD_PARENT, change), {"name": "m", "better": better, "bound": 0.25})
+    assert got["parent_iqr"] == pytest.approx(0.2)
+    assert got["gain"] is gain
+
+
+def test_gain_and_sign_p_leave_the_verdict_alone(trees):
+    # Every pair moves by half: a gain where lower is better and a sure
+    # loss where higher is, and the verdicts and exit status are as before.
+    stub = Stub({"parent": lambda k: 1.0, "change": lambda k: 0.5})
+    doc = drive(trees, stub, "--pairs", "10")
+    for name, m in doc["workloads"]["torus_solve"]["metrics"].items():
+        lower = m["better"] == "lower"
+        assert (m["sign_p"], m["gain"]) == (2 / 1024, lower)
+        assert m["verdict"] == ("within" if lower else "worse")

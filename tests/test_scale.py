@@ -25,10 +25,10 @@ from operator import xor
 import pytest
 
 from conftest import (braid_pd, chain_pd, cyclic_pd, even_target,
-                      phi_class_matches_class_of, presentation, reference_switched,
-                      same_answers, twisted_chain)
+                      phi_class_matches_class_of, presentation, reference_cycle_class,
+                      reference_switched, same_answers, twisted_chain)
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
-                      count_classes, faces, homology_context, import_pd,
+                      components, count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, parse_diagram, poke_sites,
                       random_diagram, reidemeister_two, serialize_diagram,
                       surface_info, verify_rank_formula)
@@ -118,6 +118,13 @@ def test_phi_class_reads_the_route_class_at_2000_crossings(family):
     nonzero = phi_class_matches_class_of([(d, target) for target in targets])
     # Only the planar families, with h1 = 0, give every coloring class zero.
     assert (nonzero > 0) == (family not in ("braid", "chain"))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_component_rows_match_the_edge_walk_at_2000_crossings(family):
+    d = make(family, N)
+    rows = [reference_cycle_class(d, comp.edges) for comp in components(d)]
+    assert list(homology_context(d).matrix.row_bits) == rows
 
 
 @pytest.mark.parametrize("family", FAMILIES)

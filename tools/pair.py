@@ -23,6 +23,12 @@ and, for each end-to-end metric of the change tree's ``BENCHMARK.json``:
 - ``wins``, the pairs in which the change did strictly better;
 - the parent's interquartile range (``statistics.quantiles``, default
   method), also relative to its median;
+- ``sign_p``, the exact two-sided sign-test p-value over the pairs that
+  have a winner (ties dropped);
+- ``gain``, true exactly when the change wins at least 9 of every 10
+  pairs run (ties count for neither tree) and its median beats the
+  parent's by more than the parent's IQR: the rule a claimed gain must
+  meet;
 - ``verdict``: ``unresolved`` when the parent's relative IQR exceeds the
   bound, else ``worse`` when ``worse_by`` exceeds it, else ``within``.
 
@@ -38,6 +44,7 @@ import json
 import statistics
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 from typing import Callable
 
@@ -91,17 +98,26 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def sign_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``."""
+    n = wins + losses
+    return min(1.0, 2 * sum(comb(n, i) for i in range(min(wins, losses) + 1)) / 2**n)
+
+
 def compare(rows: list[dict], spec: dict) -> dict:
-    """Medians, wins, parent IQR and verdict of one end-to-end metric."""
+    """Medians, wins, parent IQR, sign test, gain and verdict of one end-to-end metric."""
     name, bound, lower = spec["name"], spec["bound"], spec["better"] == "lower"
     parent = [row["parent"][name] for row in rows]
     change = [row["change"][name] for row in rows]
     p_med, c_med = statistics.median(parent), statistics.median(change)
     spread = iqr(parent)
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    sign = -1 if lower else 1   # > 0 where the change is better
+    wins = sum((c - p) * sign > 0 for p, c in zip(parent, change))
+    losses = sum((c - p) * sign < 0 for p, c in zip(parent, change))
     out = {"better": spec["better"], "bound": bound,
            "parent_median": p_med, "change_median": c_med, "wins": wins,
-           "pairs": len(rows), "parent_iqr": spread}
+           "pairs": len(rows), "parent_iqr": spread, "sign_p": sign_p(wins, losses),
+           "gain": 10 * wins >= 9 * len(rows) and (c_med - p_med) * sign > spread}
     if p_med == 0:
         # No relative change or spread exists against a zero median.
         return {**out, "worse_by": None, "parent_iqr_rel": None, "verdict": "unresolved"}
