@@ -43,24 +43,29 @@ class Bicoloring(NamedTuple):
     colors: tuple[int, ...]
 
     def switched(self, d: EmbeddingScheme) -> tuple[int, ...]:
-        """Crossings whose through strands change color, sorted.
-
-        For a valid bi-coloring, one int 0 or 1 per edge, both strands of
-        a crossing agree on whether they change; ValueError flags a mismatch.
-        """
-        colors = self.colors
-        if len(colors) != d.edge_count:
-            raise ValueError("coloring length does not match the edge count")
-        # Set tests run in C: True == 1 and 1.0 == 1, so types are tested too.
-        if not ({*map(type, colors)} <= {int} and {*colors} <= {0, 1}):
-            raise ValueError("coloring colors must be 0 or 1")
-        first, second = _strand_changes(d, colors)
-        if first != second:
-            low = first ^ second
-            raise ValueError(
-                f"strands disagree at crossing {(low & -low).bit_length() - 1 >> 3}")
+        """Crossings whose through strands change color, sorted; ValueError
+        unless the colors are a bi-coloring, as ``_cycle_changes`` checks."""
         c = d.crossing_count
-        return tuple(compress(range(c), first.to_bytes(c, "little")))
+        return tuple(compress(range(c), _cycle_changes(d, self.colors).to_bytes(c, "little")))
+
+
+def _cycle_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> int:
+    """Byte i is 1 where crossing i's strands change color.
+
+    For a valid bi-coloring, one int 0 or 1 per edge, both strands of
+    a crossing agree on whether they change; ValueError flags a mismatch.
+    """
+    if len(colors) != d.edge_count:
+        raise ValueError("coloring length does not match the edge count")
+    # Set tests run in C: True == 1 and 1.0 == 1, so types are tested too.
+    if not ({*map(type, colors)} <= {int} and {*colors} <= {0, 1}):
+        raise ValueError("coloring colors must be 0 or 1")
+    first, second = _strand_changes(d, colors)
+    if first != second:
+        low = first ^ second
+        raise ValueError(
+            f"strands disagree at crossing {(low & -low).bit_length() - 1 >> 3}")
+    return first
 
 
 def _strand_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> tuple[int, int]:
@@ -178,10 +183,10 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
     """Homology class of the 1-colored edge set.
 
-    ``Bicoloring.switched`` checks that those edges form a cycle: strands
+    ``_cycle_changes`` checks that those edges form a cycle: strands
     agree exactly at even incidence.  Its class XORs their edge classes.
     """
-    coloring.switched(d)
+    _cycle_changes(d, coloring.colors)
     hom = d.shadow.homology
     return BitVector(hom.h1_dim, reduce(xor, compress(hom.edge_classes, coloring.colors), 0))
 

@@ -2,9 +2,9 @@
 
 Switching a region switches each crossing once per corner the region
 has there, so over GF(2) only corner parities matter.  The incidence
-matrix has one row per region and one column per crossing: the rows
-are the shadow's region masks, so the crossings a region set switches
-are the XOR of its masks.  Its tagged row basis, cached on the shadow,
+matrix, cached on the shadow, has one row per region and one column
+per crossing, so the crossings a region set switches are the XOR of
+its rows.  Its tagged row basis, also cached on the shadow,
 answers which crossing sets are reachable (admissibility, the
 expression of a target in the rows), which region sets do nothing
 (ineffective sets, the dependent rows), how many genuinely different
@@ -22,21 +22,19 @@ from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector, mask_of, set_bits
-from .scheme import EmbeddingScheme, _index_set, _on_shadow, checked_masks, dual_tree
+from .scheme import EmbeddingScheme, _index_set, _on_shadow, dual_tree
 
 __all__ = _EXPORTS["rcc"]
 
 
 def incidence_matrix(d: EmbeddingScheme) -> BitMatrix:
-    """Region-by-crossing matrix of corner parities over GF(2), built on each call."""
-    c = d.crossing_count
-    return BitMatrix.from_bitrows(checked_masks(d.shadow.region_masks, c), c)
+    """Region-by-crossing matrix of corner parities over GF(2), cached on the shadow."""
+    return d.shadow.incidence_matrix
 
 
 def _switched(d: EmbeddingScheme, regions: Iterable[int]) -> int:
-    """Mask of the crossings a region set switches: the XOR of its checked masks."""
-    masks = d.shadow.region_masks
-    return reduce(xor, checked_masks([masks[k] for k in regions], d.crossing_count), 0)
+    """Mask of the crossings a region set switches: the XOR of its rows."""
+    return reduce(xor, map(d.shadow.incidence_matrix.row_bits.__getitem__, regions), 0)
 
 
 class RankReport(NamedTuple):
@@ -111,7 +109,7 @@ def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:
     """Switch every crossing an odd number of the given regions touches."""
     chosen = _index_set(regions, d.shadow.faces.region_count, "region")
     overs = list(d.overs)
-    # Checked masks set no bit at or above c, and a checked 0/1 flag
+    # Matrix rows set no bit at or above c, and a checked 0/1 flag
     # XOR 1 is a 0/1 flag: no second check.
     for i in set_bits(_switched(d, chosen)):
         overs[i] ^= 1

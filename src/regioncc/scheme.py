@@ -31,7 +31,7 @@ from operator import itemgetter, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .gf2 import Frozen, RowBasis, fits_width
+from .gf2 import BitMatrix, Frozen, RowBasis
 
 if TYPE_CHECKING:
     from .bicolor import WalkTable
@@ -369,8 +369,8 @@ class Shadow(Frozen):
         return build_walk_table(self)
 
     @cached_property
-    def region_masks(self) -> tuple[int, ...]:
-        """Each region's incidence row: bit v is the parity of its corners at v."""
+    def incidence_matrix(self) -> BitMatrix:
+        """Row k, bit v: region k's corner parity at v; BitMatrix checks the width once."""
         c = self.crossing_count
         masks = []
         for k, reg in enumerate(self.faces.regions):
@@ -383,25 +383,12 @@ class Shadow(Frozen):
             except (TypeError, ValueError):
                 raise RuntimeError(f"region {k} has a corner at no crossing") from None
             masks.append(bits)
-        return tuple(masks)
+        return BitMatrix.from_bitrows(masks, c)
 
     @cached_property
     def incidence_factor(self) -> RowBasis:
         """The row basis of the incidence matrix: one row per region."""
-        return RowBasis.of(checked_masks(self.region_masks, self.crossing_count),
-                           self.crossing_count)
-
-
-def checked_masks(masks: Sequence[int], c: int) -> Sequence[int]:
-    """Masks read from Shadow.region_masks, checked: RuntimeError unless
-    each is an int in range(1 << c).  Every reader of the masks calls it."""
-    try:
-        fits = fits_width(masks, c)
-    except TypeError:   # a mask that is no int
-        fits = False
-    if not fits:
-        raise RuntimeError("region masks are not crossing sets")
-    return masks
+        return RowBasis.of(self.incidence_matrix.row_bits, self.crossing_count)
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from conftest import (bicolor_system, dense_in_rowspace, dense_nullspace,
                       even_target, phi_class_matches_class_of, random_suite)
 from regioncc import (Bicoloring, admissible, admissible_by_bicoloring,
-                      bicoloring, components, homology_matrix, phi_class)
+                      bicoloring, class_of, components, homology_matrix, phi_class)
 from regioncc.gf2 import BitMatrix, BitVector
 
 
@@ -60,6 +60,26 @@ class TestBicoloring:
             with pytest.raises(ValueError, match="coloring length does not "
                                "match the edge count"):
                 query(trefoil)
+
+    def test_phi_class_builds_no_switched_tuple(self, monkeypatch):
+        # phi_class makes the checks of Bicoloring.switched without it, so
+        # it never builds the tuple it would discard.
+        rng = random.Random(53)
+        cases = []
+        for d in random_suite(30, 1, 8, (0.0, 0.5), seed=54):
+            phi = bicoloring(d, even_target(d, rng))
+            if phi is not None:
+                cases.append((d, phi, phi_class(d, phi)))
+        assert cases
+
+        def refuse(self, d):
+            raise AssertionError("switched was called")
+
+        monkeypatch.setattr(Bicoloring, "switched", refuse)
+        for d, phi, phi_class_before in cases:
+            assert phi_class(d, phi) == phi_class_before
+            edges = [e for e, color in enumerate(phi.colors) if color]
+            assert class_of(d, edges) == phi_class_before
 
     def test_solutions_satisfy_their_set(self):
         rng = random.Random(51)

@@ -13,7 +13,7 @@ from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS,
                       WALK_FAULTS, cyclic_pd, even_target, make_curl,
                       make_rp2curl, make_torus11, mirror_fault, ones,
                       violation_document)
-from regioncc import (Edge, admissible, admissible_by_bicoloring, bicoloring,
+from regioncc import (BitMatrix, Edge, admissible, admissible_by_bicoloring, bicoloring,
                       class_of, components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
                       random_diagram, serialize_diagram, surface_info)
@@ -553,17 +553,19 @@ class TestInternalChecks:
     dart 0 has the partner 24, no dart, breaks the deck laws; a first
     component edge 1000000 or None is no cycle.  Edge 0's sides (0, 99)
     or None stop the dual tree's builder; a corner 1000000 or 10**18 in
-    region 0 stops the region masks (before the shift, which would not
-    fit), and a cached mask that is None, has bit 3 set or is -1 their
-    readers.  A ``CHECKS`` entry holds the query and its
-    message, then info's message where info stops at another check.
+    region 0 stops the incidence matrix (before the shift, which would
+    not fit), and so does each corner that would write a raw row no
+    ``BitMatrix`` holds: None, 3 (bit 3 on 3 crossings) or -1.  A
+    ``CHECKS`` entry holds the query and its message, then info's
+    message where info stops at another check.
     """
 
     COMPONENT_EDGES = {"component_range": 1000000, "component_type": None}
     EDGE_SIDES = {"sides_range": (0, 99), "sides_type": None}
     CORNERS = {"corner_range": 1000000, "corner_huge": 10**18}
-    MASKS = {"mask_type": lambda mask: None, "mask_wide": lambda mask: mask | 1 << 3,
-             "mask_negative": lambda mask: -1}
+    # The corner loop is the one way into the incidence matrix; these
+    # corners would make row 0 None, wide or negative.
+    MASKS = {"mask_type": None, "mask_wide": 3, "mask_negative": -1}
 
     CHECKS = {
         "edge_sides": (homology_context, "dual tree does not list every region"),
@@ -577,9 +579,7 @@ class TestInternalChecks:
                    f"edge 0 has sides {sides}, not a sorted pair of regions")
            for fault, sides in EDGE_SIDES.items()},
         **{fault: (incidence_matrix, "region 0 has a corner at no crossing")
-           for fault in CORNERS},
-        **{fault: (incidence_matrix, "region masks are not crossing sets")
-           for fault in MASKS},
+           for fault in [*CORNERS, *MASKS]},
         **{fault: (homology_matrix, "component trace is not a cycle")
            for fault in COMPONENT_EDGES},
     }
@@ -594,14 +594,12 @@ class TestInternalChecks:
         elif fault in TestInternalChecks.EDGE_SIDES:
             sides = (TestInternalChecks.EDGE_SIDES[fault],) + shadow.faces.edge_sides[1:]
             shadow.__dict__["faces"] = shadow.faces._replace(edge_sides=sides)
-        elif fault in TestInternalChecks.CORNERS:
+        elif fault in TestInternalChecks.CORNERS or fault in TestInternalChecks.MASKS:
             first, *rest = shadow.faces.regions
-            corners = (TestInternalChecks.CORNERS[fault],) + first.corners[1:]
+            corner = {**TestInternalChecks.CORNERS, **TestInternalChecks.MASKS}[fault]
+            corners = (corner,) + first.corners[1:]
             first = first._replace(corners=corners)
             shadow.__dict__["faces"] = shadow.faces._replace(regions=(first, *rest))
-        elif fault in TestInternalChecks.MASKS:
-            first, *rest = shadow.region_masks
-            shadow.__dict__["region_masks"] = (TestInternalChecks.MASKS[fault](first), *rest)
         elif fault == "mirror":
             shadow.__dict__["cover"] = mirror_fault(shadow.cover)
         elif fault == "edge_ends":
@@ -728,24 +726,51 @@ class TestInternalChecks:
             assert (code, out) == (4, "")
             assert err == "internal error: component trace is not a cycle\n"
 
+    # Rows no BitMatrix holds: one that is no int, has bit 3 set on the
+    # 3-crossing trefoil, or is negative.  None can enter the matrix, so
+    # no reader checks for them.
+    WIDTH = "row bits set outside declared width"
+    RAW_ROWS = {"mask_type": (None, TypeError, "unsupported operand"),
+                "mask_wide": (1 << 3, ValueError, WIDTH),
+                "mask_negative": (-1, ValueError, WIDTH)}
+
+    @pytest.mark.parametrize("fault", sorted(RAW_ROWS))
+    def test_matrix_rejects_raw_rows(self, fault):
+        row, error, message = self.RAW_ROWS[fault]
+        rows = list(incidence_matrix(import_pd(TREFOIL_PD)).row_bits)
+        rows[0] = row
+        with pytest.raises(error, match=message):
+            BitMatrix.from_bitrows(rows, 3)
+
+    # The well-formed matrix nearest each raw row, as (row, cols): None
+    # becomes the empty row, bit 3 widens the matrix to 4 columns, -1
+    # sets every crossing (on the trefoil's row 1, 0b011, one flipped
+    # bit).  The type holds each, so only the certificate check notices.
+    PLANTED = {"mask_type": lambda row, c: (0, c),
+               "mask_wide": lambda row, c: (row | 1 << c, c + 1),
+               "mask_negative": lambda row, c: ((1 << c) - 1, c)}
+
     @staticmethod
     def corrupt_after_the_basis(d, fault: str) -> None:
-        # The row basis checks the sound masks first; mask 1 is the
-        # certificate of {0, 1}, so only the certificate check reads it.
+        # The row basis is built from the sound rows first; row 1 is the
+        # certificate of {0, 1}, so only the certificate check reads the
+        # planted row.
         assert admissible(d, [0, 1]) == (1,)
-        masks = list(d.shadow.region_masks)
-        masks[1] = TestInternalChecks.MASKS[fault](masks[1])
-        d.shadow.__dict__["region_masks"] = tuple(masks)
+        m = d.shadow.incidence_matrix
+        rows = list(m.row_bits)
+        assert rows[1] == 0b011
+        rows[1], cols = TestInternalChecks.PLANTED[fault](rows[1], m.cols)
+        d.shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(rows, cols)
 
-    @pytest.mark.parametrize("fault", sorted(MASKS))
+    @pytest.mark.parametrize("fault", sorted(PLANTED))
     def test_certificate_check_reads_checked_masks(self, fault):
         d = import_pd(TREFOIL_PD)
         self.corrupt_after_the_basis(d, fault)
         with pytest.raises(RuntimeError) as caught:
             admissible(d, [0, 1])
-        assert str(caught.value) == "region masks are not crossing sets"
+        assert str(caught.value) == "region certificate does not switch the target crossings"
 
-    @pytest.mark.parametrize("fault", sorted(MASKS))
+    @pytest.mark.parametrize("fault", sorted(PLANTED))
     def test_certificate_check_exits_4(self, capsys, monkeypatch, trefoil_file, fault):
         def corrupted_load(path):
             d = _load(path)
@@ -755,7 +780,7 @@ class TestInternalChecks:
         monkeypatch.setattr("regioncc.cli._load", corrupted_load)
         code, out, err = run(capsys, "admissible", trefoil_file, "-c", "0,1")
         assert (code, out) == (4, "")
-        assert err == "internal error: region masks are not crossing sets\n"
+        assert err == "internal error: region certificate does not switch the target crossings\n"
 
     def test_sides_past_the_spanning_tree_exit_4(self, capsys, monkeypatch, tmp_path):
         # F spans the few regions of a genus diagram long before the last
@@ -847,7 +872,7 @@ class TestCorruptedBases:
 
 
 class TestCorruptedTables:
-    """A corrupted walk table or region mask list never reaches stdout.
+    """A corrupted walk table or incidence matrix never reaches stdout.
 
     Each fault replaces one table on the loaded diagram's shadow.  Every
     ``admissible`` and ``bicolor`` run then prints exactly what it prints
@@ -871,11 +896,12 @@ class TestCorruptedTables:
         if fault in WALK_FAULTS:
             shadow.__dict__["walk_table"] = WALK_FAULTS[fault](shadow.walk_table)
         else:
-            # The factor is built first, from the sound masks: the switching
+            # The factor is built first, from the sound rows: the switching
             # check is what must notice.
             shadow.incidence_factor
-            shadow.__dict__["region_masks"] = tuple(
-                mask ^ 0b1010 for mask in shadow.region_masks)
+            m = shadow.incidence_matrix
+            shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(
+                [row ^ 0b1010 for row in m.row_bits], m.cols)
 
     @pytest.mark.parametrize("fault", ["crossing_positions", "to_edges", "ends",
                                        "bounds", "region_masks"])
@@ -932,7 +958,7 @@ class TestNulledTables:
             d = _load(path)
             shadow = d.shadow
             for table in ("faces", "components", "homology", "walk_table",
-                          "region_masks", "incidence_factor"):
+                          "incidence_matrix", "incidence_factor"):
                 getattr(shadow, table)
             table = self.READERS[field][0]
             value = getattr(shadow, table)

@@ -169,6 +169,18 @@ def test_gain_needs_nine_wins_in_ten_and_a_median_past_the_iqr(better, change, g
     assert got["gain"] is gain
 
 
+@pytest.mark.parametrize("pairs", [1, 9])
+def test_gain_needs_ten_pairs(pairs):
+    # Clear wins in every pair, far past the parent's spread, are no gain
+    # until ten pairs were run: one pair of a tree against itself can win
+    # by noise.
+    parent = SPREAD_PARENT[:pairs]
+    for better, step in (("lower", -0.5), ("higher", 0.5)):
+        got = pair.compare(rows(parent, [x + step for x in parent]),
+                           {"name": "m", "better": better, "bound": 0.25})
+        assert (got["wins"], got["gain"]) == (pairs, False)
+
+
 def test_gain_and_sign_p_leave_the_verdict_alone(trees):
     # Every pair moves by half: a gain where lower is better and a sure
     # loss where higher is, and the verdicts and exit status are as before.

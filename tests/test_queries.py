@@ -20,7 +20,7 @@ from conftest import (CHAIN3_PD, HOPF_PD, WALK_FAULTS, braid_pd, cyclic_pd,
                       make_torus11, make_trefoil, random_suite,
                       reference_admissible_by_bicoloring, reference_bicoloring,
                       reference_switched)
-from regioncc import (Bicoloring, EmbeddingScheme, admissible,
+from regioncc import (Bicoloring, BitMatrix, EmbeddingScheme, admissible,
                       admissible_by_bicoloring, apply_rcc, bicoloring,
                       components, faces, import_pd, rcc_equivalent)
 from regioncc.bicolor import _check_switching
@@ -145,9 +145,10 @@ def test_corrupted_region_masks_raise():
             fresh = EmbeddingScheme(d.overs, d.edges)
             shadow = fresh.shadow
             shadow.incidence_factor
-            masks = list(shadow.region_masks)
-            masks[cert[0]] ^= 1 << rng.randrange(d.crossing_count)
-            shadow.__dict__["region_masks"] = tuple(masks)
+            rows = list(shadow.incidence_matrix.row_bits)
+            rows[cert[0]] ^= 1 << rng.randrange(d.crossing_count)
+            shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(
+                rows, d.crossing_count)
             with pytest.raises(RuntimeError, match="certificate does not switch"):
                 admissible(fresh, target)
             caught += 1

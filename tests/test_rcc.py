@@ -51,6 +51,19 @@ class TestIncidenceMatrix:
             for v, count in enumerate(reg.corner_counts):
                 assert (m.row_bits[rid] >> v) & 1 == count % 2
 
+    def test_one_matrix_per_shadow(self, trefoil):
+        # The matrix is cached on the shadow: every call returns that table.
+        m = incidence_matrix(trefoil)
+        assert m is trefoil.shadow.incidence_matrix
+        assert incidence_matrix(trefoil) is m
+        assert incidence_matrix(trefoil.with_overs((0, 0, 0))) is m
+
+    def test_rows_are_shifted_corners(self):
+        for d in random_suite(80, 1, 12, (0.0, 0.5, 1.0), seed=32):
+            rows = d.shadow.incidence_matrix.row_bits
+            assert rows == tuple(shift_switched(d, [k])
+                                 for k in range(faces(d).region_count))
+
 
 class TestRankFormula:
     def test_worked_example_arithmetic(self):
@@ -395,9 +408,10 @@ class TestCheckerboard:
             assert effect == 0
 
     def test_color_class_check_fires(self, trefoil):
-        # One flipped mask bit: the regions together now switch a crossing.
-        masks = trefoil.shadow.region_masks
-        trefoil.shadow.__dict__["region_masks"] = (masks[0] ^ 1,) + masks[1:]
+        # One flipped matrix bit: the regions together now switch a crossing.
+        rows = incidence_matrix(trefoil).row_bits
+        trefoil.shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(
+            (rows[0] ^ 1,) + rows[1:], trefoil.crossing_count)
         with pytest.raises(RuntimeError) as caught:
             checkerboard(trefoil)
         assert str(caught.value) == "checkerboard color class is not ineffective"

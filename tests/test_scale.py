@@ -26,7 +26,7 @@ import pytest
 
 from conftest import (braid_pd, chain_pd, cyclic_pd, even_target,
                       phi_class_matches_class_of, presentation, reference_cycle_class,
-                      reference_switched, same_answers, twisted_chain)
+                      reference_switched, same_answers, shift_switched, twisted_chain)
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
                       components, count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, parse_diagram, poke_sites,
@@ -125,6 +125,13 @@ def test_component_rows_match_the_edge_walk_at_2000_crossings(family):
     d = make(family, N)
     rows = [reference_cycle_class(d, comp.edges) for comp in components(d)]
     assert list(homology_context(d).matrix.row_bits) == rows
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_incidence_rows_match_the_shift_loop_at_2000_crossings(family):
+    d = make(family, N)
+    rows = d.shadow.incidence_matrix.row_bits
+    assert rows == tuple(shift_switched(d, [k]) for k in range(faces(d).region_count))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -25,10 +25,10 @@ and, for each end-to-end metric of the change tree's ``BENCHMARK.json``:
   method), also relative to its median;
 - ``sign_p``, the exact two-sided sign-test p-value over the pairs that
   have a winner (ties dropped);
-- ``gain``, true exactly when the change wins at least 9 of every 10
-  pairs run (ties count for neither tree) and its median beats the
-  parent's by more than the parent's IQR: the rule a claimed gain must
-  meet;
+- ``gain``, true exactly when at least 10 pairs ran, the change wins
+  at least 9 of every 10 of them (ties count for neither tree) and its
+  median beats the parent's by more than the parent's IQR: the rule a
+  claimed gain must meet;
 - ``verdict``: ``unresolved`` when the parent's relative IQR exceeds the
   bound, else ``worse`` when ``worse_by`` exceeds it, else ``within``.
 
@@ -117,7 +117,8 @@ def compare(rows: list[dict], spec: dict) -> dict:
     out = {"better": spec["better"], "bound": bound,
            "parent_median": p_med, "change_median": c_med, "wins": wins,
            "pairs": len(rows), "parent_iqr": spread, "sign_p": sign_p(wins, losses),
-           "gain": 10 * wins >= 9 * len(rows) and (c_med - p_med) * sign > spread}
+           "gain": (len(rows) >= 10 and 10 * wins >= 9 * len(rows)
+                    and (c_med - p_med) * sign > spread)}
     if p_med == 0:
         # No relative change or spread exists against a zero median.
         return {**out, "worse_by": None, "parent_iqr_rel": None, "verdict": "unresolved"}
