@@ -7,8 +7,8 @@ form a cycle of the graph, so they carry a homology class.  A crossing
 set is switchable by regions precisely when some bi-coloring for it
 has class zero; since the homogeneous solutions are spanned by the
 component indicator vectors, that holds exactly when one particular
-solution's class is a sum of component classes, which the row basis of
-the component-class matrix reads off.  This route never looks at the
+solution's class is a sum of component classes, which the elimination
+of the component-class matrix reads off.  This route never looks at the
 incidence matrix.
 
 Queries work on whole ints.  The shadow's walk table lays the link
@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, xor
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .gf2 import BitVector, bit_flags, mask_of, set_bits
@@ -44,22 +44,28 @@ class Bicoloring(NamedTuple):
 
     def switched(self, d: EmbeddingScheme) -> tuple[int, ...]:
         """Crossings whose through strands change color, sorted; ValueError
-        unless the colors are a bi-coloring, as ``_cycle_changes`` checks."""
+        unless ``_checked_colors`` and ``_cycle_changes`` pass the colors."""
         c = d.crossing_count
-        return tuple(compress(range(c), _cycle_changes(d, self.colors).to_bytes(c, "little")))
+        changes = _cycle_changes(d, _checked_colors(d, self.colors))
+        return tuple(compress(range(c), changes.to_bytes(c, "little")))
 
 
-def _cycle_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> int:
-    """Byte i is 1 where crossing i's strands change color.
-
-    For a valid bi-coloring, one int 0 or 1 per edge, both strands of
-    a crossing agree on whether they change; ValueError flags a mismatch.
-    """
+def _checked_colors(d: EmbeddingScheme, colors: tuple[int, ...]) -> tuple[int, ...]:
+    """The colors, if they are one int 0 or 1 per edge; else ValueError."""
     if len(colors) != d.edge_count:
         raise ValueError("coloring length does not match the edge count")
     # Set tests run in C: True == 1 and 1.0 == 1, so types are tested too.
     if not ({*map(type, colors)} <= {int} and {*colors} <= {0, 1}):
         raise ValueError("coloring colors must be 0 or 1")
+    return colors
+
+
+def _cycle_changes(d: EmbeddingScheme, colors: Sequence[int]) -> int:
+    """Byte i is 1 where crossing i's strands change color, for 0/1 colors.
+
+    Both strands of a crossing agree on whether they change exactly when
+    the 1-colored edges form a cycle; ValueError flags a mismatch.
+    """
     first, second = _strand_changes(d, colors)
     if first != second:
         low = first ^ second
@@ -68,7 +74,7 @@ def _cycle_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> int:
     return first
 
 
-def _strand_changes(d: EmbeddingScheme, colors: tuple[int, ...]) -> tuple[int, int]:
+def _strand_changes(d: EmbeddingScheme, colors: Sequence[int]) -> tuple[int, int]:
     """Whether each crossing's {0, 2} and {1, 3} strands change color.
 
     Byte i of each int is crossing i's 0 or 1.  One gather through
@@ -181,14 +187,18 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
 
 
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
-    """Homology class of the 1-colored edge set.
+    """Homology class of the 1-colored edge set: ``_checked_colors``
+    passes the colors, then ``_cycle_class``, shared with ``class_of``."""
+    return _cycle_class(d, _checked_colors(d, coloring.colors))
 
-    ``_cycle_changes`` checks that those edges form a cycle: strands
-    agree exactly at even incidence.  Its class XORs their edge classes.
-    """
-    _cycle_changes(d, coloring.colors)
+
+def _cycle_class(d: EmbeddingScheme, colors: Sequence[int]) -> BitVector:
+    """The class rule for 0/1 colors, one per edge: ``_cycle_changes``
+    checks that the 1-colored edges form a cycle, whose class XORs their
+    edge classes."""
+    _cycle_changes(d, colors)
     hom = d.shadow.homology
-    return BitVector(hom.h1_dim, reduce(xor, compress(hom.edge_classes, coloring.colors), 0))
+    return BitVector(hom.h1_dim, reduce(xor, compress(hom.edge_classes, colors), 0))
 
 
 def admissible_by_bicoloring(
@@ -214,7 +224,7 @@ def admissible_by_bicoloring(
     hom = shadow.homology
     colors = table.to_edges(bit_flags(bits, m))
     phi = reduce(xor, compress(hom.edge_classes, colors), 0)
-    coeffs = hom.basis.expression(phi, set_bits(phi))
+    coeffs = hom.matrix.expression(phi, set_bits(phi))
     if coeffs:
         bounds = table.bounds
         for k in set_bits(coeffs):

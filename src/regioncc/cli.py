@@ -108,12 +108,9 @@ def _cmd_verify(args):
 
 
 def _cmd_matrix(args):
-    from .rcc import incidence_matrix
-    d = _load(args.file)
-    m = incidence_matrix(d)
-    rank = d.shadow.incidence_factor.rank
-    data = {"rows": _bit_rows(m, args), "rank": rank}
-    return data, _row_texts(m) + [f"rank: {rank}"]
+    m = _load(args.file).shadow.incidence_matrix
+    data = {"rows": _bit_rows(m, args), "rank": m.rank}
+    return data, _row_texts(m) + [f"rank: {m.rank}"]
 
 
 def _cmd_homology(args):

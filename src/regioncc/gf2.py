@@ -11,10 +11,10 @@ can depend on it.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from . import _EXPORTS
 
@@ -55,13 +55,6 @@ def mask_of(indices: Iterable[int], count: int) -> int:
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(packed, "little")
-
-
-def fits_width(rows: Iterable[int], width: int) -> bool:
-    """Whether each row is a nonnegative int below ``1 << width``, by one
-    C-level union, negative or too wide exactly when some row is.  A row
-    that is no int raises TypeError."""
-    return not reduce(or_, rows, 0) >> width
 
 
 class Frozen:
@@ -106,6 +99,10 @@ class BitVector(Frozen):
     _fields = ("length", "bits")
 
     def __init__(self, length: int, bits: int = 0) -> None:
+        if type(length) is not int:
+            raise TypeError("vector length must be an int")
+        if type(bits) is not int:
+            raise TypeError("vector bits must be an int")
         if length < 0:
             raise ValueError("vector length must be nonnegative")
         if bits < 0 or bits >> length:
@@ -121,53 +118,53 @@ class BitVector(Frozen):
 
 
 class BitMatrix(Frozen):
-    """Matrix over GF(2) stored as one integer mask per row."""
+    """Matrix over GF(2) stored as a tuple of integer masks, one per row.
 
-    _fields = ("rows", "cols", "row_bits")
+    ``elimination``, built on first read and kept, is the RREF of the
+    rows, row k tagged by bit ``cols + k``: a dict mapping each pivot to
+    its reduced row, and the kernel.  A row joins the basis only when
+    independent of the rows before it, so every tag lies in that greedy
+    basis, the pivot columns of the RREF of the transpose: a target's one
+    expression in it is the pivot solution of transpose(m) x = target.
+    The kernel holds the dependent rows' tags: row f plus its
+    expression, the nullspace vector for free column f.
 
-    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
-        if rows < 0 or cols < 0:
+    Each row is keyed by its lowest set bit below ``cols``: an incoming
+    row is reduced by the row holding its low bit until that bit is new
+    or nothing below ``cols`` is left, and back-substitution in
+    descending pivot order then clears the bits above each pivot.  The
+    work follows the nonzeros, not the column count.
+    """
+
+    _fields = ("cols", "row_bits")
+
+    def __init__(self, cols: int, row_bits: Iterable[int]) -> None:
+        row_bits = tuple(row_bits)
+        if type(cols) is not int:
+            raise TypeError("matrix cols must be an int")
+        if cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(row_bits) != rows:
-            raise ValueError("row count does not match row data")
-        if not fits_width(row_bits, cols):
+        # C-level passes: a set of types (True and 1.0 are no ints), and a
+        # union that is negative or too wide exactly when some row is.
+        if not {*map(type, row_bits)} <= {int}:
+            raise TypeError("matrix row_bits must be ints")
+        if reduce(or_, row_bits, 0) >> cols:
             raise ValueError("row bits set outside declared width")
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_bits", row_bits)
 
-    @classmethod
-    def from_bitrows(cls, masks: Sequence[int], cols: int) -> "BitMatrix":
-        return cls(len(masks), cols, tuple(masks))
+    @property
+    def rows(self) -> int:
+        return len(self.row_bits)
 
-
-class RowBasis(NamedTuple):
-    """The RREF of a matrix's rows, row k tagged by bit ``width + k``.
-
-    ``rows`` maps each pivot to its reduced row.  A row joins the basis
-    only when independent of the rows before it, so every tag lies in
-    that greedy basis, the pivot columns of the RREF of transpose(m): a
-    target's one expression in it is the pivot solution of
-    transpose(m) x = target.  ``kernel`` holds the dependent rows' tags:
-    row f plus its expression, the nullspace vector for free column f.
-
-    ``of`` keys each row by its lowest set bit below ``width``: an
-    incoming row is reduced by the row holding its low bit until that
-    bit is new or nothing below ``width`` is left, and back-substitution
-    in descending pivot order then clears the bits above each pivot.
-    The work follows the nonzeros, not the column count.
-    """
-
-    width: int
-    rows: dict[int, int]
-    kernel: tuple[int, ...]
-
-    @classmethod
-    def of(cls, rows: Iterable[int], width: int) -> "RowBasis":
+    @cached_property
+    def elimination(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """(reduced rows by pivot, kernel tags); see the class docstring."""
+        width = self.cols
         low = (1 << width) - 1
         basis: dict[int, int] = {}
         kernel = []
-        for k, row in enumerate(rows):
+        for k, row in enumerate(self.row_bits):
             row |= 1 << (width + k)
             key = row & low
             while key:
@@ -192,11 +189,15 @@ class RowBasis(NamedTuple):
                 hits ^= bit
             basis[p] = row
             pivot_mask |= 1 << p
-        return cls(width, basis, tuple(kernel))
+        return basis, tuple(kernel)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.elimination[0])
+
+    @property
+    def kernel(self) -> tuple[int, ...]:
+        return self.elimination[1]
 
     def expression(self, target: int, columns: Iterable[int]) -> int | None:
         """Tag bits of the rows summing to target, or None.
@@ -204,11 +205,10 @@ class RowBasis(NamedTuple):
         ``columns`` are target's set bits, each once, passed beside the
         mask by a caller that holds both.  A reduced row has no pivot bit
         but its own, so only the target's own columns pick rows; what is
-        left below ``width`` is outside.
+        left below ``cols`` is outside.
         """
-        rows = self.rows
+        reduced = self.elimination[0]
         rest = target
         for p in columns:
-            rest ^= rows.get(p, 0)
-        return None if rest & ((1 << self.width) - 1) else rest >> self.width
-
+            rest ^= reduced.get(p, 0)
+        return None if rest & ((1 << self.cols) - 1) else rest >> self.cols

@@ -15,7 +15,7 @@ from operator import itemgetter, xor
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, BitVector, RowBasis
+from .gf2 import BitMatrix, BitVector
 from .scheme import EmbeddingScheme, Shadow, _index_list, _union, dual_tree
 
 __all__ = _EXPORTS["homology"]
@@ -29,14 +29,13 @@ class Homology(NamedTuple):
     boundaries, with edges as columns.  The class of a cycle z is the
     XOR of ``edge_classes[e]`` over its edges; its bit k is bit
     quotient_pivots[k] of z reduced by the RREF of the region boundary
-    masks.  Row i of ``matrix`` is component i's class, and ``basis``
-    is the row basis of those rows.
+    masks.  Row i of ``matrix`` is component i's class; the matrix
+    eliminates its rows on first use.
     """
 
     quotient_pivots: tuple[int, ...]
     edge_classes: tuple[int, ...]
     matrix: BitMatrix
-    basis: RowBasis
 
     @property
     def h1_dim(self) -> int:
@@ -44,7 +43,7 @@ class Homology(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return self.basis.rank
+        return self.matrix.rank
 
 
 def build_homology(shadow: Shadow) -> Homology:
@@ -116,9 +115,7 @@ def build_homology(shadow: Shadow) -> Homology:
         raise RuntimeError("component trace is not a cycle") from None
     rows = [reduce(xor, map(classes.__getitem__, comp.edges), 0)
             for comp in shadow.components]
-    h1 = len(cotree)
-    return Homology(tuple(cotree), classes, BitMatrix.from_bitrows(rows, h1),
-                    RowBasis.of(rows, h1))
+    return Homology(tuple(cotree), classes, BitMatrix(len(cotree), rows))
 
 
 def homology_matrix(d: EmbeddingScheme) -> Homology:
@@ -133,15 +130,15 @@ def class_of(d: EmbeddingScheme, edges: Iterable[int]) -> BitVector:
     """Homology class of an edge cycle, in the table's quotient basis.
 
     ``edges`` is an iterable of int edge indices, checked by
-    ``_index_list`` and taken mod 2 into the coloring whose 1-colored
-    edges they are; ``phi_class`` reads its class.  Raises ValueError
-    naming the lowest crossing where the strands disagree if the edges do
-    not form a cycle of the graph.
+    ``_index_list`` and taken mod 2 into the 0/1 coloring whose 1-colored
+    edges they are; ``phi_class``'s class rule reads its class.  Raises
+    ValueError naming the lowest crossing where the strands disagree if
+    the edges do not form a cycle of the graph.
     """
     # Imported here, so importing this module loads no bi-coloring code.
-    from .bicolor import Bicoloring, phi_class
+    from .bicolor import _cycle_class
     m = d.edge_count
     parity = [0] * m
     for e in _index_list(edges, m, "edge"):
         parity[e] ^= 1
-    return phi_class(d, Bicoloring(tuple(parity)))
+    return _cycle_class(d, parity)

@@ -4,7 +4,7 @@ Switching a region switches each crossing once per corner the region
 has there, so over GF(2) only corner parities matter.  The incidence
 matrix, cached on the shadow, has one row per region and one column
 per crossing, so the crossings a region set switches are the XOR of
-its rows.  Its tagged row basis, also cached on the shadow,
+its rows.  The matrix's elimination, kept on it after first use,
 answers which crossing sets are reachable (admissibility, the
 expression of a target in the rows), which region sets do nothing
 (ineffective sets, the dependent rows), how many genuinely different
@@ -61,7 +61,7 @@ class RankReport(NamedTuple):
 def verify_rank_formula(d: EmbeddingScheme) -> RankReport:
     shadow = d.shadow
     return RankReport(
-        incidence_rank=shadow.incidence_factor.rank,
+        incidence_rank=shadow.incidence_matrix.rank,
         region_count=shadow.faces.region_count,
         component_count=len(shadow.components),
         homology_rank=shadow.homology.rank,
@@ -76,7 +76,7 @@ def count_classes(d: EmbeddingScheme) -> int:
     The count is reported as an exponent so it never overflows a reader
     or a log line for large diagrams.
     """
-    return d.crossing_count - d.shadow.incidence_factor.rank
+    return d.crossing_count - d.shadow.incidence_matrix.rank
 
 
 def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] | None:
@@ -84,13 +84,13 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
 
     The returned tuple is a sorted certificate: switching those regions
     flips precisely the requested crossings.  It is the pivot solution
-    read off the shadow's row basis; a certificate that fails the
+    read off the incidence matrix's elimination; a certificate that fails the
     switching check raises RuntimeError.
     """
     c = d.crossing_count
     chosen = _index_set(crossings, c, "crossing")
     target = mask_of(chosen, c)
-    regions = d.shadow.incidence_factor.expression(target, chosen)
+    regions = d.shadow.incidence_matrix.expression(target, chosen)
     if regions is None:
         return None
     cert = tuple(set_bits(regions))
@@ -100,9 +100,9 @@ def admissible(d: EmbeddingScheme, crossings: Iterable[int]) -> tuple[int, ...] 
 
 
 def ineffective_basis(d: EmbeddingScheme) -> list[BitVector]:
-    """Basis of the region sets whose switching does nothing: the row basis's kernel."""
+    """Basis of the region sets whose switching does nothing: the matrix's kernel."""
     r = d.shadow.faces.region_count
-    return [BitVector(r, bits) for bits in d.shadow.incidence_factor.kernel]
+    return [BitVector(r, bits) for bits in d.shadow.incidence_matrix.kernel]
 
 
 def apply_rcc(d: EmbeddingScheme, regions: Iterable[int]) -> EmbeddingScheme:

@@ -31,7 +31,7 @@ from operator import itemgetter, xor
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
-from .gf2 import BitMatrix, Frozen, RowBasis
+from .gf2 import BitMatrix, Frozen
 
 if TYPE_CHECKING:
     from .bicolor import WalkTable
@@ -383,12 +383,7 @@ class Shadow(Frozen):
             except (TypeError, ValueError):
                 raise RuntimeError(f"region {k} has a corner at no crossing") from None
             masks.append(bits)
-        return BitMatrix.from_bitrows(masks, c)
-
-    @cached_property
-    def incidence_factor(self) -> RowBasis:
-        """The row basis of the incidence matrix: one row per region."""
-        return RowBasis.of(self.incidence_matrix.row_bits, self.crossing_count)
+        return BitMatrix(c, masks)
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:

@@ -141,8 +141,20 @@ def as_matrix(rows) -> BitMatrix:
     rows = [tuple(row) for row in rows]
     cols = len(rows[0]) if rows else 0
     assert all(len(row) == cols for row in rows), "ragged rows"
-    return BitMatrix.from_bitrows(
-        [sum(bit << j for j, bit in enumerate(row)) for row in rows], cols)
+    return BitMatrix(cols, [sum(bit << j for j, bit in enumerate(row)) for row in rows])
+
+
+def plant_rows(shadow, rows, cols: int) -> None:
+    """Replace the shadow's incidence rows but keep the sound matrix's elimination.
+
+    A fresh matrix would eliminate its own rows, so answers read off the
+    elimination would follow the fault; the planted matrix models rows
+    and a cached elimination that disagree, which only the certificate
+    check can notice.
+    """
+    planted = BitMatrix(cols, rows)
+    planted.__dict__["elimination"] = shadow.incidence_matrix.elimination
+    shadow.__dict__["incidence_matrix"] = planted
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1118,7 @@ def reference_admissible_by_bicoloring(d: EmbeddingScheme, crossings):
     if base is None:
         return False, None
     phi = reference_cycle_class(d, [e for e, color in enumerate(base) if color])
-    coeffs = homology_matrix(d).basis.expression(phi, ones(phi))
+    coeffs = homology_matrix(d).matrix.expression(phi, ones(phi))
     if coeffs is None:
         return False, base
     colors = list(base)
@@ -1192,7 +1204,7 @@ def bicolor_system(d: EmbeddingScheme) -> BitMatrix:
     for i in range(d.crossing_count):
         for p in (0, 1):
             rows.append((1 << d.edge_of(4 * i + p)) ^ (1 << d.edge_of(4 * i + p + 2)))
-    return BitMatrix.from_bitrows(rows, d.edge_count)
+    return BitMatrix(d.edge_count, rows)
 
 
 def dense_bicoloring(d: EmbeddingScheme, crossings) -> tuple[int, ...] | None:
@@ -1220,7 +1232,7 @@ def dense_rref(masks, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """RREF by scanning columns left to right, taking the lowest usable row.
 
     Returns (pivot_columns, nonzero_reduced_rows), the reduced rows in
-    pivot order, as gf2.RowBasis.of finds them under its tags; bits at or
+    pivot order, as gf2.BitMatrix.elimination finds them under its tags; bits at or
     above ``cols`` ride along with their rows.
     """
     work = list(masks)
@@ -1255,7 +1267,7 @@ def transpose(m: BitMatrix) -> BitMatrix:
     for i, row in enumerate(m.row_bits):
         for j in ones(row):
             out[j] |= 1 << i
-    return BitMatrix.from_bitrows(out, m.rows)
+    return BitMatrix(m.rows, out)
 
 
 def mul_vector(m: BitMatrix, v: BitVector) -> BitVector:
@@ -1311,6 +1323,23 @@ def dense_in_rowspace(m: BitMatrix, v: BitVector) -> BitVector | None:
     return dense_solve(transpose(m), v)
 
 
+def matches_dense_oracles(m: BitMatrix, rng) -> None:
+    """Assert that m's rank, kernel and expressions are the dense ones.
+
+    The expressions are checked on a random sum of m's rows and on a
+    random mask, which is most often outside the row space.
+    """
+    assert m.rank == dense_rank(m)
+    assert [BitVector(m.rows, bits) for bits in m.kernel] == dense_nullspace(transpose(m))
+    image = 0
+    for row in m.row_bits:
+        if rng.random() < 0.5:
+            image ^= row
+    for target in (image, rng.getrandbits(m.cols)):
+        dense = dense_in_rowspace(m, BitVector(m.cols, target))
+        assert m.expression(target, ones(target)) == (None if dense is None else dense.bits)
+
+
 def reduce_mask(mask: int, pivots, rows) -> int:
     """Reduce a row mask against an RREF basis; the result has no pivot bits."""
     for p, row in zip(pivots, rows):
@@ -1349,7 +1378,7 @@ def dense_context(d: EmbeddingScheme):
     for j, e in enumerate(d.edges):
         for x in e.darts:
             boundary[x >> 2] ^= 1 << j
-    cycles = dense_nullspace(BitMatrix.from_bitrows(boundary, m))
+    cycles = dense_nullspace(BitMatrix(m, boundary))
     face_pivots, face_rows = dense_rref(region_parities(d), m)
     reduced = [reduce_mask(v.bits, face_pivots, face_rows) for v in cycles]
     quotient_pivots, quotient_rows = dense_rref(reduced, m)

@@ -81,6 +81,33 @@ class TestBicoloring:
             edges = [e for e, color in enumerate(phi.colors) if color]
             assert class_of(d, edges) == phi_class_before
 
+    def test_class_of_does_not_retest_its_own_colors(self, monkeypatch):
+        # class_of builds its 0/1 colors itself, so only the strand check
+        # and the class read run; phi_class still checks a caller's colors.
+        rng = random.Random(55)
+        cases = []
+        for d in random_suite(30, 1, 8, (0.0, 0.5), seed=56):
+            phi = bicoloring(d, even_target(d, rng))
+            if phi is not None:
+                cases.append((d, phi, phi_class(d, phi)))
+        assert cases
+
+        def refuse(d, colors):
+            raise AssertionError("the 0/1 check was run")
+
+        monkeypatch.setattr("regioncc.bicolor._checked_colors", refuse)
+        for d, phi, want in cases:
+            edges = [e for e, color in enumerate(phi.colors) if color]
+            assert class_of(d, edges) == want
+            with pytest.raises(AssertionError, match="0/1 check"):
+                phi_class(d, phi)
+            # One more edge that is no loop leaves its two ends odd.
+            for e, ((a, b), _) in enumerate(d.edges):
+                if a >> 2 != b >> 2:
+                    with pytest.raises(ValueError, match="strands disagree"):
+                        class_of(d, edges + [e])
+                    break
+
     def test_solutions_satisfy_their_set(self):
         rng = random.Random(51)
         for d in random_suite(50, 1, 8, (0.0, 0.5), seed=52):
@@ -98,8 +125,7 @@ class TestBicoloring:
             assert len(basis) == len(comps)
             if not basis:
                 continue
-            stacked = BitMatrix.from_bitrows([v.bits for v in basis],
-                                             d.edge_count)
+            stacked = BitMatrix(d.edge_count, [v.bits for v in basis])
             for comp in comps:
                 mask = 0
                 for e in comp.edges:

@@ -12,7 +12,7 @@ import pytest
 from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS,
                       WALK_FAULTS, cyclic_pd, even_target, make_curl,
                       make_rp2curl, make_torus11, mirror_fault, ones,
-                      violation_document)
+                      plant_rows, violation_document)
 from regioncc import (BitMatrix, Edge, admissible, admissible_by_bicoloring, bicoloring,
                       class_of, components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
@@ -730,7 +730,7 @@ class TestInternalChecks:
     # 3-crossing trefoil, or is negative.  None can enter the matrix, so
     # no reader checks for them.
     WIDTH = "row bits set outside declared width"
-    RAW_ROWS = {"mask_type": (None, TypeError, "unsupported operand"),
+    RAW_ROWS = {"mask_type": (None, TypeError, "matrix row_bits must be ints"),
                 "mask_wide": (1 << 3, ValueError, WIDTH),
                 "mask_negative": (-1, ValueError, WIDTH)}
 
@@ -740,7 +740,7 @@ class TestInternalChecks:
         rows = list(incidence_matrix(import_pd(TREFOIL_PD)).row_bits)
         rows[0] = row
         with pytest.raises(error, match=message):
-            BitMatrix.from_bitrows(rows, 3)
+            BitMatrix(3, rows)
 
     # The well-formed matrix nearest each raw row, as (row, cols): None
     # becomes the empty row, bit 3 widens the matrix to 4 columns, -1
@@ -752,15 +752,15 @@ class TestInternalChecks:
 
     @staticmethod
     def corrupt_after_the_basis(d, fault: str) -> None:
-        # The row basis is built from the sound rows first; row 1 is the
-        # certificate of {0, 1}, so only the certificate check reads the
-        # planted row.
+        # The elimination is built from the sound rows first and kept on
+        # the planted matrix; row 1 is the certificate of {0, 1}, so only
+        # the certificate check reads the planted row.
         assert admissible(d, [0, 1]) == (1,)
         m = d.shadow.incidence_matrix
         rows = list(m.row_bits)
         assert rows[1] == 0b011
         rows[1], cols = TestInternalChecks.PLANTED[fault](rows[1], m.cols)
-        d.shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(rows, cols)
+        plant_rows(d.shadow, rows, cols)
 
     @pytest.mark.parametrize("fault", sorted(PLANTED))
     def test_certificate_check_reads_checked_masks(self, fault):
@@ -808,13 +808,14 @@ class TestInternalChecks:
 
 
 class TestCorruptedBases:
-    """A cached row basis that answers wrongly never reaches stdout.
+    """A cached elimination that answers wrongly never reaches stdout.
 
     On the 4-crossing torus, crossings {0, 1} are admissible and their
-    base bi-coloring has class 10, so both bases take part.  A wrong yes
-    flips a tag bit of the row at the target's least pivot; a wrong no
-    drops that row.  The bicolor command reads the incidence basis only
-    to check a no, so it is run against the homology basis only.
+    base bi-coloring has class 10, so both matrices take part.  A wrong
+    yes flips a tag bit of the reduced row at the target's least pivot; a
+    wrong no drops that row.  The bicolor command reads the incidence
+    matrix only to check a no, so it is run against the homology matrix
+    only.
     """
 
     TARGET = [0, 1]
@@ -822,22 +823,20 @@ class TestCorruptedBases:
     @staticmethod
     def corrupt(d, route: str, kind: str) -> None:
         if route == "incidence":
-            attr, basis = "incidence_factor", d.shadow.incidence_factor
+            m = d.shadow.incidence_matrix
             target = sum(1 << i for i in TestCorruptedBases.TARGET)
         else:
-            attr, basis = "homology", d.shadow.homology.basis
+            m = d.shadow.homology.matrix
             target = phi_class(d, bicoloring(d, TestCorruptedBases.TARGET)).bits
-        p = min(p for p in ones(target) if p in basis.rows)
-        rows = dict(basis.rows)
+        reduced, kernel = m.elimination
+        p = min(p for p in ones(target) if p in reduced)
+        reduced = dict(reduced)
         if kind == "wrong_yes":
-            tags = rows[p] >> basis.width
-            rows[p] ^= (tags & -tags) << basis.width
+            tags = reduced[p] >> m.cols
+            reduced[p] ^= (tags & -tags) << m.cols
         else:
-            del rows[p]
-        basis = basis._replace(rows=rows)
-        if route == "homology":
-            basis = d.shadow.homology._replace(basis=basis)
-        d.shadow.__dict__[attr] = basis
+            del reduced[p]
+        m.__dict__["elimination"] = reduced, kernel
 
     @pytest.fixture
     def torus4_file(self, tmp_path):
@@ -896,12 +895,10 @@ class TestCorruptedTables:
         if fault in WALK_FAULTS:
             shadow.__dict__["walk_table"] = WALK_FAULTS[fault](shadow.walk_table)
         else:
-            # The factor is built first, from the sound rows: the switching
-            # check is what must notice.
-            shadow.incidence_factor
+            # The elimination is built from the sound rows and kept: the
+            # switching check is what must notice.
             m = shadow.incidence_matrix
-            shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(
-                [row ^ 0b1010 for row in m.row_bits], m.cols)
+            plant_rows(shadow, [row ^ 0b1010 for row in m.row_bits], m.cols)
 
     @pytest.mark.parametrize("fault", ["crossing_positions", "to_edges", "ends",
                                        "bounds", "region_masks"])
@@ -938,12 +935,14 @@ class TestNulledTables:
     error: argparse types every argument, so no user input reaches one.
     """
 
-    # field: (its table, the commands that read it)
+    # field: (its table, the commands that read it); "rows" and "kernel"
+    # are the reduced rows and the kernel of the incidence matrix's
+    # cached elimination.
     READERS = {"edge_classes": ("homology", ["admissible", "bicolor"]),
                **{field: ("walk_table", ["admissible", "bicolor"])
                   for field in ("crossing_positions", "bounds", "ends")},
-               "rows": ("incidence_factor", ["admissible"]),
-               "kernel": ("incidence_factor", ["ineffective"])}
+               "rows": ("elimination", ["admissible"]),
+               "kernel": ("elimination", ["ineffective"])}
 
     @staticmethod
     def nulled(value):
@@ -958,12 +957,18 @@ class TestNulledTables:
             d = _load(path)
             shadow = d.shadow
             for table in ("faces", "components", "homology", "walk_table",
-                          "incidence_matrix", "incidence_factor"):
+                          "incidence_matrix"):
                 getattr(shadow, table)
+            m = shadow.incidence_matrix
+            parts = dict(zip(("rows", "kernel"), m.elimination))
             table = self.READERS[field][0]
-            value = getattr(shadow, table)
-            shadow.__dict__[table] = value._replace(
-                **{field: self.nulled(getattr(value, field))})
+            if table == "elimination":
+                parts[field] = self.nulled(parts[field])
+                m.__dict__["elimination"] = tuple(parts.values())
+            else:
+                value = getattr(shadow, table)
+                shadow.__dict__[table] = value._replace(
+                    **{field: self.nulled(getattr(value, field))})
             return d
 
         monkeypatch.setattr("regioncc.cli._load", corrupted_load)

@@ -17,7 +17,7 @@ import pytest
 from conftest import (braid_pd, cyclic_pd, dense_admissible, dense_bicoloring,
                       dense_context, dense_ineffective, dense_rank,
                       even_target, make_curl, make_rp2curl, make_torus11,
-                      ones, random_suite, region_parities)
+                      matches_dense_oracles, ones, random_suite, region_parities)
 from regioncc import (admissible, bicoloring, class_of, components,
                       count_classes, faces, homology_context, import_pd,
                       incidence_matrix, ineffective_basis, random_diagram,
@@ -76,7 +76,7 @@ def test_factorisation_matches_dense_eliminations(index):
     d = SUITE[index]
     rng = random.Random(100 + index)
     m = incidence_matrix(d)
-    assert d.shadow.incidence_factor.rank == dense_rank(m)
+    assert d.shadow.incidence_matrix.rank == dense_rank(m)
     assert verify_rank_formula(d).incidence_rank == dense_rank(m)
     assert count_classes(d) == d.crossing_count - dense_rank(m)
     for target in targets(d, rng):
@@ -85,6 +85,14 @@ def test_factorisation_matches_dense_eliminations(index):
     moved = d.with_overs(o ^ rng.randrange(2) for o in d.overs)
     diff = [i for i, (a, b) in enumerate(zip(d.overs, moved.overs)) if a != b]
     assert rcc_equivalent(d, moved) == dense_admissible(d, diff)
+
+
+def test_both_eliminations_match_the_dense_oracles():
+    # M and N each keep one elimination; rank, kernel and expressions read it.
+    rng = random.Random(99)
+    for d in SUITE:
+        for m in (incidence_matrix(d), homology_context(d).matrix):
+            matches_dense_oracles(m, rng)
 
 
 BRAIDS = [import_pd(braid_pd(8, n, seed)) for seed, n in enumerate((50, 100, 150, 200))]
@@ -102,7 +110,7 @@ def test_factorisation_matches_dense_eliminations_on_braids(index):
     assert all(len(m) == 4 for m in meets)
     rng = random.Random(300 + index)
     m = incidence_matrix(d)
-    assert d.shadow.incidence_factor.rank == dense_rank(m)
+    assert d.shadow.incidence_matrix.rank == dense_rank(m)
     for target in targets(d, rng):
         assert admissible(d, target) == dense_admissible(d, target)
     assert ineffective_basis(d) == dense_ineffective(d)

@@ -1,8 +1,8 @@
 """GF(2) elimination against brute-force enumeration.
 
-The package's one elimination, ``RowBasis.of``, is checked against the
-column-scan dense reference in conftest, and that reference is checked
-against enumerating row spans.
+The package's one elimination, ``BitMatrix.elimination``, is checked
+against the column-scan dense reference in conftest, and that reference
+is checked against enumerating row spans.
 """
 
 import random
@@ -17,7 +17,7 @@ from conftest import (KLEIN_2COMP_CLASSES, KLEIN_2COMP_INCIDENCE,
                       brute_rank, dense_in_rowspace, dense_nullspace,
                       dense_rank, dense_rref, dense_solve, mul_vector, ones,
                       reference_set_bits, row_span, transpose)
-from regioncc.gf2 import BitMatrix, BitVector, RowBasis, bit_flags, mask_of, set_bits
+from regioncc.gf2 import BitMatrix, BitVector, bit_flags, mask_of, set_bits
 
 
 @st.composite
@@ -26,7 +26,7 @@ def bit_matrices(draw, max_rows=8, max_cols=8):
     cols = draw(st.integers(1, max_cols))
     masks = draw(st.lists(st.integers(0, (1 << cols) - 1),
                           min_size=rows, max_size=rows))
-    return BitMatrix.from_bitrows(masks, cols)
+    return BitMatrix(cols, masks)
 
 
 @st.composite
@@ -55,7 +55,7 @@ def dependent_matrices(draw, max_rows=8, max_cols=8):
             if (picks >> i) & 1:
                 combo ^= row
         rows.insert(draw(st.integers(0, len(rows))), combo)
-    return BitMatrix.from_bitrows(rows, cols)
+    return BitMatrix(cols, rows)
 
 
 class TestBitVector:
@@ -128,7 +128,7 @@ def test_nullspace_properties(m):
     for v in basis:
         assert mul_vector(m, v).bits == 0
     if basis:
-        stacked = BitMatrix.from_bitrows([v.bits for v in basis], m.cols)
+        stacked = BitMatrix(m.cols, [v.bits for v in basis])
         assert dense_rank(stacked) == len(basis)
 
 
@@ -167,48 +167,61 @@ def picked(rows, tag: int) -> int:
 @given(row_masks())
 def test_row_basis_matches_column_scan(case):
     masks, cols = case
-    basis = RowBasis.of(masks, cols)
+    m = BitMatrix(cols, masks)
+    reduced, kernel = m.elimination
+    assert kernel is m.kernel and m.rank == len(reduced)
     dense_pivots, dense_rows = dense_rref(masks, cols)
     low = (1 << cols) - 1
-    pivots = sorted(basis.rows)
+    pivots = sorted(reduced)
     assert tuple(pivots) == dense_pivots
-    assert tuple(basis.rows[p] & low for p in pivots) == dense_rows
+    assert tuple(reduced[p] & low for p in pivots) == dense_rows
     # The tags record row operations: each reduced row is the sum of the
     # input rows its tag names, and each kernel tag names rows summing to
     # zero, its own dependent row the highest of them.
-    assert all(picked(masks, basis.rows[p] >> cols) == basis.rows[p] & low
+    assert all(picked(masks, reduced[p] >> cols) == reduced[p] & low
                for p in pivots)
-    assert len(basis.kernel) == len(masks) - len(pivots)
-    assert all(picked(masks, tag) == 0 for tag in basis.kernel)
-    highest = [tag.bit_length() for tag in basis.kernel]
+    assert len(kernel) == len(masks) - len(pivots)
+    assert all(picked(masks, tag) == 0 for tag in kernel)
+    highest = [tag.bit_length() for tag in kernel]
     assert 0 not in highest and highest == sorted(set(highest))
 
 
 @settings(max_examples=200, deadline=None)
 @given(dependent_matrices(), st.integers(0, (1 << 12) - 1))
 def test_row_basis_expression_is_the_dense_pivot_solution(m, picks):
-    basis = RowBasis.of(m.row_bits, m.cols)
     image = 0
     for i, row in enumerate(m.row_bits):
         if (picks >> i) & 1:
             image ^= row
     for target in (image, picks & ((1 << m.cols) - 1)):
         dense = dense_in_rowspace(m, BitVector(m.cols, target))
-        assert basis.expression(target, ones(target)) == (None if dense is None else dense.bits)
+        assert m.expression(target, ones(target)) == (None if dense is None else dense.bits)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dependent_matrices())
 def test_row_basis_kernel_is_the_dense_nullspace(m):
-    basis = RowBasis.of(m.row_bits, m.cols)
-    assert [BitVector(m.rows, bits) for bits in basis.kernel] \
+    assert [BitVector(m.rows, bits) for bits in m.kernel] \
         == dense_nullspace(transpose(m))
 
 
 @settings(max_examples=200, deadline=None)
 @given(dependent_matrices())
 def test_row_basis_rank_is_the_dense_rank(m):
-    assert RowBasis.of(m.row_bits, m.cols).rank == dense_rank(m)
+    assert m.rank == dense_rank(m)
+
+
+def test_elimination_is_built_once():
+    m = BitMatrix(3, (0b011, 0b110, 0b101))
+    assert "elimination" not in vars(m)
+    first = m.elimination
+    assert m.elimination is first and vars(m)["elimination"] is first
+    assert (m.rank, m.kernel) == (2, (0b111,))
+    # The cache is no field: equality, hash and repr read the rows alone.
+    fresh = BitMatrix(3, (0b011, 0b110, 0b101))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    with pytest.raises(AttributeError):
+        m.elimination = None
 
 
 def _masks_of_every_shape():

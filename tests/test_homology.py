@@ -155,7 +155,7 @@ class TestHomologyMatrix:
         for d in random_suite(20, 1, 8, (0.0, 0.5, 1.0), seed=29):
             hom = homology_context(d)
             assert homology_matrix(d) is hom is d.shadow.homology
-            assert (hom.h1_dim, hom.rank) == (hom.matrix.cols, hom.basis.rank)
+            assert (hom.h1_dim, hom.rank) == (hom.matrix.cols, hom.matrix.rank)
             assert hom.matrix.rows == len(components(d))
 
     def test_broken_component_trace_is_caught(self, trefoil):

@@ -1,5 +1,6 @@
 """The names the package exports, what importing it loads, and its value classes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -172,8 +173,8 @@ class TestValueClasses:
     @pytest.mark.parametrize("make, other, text", [
         (lambda: BitVector(3, 5), lambda: BitVector(4, 5),
          "BitVector(length=3, bits=5)"),
-        (lambda: BitMatrix(2, 3, (1, 6)), lambda: BitMatrix(2, 3, (1, 7)),
-         "BitMatrix(rows=2, cols=3, row_bits=(1, 6))"),
+        (lambda: BitMatrix(3, [1, 6]), lambda: BitMatrix(3, (1, 7)),
+         "BitMatrix(cols=3, row_bits=(1, 6))"),
         (lambda: Shadow(EDGES, True, (0, 0, 1, 1), COVER),
          lambda: Shadow(EDGES[::-1], True, (1, 1, 0, 0), COVER),
          SHADOW_REPR),
@@ -197,14 +198,33 @@ class TestValueClasses:
             BitVector(-1)
         for row_bits in ((2,), (0, -1)):
             with pytest.raises(ValueError, match="outside declared width"):
-                BitMatrix(len(row_bits), 1, row_bits)
+                BitMatrix(1, row_bits)
         with pytest.raises(TypeError):
-            BitMatrix(2, 1, (1, None))
-        for rows, cols in ((-1, 0), (0, -1)):
-            with pytest.raises(ValueError, match="dimensions must be nonnegative"):
-                BitMatrix(rows, cols, ())
-        with pytest.raises(ValueError, match="row count does not match row data"):
-            BitMatrix(2, 1, (0,))
+            BitMatrix(1, (1, None))
+        with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+            BitMatrix(-1, ())
+
+    def test_exact_ints_only(self):
+        # True == 1 and 1.0 == 1, but neither is an int: each field names itself.
+        for length, bits, field in ((True, 1, "length"), (2.0, 1, "length"),
+                                    (3, True, "bits"), (3, 1.0, "bits")):
+            with pytest.raises(TypeError, match=f"vector {field} must be an int"):
+                BitVector(length, bits)
+        for cols, row_bits, field in ((True, (1,), "cols"), (2.0, (1,), "cols"),
+                                      (2, (1.0,), "row_bits"), (2, (1, True), "row_bits")):
+            with pytest.raises(TypeError, match=f"matrix {field} must be"):
+                BitMatrix(cols, row_bits)
+
+    def test_matrix_keeps_its_rows_as_a_tuple(self):
+        rows = [1]
+        m = BitMatrix(2, rows)
+        rows.append(1 << 9)   # the caller's list is no longer the matrix's
+        assert m.row_bits == (1,) and type(m.row_bits) is tuple
+        assert m == BitMatrix(2, (1,)) and hash(m) == hash(BitMatrix(2, (1,)))
+        assert (m.rows, m.cols) == (1, 2)
+        assert BitMatrix._fields == ("cols", "row_bits")
+        with pytest.raises(AttributeError):
+            m.row_bits.append(1 << 9)
 
     def test_shadow_equality_ignores_the_derived_fields(self):
         a = Shadow(EDGES, True, (0, 0, 1, 1), COVER)
@@ -214,7 +234,7 @@ class TestValueClasses:
 
     @pytest.mark.parametrize("obj, field", [
         (BitVector(3, 5), "bits"),
-        (BitMatrix(2, 3, (1, 6)), "row_bits"),
+        (BitMatrix(3, (1, 6)), "row_bits"),
         (Shadow(EDGES, True, (0, 0, 1, 1), COVER), "orientable"),
         (EmbeddingScheme((1,), EDGES), "overs"),
         (EmbeddingScheme((1,), EDGES), "shadow"),
@@ -229,10 +249,18 @@ class TestValueClasses:
             obj.extra = 1
         assert getattr(obj, field) is before
 
+    def test_shadow_keeps_five_tables(self):
+        # The incidence matrix keeps its own elimination: no second table.
+        cached = {name for name, value in vars(Shadow).items()
+                  if isinstance(value, functools.cached_property)}
+        assert cached == {"faces", "components", "homology", "walk_table",
+                          "incidence_matrix"}
+        assert "incidence_factor" not in vars(Shadow)
+
     def test_derived_records_keep_only_what_is_read(self):
         assert Region._fields == ("corners", "crossing_count")
         assert Component._fields == ("edges", "crossings")
-        assert Homology._fields == ("quotient_pivots", "edge_classes", "matrix", "basis")
+        assert Homology._fields == ("quotient_pivots", "edge_classes", "matrix")
         assert FaceStructure._fields == ("regions", "face_partner", "plus_face",
                                          "edge_sides")
 

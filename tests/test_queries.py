@@ -17,10 +17,10 @@ import pytest
 
 from conftest import (CHAIN3_PD, HOPF_PD, WALK_FAULTS, braid_pd, cyclic_pd,
                       dense_admissible, even_target, make_curl, make_rp2curl,
-                      make_torus11, make_trefoil, random_suite,
+                      make_torus11, make_trefoil, plant_rows, random_suite,
                       reference_admissible_by_bicoloring, reference_bicoloring,
                       reference_switched)
-from regioncc import (Bicoloring, BitMatrix, EmbeddingScheme, admissible,
+from regioncc import (Bicoloring, EmbeddingScheme, admissible,
                       admissible_by_bicoloring, apply_rcc, bicoloring,
                       components, faces, import_pd, rcc_equivalent)
 from regioncc.bicolor import _check_switching
@@ -143,12 +143,9 @@ def test_corrupted_region_masks_raise():
             if not cert:
                 continue
             fresh = EmbeddingScheme(d.overs, d.edges)
-            shadow = fresh.shadow
-            shadow.incidence_factor
-            rows = list(shadow.incidence_matrix.row_bits)
+            rows = list(fresh.shadow.incidence_matrix.row_bits)
             rows[cert[0]] ^= 1 << rng.randrange(d.crossing_count)
-            shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(
-                rows, d.crossing_count)
+            plant_rows(fresh.shadow, rows, d.crossing_count)
             with pytest.raises(RuntimeError, match="certificate does not switch"):
                 admissible(fresh, target)
             caught += 1

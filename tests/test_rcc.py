@@ -335,7 +335,7 @@ class TestLargeSets:
             want = sum(1 << i for i in target)
             cert = admissible(d, target)
             if cert is None:
-                assert d.shadow.incidence_factor.expression(want, target) is None
+                assert d.shadow.incidence_matrix.expression(want, target) is None
             else:
                 assert shift_switched(d, cert) == want
 
@@ -410,8 +410,8 @@ class TestCheckerboard:
     def test_color_class_check_fires(self, trefoil):
         # One flipped matrix bit: the regions together now switch a crossing.
         rows = incidence_matrix(trefoil).row_bits
-        trefoil.shadow.__dict__["incidence_matrix"] = BitMatrix.from_bitrows(
-            (rows[0] ^ 1,) + rows[1:], trefoil.crossing_count)
+        trefoil.shadow.__dict__["incidence_matrix"] = BitMatrix(
+            trefoil.crossing_count, (rows[0] ^ 1,) + rows[1:])
         with pytest.raises(RuntimeError) as caught:
             checkerboard(trefoil)
         assert str(caught.value) == "checkerboard color class is not ineffective"

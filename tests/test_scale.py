@@ -24,7 +24,7 @@ from operator import xor
 
 import pytest
 
-from conftest import (braid_pd, chain_pd, cyclic_pd, even_target,
+from conftest import (braid_pd, chain_pd, cyclic_pd, even_target, matches_dense_oracles,
                       phi_class_matches_class_of, presentation, reference_cycle_class,
                       reference_switched, same_answers, shift_switched, twisted_chain)
 from regioncc import (R2Spec, admissible, admissible_by_bicoloring, apply_rcc,
@@ -118,6 +118,14 @@ def test_phi_class_reads_the_route_class_at_2000_crossings(family):
     nonzero = phi_class_matches_class_of([(d, target) for target in targets])
     # Only the planar families, with h1 = 0, give every coloring class zero.
     assert (nonzero > 0) == (family not in ("braid", "chain"))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_both_eliminations_match_the_dense_oracles_at_2000_crossings(family):
+    d = make(family, N)
+    rng = random.Random(9)
+    for m in (incidence_matrix(d), homology_context(d).matrix):
+        matches_dense_oracles(m, rng)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -233,14 +241,14 @@ def test_document_parse_memory_at_8000_crossings():
 
 
 @pytest.mark.parametrize("family, bound_mib", [("torus", 40), ("genus", 1)])
-def test_incidence_factor_memory_at_8000_crossings(family, bound_mib):
+def test_incidence_elimination_memory_at_8000_crossings(family, bound_mib):
     d = make(family, 8000)
     shadow = d.shadow
     shadow.faces
     shadow.homology
     tracemalloc.start()
     try:
-        shadow.incidence_factor
+        shadow.incidence_matrix.elimination
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
