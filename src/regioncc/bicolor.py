@@ -9,7 +9,7 @@ has class zero; since the homogeneous solutions are spanned by the
 component indicator vectors, that holds exactly when one particular
 solution's class is a sum of component classes, which the elimination
 of the component-class matrix reads off.  This route never looks at the
-incidence matrix.
+incidence matrix; its cycle rule is ``homology``'s, shared with ``class_of``.
 
 Queries work on whole ints.  The shadow's walk table lays the link
 components end to end, each from just after its largest edge, so walk
@@ -25,13 +25,13 @@ walk's colors in edge order.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import compress
-from operator import itemgetter, xor
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .gf2 import BitVector, bit_flags, mask_of, set_bits
+from .homology import _class_bits, _cycle_changes, _cycle_class
 from .scheme import EmbeddingScheme, Shadow, _index_set
 
 __all__ = _EXPORTS["bicolor"]
@@ -60,40 +60,17 @@ def _checked_colors(d: EmbeddingScheme, colors: tuple[int, ...]) -> tuple[int, .
     return colors
 
 
-def _cycle_changes(d: EmbeddingScheme, colors: Sequence[int]) -> int:
-    """Byte i is 1 where crossing i's strands change color, for 0/1 colors.
-
-    Both strands of a crossing agree on whether they change exactly when
-    the 1-colored edges form a cycle; ValueError flags a mismatch.
-    """
-    first, second = _strand_changes(d, colors)
-    if first != second:
-        low = first ^ second
-        raise ValueError(
-            f"strands disagree at crossing {(low & -low).bit_length() - 1 >> 3}")
-    return first
-
-
-def _strand_changes(d: EmbeddingScheme, colors: Sequence[int]) -> tuple[int, int]:
-    """Whether each crossing's {0, 2} and {1, 3} strands change color.
-
-    Byte i of each int is crossing i's 0 or 1.  One gather through
-    ``edge_of`` reads the color at every dart, so this reads no walk
-    table.  The two agree exactly when the 1-colored edges form a cycle.
-    """
-    at = bytes(itemgetter(*d.shadow.edge_of)(colors))
-    d0, d1, d2, d3 = (int.from_bytes(at[k::4], "little") for k in range(4))
-    return d0 ^ d2, d1 ^ d3
-
-
 def _check_switching(d: EmbeddingScheme, colors: tuple[int, ...], chosen: set[int]) -> None:
     """RuntimeError unless the colors are a bi-coloring for exactly the chosen crossings."""
-    first, second = _strand_changes(d, colors)
     target = bytearray(d.crossing_count)
     for i in chosen:
         target[i] = 1
-    if not first == second == int.from_bytes(target, "little"):
-        raise RuntimeError("bi-coloring does not switch exactly the target crossings")
+    try:
+        if _cycle_changes(d, colors) == int.from_bytes(target, "little"):
+            return
+    except ValueError:   # the strands disagree: no cycle at all
+        pass
+    raise RuntimeError("bi-coloring does not switch exactly the target crossings")
 
 
 class WalkTable(NamedTuple):
@@ -188,17 +165,9 @@ def bicoloring(d: EmbeddingScheme, crossings: Iterable[int]) -> Bicoloring | Non
 
 def phi_class(d: EmbeddingScheme, coloring: Bicoloring) -> BitVector:
     """Homology class of the 1-colored edge set: ``_checked_colors``
-    passes the colors, then ``_cycle_class``, shared with ``class_of``."""
+    passes the colors, then ``homology._cycle_class``, shared with
+    ``class_of``."""
     return _cycle_class(d, _checked_colors(d, coloring.colors))
-
-
-def _cycle_class(d: EmbeddingScheme, colors: Sequence[int]) -> BitVector:
-    """The class rule for 0/1 colors, one per edge: ``_cycle_changes``
-    checks that the 1-colored edges form a cycle, whose class XORs their
-    edge classes."""
-    _cycle_changes(d, colors)
-    hom = d.shadow.homology
-    return BitVector(hom.h1_dim, reduce(xor, compress(hom.edge_classes, colors), 0))
 
 
 def admissible_by_bicoloring(
@@ -223,14 +192,14 @@ def admissible_by_bicoloring(
     m = d.edge_count
     hom = shadow.homology
     colors = table.to_edges(bit_flags(bits, m))
-    phi = reduce(xor, compress(hom.edge_classes, colors), 0)
+    phi = _class_bits(hom.edge_classes, colors)
     coeffs = hom.matrix.expression(phi, set_bits(phi))
     if coeffs:
         bounds = table.bounds
         for k in set_bits(coeffs):
             bits ^= (1 << bounds[k + 1]) - (1 << bounds[k])
         colors = table.to_edges(bit_flags(bits, m))
-        phi = reduce(xor, compress(hom.edge_classes, colors), 0)
+        phi = _class_bits(hom.edge_classes, colors)
     if coeffs is not None and phi:
         raise RuntimeError("component flips did not cancel the class")
     _check_switching(d, colors, chosen)

@@ -147,7 +147,8 @@ def _cmd_ineffective(args):
 
 
 def _cmd_bicolor(args):
-    from .bicolor import admissible_by_bicoloring, phi_class
+    from .bicolor import admissible_by_bicoloring
+    from .homology import _class_bits
     from .rcc import admissible
     d = _load(args.file)
     ok, shown = admissible_by_bicoloring(d, args.crossings)
@@ -156,8 +157,9 @@ def _cmd_bicolor(args):
     if shown is None:
         data = {"admissible": False, "colors": None, "phi_class": None}
         return data, ["infeasible: no bi-coloring for those crossings"]
-    # The witness's class is zero by construction, and already checked.
-    phi = BitVector(d.shadow.homology.h1_dim) if ok else phi_class(d, shown)
+    # admissible_by_bicoloring checked the coloring: a cycle, zero for a witness.
+    hom = d.shadow.homology
+    phi = BitVector(hom.h1_dim, _class_bits(hom.edge_classes, shown.colors))
     data = {"admissible": ok, "colors": list(shown.colors),
             "phi_class": list(bit_flags(phi.bits, phi.length))}
     verdict = "admissible" if ok else "infeasible: every bi-coloring has nonzero class"

@@ -6,13 +6,18 @@ image of the 2-chains.  First homology is the cycle space of the graph
 modulo the span of the region boundary masks; its dimension equals
 2 minus the Euler characteristic.  Classes are bit masks (bit k =
 basis element k), matching the gf2 row convention.
+
+The cycle rule of ``class_of`` and the bi-coloring route lives here: a
+0/1 edge coloring is a cycle exactly when both strands agree at every
+crossing, and its class XORs its edges' classes.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import itemgetter, xor
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .gf2 import BitMatrix, BitVector
@@ -129,16 +134,37 @@ homology_context = homology_matrix   # one table, both public names
 def class_of(d: EmbeddingScheme, edges: Iterable[int]) -> BitVector:
     """Homology class of an edge cycle, in the table's quotient basis.
 
-    ``edges`` is an iterable of int edge indices, checked by
-    ``_index_list`` and taken mod 2 into the 0/1 coloring whose 1-colored
-    edges they are; ``phi_class``'s class rule reads its class.  Raises
-    ValueError naming the lowest crossing where the strands disagree if
-    the edges do not form a cycle of the graph.
+    ``edges``, int edge indices checked by ``_index_list``, are taken mod
+    2 into the 0/1 coloring whose class ``_cycle_class`` reads, as for
+    ``phi_class``: ValueError names the lowest crossing where the strands
+    disagree if the edges do not form a cycle of the graph.
     """
-    # Imported here, so importing this module loads no bi-coloring code.
-    from .bicolor import _cycle_class
     m = d.edge_count
     parity = [0] * m
     for e in _index_list(edges, m, "edge"):
         parity[e] ^= 1
     return _cycle_class(d, parity)
+
+
+def _cycle_changes(d: EmbeddingScheme, colors: Sequence[int]) -> int:
+    """Byte i is 1 where crossing i's strands change color, for 0/1 colors,
+    read by one gather through ``edge_of``.  ValueError names the lowest
+    crossing whose two strands disagree: the colors are no cycle there."""
+    at = bytes(itemgetter(*d.shadow.edge_of)(colors))
+    d0, d1, d2, d3 = (int.from_bytes(at[k::4], "little") for k in range(4))
+    first, odd = d0 ^ d2, d0 ^ d1 ^ d2 ^ d3   # odd: nonzero where strands disagree
+    if odd:
+        raise ValueError(f"strands disagree at crossing {(odd & -odd).bit_length() - 1 >> 3}")
+    return first
+
+
+def _class_bits(edge_classes: Sequence[int], colors: Sequence[int]) -> int:
+    """The class bits of the 1-colored edges: their edge classes XORed."""
+    return reduce(xor, compress(edge_classes, colors), 0)
+
+
+def _cycle_class(d: EmbeddingScheme, colors: Sequence[int]) -> BitVector:
+    """The class rule for 0/1 colors: ``_cycle_changes``, then ``_class_bits``."""
+    _cycle_changes(d, colors)
+    hom = d.shadow.homology
+    return BitVector(hom.h1_dim, _class_bits(hom.edge_classes, colors))

@@ -21,6 +21,7 @@ from regioncc import (DiagramFormatError, Edge, EmbeddingScheme,
                       orientation_double_cover, phi_class, random_diagram,
                       surface_info, verify_rank_formula)
 from regioncc.gf2 import BitMatrix, BitVector
+from regioncc.homology import _class_bits
 from regioncc.scheme import _decode_json, _on_shadow
 
 # Hypothesis reports a failing example through hypothesis.extra._patching,
@@ -1014,9 +1015,9 @@ def phi_class_matches_class_of(cases) -> int:
 
     ``cases`` holds (diagram, crossing set) pairs.  Each returned coloring's
     class is read by the edge walk ``reference_cycle_class`` over its
-    1-colored edge indices; phi_class on the coloring and class_of on
-    those indices must both give the same bits.  Returns the number of
-    nonzero classes seen.
+    1-colored edge indices; phi_class on the coloring, class_of on those
+    indices and the class read ``homology._class_bits`` on the colors must
+    all give the same bits.  Returns the number of nonzero classes seen.
     """
     nonzero = 0
     for d, target in cases:
@@ -1025,6 +1026,7 @@ def phi_class_matches_class_of(cases) -> int:
             lit = [e for e, x in enumerate(witness.colors) if x]
             bits = reference_cycle_class(d, lit)
             assert phi_class(d, witness).bits == class_of(d, lit).bits == bits
+            assert _class_bits(homology_matrix(d).edge_classes, witness.colors) == bits
             nonzero += bits != 0
     return nonzero
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import (HOPF_PD, TREFOIL_PD, VALIDATE_VIOLATIONS,
                       WALK_FAULTS, cyclic_pd, even_target, make_curl,
                       make_rp2curl, make_torus11, mirror_fault, ones,
-                      plant_rows, violation_document)
+                      plant_rows, reference_cycle_class, violation_document)
 from regioncc import (BitMatrix, Edge, admissible, admissible_by_bicoloring, bicoloring,
                       class_of, components, faces, homology_context, homology_matrix,
                       import_pd, incidence_matrix, parse_diagram, phi_class,
@@ -143,7 +143,25 @@ class TestQueries:
         assert code == 0
         assert out == ("infeasible: every bi-coloring has nonzero class\n"
                        "colors: 1000\nclass: 100\n")
-        assert len(class_calls) == 1
+        assert len(class_calls) == 0
+
+    def test_bicolor_reads_a_no_answer_class_without_phi_class(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # admissible_by_bicoloring has checked the coloring it returns, so
+        # the handler reads its class once and runs no phi_class checks.
+        def refused(d, coloring):
+            raise AssertionError("bicolor re-checked its coloring through phi_class")
+
+        d = random_diagram(2, 0.5, seed=0)
+        path = tmp_path / "nonzero.json"
+        path.write_text(serialize_diagram(d), encoding="utf-8")
+        monkeypatch.setattr("regioncc.bicolor.phi_class", refused)
+        code, out, _ = run(capsys, "bicolor", "--json", str(path), "-c", "0")
+        data = json.loads(out)
+        assert (code, data["admissible"]) == (0, False)
+        lit = [e for e, color in enumerate(data["colors"]) if color]
+        bits, phi = reference_cycle_class(d, lit), data["phi_class"]
+        assert bits and phi == [bits >> k & 1 for k in range(len(phi))]
 
     def test_bicolor_checks_every_no_with_the_region_route(self, capsys, monkeypatch,
                                                            tmp_path):
@@ -247,6 +265,32 @@ class TestTransforms:
         code, out, _ = run(capsys, "import-pd", str(src))
         assert code == 0
         assert parse_diagram(out).crossing_count == 1
+
+
+ONE_CROSSING = ('{"crossings": [{"rotation": %s, "over": 0}], "edges": '
+                '[{"darts": [0, 1], "sign": %s}, {"darts": [2, 3], "sign": 1}]}')
+TREFOIL_DOC = json.dumps({"pd": TREFOIL_PD})
+# A document piped to a command in a child, and the exit code and the one
+# stderr line it must give, with nothing else (no traceback): malformed
+# documents and PD codes, documents that violate an invariant, and indices
+# out of range, also after valid ones.
+PIPED_ERRORS = [
+    (["info", "-"], "[1, 2]", 2, "error: top-level document must be an object"),
+    (["import-pd", "-"], "[[1,1,1,2]]", 2, "error: pd label 1 occurs more than twice"),
+    (["import-pd", "-"], "[[1,2,3,4]]", 2, "error: pd labels occurring once: 1, 2, 3, 4"),
+    (["import-pd", "-"], '[[1,1,2,2],[3,3,"a",4]]', 2,
+     "error: pd labels must be all integers or all strings"),
+    (["import-pd", "-"], "[[1,1,2,2],[3,3,4,4]]", 3,
+     "invalid diagram: diagram is disconnected"),
+    (["info", "-"], ONE_CROSSING % ("[0, 2, 1, 3]", "1"), 3,
+     "invalid diagram: crossing 0: rotation must be [0, 1, 2, 3]"),
+    (["info", "-"], ONE_CROSSING % ("[0, 1, 2, 3]", "1.0"), 2,
+     "error: edge 0: sign must be an integer"),
+    (["bicolor", "-", "-c", "-1"], TREFOIL_DOC, 2, "error: crossing index -1 out of range"),
+    (["admissible", "-", "-c", "0,1,9"], TREFOIL_DOC, 2,
+     "error: crossing index 9 out of range"),
+    (["apply", "-", "-r", "0,7"], TREFOIL_DOC, 2, "error: region index 7 out of range"),
+]
 
 
 class TestExitCodes:
@@ -419,6 +463,16 @@ class TestExitCodes:
         assert child.stdout == b""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, doc, exit_code, line", PIPED_ERRORS, ids=[
+        "top-level-array", "pd-label-thrice", "pd-labels-once", "pd-mixed-labels",
+        "pd-two-kinks", "rotation-order", "float-sign", "bicolor-negative-index",
+        "admissible-after-valid", "apply-after-valid"])
+    def test_piped_document_error_is_one_line(self, argv, doc, exit_code, line):
+        cmd = [sys.executable, "-m", "regioncc.cli", *argv]
+        child = subprocess.run(cmd, input=doc.encode(), capture_output=True, check=False)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            exit_code, b"", line.encode() + b"\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [["random", "-n", "3"], ["info", "--json", "-"]])

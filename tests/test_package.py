@@ -110,8 +110,15 @@ def test_bicolor_import_loads_no_region_route():
 
 
 def test_homology_import_loads_no_bicoloring():
-    # class_of imports the bi-coloring code where it reads a class.
     loaded = loaded_modules("import regioncc.homology")
+    assert "regioncc.homology" in loaded and "regioncc.bicolor" not in loaded
+
+
+def test_class_of_loads_no_bicoloring():
+    # The cycle rule lives in homology, so reading a class needs no bi-coloring code.
+    loaded = loaded_modules("from regioncc import class_of, import_pd\n"
+                            f"d = import_pd({TREFOIL_PD!r})\n"
+                            "assert not class_of(d, range(d.edge_count)).bits")
     assert "regioncc.homology" in loaded and "regioncc.bicolor" not in loaded
 
 

@@ -63,7 +63,8 @@ def test_report_shape(trees):
     doc = drive(trees, stub, "--pairs", "2", "--workload", "genus_solve")
     assert set(doc) == {"python", "seconds", "pairs", "trees", "workloads"}
     assert (doc["python"], doc["seconds"], doc["pairs"]) == ("3.11.7", 25, 2)
-    assert doc["trees"] == {side: {"commit": f"{side}-commit", "src_sha256": f"{side}-digest"}
+    assert doc["trees"] == {side: {"commit": f"{side}-commit", "src_sha256": f"{side}-digest",
+                                   "bench_sha256": pair.bench_digest(str(trees / side))}
                             for side in ("parent", "change")}
     assert list(doc["workloads"]) == ["torus_solve", "genus_solve"]
     for entry in doc["workloads"].values():
@@ -78,6 +79,38 @@ def test_report_shape(trees):
                               "pairs", "parent_iqr", "parent_iqr_rel", "worse_by", "verdict",
                               "sign_p", "gain"}
         assert (setup["parent_median"], setup["change_median"], setup["wins"]) == (1.5, 2.5, 0)
+
+
+def stub_bench(tree):
+    (tree / "bench").mkdir()
+    (tree / "bench" / "run.py").write_text("print('run')\n", encoding="utf-8")
+    (tree / "bench" / "notes.txt").write_text("not a bench module\n", encoding="utf-8")
+    shutil.copy(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
+
+
+def test_equal_benches_print_no_note(trees, capsys):
+    for side in ("parent", "change"):
+        stub_bench(trees / side)
+    # Only bench/*.py and BENCHMARK.json count.
+    (trees / "parent" / "bench" / "notes.txt").write_text("edited\n", encoding="utf-8")
+    doc = drive(trees, Stub(), "--pairs", "1")
+    digests = {doc["trees"][side]["bench_sha256"] for side in ("parent", "change")}
+    assert len(digests) == 1 and len(digests.pop()) == 64
+    assert "note:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", ["bench/run.py", "bench/new.py", "BENCHMARK.json"])
+def test_differing_benches_print_one_note(trees, capsys, edit):
+    for side in ("parent", "change"):
+        stub_bench(trees / side)
+    # A trailing newline edits a module, adds one, or keeps the JSON valid.
+    with (trees / "change" / edit).open("a", encoding="utf-8") as handle:
+        handle.write("\n")
+    doc = drive(trees, Stub(), "--pairs", "1")
+    assert doc["trees"]["parent"]["bench_sha256"] != doc["trees"]["change"]["bench_sha256"]
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+    assert notes == ["note: the trees' bench/*.py or BENCHMARK.json differ: "
+                     "each tree's metrics come from its own bench"]
 
 
 def rows(parent, change):

@@ -14,8 +14,12 @@ version changes between its runs.
 
 The output file records both trees' ``commit`` and ``src_sha256`` as
 their runs' details lines report them (``commit`` is null for a tree
-that is not a git checkout), the Python version, every pair's metrics
-and, for each end-to-end metric of the change tree's ``BENCHMARK.json``:
+that is not a git checkout), and each tree's ``bench_sha256``, a digest
+of its ``bench/*.py`` and ``BENCHMARK.json``.  Each tree runs its own
+bench, so a bench edit could pass for a package change: a line is
+printed when the two digests differ.  It also records the Python
+version, every pair's metrics and, for each end-to-end metric of the
+change tree's ``BENCHMARK.json``:
 
 - the medians of both trees;
 - ``worse_by``, the change's median relative to the parent's, positive
@@ -40,6 +44,7 @@ the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -62,6 +67,18 @@ def bench_run(tree: str, workload: str, seed: int, seconds: int) -> Run:
         raise SystemExit(f"error: {tree}: {workload} seed {seed} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def bench_digest(tree: str) -> str:
+    """SHA-256 over the tree's ``bench/*.py`` and ``BENCHMARK.json``, each
+    by its relative path and bytes; a missing file adds nothing."""
+    root = Path(tree)
+    h = hashlib.sha256()
+    for path in sorted(root.glob("bench/*.py")) + [root / "BENCHMARK.json"]:
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -133,7 +150,7 @@ def compare(rows: list[dict], spec: dict) -> dict:
     return {**out, "worse_by": worse_by, "parent_iqr_rel": spread_rel, "verdict": verdict}
 
 
-def report(identity: dict[str, dict], seconds: int, pairs: int,
+def report(identity: dict[str, dict], benches: dict[str, str], seconds: int, pairs: int,
            workloads: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """The ``BENCH_*.json`` document for the finished workloads."""
     pythons = {identity[side]["python"] for side in identity}
@@ -144,7 +161,8 @@ def report(identity: dict[str, dict], seconds: int, pairs: int,
         "seconds": seconds,
         "pairs": pairs,
         "trees": {side: {"commit": identity[side]["commit"],
-                         "src_sha256": identity[side]["src_sha256"]}
+                         "src_sha256": identity[side]["src_sha256"],
+                         "bench_sha256": benches[side]}
                   for side in ("parent", "change")},
         "workloads": {
             name: {"metrics": {spec["name"]: compare(rows, spec) for spec in end_to_end},
@@ -168,11 +186,15 @@ def main(argv: list[str] | None = None, runner: Runner = bench_run) -> int:
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     trees = {"parent": args.parent, "change": args.change}
+    benches = {side: bench_digest(tree) for side, tree in trees.items()}
+    if benches["parent"] != benches["change"]:
+        print("note: the trees' bench/*.py or BENCHMARK.json differ: "
+              "each tree's metrics come from its own bench")
     identity: dict[str, dict] = {}
     done: dict[str, list[dict]] = {}
     for workload in args.workload:
         done[workload] = run_pairs(trees, workload, args.pairs, seconds, runner, identity)
-        doc = report(identity, seconds, args.pairs, done, spec["end_to_end"])
+        doc = report(identity, benches, seconds, args.pairs, done, spec["end_to_end"])
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         for name, m in doc["workloads"][workload]["metrics"].items():
             print(f"{workload} {name}: {m['verdict']} (parent {m['parent_median']:.4g}, "
